@@ -2,22 +2,23 @@
 //!
 //! Replays the `fig6_contention` victim (the 20KB synthetic kernel)
 //! co-scheduled against the stress opponent ladder through
-//! [`Campaign::run_contended`], on one worker thread, in three engine
-//! configurations per pressure level:
+//! [`Campaign::run_contended`], on one worker thread, in three
+//! configurations per pressure level — all on the one contended engine,
+//! `BatchContentionCore`:
 //!
-//! * `round-robin/batched` — the default lane count, i.e. the
-//!   lane-batched [`BatchContentionCore`] path (one interleave per
-//!   campaign, replayed across placement-seed lanes);
-//! * `round-robin/scalar` — `with_lanes(1)`, the sequential per-seed
-//!   [`ContentionCore`] escape hatch (the pre-lane-batching record);
-//! * `seeded-random` — the seed-dependent schedule, always scalar.
+//! * `round-robin/batched` — the default lane count (one interleave per
+//!   campaign, replayed across placement-seed lane groups);
+//! * `round-robin/one-lane` — `with_lanes(1)`, the same schedule replayed
+//!   one seed per pass (the lane-batching baseline);
+//! * `seeded-random` — one schedule drawn per run, replayed as a one-lane
+//!   wave.
 //!
 //! Before timing anything the bench asserts two equivalence gates, so it
 //! doubles as the CI smoke check of the contention engine's defining
 //! invariants: a contended campaign with an idle opponent must reproduce
-//! `run_seeds` bit-for-bit (on the batched *and* the scalar engine), and
-//! the batched round-robin path must reproduce the scalar per-seed
-//! engine bit-for-bit on a real co-schedule.
+//! `run_seeds` bit-for-bit (at the default width *and* at one lane, under
+//! both arbitrations), and on a real co-schedule the default width must
+//! reproduce one-lane waves bit-for-bit under both arbitrations.
 //!
 //! In bench mode it prints a `throughput:` line per configuration in
 //! events/second (total interleaved events across all tasks).
@@ -72,7 +73,7 @@ fn contention_throughput(c: &mut Criterion) {
     };
 
     // Solo-equivalence gate: an idle co-schedule is the solo protocol —
-    // on the batched engine (default lanes) and the scalar escape hatch.
+    // at the default width and at one lane.
     let victim = SyntheticKernel::fits_l2();
     let solo_sources: Vec<PackedTrace> =
         CoSchedule::pressure_level(victim, 0).packed_traces(&MemoryLayout::default());
@@ -97,26 +98,27 @@ fn contention_throughput(c: &mut Criterion) {
         }
     }
 
-    // Batched-vs-scalar gate: on a real co-schedule, the lane-batched
-    // round-robin engine must reproduce the scalar per-seed engine
-    // bit-for-bit.
+    // Width gate: on a real co-schedule, the default width must reproduce
+    // one-lane waves bit-for-bit, under both arbitrations.
     let gate_sources: Vec<PackedTrace> =
         CoSchedule::pressure_level(victim, 2).packed_traces(&MemoryLayout::default());
-    let batched = campaign(Arbitration::RoundRobin)
-        .run_contended(&gate_sources, gate_seeds)
-        .expect("valid platform");
-    let scalar = campaign(Arbitration::RoundRobin)
-        .with_lanes(1)
-        .run_contended(&gate_sources, gate_seeds)
-        .expect("valid platform");
-    assert_eq!(
-        batched, scalar,
-        "lane-batched round-robin campaign diverged from the scalar per-seed engine"
-    );
+    for arbitration in Arbitration::ALL {
+        let batched = campaign(arbitration)
+            .run_contended(&gate_sources, gate_seeds)
+            .expect("valid platform");
+        let one_lane = campaign(arbitration)
+            .with_lanes(1)
+            .run_contended(&gate_sources, gate_seeds)
+            .expect("valid platform");
+        assert_eq!(
+            batched, one_lane,
+            "{arbitration} contended campaign at the default width diverged from one-lane waves"
+        );
+    }
 
     let configurations: [(&str, Arbitration, Option<usize>); 3] = [
         ("round-robin/batched", Arbitration::RoundRobin, None),
-        ("round-robin/scalar", Arbitration::RoundRobin, Some(1)),
+        ("round-robin/one-lane", Arbitration::RoundRobin, Some(1)),
         ("seeded-random", Arbitration::SeededRandom, None),
     ];
     let mut group = c.benchmark_group("contention_throughput");

@@ -1,10 +1,11 @@
 //! Microbenchmarks of the cache-hierarchy simulator: trace-replay
-//! throughput for each placement policy.
+//! throughput for each placement policy, one seed per replay on a one-lane
+//! [`BatchCore`].
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use randmod_bench::{bench_platform, bench_trace};
 use randmod_core::PlacementKind;
-use randmod_sim::InOrderCore;
+use randmod_sim::BatchCore;
 use std::hint::black_box;
 
 fn trace_replay(c: &mut Criterion) {
@@ -17,12 +18,12 @@ fn trace_replay(c: &mut Criterion) {
         PlacementKind::HashRandom,
         PlacementKind::RandomModulo,
     ] {
-        let mut core = InOrderCore::new(&bench_platform(kind)).expect("valid platform");
+        let mut core = BatchCore::new(&bench_platform(kind), 1).expect("valid platform");
         let mut seed = 0u64;
         group.bench_with_input(BenchmarkId::from_parameter(kind), &trace, |b, trace| {
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                let (cycles, _) = core.execute_isolated(black_box(trace), seed);
+                let (cycles, _) = core.execute_batch(black_box(trace), &[seed])[0];
                 black_box(cycles)
             })
         });

@@ -1,13 +1,14 @@
 //! Packed versus boxed trace replay: the representation benchmark behind
-//! the streaming pipeline.  Replays the same kernel through [`InOrderCore`]
-//! from the boxed `Vec<MemEvent>` [`Trace`] (16 bytes/event) and from the
-//! 8-byte-per-event [`PackedTrace`], plus the encode cost of producing
-//! each representation from the workload generator.
+//! the streaming pipeline.  Replays the same kernel through a one-lane
+//! [`BatchCore`] from the boxed `Vec<MemEvent>` [`Trace`] (16
+//! bytes/event) and from the 8-byte-per-event [`PackedTrace`], plus the
+//! encode cost of producing each representation from the workload
+//! generator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use randmod_bench::{bench_kernel, bench_packed_trace, bench_platform, bench_trace};
 use randmod_core::PlacementKind;
-use randmod_sim::{InOrderCore, SinkFn};
+use randmod_sim::{BatchCore, SinkFn};
 use randmod_workloads::{MemoryLayout, Workload};
 use std::hint::black_box;
 
@@ -21,12 +22,12 @@ fn replay(c: &mut Criterion) {
     group.sample_size(20);
 
     let mut core =
-        InOrderCore::new(&bench_platform(PlacementKind::RandomModulo)).expect("valid platform");
+        BatchCore::new(&bench_platform(PlacementKind::RandomModulo), 1).expect("valid platform");
     let mut seed = 0u64;
     group.bench_with_input(BenchmarkId::from_parameter("boxed"), &boxed, |b, trace| {
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            let (cycles, _) = core.execute_isolated(black_box(trace), seed);
+            let (cycles, _) = core.execute_batch(black_box(trace), &[seed])[0];
             black_box(cycles)
         })
     });
@@ -34,7 +35,7 @@ fn replay(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::from_parameter("packed"), &packed, |b, trace| {
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            let (cycles, _) = core.execute_isolated(black_box(trace), seed);
+            let (cycles, _) = core.execute_batch(black_box(trace), &[seed])[0];
             black_box(cycles)
         })
     });

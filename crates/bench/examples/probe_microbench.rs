@@ -1,13 +1,13 @@
-//! Micro-benchmark of the wavefront probe against K scalar probes.
+//! Micro-benchmark of the wavefront probe.
 //!
-//! Times `SetAssocCacheLanes::access_lean_lanes` against a loop over K
-//! scalar `SetAssocCache::access_lean_line` calls on the same access
-//! stream, per placement kind — the apples-to-apples core of the
-//! `campaign_throughput` gap, without trace decode or hierarchy booking.
+//! Times `SetAssocCacheLanes::access_lean_lanes` on one synthetic L1-like
+//! access stream, per placement kind, at K lanes — the probe cost at the
+//! core of `campaign_throughput`, without trace decode or hierarchy
+//! booking.
 //!
 //! Run with `cargo run --release -p randmod-bench --example probe_microbench`.
 
-use randmod_core::cache::{AccessKind, SetAssocCache, SetAssocCacheLanes, WritePolicy};
+use randmod_core::cache::{AccessKind, SetAssocCacheLanes, WritePolicy};
 use randmod_core::{CacheGeometry, LineAddr, PlacementKind, ReplacementKind};
 use std::hint::black_box;
 use std::time::Instant;
@@ -44,7 +44,6 @@ fn main() {
     let seeds: Vec<u64> = (0..LANES as u64).map(|l| 0xBEEF ^ (l * 0x9E37)).collect();
 
     for kind in PlacementKind::ALL {
-        // Wavefront bank.
         let mut bank = SetAssocCacheLanes::with_kinds(
             geometry,
             kind,
@@ -61,35 +60,10 @@ fn main() {
             black_box(&flags);
         }
         let wave = start.elapsed().as_secs_f64();
-
-        // K scalar caches.
-        let mut scalars: Vec<SetAssocCache> = seeds
-            .iter()
-            .map(|&s| {
-                let mut c = SetAssocCache::with_kinds(
-                    geometry,
-                    kind,
-                    ReplacementKind::Random,
-                    WritePolicy::WriteThrough,
-                )
-                .unwrap();
-                c.reseed(s);
-                c
-            })
-            .collect();
-        let start = Instant::now();
-        for &(line, access) in &stream {
-            for cache in scalars.iter_mut() {
-                black_box(cache.access_lean_line(LineAddr::new(line), access));
-            }
-        }
-        let scalar = start.elapsed().as_secs_f64();
-
         let per_wave = wave / STEPS as f64 * 1e9;
-        let per_scalar = scalar / STEPS as f64 * 1e9;
         println!(
-            "{kind:>14}: wave {per_wave:7.1} ns/op  scalar-x{LANES} {per_scalar:7.1} ns/op  speedup {:.2}x",
-            per_scalar / per_wave
+            "{kind:>14}: wave {per_wave:7.1} ns/op  ({:.1} ns per lane-access at K = {LANES})",
+            per_wave / LANES as f64
         );
     }
 }

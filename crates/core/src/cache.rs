@@ -178,10 +178,10 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// Compact outcome of a [`SetAssocCache::access_lean`] call: the same
-/// information as [`AccessOutcome`] minus the evicted line address, packed
-/// into one byte so batched replay lanes can accumulate statistics with
-/// branch-free adds.
+/// Compact outcome of one lane of a [`SetAssocCacheLanes`] access: the
+/// same information as [`AccessOutcome`] minus the evicted line address,
+/// packed into one byte so batched replay lanes can accumulate statistics
+/// with branch-free adds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AccessFlags(u8);
 
@@ -222,19 +222,27 @@ impl AccessFlags {
     }
 }
 
+impl From<AccessOutcome> for AccessFlags {
+    /// Packs a full outcome, dropping the evicted line address.
+    fn from(outcome: AccessOutcome) -> Self {
+        AccessFlags(match outcome {
+            AccessOutcome::Hit { .. } => Self::HIT,
+            AccessOutcome::Miss { allocated, evicted } => {
+                let mut flags = if allocated { Self::FILLED } else { 0 };
+                if let Some(victim) = evicted {
+                    flags |= Self::EVICTED | if victim.dirty { Self::WRITEBACK } else { 0 };
+                }
+                flags
+            }
+        })
+    }
+}
+
 /// Sentinel stored in the flat tag array for an invalid way.  Line
 /// addresses are byte addresses shifted right by the offset bits, and the
 /// trace pipeline caps addresses at 2⁶² − 1, so the all-ones value can
 /// never be a real line.
 const INVALID_TAG: u64 = u64::MAX;
-
-/// Raw outcome of the shared access path: flags plus the way used and the
-/// displaced line (when any).
-struct RawAccess {
-    flags: AccessFlags,
-    way: u32,
-    evicted: Option<EvictedLine>,
-}
 
 #[inline]
 fn bit_get(words: &[u64], index: usize) -> bool {
@@ -291,21 +299,6 @@ pub struct SetAssocCache {
     replacement: ReplacementState,
     rng: CombinedLfsr,
     stats: CacheStats,
-    /// Most-recently-read line, the one-compare fast path for the common
-    /// same-line run of instruction fetches and sequential loads.  Pinned
-    /// to [`INVALID_TAG`] (never matches) unless replacement is Random:
-    /// under random replacement a read hit changes no cache state (`touch`
-    /// is a no-op and reads never dirty a line), so short-circuiting the
-    /// repeat hit is state- and outcome-identical.  LRU and round-robin
-    /// must re-rank on every hit and always take the full path.
-    mru_line: u64,
-    /// Flat tag index of the MRU line (validated against `tags` on use, so
-    /// an eviction of the MRU line simply falls back to the full probe).
-    mru_index: usize,
-    /// Way of the MRU line within its set.
-    mru_way: u32,
-    /// Whether the MRU fast path may be armed (replacement is Random).
-    mru_enabled: bool,
 }
 
 impl SetAssocCache {
@@ -355,10 +348,6 @@ impl SetAssocCache {
             replacement: ReplacementState::new(replacement, geometry.sets(), geometry.ways()),
             rng: CombinedLfsr::new(0),
             stats: CacheStats::default(),
-            mru_line: INVALID_TAG,
-            mru_index: 0,
-            mru_way: 0,
-            mru_enabled: replacement == ReplacementKind::Random,
         }
     }
 
@@ -422,7 +411,6 @@ impl SetAssocCache {
         self.valid.fill(0);
         self.dirty.fill(0);
         self.replacement.reset();
-        self.mru_line = INVALID_TAG;
         self.stats.flushes += 1;
     }
 
@@ -447,31 +435,19 @@ impl SetAssocCache {
             .count() as u32
     }
 
-    /// The shared access path: probes the set in a single pass (recording
-    /// the first invalid way while looking for a hit), fills on an
-    /// allocating miss, and reports what happened — without touching the
-    /// statistics.
-    #[inline]
-    fn access_raw(&mut self, line: LineAddr, is_write: bool) -> RawAccess {
+    /// Performs one access and returns its outcome: probes the set in a
+    /// single pass (recording the first invalid way while looking for a
+    /// hit), fills on an allocating miss, and books the statistics.
+    pub fn access(&mut self, addr: Address, kind: AccessKind) -> AccessOutcome {
+        let line = self.geometry.line_addr(addr);
+        let raw = line.raw();
         debug_assert_ne!(
-            line.raw(),
-            INVALID_TAG,
+            raw, INVALID_TAG,
             "line address collides with the invalid-tag sentinel"
         );
-        let raw = line.raw();
-
-        // Fast path: a repeat read of the most-recently-read line.  Armed
-        // only under Random replacement, where a read hit mutates no state;
-        // the tag re-check makes an interleaved eviction fall back to the
-        // full probe.
-        if raw == self.mru_line && self.tags[self.mru_index] == raw && !is_write {
-            return RawAccess {
-                flags: AccessFlags(AccessFlags::HIT),
-                way: self.mru_way,
-                evicted: None,
-            };
-        }
-
+        let is_write = kind.is_write();
+        self.stats.accesses += 1;
+        self.stats.stores += is_write as u64;
         let set = self.placement.set_index_of_line_mut(line);
         let base = set as usize * self.ways;
 
@@ -496,24 +472,18 @@ impl SetAssocCache {
             if is_write && self.write_policy == WritePolicy::WriteBack {
                 bit_set(&mut self.dirty, base + hit_way);
             }
-            if self.mru_enabled && !is_write {
-                self.mru_line = raw;
-                self.mru_index = base + hit_way;
-                self.mru_way = hit_way as u32;
-            }
-            return RawAccess {
-                flags: AccessFlags(AccessFlags::HIT),
+            self.stats.hits += 1;
+            return AccessOutcome::Hit {
                 way: hit_way as u32,
-                evicted: None,
             };
         }
 
+        self.stats.misses += 1;
         // Write-through caches do not allocate on store misses: the store
         // goes straight to the next level.
         if is_write && self.write_policy == WritePolicy::WriteThrough {
-            return RawAccess {
-                flags: AccessFlags(0),
-                way: 0,
+            return AccessOutcome::Miss {
+                allocated: false,
                 evicted: None,
             };
         }
@@ -527,17 +497,15 @@ impl SetAssocCache {
         };
         let index = base + way;
         let old_tag = self.tags[index];
-        let mut flags = AccessFlags::FILLED;
-        let evicted = if old_tag != INVALID_TAG {
-            let was_dirty = bit_get(&self.dirty, index);
-            flags |= AccessFlags::EVICTED | if was_dirty { AccessFlags::WRITEBACK } else { 0 };
-            Some(EvictedLine {
-                line: LineAddr::new(old_tag),
-                dirty: was_dirty,
-            })
-        } else {
-            None
-        };
+        let evicted = (old_tag != INVALID_TAG).then(|| EvictedLine {
+            line: LineAddr::new(old_tag),
+            dirty: bit_get(&self.dirty, index),
+        });
+        if let Some(victim) = evicted {
+            self.stats.evictions += 1;
+            self.stats.writebacks += victim.dirty as u64;
+        }
+        self.stats.fills += 1;
         self.tags[index] = raw;
         bit_set(&mut self.valid, index);
         if is_write && self.write_policy == WritePolicy::WriteBack {
@@ -546,68 +514,10 @@ impl SetAssocCache {
             bit_clear(&mut self.dirty, index);
         }
         self.replacement.touch(set, way as u32);
-        if self.mru_enabled && !is_write {
-            self.mru_line = raw;
-            self.mru_index = index;
-            self.mru_way = way as u32;
-        }
-        RawAccess {
-            flags: AccessFlags(flags),
-            way: way as u32,
+        AccessOutcome::Miss {
+            allocated: true,
             evicted,
         }
-    }
-
-    /// Performs one access and returns its outcome.
-    #[inline]
-    pub fn access(&mut self, addr: Address, kind: AccessKind) -> AccessOutcome {
-        let line = self.geometry.line_addr(addr);
-        let is_write = kind.is_write();
-        self.stats.accesses += 1;
-        self.stats.stores += is_write as u64;
-        let raw = self.access_raw(line, is_write);
-        let flags = raw.flags;
-        if flags.is_hit() {
-            self.stats.hits += 1;
-            AccessOutcome::Hit { way: raw.way }
-        } else {
-            self.stats.misses += 1;
-            self.stats.fills += flags.filled() as u64;
-            self.stats.evictions += flags.evicted() as u64;
-            self.stats.writebacks += flags.wrote_back() as u64;
-            AccessOutcome::Miss {
-                allocated: flags.filled(),
-                evicted: raw.evicted,
-            }
-        }
-    }
-
-    /// Performs one access without updating the statistics, returning the
-    /// compact [`AccessFlags`] instead of a full [`AccessOutcome`].
-    ///
-    /// This is the batched-replay hot path: callers (one per replay lane)
-    /// accumulate their own counters from the flags and flush them into a
-    /// [`CacheStats`] once per run, instead of read-modify-writing the
-    /// eight-field statistics block on every event.
-    #[inline]
-    pub fn access_lean(&mut self, addr: Address, kind: AccessKind) -> AccessFlags {
-        self.access_raw(self.geometry.line_addr(addr), kind.is_write())
-            .flags
-    }
-
-    /// [`Self::access_lean`] with the line address precomputed by the
-    /// caller.
-    ///
-    /// The lane-batched replay engines decode each event once and fan it
-    /// out across `K` per-seed hierarchies; hoisting the `addr → line`
-    /// reduction out of the per-lane loop pays it once per decoded event
-    /// instead of once per lane.  `line` must equal
-    /// `self.geometry().line_addr(addr)` of the accessed address — the
-    /// placement layout maps lines, so a mismatched line simply accesses a
-    /// different one.
-    #[inline]
-    pub fn access_lean_line(&mut self, line: LineAddr, kind: AccessKind) -> AccessFlags {
-        self.access_raw(line, kind.is_write()).flags
     }
 
     /// Returns the set index the current layout assigns to `addr`.
@@ -666,16 +576,17 @@ fn mask_of(n: usize) -> u64 {
 /// match a line, and the scalar invalid-way choice is the first one seen).
 /// Each lane's hit/miss/eviction sequence — and therefore its cycles and
 /// statistics — is bit-identical to a scalar [`SetAssocCache`] reseeded
-/// with the same value; the batch-equivalence suites pin this.
+/// with the same value; the lane-bank unit tests pin this access by
+/// access, and the reference-model suite pins the hierarchies built on it.
 ///
-/// The scalar model's MRU read filter survives — and widens — as a
-/// *wave residency filter*: a small direct-mapped table of recently read
-/// lines and their K per-lane cell indices.  Every lane replays the same
+/// Repeat reads short-circuit through a *wave residency filter*: a small
+/// direct-mapped table of recently read lines and their K per-lane cell
+/// indices.  Every lane replays the same
 /// line stream, so one table serves the whole wave: a repeat read whose
 /// line is still resident in *every* lane short-circuits placement and
 /// probe entirely, which is what makes hot-loop instruction fetch and
-/// in-cache data reuse nearly free per lane.  Like the scalar MRU filter
-/// it is armed only under Random replacement, where a read hit mutates no
+/// in-cache data reuse nearly free per lane.  It is armed only under
+/// Random replacement, where a read hit mutates no
 /// state, so taking or missing the fast path changes no outcome.  The
 /// per-lane valid bits are *authoritative*: every fill that evicts a line
 /// also clears the victim's bit in the victim's filter slot, so a set bit
@@ -1042,8 +953,6 @@ impl SetAssocCacheLanes {
         // write-through store hit mutates nothing either, so those waves
         // resolve to all-HIT without per-lane work.  Write-back store hits
         // still need their dirty bits set and take the resolution loop.
-        // This replaces the scalar MRU filter, and extends it to any
-        // rediscovered hit, not just the most recent line.
         if all_hit && self.filter_enabled && !(is_write && wb) {
             for (lane, &hw) in hit_way.iter().enumerate() {
                 self.filter_index[slot * k + lane] =
@@ -1056,8 +965,8 @@ impl SetAssocCacheLanes {
         }
 
         // Miss wave: batch the victim draws in one PRNG sweep instead of
-        // one call per lane (ascending lane order, matching the scalar
-        // engine's per-lane draw stream).
+        // one call per lane (ascending lane order, matching each lane's
+        // scalar `SetAssocCache` draw stream).
         if !self.draw_lanes.is_empty() {
             self.rng.next_below_lanes(
                 self.geometry.ways(),
@@ -1215,7 +1124,7 @@ impl SetAssocCacheLanes {
 
     /// Applies one access to a single lane (the sparse path: an L2 read
     /// wave only probes the lanes whose L1 missed).  Bit-identical to that
-    /// lane's scalar [`SetAssocCache::access_lean_line`].
+    /// lane's scalar [`SetAssocCache::access`].
     #[inline]
     pub fn access_lean_lane(&mut self, lane: usize, line: LineAddr, kind: AccessKind) -> AccessFlags {
         debug_assert!(lane < self.active, "lane {lane} not active");
@@ -1436,54 +1345,66 @@ mod tests {
         assert_eq!(cache.resident_lines(), 0);
     }
 
-    /// A cache with the MRU read filter armed on `addr`: Random
-    /// replacement (the only mode where the filter may arm) plus two reads
-    /// of the same line (fill, then the arming hit).
-    fn cache_with_armed_mru(placement: PlacementKind, addr: Address) -> SetAssocCache {
-        let geometry = CacheGeometry::new(8, 2, 32).unwrap();
-        let mut cache = SetAssocCache::with_kinds(
-            geometry,
-            placement,
-            ReplacementKind::Random,
-            WritePolicy::WriteThrough,
-        )
-        .unwrap();
-        cache.reseed(1);
-        assert!(cache.access(addr, AccessKind::Load).is_miss());
-        assert!(cache.access(addr, AccessKind::Load).is_hit());
-        cache
-    }
-
-    #[test]
-    fn flush_disarms_the_mru_read_filter() {
-        // A stale MRU entry surviving the flush would answer the next read
-        // of the same line with a phantom hit on an invalidated cache — a
-        // silent wrong result.  The post-flush read must be a genuine miss
-        // that refills the line.
-        let addr = Address::new(0x40);
-        let mut cache = cache_with_armed_mru(PlacementKind::RandomModulo, addr);
-        cache.flush();
-        let outcome = cache.access(addr, AccessKind::Load);
-        assert!(outcome.is_miss(), "phantom MRU hit after flush");
-        assert!(cache.contains(addr), "the post-flush miss must refill the line");
-    }
-
     #[test]
     fn reseed_disarms_the_mru_read_filter() {
-        // Same property across the per-run re-randomisation: after a
-        // reseed (which flushes and moves the line to a new random set)
-        // the previously MRU line must miss, under every placement.
+        // The lane bank's residency filter is an MRU read filter widened to
+        // the whole wave.  After a reseed (which flushes every lane and
+        // moves the line to a new set under the seeded placements) the
+        // previously filtered line must miss in every lane, under every
+        // placement — a stale filter entry would answer with a phantom hit.
+        let geometry = CacheGeometry::new(8, 2, 32).unwrap();
+        let line = geometry.line_addr(Address::new(0x40));
         for placement in PlacementKind::ALL {
-            let addr = Address::new(0x40);
-            let mut cache = cache_with_armed_mru(placement, addr);
-            let hits_before = cache.stats().hits;
-            cache.reseed(0xFEED_F00D);
+            let mut bank = SetAssocCacheLanes::with_kinds(
+                geometry,
+                placement,
+                ReplacementKind::Random,
+                WritePolicy::WriteThrough,
+                3,
+            )
+            .unwrap();
+            let mut flags = vec![AccessFlags::default(); 3];
+            bank.reseed_wave(&[1, 2, 3]);
+            bank.access_lean_lanes(line, AccessKind::Load, &mut flags);
+            bank.access_lean_lanes(line, AccessKind::Load, &mut flags);
             assert!(
-                cache.access(addr, AccessKind::Load).is_miss(),
-                "phantom MRU hit after reseed under {placement}"
+                flags.iter().all(|f| f.is_hit()),
+                "filter not armed under {placement}"
             );
-            assert_eq!(cache.stats().hits, hits_before);
+            bank.reseed_wave(&[0xFEED_F00D, 5, 6]);
+            bank.access_lean_lanes(line, AccessKind::Load, &mut flags);
+            assert!(
+                flags.iter().all(|f| f.is_miss()),
+                "phantom filter hit after reseed under {placement}"
+            );
+            // The miss wave refilled (and re-armed) the line in every lane.
+            assert!(bank.access_lean_lane(0, line, AccessKind::Load).is_hit());
         }
+    }
+
+    #[test]
+    fn access_flags_pack_every_outcome_field() {
+        let hit = AccessFlags::from(AccessOutcome::Hit { way: 3 });
+        assert!(hit.is_hit() && !hit.filled() && !hit.evicted() && !hit.wrote_back());
+        let bypass = AccessFlags::from(AccessOutcome::Miss {
+            allocated: false,
+            evicted: None,
+        });
+        assert!(bypass.is_miss() && !bypass.filled() && !bypass.evicted());
+        let victim = |dirty| EvictedLine {
+            line: LineAddr::new(9),
+            dirty,
+        };
+        let clean = AccessFlags::from(AccessOutcome::Miss {
+            allocated: true,
+            evicted: Some(victim(false)),
+        });
+        assert!(clean.filled() && clean.evicted() && !clean.wrote_back());
+        let dirty = AccessFlags::from(AccessOutcome::Miss {
+            allocated: true,
+            evicted: Some(victim(true)),
+        });
+        assert!(dirty.filled() && dirty.evicted() && dirty.wrote_back());
     }
 
     #[test]
@@ -1640,7 +1561,7 @@ mod tests {
                 let lane = (step % active as u64) as usize;
                 assert_eq!(
                     bank.access_lean_lane(lane, line, kind),
-                    scalars[lane].access_lean_line(line, kind),
+                    AccessFlags::from(scalars[lane].access(addr, kind)),
                     "{placement}/{replacement} sparse lane {lane} step {step}"
                 );
             } else {
@@ -1648,7 +1569,7 @@ mod tests {
                 for (lane, scalar) in scalars.iter_mut().enumerate() {
                     assert_eq!(
                         flags[lane],
-                        scalar.access_lean_line(line, kind),
+                        AccessFlags::from(scalar.access(addr, kind)),
                         "{placement}/{replacement}/{write_policy:?} lane {lane} step {step}"
                     );
                 }
@@ -1754,12 +1675,12 @@ mod tests {
         let mut sm = SplitMix64::new(5);
         let mut flags = vec![AccessFlags::default(); 3];
         for step in 0..3_000 {
-            let line = geometry.line_addr(Address::new(sm.next_u64() & 0xFFFF));
-            bank.access_lean_lanes(line, AccessKind::Load, &mut flags);
+            let addr = Address::new(sm.next_u64() & 0xFFFF);
+            bank.access_lean_lanes(geometry.line_addr(addr), AccessKind::Load, &mut flags);
             for (lane, scalar) in scalars.iter_mut().enumerate() {
                 assert_eq!(
                     flags[lane],
-                    scalar.access_lean_line(line, AccessKind::Load),
+                    AccessFlags::from(scalar.access(addr, AccessKind::Load)),
                     "custom lane {lane} step {step}"
                 );
             }

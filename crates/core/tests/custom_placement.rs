@@ -194,7 +194,7 @@ fn custom_policy_lane_bank_routes_through_the_scalar_path_unchanged() {
                 let lane = (step % lanes as u64) as usize;
                 assert_eq!(
                     bank.access_lean_lane(lane, line, kind),
-                    scalars[lane].access_lean_line(line, kind),
+                    AccessFlags::from(scalars[lane].access(addr, kind)),
                     "custom sparse lane {lane} diverged at step {step} under {replacement}/{write_policy:?}"
                 );
             } else {
@@ -202,7 +202,7 @@ fn custom_policy_lane_bank_routes_through_the_scalar_path_unchanged() {
                 for (lane, scalar) in scalars.iter_mut().enumerate() {
                     assert_eq!(
                         flags[lane],
-                        scalar.access_lean_line(line, kind),
+                        AccessFlags::from(scalar.access(addr, kind)),
                         "custom lane {lane} diverged at step {step} under {replacement}/{write_policy:?}"
                     );
                 }

@@ -17,7 +17,7 @@ pub struct ExperimentOptions {
     pub threads: Option<usize>,
     /// Seed-lane override for the batched replay engine (`--lanes N`);
     /// `None` keeps [`randmod_sim::Campaign::DEFAULT_LANES`].  `--lanes 1`
-    /// forces the sequential (one hierarchy per trace decode) path.
+    /// replays one seed per trace decode (one-lane waves, same engine).
     pub lanes: Option<usize>,
     /// Adaptive mode (`--adaptive`): grow each campaign until the pWCET
     /// estimate converges instead of executing a fixed run count.

@@ -11,7 +11,7 @@
 
 use randmod_core::PlacementKind;
 use randmod_experiments::cli::ExperimentOptions;
-use randmod_experiments::fig4::CUTOFF_PROBABILITY;
+use randmod_experiments::fig4::{CUTOFF_PROBABILITY, FIG4B_LAYOUTS};
 use randmod_experiments::{fig1, fig6, runner, table2};
 use randmod_workloads::{CoSchedule, EembcBenchmark};
 
@@ -99,4 +99,40 @@ fn table2_cacheb_row_matches_the_recorded_values() {
         row.et_p_value
     );
     assert!(!row.passed, "cacheb unexpectedly passed (D1 resolved?): {row}");
+}
+
+/// The recorded deterministic half of Figure 4(b): the high-water mark of
+/// each EEMBC kernel across the 32-layout sweep on the deterministic
+/// platform (modulo placement, LRU replacement) — the `deterministic_hwm`
+/// column of `fig4b_rm_vs_det` at default settings.  The sweep has no
+/// seed schedule (every layout runs under seed 0), so the column is also
+/// independent of the campaign seed.
+#[test]
+fn fig4b_deterministic_hwm_column_matches_the_recorded_values() {
+    let recorded = [
+        (EembcBenchmark::A2time, 243_600),
+        (EembcBenchmark::Basefp, 244_644),
+        (EembcBenchmark::Bitmnp, 216_034),
+        (EembcBenchmark::Cacheb, 243_516),
+        (EembcBenchmark::Canrdr, 205_272),
+        (EembcBenchmark::Matrix, 151_532),
+        (EembcBenchmark::Pntrch, 147_716),
+        (EembcBenchmark::Puwmod, 209_866),
+        (EembcBenchmark::Rspeed, 166_038),
+        (EembcBenchmark::Tblook, 199_742),
+        (EembcBenchmark::Ttsprk, 231_696),
+    ];
+    assert_eq!(recorded.len(), EembcBenchmark::ALL.len());
+    let threads = ExperimentOptions::default().threads;
+    for (benchmark, hwm) in recorded {
+        let sample =
+            runner::measure_deterministic_sweep(&benchmark, FIG4B_LAYOUTS, threads).unwrap();
+        assert_eq!(sample.len(), FIG4B_LAYOUTS);
+        assert_eq!(
+            sample.max(),
+            hwm,
+            "fig4b deterministic hwm of {} drifted from the EXPERIMENTS.md record",
+            benchmark.label()
+        );
+    }
 }

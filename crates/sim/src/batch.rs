@@ -13,18 +13,20 @@
 //! draws and statistics updates evaluated in chunked cross-lane sweeps.
 //!
 //! Lanes never interact: each lane is reseeded with its own placement
-//! seed and observes exactly the event sequence the sequential replay
-//! would feed it, so batched results are bit-identical to running the
-//! lanes one at a time (pinned by the `batch_equivalence` proptest suite
-//! and the campaign tests).  Per-run statistics are accumulated in each
+//! seed and observes exactly the event sequence a sequential replay would
+//! feed it, so batched results are bit-identical to running the lanes one
+//! at a time (pinned by the `batch_equivalence` proptest suite and the
+//! campaign tests) and to the naive reference model (the
+//! `reference_model` suite).  Per-run statistics are accumulated in each
 //! lane's compact counter block and expanded to [`HierarchyStats`] once
 //! per run, instead of read-modify-writing the per-cache statistics
 //! structs on every event.
 //!
-//! [`crate::run::Campaign`] routes through `BatchCore` by default;
-//! `Campaign::with_lanes(1)` degenerates to the sequential shape (one
-//! hierarchy per decode pass) and serves as the comparison baseline in the
-//! `campaign_throughput` benchmark.
+//! Every solo protocol of [`crate::run::Campaign`] runs on `BatchCore`:
+//! the MBPTA seed sweep steps `Campaign::lanes` seeds per pass
+//! (`with_lanes(1)` gives one-lane waves, the comparison baseline of the
+//! `campaign_throughput` benchmark), and the deterministic layout sweep
+//! replays each layout as a one-lane wave under seed 0.
 
 use crate::config::PlatformConfig;
 use crate::hierarchy::{HierarchyStats, LaneHierarchy, RunCounters};
@@ -36,7 +38,7 @@ use randmod_core::{Address, ConfigError, LineAddr};
 /// trace decode.
 ///
 /// ```
-/// use randmod_sim::{BatchCore, InOrderCore, PlatformConfig, Trace};
+/// use randmod_sim::{BatchCore, PlatformConfig, Trace};
 /// use randmod_core::{Address, PlacementKind};
 ///
 /// # fn main() -> Result<(), randmod_core::ConfigError> {
@@ -50,10 +52,10 @@ use randmod_core::{Address, ConfigError, LineAddr};
 /// let mut batch = BatchCore::new(&config, 4)?;
 /// let results = batch.execute_batch(&trace, &[1, 2, 3, 4]);
 ///
-/// // Bit-identical to the sequential replay of each seed.
-/// let mut sequential = InOrderCore::new(&config)?;
-/// for (seed, (cycles, stats)) in [1u64, 2, 3, 4].into_iter().zip(&results) {
-///     assert_eq!(sequential.execute_isolated(&trace, seed), (*cycles, *stats));
+/// // Bit-identical to replaying each seed on its own one-lane wave.
+/// let mut sequential = BatchCore::new(&config, 1)?;
+/// for (seed, run) in [1u64, 2, 3, 4].into_iter().zip(&results) {
+///     assert_eq!(sequential.execute_batch(&trace, &[seed])[0], *run);
 /// }
 /// # Ok(())
 /// # }
@@ -96,9 +98,12 @@ impl BatchCore {
     }
 
     /// Replays `events` once, simulating one run per seed in `seeds` (cold
-    /// caches, fresh placement layout per lane — exactly what
-    /// [`crate::cpu::InOrderCore::execute_isolated`] does per seed).
-    /// Returns `(cycles, stats)` per seed, in seed order.
+    /// caches, fresh placement layout per lane, statistics from zero) —
+    /// the "run to completion" unit of analysis the paper uses.  Accepts
+    /// anything that iterates [`MemEvent`]s by value (`&Trace`,
+    /// `&PackedTrace`, a decoding or generating iterator); the stream is
+    /// consumed on the fly, never materialised.  Returns `(cycles, stats)`
+    /// per seed, in seed order.
     ///
     /// # Panics
     ///
@@ -218,10 +223,46 @@ impl LaneStepper for SoloLanes<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::InOrderCore;
     use crate::packed::PackedTrace;
     use crate::trace::{EventSource, Trace};
     use randmod_core::{Address, PlacementKind, ReplacementKind, WritePolicy};
+
+    /// The sequential replay of one seed: a one-lane wave stepping every
+    /// event as its own operation — no lane batching and no same-line run
+    /// collapsing.
+    fn sequential(config: &PlatformConfig, trace: &Trace, seed: u64) -> (u64, HierarchyStats) {
+        let il1 = config.il1.geometry.offset_bits();
+        let dl1 = config.dl1.geometry.offset_bits();
+        let ops: Vec<Op> = trace
+            .iter()
+            .map(|&event| match event {
+                MemEvent::InstrFetch(addr) => Op::Fetch {
+                    task: 0,
+                    addr,
+                    line: LineAddr::new(addr.raw() >> il1),
+                    repeats: 0,
+                },
+                MemEvent::Load(addr) => Op::Load {
+                    task: 0,
+                    addr,
+                    line: LineAddr::new(addr.raw() >> dl1),
+                    repeats: 0,
+                },
+                MemEvent::Store(addr) => Op::Store {
+                    task: 0,
+                    addr,
+                    line: LineAddr::new(addr.raw() >> dl1),
+                },
+                MemEvent::Compute(cycles) => Op::Compute {
+                    task: 0,
+                    cycles: cycles as u64,
+                },
+            })
+            .collect();
+        BatchCore::new(config, 1)
+            .unwrap()
+            .execute_batch_ops(&ops, &[seed])[0]
+    }
 
     fn stress_trace() -> Trace {
         let mut trace = Trace::new();
@@ -248,10 +289,9 @@ mod tests {
             let trace = stress_trace();
             let mut batch = BatchCore::new(&config, seeds.len()).unwrap();
             let batched = batch.execute_batch(&trace, &seeds);
-            let mut core = InOrderCore::new(&config).unwrap();
             for (&seed, &(cycles, stats)) in seeds.iter().zip(&batched) {
                 assert_eq!(
-                    core.execute_isolated(&trace, seed),
+                    sequential(&config, &trace, seed),
                     (cycles, stats),
                     "lane diverged for seed {seed} under {placement}"
                 );
@@ -264,10 +304,9 @@ mod tests {
         // Exercise the same-line read-run collapse hard: long straight-
         // line fetch runs stepping 4 bytes through 32-byte lines, loads
         // striding within lines, runs crossing line boundaries, and runs
-        // interrupted by stores and computes — checked against the true
-        // sequential InOrderCore reference (which has no collapse path),
-        // for hitting *and* missing first accesses and both replacement
-        // behaviours of the L1.
+        // interrupted by stores and computes — checked against the
+        // uncollapsed sequential replay, for hitting *and* missing first
+        // accesses and both replacement behaviours of the L1.
         let mut trace = Trace::new();
         for block in 0..400u64 {
             let code = 0x1000 + (block % 29) * 4;
@@ -295,10 +334,9 @@ mod tests {
                     .with_replacement(replacement);
                 let mut batch = BatchCore::new(&config, seeds.len()).unwrap();
                 let batched = batch.execute_batch(&trace, &seeds);
-                let mut core = InOrderCore::new(&config).unwrap();
                 for (&seed, &(cycles, stats)) in seeds.iter().zip(&batched) {
                     assert_eq!(
-                        core.execute_isolated(&trace, seed),
+                        sequential(&config, &trace, seed),
                         (cycles, stats),
                         "collapse diverged for seed {seed} under {placement}/{replacement}"
                     );
@@ -310,7 +348,7 @@ mod tests {
     #[test]
     fn batched_replay_matches_sequential_for_write_back_l1_and_lru() {
         // Exercise dirty-line bookkeeping and the LRU full path (where the
-        // MRU fast path must stay disarmed).
+        // residency-filter fast path must stay disarmed).
         let mut config = PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo);
         config.dl1.write_policy = WritePolicy::WriteBack;
         config.il1.replacement = ReplacementKind::Lru;
@@ -320,9 +358,8 @@ mod tests {
         let seeds = [3u64, 9, 12];
         let mut batch = BatchCore::new(&config, 4).unwrap();
         let batched = batch.execute_batch(&trace, &seeds);
-        let mut core = InOrderCore::new(&config).unwrap();
         for (&seed, &(cycles, stats)) in seeds.iter().zip(&batched) {
-            assert_eq!(core.execute_isolated(&trace, seed), (cycles, stats));
+            assert_eq!(sequential(&config, &trace, seed), (cycles, stats));
         }
     }
 
@@ -379,5 +416,84 @@ mod tests {
     fn zero_lanes_is_clamped_to_one() {
         let batch = BatchCore::new(&PlatformConfig::leon3(), 0).unwrap();
         assert_eq!(batch.lane_count(), 1);
+    }
+
+    #[test]
+    fn empty_trace_costs_nothing() {
+        let mut core = BatchCore::new(&PlatformConfig::leon3(), 1).unwrap();
+        assert_eq!(core.execute_batch(Trace::new(), &[3])[0].0, 0);
+    }
+
+    #[test]
+    fn cycles_are_sum_of_event_latencies() {
+        let config = PlatformConfig::leon3_deterministic();
+        let lat = config.latencies;
+        let mut trace = Trace::new();
+        trace.load(Address::new(0x9000)); // cold miss -> memory
+        trace.load(Address::new(0x9000)); // L1 hit
+        trace.compute(5);
+        let mut core = BatchCore::new(&config, 1).unwrap();
+        let expected = (lat.l1_hit + lat.l2_hit + lat.memory) as u64 + lat.l1_hit as u64 + 5;
+        assert_eq!(core.execute_batch(&trace, &[0])[0].0, expected);
+    }
+
+    #[test]
+    fn warm_loop_iterations_are_faster_than_cold_ones() {
+        let loop_trace = |iterations: u64| {
+            let mut trace = Trace::new();
+            for _ in 0..iterations {
+                for i in 0..256u64 {
+                    trace.fetch(Address::new(0x1000 + (i % 8) * 32));
+                    trace.load(Address::new(0x10_0000 + i * 32));
+                    trace.compute(1);
+                }
+            }
+            trace
+        };
+        let mut core = BatchCore::new(&PlatformConfig::leon3_deterministic(), 1).unwrap();
+        let cold = core.execute_batch(loop_trace(1), &[0])[0].0;
+        let both = core.execute_batch(loop_trace(2), &[0])[0].0;
+        assert!(
+            both - cold < cold,
+            "the second, warm iteration was not faster"
+        );
+    }
+
+    #[test]
+    fn runs_differ_across_seeds_for_stressing_footprint() {
+        // 20KB data footprint: larger than the L1, the regime where layouts
+        // matter most (Figure 5 of the paper).
+        let config = PlatformConfig::leon3().with_l1_placement(PlacementKind::HashRandom);
+        let mut trace = Trace::new();
+        for _ in 0..4 {
+            for i in 0..640u64 {
+                trace.fetch(Address::new(0x1000 + (i % 8) * 32));
+                trace.load(Address::new(0x10_0000 + i * 32));
+            }
+        }
+        let seeds: Vec<u64> = (0..10u64).map(|s| s * 7 + 1).collect();
+        let mut batch = BatchCore::new(&config, seeds.len()).unwrap();
+        let distinct: std::collections::BTreeSet<u64> = batch
+            .execute_batch(&trace, &seeds)
+            .iter()
+            .map(|run| run.0)
+            .collect();
+        assert!(
+            distinct.len() > 1,
+            "execution time never varied across seeds"
+        );
+    }
+
+    #[test]
+    fn stats_reflect_trace_composition() {
+        let mut trace = Trace::new();
+        trace.fetch(Address::new(0));
+        trace.load(Address::new(0x100));
+        trace.store(Address::new(0x200));
+        let mut core = BatchCore::new(&PlatformConfig::leon3_deterministic(), 1).unwrap();
+        let (_, stats) = core.execute_batch(&trace, &[0])[0];
+        assert_eq!(stats.il1.accesses, 1);
+        assert_eq!(stats.dl1.accesses, 2);
+        assert_eq!(stats.dl1.stores, 1);
     }
 }

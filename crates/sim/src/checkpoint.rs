@@ -423,9 +423,12 @@ impl<S: CheckpointStore + ?Sized> CheckpointStore for &mut S {
 }
 
 /// Writes `bytes` to `path` atomically: write a sibling temp file, flush
-/// it, then rename it over the destination.  Rename is atomic on POSIX
-/// filesystems, so readers (and crashes) see either the old file or the
-/// new one — never a torn write.
+/// it, rename it over the destination, then flush the parent directory.
+/// Rename is atomic on POSIX filesystems, so readers (and crashes) see
+/// either the old file or the new one — never a torn write.  On Unix the
+/// final directory flush makes the rename itself durable, so once this
+/// returns `Ok` a power loss cannot roll the file back to its old
+/// contents; elsewhere the directory flush is a no-op.
 pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".tmp.{}", std::process::id()));
@@ -436,13 +439,38 @@ pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         // Push the payload to disk before the rename publishes it; without
         // this a power loss can leave a renamed-but-empty file.
         file.sync_all()?;
-        fs::rename(&tmp, path)
+        fs::rename(&tmp, path)?;
+        // The rename is an update of the parent directory's entries.
+        sync_dir(parent_dir(path))
     })();
     if result.is_err() {
         // Best effort: don't leave the temp file behind on failure.
         let _ = fs::remove_file(&tmp);
     }
     result
+}
+
+/// The directory holding `path`'s entry: its parent, with the empty
+/// parent of a bare file name read as the current directory.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    }
+}
+
+/// Flushes `dir`'s entries to disk, so a rename inside it survives a power
+/// loss.
+#[cfg(unix)]
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    fs::File::open(dir)?.sync_all()
+}
+
+/// Other platforms have no portable directory flush; the rename's
+/// durability is left to the filesystem.
+#[cfg(not(unix))]
+fn sync_dir(_dir: &Path) -> std::io::Result<()> {
+    Ok(())
 }
 
 /// A checkpoint file on disk, replaced atomically on every save (temp file
@@ -860,6 +888,26 @@ mod tests {
         assert!(store.location().contains("roundtrip.ckpt"));
         store.clear().unwrap();
         assert_eq!(store.load().unwrap(), None);
+    }
+
+    #[test]
+    fn atomic_write_flushes_the_parent_of_a_nested_path() {
+        let dir = temp_path("nested");
+        let path = dir.join("fig1").join("ckpt.bin");
+        assert_eq!(parent_dir(&path), dir.join("fig1"));
+        fs::create_dir_all(dir.join("fig1")).unwrap();
+        atomic_write(&path, &[4, 2]).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), vec![4, 2]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_bare_file_name_lives_in_the_current_directory() {
+        assert_eq!(parent_dir(Path::new("ckpt.bin")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("./ckpt.bin")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("/ckpt.bin")), Path::new("/"));
+        // The directory the bare name resolves to is flushable.
+        sync_dir(parent_dir(Path::new("ckpt.bin"))).unwrap();
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! which is the configuration MBPTA likes best — and the one real
 //! multicores rarely ship.  This module adds the harder platform: `K`
 //! tasks, each with its own private IL1/DL1 pair and its own in-order
-//! core, all in front of **one shared L2** ([`SharedL2Hierarchy`]).
-//! Opponent tasks evict the victim's L2 lines, so the victim's
-//! execution-time distribution inflates with co-runner pressure — the
-//! scenario the `fig6_contention` experiment sweeps per placement policy.
+//! core, all in front of **one shared L2**.  Opponent tasks evict the
+//! victim's L2 lines, so the victim's execution-time distribution inflates
+//! with co-runner pressure — the scenario the `fig6_contention` experiment
+//! sweeps per placement policy.
 //!
-//! [`ContentionCore`] interleaves the K task traces event by event under a
-//! deterministic [`Arbitration`] policy:
+//! A [`ContendedSchedule`] interleaves the K task traces event by event
+//! under a deterministic [`Arbitration`] policy:
 //!
 //! * [`Arbitration::RoundRobin`] — tasks take turns in index order,
 //!   skipping exhausted traces;
@@ -30,31 +30,29 @@
 //! state — extra victim misses caused by opponent fills.  The
 //! interleaving granularity is one trace event per arbitration step.
 //!
-//! **The lane-batched path.**  Because a round-robin schedule never
-//! consults the placement seed, the interleaved (and run-collapsed) event
-//! stream is *the same* for every run of a campaign.
-//! [`ContendedSchedule::round_robin`] computes it once;
-//! [`BatchContentionCore`] then replays it across `K` placement-seed
-//! lanes per pass, exactly as [`crate::batch::BatchCore`] does for solo
-//! campaigns — and bit-identical to running [`ContentionCore`] once per
-//! seed (pinned by unit tests here, the differential reference model and
-//! the batch-equivalence proptests).  Seeded-random arbitration depends
-//! on the run seed and stays on the scalar per-seed engine.
+//! **One engine.**  [`BatchContentionCore`] replays a schedule across up
+//! to `K` placement-seed lanes per pass, exactly as
+//! [`crate::batch::BatchCore`] does for solo campaigns.  A round-robin
+//! schedule never consults the placement seed, so
+//! [`ContendedSchedule::round_robin`] builds it once per campaign and
+//! every lane group replays it; a seeded-random schedule is drawn per run
+//! ([`ContendedSchedule::seeded_random`]) and replays as a one-lane wave.
+//! The naive `RefContentionCore` of the reference-model suite pins both
+//! against an independent implementation.
 //!
 //! **Solo-task equivalence.**  A contended run with one task and idle
-//! (empty-trace) opponents reproduces the single-task engine exactly:
-//! the seed→layout derivation of [`SharedL2Hierarchy::reseed`] draws the
-//! victim's IL1, DL1 and the shared L2 seeds in the same order as
-//! [`MemoryHierarchy::reseed`](crate::hierarchy::MemoryHierarchy::reseed),
-//! and the per-event access paths reuse the same [`SetAssocCache`] lean
-//! probes the batched engine uses.  `tests/contention_equivalence.rs`
-//! pins this bit-identity against `InOrderCore` and `Campaign::run_seeds`.
+//! (empty-trace) opponents reproduces the single-task engine exactly: per
+//! lane, the seed→layout derivation draws the victim's IL1, DL1 and the
+//! shared L2 seeds in the same order as the solo hierarchy, and both
+//! engines step the same lane-banked caches through the same wave helpers.
+//! `tests/contention_equivalence.rs` pins this bit-identity against
+//! `BatchCore` and `Campaign::run_seeds`.
 
 use crate::config::PlatformConfig;
 use crate::hierarchy::{read_lean_wave, store_lean_wave, HierarchyStats, RunCounters};
-use crate::lanes::{interleave_round_robin, replay_ops, LaneStepper, Op};
+use crate::lanes::{interleave, replay_ops, LaneStepper, Op};
 use crate::trace::MemEvent;
-use randmod_core::cache::{AccessKind, SetAssocCache, SetAssocCacheLanes};
+use randmod_core::cache::{AccessKind, SetAssocCacheLanes};
 use randmod_core::prng::SplitMix64;
 use randmod_core::{AccessFlags, Address, ConfigError, LineAddr};
 use std::fmt;
@@ -62,9 +60,9 @@ use std::str::FromStr;
 
 /// Salt folded into the run seed for the arbitration RNG, so interleaving
 /// decisions and cache layouts are decorrelated.
-const ARBITRATION_SALT: u64 = 0xA12B_1748_C0DE_5EED;
+pub(crate) const ARBITRATION_SALT: u64 = 0xA12B_1748_C0DE_5EED;
 
-/// How [`ContentionCore`] picks the next task to issue an event.
+/// How a [`ContendedSchedule`] picks the next task to issue an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Arbitration {
     /// Tasks take turns in index order, skipping exhausted traces.
@@ -103,321 +101,17 @@ impl FromStr for Arbitration {
     }
 }
 
-/// One task's private first-level caches.
-#[derive(Debug, Clone)]
-struct TaskL1 {
-    il1: SetAssocCache,
-    dl1: SetAssocCache,
-}
-
-/// `K` tasks' private L1 pairs over one shared L2 partition.
-///
-/// ```
-/// use randmod_sim::contention::SharedL2Hierarchy;
-/// use randmod_sim::PlatformConfig;
-///
-/// # fn main() -> Result<(), randmod_core::ConfigError> {
-/// let mut shared = SharedL2Hierarchy::new(&PlatformConfig::leon3(), 2)?;
-/// shared.reseed(7);
-/// assert_eq!(shared.task_count(), 2);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct SharedL2Hierarchy {
-    config: PlatformConfig,
-    tasks: Vec<TaskL1>,
-    l2: SetAssocCache,
-}
-
-impl SharedL2Hierarchy {
-    /// Builds per-task L1 pairs plus the shared L2 described by `config`
-    /// (`tasks` is clamped to at least one).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the configuration is invalid.
-    pub fn new(config: &PlatformConfig, tasks: usize) -> Result<Self, ConfigError> {
-        config.validate()?;
-        let build = |c: &crate::config::CacheConfig| -> Result<SetAssocCache, ConfigError> {
-            SetAssocCache::with_kinds(c.geometry, c.placement, c.replacement, c.write_policy)
-        };
-        let tasks = (0..tasks.max(1))
-            .map(|_| {
-                Ok(TaskL1 {
-                    il1: build(&config.il1)?,
-                    dl1: build(&config.dl1)?,
-                })
-            })
-            .collect::<Result<Vec<_>, ConfigError>>()?;
-        Ok(SharedL2Hierarchy {
-            config: *config,
-            tasks,
-            l2: build(&config.l2)?,
-        })
-    }
-
-    /// Number of tasks sharing the L2.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// The configuration this hierarchy was built from.
-    pub fn config(&self) -> &PlatformConfig {
-        &self.config
-    }
-
-    /// Read-only access to the shared L2 partition.
-    pub fn l2(&self) -> &SetAssocCache {
-        &self.l2
-    }
-
-    /// Installs a new placement seed in every cache and flushes all
-    /// contents.
-    ///
-    /// The derivation order is task 0's IL1, task 0's DL1, the shared L2,
-    /// then the remaining tasks' L1 pairs — so task 0's three cache seeds
-    /// are **exactly** the ones
-    /// [`MemoryHierarchy::reseed`](crate::hierarchy::MemoryHierarchy::reseed)
-    /// would install for the same run seed, whatever the task count.
-    /// That ordering is what makes a solo victim bit-identical to the
-    /// single-task engine.
-    pub fn reseed(&mut self, seed: u64) {
-        let mut sm = SplitMix64::new(seed);
-        let (first, rest) = self.tasks.split_first_mut().expect("at least one task");
-        first.il1.reseed(sm.next_u64());
-        first.dl1.reseed(sm.next_u64());
-        self.l2.reseed(sm.next_u64());
-        for task in rest {
-            task.il1.reseed(sm.next_u64());
-            task.dl1.reseed(sm.next_u64());
-        }
-    }
-
-    /// Lean instruction fetch of `task` (statistics go to the caller's
-    /// per-task counter block; the L2 half of the counters tracks the
-    /// task's *own* L2 traffic, not the shared aggregate).  All three
-    /// access paths delegate to the same
-    /// [`crate::hierarchy`]-level helpers the solo `MemoryHierarchy`
-    /// uses, so the two models cannot drift apart in latency or
-    /// statistics semantics.  `line` is the task's IL1 line of `addr`,
-    /// computed once by the decode/interleave driver and shared across
-    /// every placement lane.
-    #[inline]
-    pub(crate) fn fetch_lean(
-        &mut self,
-        task: usize,
-        addr: Address,
-        line: LineAddr,
-        counters: &mut RunCounters,
-    ) -> u64 {
-        crate::hierarchy::read_lean(
-            &mut self.tasks[task].il1,
-            &mut self.l2,
-            &self.config.latencies,
-            addr,
-            line,
-            AccessKind::InstructionFetch,
-            counters,
-        )
-    }
-
-    /// Lean data load of `task` (see [`Self::fetch_lean`]); `line` is the
-    /// task's DL1 line of `addr`.
-    #[inline]
-    pub(crate) fn load_lean(
-        &mut self,
-        task: usize,
-        addr: Address,
-        line: LineAddr,
-        counters: &mut RunCounters,
-    ) -> u64 {
-        crate::hierarchy::read_lean(
-            &mut self.tasks[task].dl1,
-            &mut self.l2,
-            &self.config.latencies,
-            addr,
-            line,
-            AccessKind::Load,
-            counters,
-        )
-    }
-
-    /// Lean data store of `task` (see [`Self::fetch_lean`]); `line` is the
-    /// task's DL1 line of `addr`.
-    #[inline]
-    pub(crate) fn store_lean(
-        &mut self,
-        task: usize,
-        addr: Address,
-        line: LineAddr,
-        counters: &mut RunCounters,
-    ) -> u64 {
-        crate::hierarchy::store_lean(
-            &mut self.tasks[task].dl1,
-            &mut self.l2,
-            &self.config.latencies,
-            addr,
-            line,
-            counters,
-        )
-    }
-}
-
-/// A multi-task core model: `K` in-order cores, each replaying its own
-/// trace, interleaved over a [`SharedL2Hierarchy`] by a deterministic
-/// arbitration policy.
-///
-/// ```
-/// use randmod_sim::contention::{Arbitration, ContentionCore};
-/// use randmod_sim::{PlatformConfig, Trace};
-/// use randmod_core::Address;
-///
-/// # fn main() -> Result<(), randmod_core::ConfigError> {
-/// let mut victim = Trace::new();
-/// let mut opponent = Trace::new();
-/// for i in 0..64u64 {
-///     victim.load(Address::new(0x1000 + i * 32));
-///     opponent.load(Address::new(0x8_0000 + i * 32));
-/// }
-/// let mut core = ContentionCore::new(&PlatformConfig::leon3(), 2, Arbitration::RoundRobin)?;
-/// let results = core.execute_contended(vec![victim.iter().copied(), opponent.iter().copied()], 42);
-/// assert_eq!(results.len(), 2);
-/// assert!(results[0].0 > 0 && results[1].0 > 0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct ContentionCore {
-    hierarchy: SharedL2Hierarchy,
-    arbitration: Arbitration,
-    /// Offset bits of the IL1 / DL1 geometry, for the per-event line
-    /// reduction of the lean access paths.
-    il1_shift: u32,
-    dl1_shift: u32,
-}
-
-impl ContentionCore {
-    /// Builds a contention core for `tasks` tasks (clamped to at least
-    /// one) under the given arbitration policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the configuration is invalid.
-    pub fn new(
-        config: &PlatformConfig,
-        tasks: usize,
-        arbitration: Arbitration,
-    ) -> Result<Self, ConfigError> {
-        Ok(ContentionCore {
-            hierarchy: SharedL2Hierarchy::new(config, tasks)?,
-            arbitration,
-            il1_shift: config.il1.geometry.offset_bits(),
-            dl1_shift: config.dl1.geometry.offset_bits(),
-        })
-    }
-
-    /// Number of tasks this core interleaves.
-    pub fn task_count(&self) -> usize {
-        self.hierarchy.task_count()
-    }
-
-    /// The arbitration policy in use.
-    pub fn arbitration(&self) -> Arbitration {
-        self.arbitration
-    }
-
-    /// Executes one contended run: reseeds and flushes every cache, then
-    /// interleaves the task streams to exhaustion.  Returns `(cycles,
-    /// stats)` per task, in task order; the stats are each task's own
-    /// view (its private L1s plus its share of the L2 traffic).
-    ///
-    /// Streams beyond the configured task count are ignored; missing
-    /// streams behave as idle tasks.
-    pub fn execute_contended<I>(&mut self, streams: Vec<I>, seed: u64) -> Vec<(u64, HierarchyStats)>
-    where
-        I: Iterator<Item = MemEvent>,
-    {
-        let tasks = self.hierarchy.task_count();
-        self.hierarchy.reseed(seed);
-        let mut cycles = vec![0u64; tasks];
-        let mut counters = vec![RunCounters::default(); tasks];
-        let mut streams: Vec<Option<I>> = streams.into_iter().map(Some).take(tasks).collect();
-        streams.resize_with(tasks, || None);
-        // Prime one pending event per task; `None` marks an exhausted (or
-        // idle) task.
-        let mut pending: Vec<Option<MemEvent>> =
-            streams.iter_mut().map(|s| s.as_mut().and_then(Iterator::next)).collect();
-        let mut ready = pending.iter().filter(|p| p.is_some()).count();
-        let mut rng = SplitMix64::new(seed ^ ARBITRATION_SALT);
-        let mut cursor = 0usize;
-        while ready > 0 {
-            let task = match self.arbitration {
-                Arbitration::RoundRobin => {
-                    while pending[cursor].is_none() {
-                        cursor = (cursor + 1) % tasks;
-                    }
-                    let task = cursor;
-                    cursor = (cursor + 1) % tasks;
-                    task
-                }
-                Arbitration::SeededRandom => {
-                    // The draw is uniform over the *ready* tasks, so the
-                    // schedule is a pure function of (seed, readiness).
-                    let mut pick = (rng.next_u64() % ready as u64) as usize;
-                    let mut task = 0;
-                    loop {
-                        if pending[task].is_some() {
-                            if pick == 0 {
-                                break;
-                            }
-                            pick -= 1;
-                        }
-                        task += 1;
-                    }
-                    task
-                }
-            };
-            let event = pending[task].take().expect("arbitration picked a ready task");
-            cycles[task] += match event {
-                MemEvent::Compute(c) => c as u64,
-                MemEvent::InstrFetch(addr) => {
-                    let line = LineAddr::new(addr.raw() >> self.il1_shift);
-                    self.hierarchy.fetch_lean(task, addr, line, &mut counters[task])
-                }
-                MemEvent::Load(addr) => {
-                    let line = LineAddr::new(addr.raw() >> self.dl1_shift);
-                    self.hierarchy.load_lean(task, addr, line, &mut counters[task])
-                }
-                MemEvent::Store(addr) => {
-                    let line = LineAddr::new(addr.raw() >> self.dl1_shift);
-                    self.hierarchy.store_lean(task, addr, line, &mut counters[task])
-                }
-            };
-            pending[task] = streams[task].as_mut().and_then(Iterator::next);
-            if pending[task].is_none() {
-                ready -= 1;
-            }
-        }
-        cycles
-            .into_iter()
-            .zip(counters)
-            .map(|(cycles, counters)| (cycles, counters.into_stats()))
-            .collect()
-    }
-}
-
-/// A precomputed, collapsed round-robin interleaving of one co-schedule.
+/// A precomputed, collapsed interleaving of one co-schedule — the input
+/// [`BatchContentionCore::execute_schedule`] replays.
 ///
 /// Under round-robin arbitration the merged event stream is a pure
 /// function of the task traces: the cursor visits ready tasks in index
 /// order and the placement seed never enters an arbitration decision.  A
 /// campaign therefore interleaves (and run-collapses) the co-schedule
 /// **once**, shares the schedule read-only across its worker threads, and
-/// replays it under every placement seed with
-/// [`BatchContentionCore::execute_schedule`].  Seeded-random arbitration
-/// draws its schedule from the run seed and has no such invariant — it
-/// stays on the scalar [`ContentionCore`].
+/// replays it under every placement seed.  Seeded-random arbitration
+/// draws its interleave from the run seed, so its campaigns build one
+/// schedule per run and replay each under that run's seed alone.
 #[derive(Debug, Clone)]
 pub struct ContendedSchedule {
     ops: Vec<Op>,
@@ -429,17 +123,47 @@ impl ContendedSchedule {
     /// `tasks`-task platform described by `config`, collapsing per-task
     /// same-line read runs at interleave time.  `tasks` is clamped to at
     /// least one; streams beyond `tasks` are ignored and missing streams
-    /// behave as idle tasks, mirroring
-    /// [`ContentionCore::execute_contended`].
+    /// behave as idle tasks.
     pub fn round_robin<I>(config: &PlatformConfig, tasks: usize, streams: Vec<I>) -> Self
+    where
+        I: Iterator<Item = MemEvent>,
+    {
+        Self::interleaved(config, tasks, streams, Arbitration::RoundRobin, 0)
+    }
+
+    /// [`Self::round_robin`] under seeded-random arbitration: each step
+    /// issues the next event of a uniformly random ready task, drawn from
+    /// a stream seeded by the run `seed`.  The schedule is only valid for
+    /// the run that replays it under that same seed.
+    pub fn seeded_random<I>(
+        config: &PlatformConfig,
+        tasks: usize,
+        streams: Vec<I>,
+        seed: u64,
+    ) -> Self
+    where
+        I: Iterator<Item = MemEvent>,
+    {
+        Self::interleaved(config, tasks, streams, Arbitration::SeededRandom, seed)
+    }
+
+    fn interleaved<I>(
+        config: &PlatformConfig,
+        tasks: usize,
+        streams: Vec<I>,
+        arbitration: Arbitration,
+        seed: u64,
+    ) -> Self
     where
         I: Iterator<Item = MemEvent>,
     {
         let tasks = tasks.max(1);
         ContendedSchedule {
-            ops: interleave_round_robin(
+            ops: interleave(
                 streams,
                 tasks,
+                arbitration,
+                seed,
                 config.il1.geometry.offset_bits(),
                 config.dl1.geometry.offset_bits(),
             ),
@@ -473,11 +197,9 @@ struct TaskL1Lanes {
 /// The lane-banked shared-L2 hierarchy: per-task IL1/DL1
 /// [`SetAssocCacheLanes`] pairs in front of one lane-banked shared L2,
 /// stepping up to `K` placement seeds per collapsed schedule operation —
-/// the wavefront engine behind [`BatchContentionCore`].  The seed →
-/// per-cache-seed derivation of [`Self::reseed_wave`] draws in the exact
-/// [`SharedL2Hierarchy::reseed`] order per lane, so lane `i` is
-/// bit-identical to a scalar shared-L2 hierarchy reseeded with
-/// `seeds[i]`.
+/// the wavefront engine behind [`BatchContentionCore`].  Lanes never
+/// interact: lane `i` holds the whole platform's cache state under
+/// placement seed `seeds[i]`.
 #[derive(Debug, Clone)]
 struct SharedL2LaneHierarchy {
     latencies: crate::config::LatencyConfig,
@@ -521,9 +243,12 @@ impl SharedL2LaneHierarchy {
     }
 
     /// Reseeds lanes `0..seeds.len()` and flushes every lane's contents.
-    /// Per lane, the per-cache seeds are drawn in the
-    /// [`SharedL2Hierarchy::reseed`] order: task 0's IL1, task 0's DL1,
-    /// the shared L2, then the remaining tasks' L1 pairs.
+    /// Per lane, the per-cache seeds are drawn from `SplitMix64(seed)` in
+    /// the order task 0's IL1, task 0's DL1, the shared L2, then the
+    /// remaining tasks' L1 pairs — so task 0's three cache seeds are
+    /// exactly the solo hierarchy's for the same run seed, whatever the
+    /// task count.  That ordering is what makes a solo victim
+    /// bit-identical to the single-task engine.
     fn reseed_wave(&mut self, seeds: &[u64]) {
         self.active = seeds.len();
         let mut streams: Vec<SplitMix64> = seeds.iter().map(|&s| SplitMix64::new(s)).collect();
@@ -623,9 +348,7 @@ impl SharedL2LaneHierarchy {
 /// the same `crate::lanes` machinery.
 ///
 /// ```
-/// use randmod_sim::contention::{
-///     Arbitration, BatchContentionCore, ContendedSchedule, ContentionCore,
-/// };
+/// use randmod_sim::contention::{BatchContentionCore, ContendedSchedule};
 /// use randmod_sim::{PlatformConfig, Trace};
 /// use randmod_core::Address;
 ///
@@ -647,12 +370,11 @@ impl SharedL2LaneHierarchy {
 /// let mut batch = BatchContentionCore::new(&config, 2, 4)?;
 /// let results = batch.execute_schedule(&schedule, &[1, 2, 3, 4]);
 ///
-/// // Bit-identical to the scalar per-seed engine.
-/// let mut scalar = ContentionCore::new(&config, 2, Arbitration::RoundRobin)?;
+/// // Lanes never interact: each matches a one-lane replay of its seed.
+/// let mut one_lane = BatchContentionCore::new(&config, 2, 1)?;
 /// for (&seed, runs) in [1u64, 2, 3, 4].iter().zip(&results) {
-///     let reference = scalar
-///         .execute_contended(vec![victim.iter().copied(), opponent.iter().copied()], seed);
-///     assert_eq!(runs, &reference);
+///     assert_eq!(runs, &one_lane.execute_schedule(&schedule, &[seed])[0]);
+///     assert!(runs[0].0 > 0 && runs[1].0 > 0);
 /// }
 /// # Ok(())
 /// # }
@@ -694,10 +416,10 @@ impl BatchContentionCore {
     }
 
     /// Replays `schedule` once, simulating one contended run per seed in
-    /// `seeds` (cold caches, fresh placement layout per lane — exactly
-    /// what [`ContentionCore::execute_contended`] does per seed).
-    /// Returns, per seed in seed order, `(cycles, stats)` per task in
-    /// task order.
+    /// `seeds` (cold caches, fresh placement layout per lane).  Returns,
+    /// per seed in seed order, `(cycles, stats)` per task in task order;
+    /// the stats are each task's own view (its private L1s plus its share
+    /// of the shared-L2 traffic).
     ///
     /// # Panics
     ///
@@ -841,6 +563,27 @@ mod tests {
         trace
     }
 
+    /// One contended run of `traces` on a `tasks`-task platform under
+    /// `seed`: the schedule the arbitration policy draws, replayed as a
+    /// one-lane wave (the shape a campaign gives every seeded-random run).
+    fn run_once(
+        config: &PlatformConfig,
+        tasks: usize,
+        arbitration: Arbitration,
+        traces: &[Trace],
+        seed: u64,
+    ) -> Vec<(u64, HierarchyStats)> {
+        let streams = traces.iter().map(|t| t.iter().copied()).collect();
+        let schedule = match arbitration {
+            Arbitration::RoundRobin => ContendedSchedule::round_robin(config, tasks, streams),
+            Arbitration::SeededRandom => {
+                ContendedSchedule::seeded_random(config, tasks, streams, seed)
+            }
+        };
+        let mut core = BatchContentionCore::new(config, tasks, 1).unwrap();
+        core.execute_schedule(&schedule, &[seed]).remove(0)
+    }
+
     #[test]
     fn arbitration_parses_and_displays() {
         for arbitration in Arbitration::ALL {
@@ -854,23 +597,22 @@ mod tests {
 
     #[test]
     fn task_count_is_clamped_to_one() {
-        let shared = SharedL2Hierarchy::new(&config(), 0).unwrap();
-        assert_eq!(shared.task_count(), 1);
-        let core = ContentionCore::new(&config(), 0, Arbitration::RoundRobin).unwrap();
+        let core = BatchContentionCore::new(&config(), 0, 1).unwrap();
         assert_eq!(core.task_count(), 1);
+        let schedule =
+            ContendedSchedule::seeded_random(&config(), 0, vec![victim_trace().into_iter()], 3);
+        assert_eq!(schedule.task_count(), 1);
     }
 
     #[test]
     fn contended_run_is_reproducible_per_seed() {
+        let traces = [victim_trace(), opponent_trace()];
         for arbitration in Arbitration::ALL {
-            let mut core = ContentionCore::new(&config(), 2, arbitration).unwrap();
-            let run = |core: &mut ContentionCore| {
-                core.execute_contended(
-                    vec![victim_trace().into_iter(), opponent_trace().into_iter()],
-                    99,
-                )
-            };
-            assert_eq!(run(&mut core), run(&mut core), "{arbitration}");
+            assert_eq!(
+                run_once(&config(), 2, arbitration, &traces, 99),
+                run_once(&config(), 2, arbitration, &traces, 99),
+                "{arbitration}"
+            );
         }
     }
 
@@ -879,11 +621,9 @@ mod tests {
         // The defining contention effect: a streaming opponent evicts the
         // victim's shared-L2 lines, so the victim sees more L2 misses (and
         // more cycles) than it does next to an idle opponent.
-        let mut core = ContentionCore::new(&config(), 2, Arbitration::RoundRobin).unwrap();
-        let solo =
-            core.execute_contended(vec![victim_trace().into_iter(), Trace::new().into_iter()], 7);
-        let contended = core
-            .execute_contended(vec![victim_trace().into_iter(), opponent_trace().into_iter()], 7);
+        let rr = Arbitration::RoundRobin;
+        let solo = run_once(&config(), 2, rr, &[victim_trace(), Trace::new()], 7);
+        let contended = run_once(&config(), 2, rr, &[victim_trace(), opponent_trace()], 7);
         assert!(
             contended[0].1.l2.misses > solo[0].1.l2.misses,
             "opponent did not inflate victim L2 misses ({} vs {})",
@@ -898,15 +638,8 @@ mod tests {
 
     #[test]
     fn per_task_l2_views_sum_to_the_aggregate() {
-        let mut core = ContentionCore::new(&config(), 3, Arbitration::SeededRandom).unwrap();
-        let results = core.execute_contended(
-            vec![
-                victim_trace().into_iter(),
-                opponent_trace().into_iter(),
-                opponent_trace().into_iter(),
-            ],
-            21,
-        );
+        let traces = [victim_trace(), opponent_trace(), opponent_trace()];
+        let results = run_once(&config(), 3, Arbitration::SeededRandom, &traces, 21);
         let aggregate = results
             .iter()
             .fold(HierarchyStats::default(), |acc, (_, stats)| acc.merged(*stats));
@@ -932,58 +665,63 @@ mod tests {
     fn round_robin_with_equal_streams_alternates_fairly() {
         // Two identical single-level streams: round-robin must give both
         // tasks identical traffic counts.
-        let mut core = ContentionCore::new(&config(), 2, Arbitration::RoundRobin).unwrap();
-        let results = core.execute_contended(
-            vec![opponent_trace().into_iter(), opponent_trace().into_iter()],
-            5,
-        );
+        let traces = [opponent_trace(), opponent_trace()];
+        let results = run_once(&config(), 2, Arbitration::RoundRobin, &traces, 5);
         assert_eq!(results[0].1.dl1.accesses, results[1].1.dl1.accesses);
     }
 
     #[test]
     fn missing_streams_behave_as_idle_tasks() {
-        let mut core = ContentionCore::new(&config(), 3, Arbitration::RoundRobin).unwrap();
         let trace = victim_trace();
-        let padded = core.execute_contended(
-            vec![trace.clone().into_iter(), Trace::new().into_iter(), Trace::new().into_iter()],
-            13,
-        );
-        let missing = core.execute_contended(vec![trace.into_iter()], 13);
-        assert_eq!(padded, missing);
-        assert_eq!(missing[1], (0, HierarchyStats::default()));
-        assert_eq!(missing[2], (0, HierarchyStats::default()));
+        for arbitration in Arbitration::ALL {
+            let padded = run_once(
+                &config(),
+                3,
+                arbitration,
+                &[trace.clone(), Trace::new(), Trace::new()],
+                13,
+            );
+            let missing = run_once(&config(), 3, arbitration, std::slice::from_ref(&trace), 13);
+            assert_eq!(padded, missing, "{arbitration}");
+            assert_eq!(missing[1], (0, HierarchyStats::default()));
+            assert_eq!(missing[2], (0, HierarchyStats::default()));
+        }
     }
 
     #[test]
     fn extra_streams_beyond_the_task_count_are_ignored() {
-        let mut core = ContentionCore::new(&config(), 1, Arbitration::RoundRobin).unwrap();
         let trace = victim_trace();
-        let clipped = core.execute_contended(
-            vec![trace.clone().into_iter(), opponent_trace().into_iter()],
-            3,
-        );
-        let solo = core.execute_contended(vec![trace.into_iter()], 3);
-        assert_eq!(clipped, solo);
-        assert_eq!(clipped.len(), 1);
+        for arbitration in Arbitration::ALL {
+            let clipped = run_once(
+                &config(),
+                1,
+                arbitration,
+                &[trace.clone(), opponent_trace()],
+                3,
+            );
+            let solo = run_once(&config(), 1, arbitration, std::slice::from_ref(&trace), 3);
+            assert_eq!(clipped, solo, "{arbitration}");
+            assert_eq!(clipped.len(), 1);
+        }
     }
 
     #[test]
     fn batched_contended_replay_matches_scalar_per_seed() {
+        // A K-lane pass equals K single-lane ("scalar") replays of the same
+        // schedule, one per seed: lanes never interact.
         let seeds = [0u64, 1, 7, 42, 0xDEAD_BEEF];
         for placement in PlacementKind::ALL {
             let config = PlatformConfig::leon3().with_l1_placement(placement);
-            let streams = [victim_trace(), opponent_trace(), opponent_trace()];
+            let traces = [victim_trace(), opponent_trace(), opponent_trace()];
             let schedule = ContendedSchedule::round_robin(
                 &config,
                 3,
-                streams.iter().map(|t| t.iter().copied()).collect(),
+                traces.iter().map(|t| t.iter().copied()).collect(),
             );
             let mut batch = BatchContentionCore::new(&config, 3, seeds.len()).unwrap();
             let batched = batch.execute_schedule(&schedule, &seeds);
-            let mut scalar = ContentionCore::new(&config, 3, Arbitration::RoundRobin).unwrap();
             for (&seed, runs) in seeds.iter().zip(&batched) {
-                let reference = scalar
-                    .execute_contended(streams.iter().map(|t| t.iter().copied()).collect(), seed);
+                let reference = run_once(&config, 3, Arbitration::RoundRobin, &traces, seed);
                 assert_eq!(runs, &reference, "lane diverged for seed {seed} under {placement}");
             }
         }
@@ -1045,16 +783,9 @@ mod tests {
         // Both policies replay the same per-task event streams, so the
         // per-task L1 access counts must agree; the interleaving (and thus
         // the shared-L2 hit pattern) may legitimately differ.
-        let mut rr = ContentionCore::new(&config(), 2, Arbitration::RoundRobin).unwrap();
-        let mut sr = ContentionCore::new(&config(), 2, Arbitration::SeededRandom).unwrap();
-        let run = |core: &mut ContentionCore| {
-            core.execute_contended(
-                vec![victim_trace().into_iter(), opponent_trace().into_iter()],
-                77,
-            )
-        };
-        let a = run(&mut rr);
-        let b = run(&mut sr);
+        let traces = [victim_trace(), opponent_trace()];
+        let a = run_once(&config(), 2, Arbitration::RoundRobin, &traces, 77);
+        let b = run_once(&config(), 2, Arbitration::SeededRandom, &traces, 77);
         for task in 0..2 {
             assert_eq!(a[task].1.il1.accesses, b[task].1.il1.accesses);
             assert_eq!(a[task].1.dl1.accesses, b[task].1.dl1.accesses);

@@ -7,7 +7,7 @@
 //! is identical in both and lives here, in one place:
 //!
 //! * **Same-line run collapsing** ([`replay_collapsed`] for the streaming
-//!   solo path, [`interleave_round_robin`] for the contended one): runs of
+//!   solo path, [`interleave`] for the precomputed schedules): runs of
 //!   consecutive reads of one cache line — the dominant pattern of
 //!   straight-line instruction fetch and sequential data traversal — are
 //!   detected once at decode time.  The first access runs in full per
@@ -23,21 +23,24 @@
 //!   line address of the fronting L1 is computed once per operation and
 //!   shared across all lanes.
 //!
-//! The contended path adds one idea on top: under round-robin arbitration
-//! the interleaved event stream is a pure function of the task traces —
-//! the placement seed never enters an arbitration decision — so the
-//! decode + interleave can be computed **once per campaign**
-//! ([`interleave_round_robin`] produces the collapsed [`Op`] schedule) and
-//! replayed across K placement-seed lanes ([`replay_ops`]).  Collapsing
-//! stays sound across task switches because each task's L1s are private:
-//! an opponent's event can never evict the line a victim's repeat read is
-//! about to hit, so a per-task run survives any interleaving (the swallowed
-//! repeats touch no shared state, which is also why deleting them from the
-//! merged schedule preserves every shared-L2 transition bit-for-bit).
-//! Seeded-random arbitration has no such seed-independence — its schedule
-//! is drawn from the run seed — so it keeps the scalar per-seed engine.
+//! The contended path adds one idea on top: a co-schedule's interleaved
+//! event stream is decided by the arbitration policy alone — the placement
+//! seed never enters an arbitration decision — so the decode + interleave
+//! runs **before** replay ([`interleave`] produces the collapsed [`Op`]
+//! schedule) and the schedule is replayed across placement-seed lanes
+//! ([`replay_ops`]).  A round-robin schedule is seed-independent and is
+//! built once per campaign; a seeded-random schedule is drawn from the run
+//! seed and is built once per run, then replayed as a one-lane wave.
+//! Collapsing stays sound across task switches because each task's L1s are
+//! private: an opponent's event can never evict the line a victim's repeat
+//! read is about to hit, so a per-task run survives any interleaving (the
+//! swallowed repeats touch no shared state, which is also why deleting them
+//! from the merged schedule preserves every shared-L2 transition
+//! bit-for-bit).
 
+use crate::contention::{Arbitration, ARBITRATION_SALT};
 use crate::trace::MemEvent;
+use randmod_core::prng::SplitMix64;
 use randmod_core::{Address, LineAddr};
 
 /// The per-lane stepping interface of the collapsed replay drivers.
@@ -155,22 +158,28 @@ pub(crate) enum Op {
     },
 }
 
-/// Interleaves the task streams under round-robin arbitration and
-/// collapses per-task same-line read runs, producing the seed-independent
-/// [`Op`] schedule the batched contended engine replays across placement
-/// lanes.
+/// Interleaves the task streams under `arbitration` and collapses per-task
+/// same-line read runs, producing the [`Op`] schedule the contended engine
+/// replays across placement lanes.
 ///
-/// The arbitration semantics mirror
-/// [`crate::contention::ContentionCore`] exactly: tasks take turns in
-/// index order, skipping exhausted traces; streams beyond `tasks` are
-/// ignored and missing streams behave as idle tasks.  A task's read run
-/// stays open across other tasks' turns (their events cannot touch its
-/// private L1) and is closed by any non-matching event of its own.
-// randmod: allow(P1, every vector in this arena — streams, pending, open — is resized to exactly `tasks` before the loop, the cursor is reduced mod `tasks` on every step so task < tasks always, ops indices come from ops.len() at push time, and the take() runs only after the inner scan stopped on a Some; the whole schedule is pinned against the scalar engine by the contended equivalence proptests)
+/// * Round-robin: tasks take turns in index order, skipping exhausted
+///   traces (`seed` is unused).
+/// * Seeded-random: each step draws a uniformly random *ready* task from a
+///   [`SplitMix64`] stream seeded with `seed ^ ARBITRATION_SALT`, so the
+///   schedule is a pure function of the run seed and the task readiness.
+///
+/// Streams beyond `tasks` are ignored and missing streams behave as idle
+/// tasks.  Every event takes one arbitration step, collapsed or not, so
+/// collapsing never changes the interleave.  A task's read run stays open
+/// across other tasks' turns (their events cannot touch its private L1)
+/// and is closed by any non-matching event of its own.
+// randmod: allow(P1, every vector in this arena — streams, pending, open — is resized to exactly `tasks` before the loop, the round-robin cursor is reduced mod `tasks` on every step, the seeded-random scan stops on the pick-th of the `ready` pending tasks (pick < ready) so task < tasks always, ops indices come from ops.len() at push time, and the take() runs only after arbitration stopped on a Some; the whole schedule is pinned against the naive contention reference by the reference-model proptests)
 #[allow(clippy::expect_used)]
-pub(crate) fn interleave_round_robin<I>(
+pub(crate) fn interleave<I>(
     streams: Vec<I>,
     tasks: usize,
+    arbitration: Arbitration,
+    seed: u64,
     il1_shift: u32,
     dl1_shift: u32,
 ) -> Vec<Op>
@@ -190,14 +199,36 @@ where
     let mut ready = pending.iter().filter(|p| p.is_some()).count();
     let mut open: Vec<Option<OpenRun>> = vec![None; tasks];
     let mut ops: Vec<Op> = Vec::new();
+    let mut rng = SplitMix64::new(seed ^ ARBITRATION_SALT);
     let mut cursor = 0usize;
     while ready > 0 {
-        while pending[cursor].is_none() {
-            cursor = (cursor + 1) % tasks;
-        }
-        let task = cursor;
-        cursor = (cursor + 1) % tasks;
-        let event = pending[task].take().expect("cursor stopped on a ready task");
+        let task = match arbitration {
+            Arbitration::RoundRobin => {
+                while pending[cursor].is_none() {
+                    cursor = (cursor + 1) % tasks;
+                }
+                let task = cursor;
+                cursor = (cursor + 1) % tasks;
+                task
+            }
+            Arbitration::SeededRandom => {
+                let mut pick = (rng.next_u64() % ready as u64) as usize;
+                let mut task = 0;
+                loop {
+                    if pending[task].is_some() {
+                        if pick == 0 {
+                            break;
+                        }
+                        pick -= 1;
+                    }
+                    task += 1;
+                }
+                task
+            }
+        };
+        let event = pending[task]
+            .take()
+            .expect("arbitration picked a ready task");
         match event {
             MemEvent::InstrFetch(addr) => {
                 let line = addr.raw() >> il1_shift;
@@ -269,13 +300,20 @@ pub(crate) fn collapse_solo<I>(events: I, il1_shift: u32, dl1_shift: u32) -> Vec
 where
     I: IntoIterator<Item = MemEvent>,
 {
-    interleave_round_robin(vec![events.into_iter()], 1, il1_shift, dl1_shift)
+    interleave(
+        vec![events.into_iter()],
+        1,
+        Arbitration::RoundRobin,
+        0,
+        il1_shift,
+        dl1_shift,
+    )
 }
 
 /// Replays a precomputed collapsed schedule through `stepper` — the
 /// contended counterpart of [`replay_collapsed`], amortising the
-/// decode + interleave across every placement-seed lane group of a
-/// campaign.
+/// decode + interleave across every placement-seed lane that shares the
+/// schedule.
 pub(crate) fn replay_ops(ops: &[Op], stepper: &mut impl LaneStepper) {
     for &op in ops {
         match op {
@@ -301,6 +339,11 @@ pub(crate) fn replay_ops(ops: &[Op], stepper: &mut impl LaneStepper) {
 mod tests {
     use super::*;
     use crate::trace::Trace;
+
+    /// The round-robin interleave at 32-byte lines.
+    fn round_robin<I: Iterator<Item = MemEvent>>(streams: Vec<I>, tasks: usize) -> Vec<Op> {
+        interleave(streams, tasks, Arbitration::RoundRobin, 0, 5, 5)
+    }
 
     /// Records every stepped operation, for asserting driver semantics.
     #[derive(Default)]
@@ -359,13 +402,8 @@ mod tests {
         let mut opponent = Trace::new();
         opponent.load(Address::new(0x9000));
         opponent.load(Address::new(0xA000));
-        let ops = interleave_round_robin(
-            vec![victim.into_iter(), opponent.into_iter()],
-            2,
-            5,
-            5,
-        );
-        // Scalar turn order: v.load v.load(repeat) v.store interleaved with
+        let ops = round_robin(vec![victim.into_iter(), opponent.into_iter()], 2);
+        // Turn order: v.load v.load(repeat) v.store interleaved with
         // o.load o.load; the repeat merges into the first victim op, the
         // opponents' relative order against the victim's store survives.
         assert_eq!(
@@ -409,7 +447,7 @@ mod tests {
         let mut b = Trace::new();
         b.store(Address::new(0x9000));
         b.store(Address::new(0x9020));
-        let ops = interleave_round_robin(vec![a.into_iter(), b.into_iter()], 2, 5, 5);
+        let ops = round_robin(vec![a.into_iter(), b.into_iter()], 2);
         let collapsed: Vec<&Op> = ops
             .iter()
             .filter(|op| matches!(op, Op::Load { task: 0, .. }))
@@ -426,7 +464,7 @@ mod tests {
         a.load(Address::new(0x1000));
         a.store(Address::new(0x1000));
         a.load(Address::new(0x1004));
-        let ops = interleave_round_robin(vec![a.into_iter()], 1, 5, 5);
+        let ops = round_robin(vec![a.into_iter()], 1);
         assert_eq!(ops.len(), 3, "{ops:?}");
         assert!(matches!(ops[0], Op::Load { repeats: 0, .. }));
         assert!(matches!(ops[2], Op::Load { repeats: 0, .. }));
@@ -439,17 +477,87 @@ mod tests {
         let mut extra = Trace::new();
         extra.load(Address::new(0x2000));
         // Missing stream: task 1 is idle.
-        let padded = interleave_round_robin(vec![trace.clone().into_iter()], 2, 5, 5);
+        let padded = round_robin(vec![trace.clone().into_iter()], 2);
         assert_eq!(padded.len(), 1);
         // Extra stream beyond the task count: ignored.
-        let clipped = interleave_round_robin(
-            vec![trace.into_iter(), extra.into_iter()],
-            1,
-            5,
-            5,
-        );
+        let clipped = round_robin(vec![trace.into_iter(), extra.into_iter()], 1);
         assert_eq!(clipped.len(), 1);
         assert!(matches!(clipped[0], Op::Load { task: 0, .. }));
+    }
+
+    #[test]
+    fn seeded_random_interleave_is_a_pure_function_of_the_seed() {
+        // Two uncollapsible streams (each alternates between two lines):
+        // every event is one op, so the schedule exposes the raw
+        // arbitration order.
+        let stream = |base: u64| -> Trace {
+            let mut trace = Trace::new();
+            for i in 0..64u64 {
+                trace.load(Address::new(base + (i % 2) * 0x1000));
+            }
+            trace
+        };
+        let streams = || vec![stream(0x1_0000).into_iter(), stream(0x9_0000).into_iter()];
+        let draw = |seed: u64| interleave(streams(), 2, Arbitration::SeededRandom, seed, 5, 5);
+        let load = |op: &Op| match *op {
+            Op::Load { task, addr, .. } => (task, addr.raw()),
+            _ => panic!("only loads were issued: {op:?}"),
+        };
+        let tasks_of = |ops: &[Op]| -> Vec<u32> { ops.iter().map(|op| load(op).0).collect() };
+
+        let schedule = draw(7);
+        assert_eq!(schedule, draw(7), "same seed, different schedule");
+        assert_eq!(
+            schedule.len(),
+            128,
+            "every event must be scheduled exactly once"
+        );
+        // Each task's own events keep their program order.
+        let victim: Vec<u64> = schedule
+            .iter()
+            .map(load)
+            .filter(|&(task, _)| task == 0)
+            .map(|(_, a)| a)
+            .collect();
+        let program: Vec<u64> = (0..64u64).map(|i| 0x1_0000 + (i % 2) * 0x1000).collect();
+        assert_eq!(victim, program);
+        // The order is drawn, not fixed: round-robin alternates strictly,
+        // and some seed departs from that.
+        let alternating: Vec<u32> = (0..128).map(|i| i % 2).collect();
+        assert_eq!(tasks_of(&round_robin(streams(), 2)), alternating);
+        assert!((0..8u64).any(|seed| tasks_of(&draw(seed)) != alternating));
+    }
+
+    #[test]
+    fn seeded_random_interleave_collapses_each_tasks_runs() {
+        // Whatever order the draws pick, a task's same-line read run stays
+        // open across the other task's turns and collapses into one op.
+        let mut a = Trace::new();
+        for addr in [0x1000, 0x1004, 0x1008, 0x2000] {
+            a.load(Address::new(addr));
+        }
+        let mut b = Trace::new();
+        b.load(Address::new(0x9000));
+        b.load(Address::new(0x9004));
+        for seed in 0..16u64 {
+            let streams = vec![a.clone().into_iter(), b.clone().into_iter()];
+            let ops = interleave(streams, 2, Arbitration::SeededRandom, seed, 5, 5);
+            let per_task = |task: u32| -> Vec<(u64, u64)> {
+                ops.iter()
+                    .filter_map(|op| match *op {
+                        Op::Load {
+                            task: t,
+                            addr,
+                            repeats,
+                            ..
+                        } if t == task => Some((addr.raw(), repeats)),
+                        _ => None,
+                    })
+                    .collect()
+            };
+            assert_eq!(per_task(0), vec![(0x1000, 2), (0x2000, 0)], "seed {seed}");
+            assert_eq!(per_task(1), vec![(0x9000, 1)], "seed {seed}");
+        }
     }
 
     #[test]

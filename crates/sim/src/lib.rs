@@ -16,17 +16,16 @@
 //!   an on-the-fly decoding iterator (half the memory of a boxed
 //!   [`Trace`]).
 //! * [`hierarchy`] — the two-level cache hierarchy (IL1 + DL1 + unified L2
-//!   partition + main memory) with per-level statistics.
-//! * [`cpu`] — an in-order single-issue core model that executes a trace on
-//!   top of the hierarchy and accumulates execution cycles.
-//! * [`batch`] — the seed-batched replay engine: decode the trace once and
-//!   step `K` independent seed lanes (hierarchies + cycle counters) per
-//!   event, bit-identical to sequential replay.
+//!   partition + main memory): its latency model and per-level statistics.
+//! * [`batch`] — the solo replay engine: an in-order single-issue core
+//!   model that decodes the trace once and steps `K` independent seed
+//!   lanes (hierarchies + cycle counters) per event, each lane
+//!   bit-identical to replaying its seed alone.
 //! * [`contention`] — the multi-task shared-L2 platform: per-task private
 //!   L1 pairs over one shared L2 partition, interleaved by a deterministic
-//!   seeded arbitration policy (round-robin or seeded-random), with a
-//!   lane-batched engine that interleaves a round-robin co-schedule once
-//!   and replays it across `K` placement seeds.
+//!   arbitration policy (round-robin or seeded-random) into a schedule
+//!   that the lane-batched contended engine replays across `K` placement
+//!   seeds.
 //! * [`run`] — measurement campaigns: run a program repeatedly with a fresh
 //!   placement seed per run (the MBPTA protocol, batched across seeds by
 //!   default), adaptively grow the campaign until the pWCET estimate
@@ -43,21 +42,22 @@
 //! ## Quick example
 //!
 //! ```
+//! use randmod_sim::batch::BatchCore;
 //! use randmod_sim::config::PlatformConfig;
-//! use randmod_sim::cpu::InOrderCore;
 //! use randmod_sim::trace::{MemEvent, Trace};
 //! use randmod_core::{Address, PlacementKind};
 //!
 //! # fn main() -> Result<(), randmod_core::ConfigError> {
 //! let config = PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo);
-//! let mut core = InOrderCore::new(&config)?;
-//! core.reseed(42);
-//!
 //! let mut trace = Trace::new();
 //! trace.push(MemEvent::InstrFetch(Address::new(0x1000)));
 //! trace.push(MemEvent::Load(Address::new(0x8000)));
-//! let cycles = core.execute(&trace);
+//!
+//! // One run under placement seed 42, on a one-lane core.
+//! let mut core = BatchCore::new(&config, 1)?;
+//! let (cycles, stats) = core.execute_batch(&trace, &[42])[0];
 //! assert!(cycles > 0);
+//! assert_eq!(stats.l1_misses(), 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -70,7 +70,6 @@ pub mod batch;
 pub mod checkpoint;
 pub mod config;
 pub mod contention;
-pub mod cpu;
 pub mod hierarchy;
 #[warn(clippy::unwrap_used, clippy::expect_used)]
 mod lanes;
@@ -88,11 +87,8 @@ pub use checkpoint::{
     MemoryCheckpointStore,
 };
 pub use config::{CacheConfig, LatencyConfig, PlatformConfig};
-pub use contention::{
-    Arbitration, BatchContentionCore, ContendedSchedule, ContentionCore, SharedL2Hierarchy,
-};
-pub use cpu::InOrderCore;
-pub use hierarchy::{HierarchyStats, MemoryHierarchy};
+pub use contention::{Arbitration, BatchContentionCore, ContendedSchedule};
+pub use hierarchy::HierarchyStats;
 pub use packed::PackedTrace;
 pub use run::{
     decode_solo_runs, encode_solo_runs, AdaptiveResult, Campaign, CampaignError, CampaignResult,

@@ -1,26 +1,26 @@
 //! The contended (multi-task, shared-L2) campaign protocol and its result
 //! types.
 //!
-//! Three engines back [`Campaign::run_contended`], picked per campaign:
+//! Two engines back [`Campaign::run_contended`], picked per campaign:
 //!
 //! * **idle co-schedule** → the victim routes through the solo
 //!   [`crate::batch::BatchCore`] pool (bit-identical to
 //!   [`Campaign::run_seeds`], at its throughput);
-//! * **round-robin, `lanes > 1`** → the lane-batched
-//!   [`BatchContentionCore`]: the interleaved schedule is seed-independent,
-//!   so it is computed once per campaign and replayed across
-//!   placement-seed lanes, shared read-only across worker threads;
-//! * **seeded-random, or `with_lanes(1)`** → the scalar per-seed
-//!   [`ContentionCore`] (a seeded-random schedule depends on the run seed;
-//!   one lane is the documented sequential escape hatch).
+//! * **anything else** → the lane-batched [`BatchContentionCore`].  Under
+//!   round-robin the interleaved schedule is seed-independent, so it is
+//!   computed once per campaign, shared read-only across worker threads
+//!   and replayed across placement-seed lanes (`with_lanes(1)` just makes
+//!   every wave one lane wide).  Under seeded-random arbitration each
+//!   run's schedule is drawn from its seed, so every run builds its own
+//!   schedule and replays it as a one-lane wave.
 //!
-//! All three produce bit-identical [`ContendedResult`]s where their
-//! domains overlap — pinned by the `contention_equivalence` suite, the
+//! Both produce bit-identical [`ContendedResult`]s where their domains
+//! overlap — pinned by the `contention_equivalence` suite, the
 //! differential reference model and the unit grid tests.
 
 use super::schedule::scoped_chunks;
 use super::{Campaign, CampaignResult, RunResult};
-use crate::contention::{Arbitration, BatchContentionCore, ContendedSchedule, ContentionCore};
+use crate::contention::{Arbitration, BatchContentionCore, ContendedSchedule};
 use crate::hierarchy::HierarchyStats;
 use crate::trace::EventSource;
 use randmod_core::ConfigError;
@@ -151,11 +151,10 @@ impl fmt::Display for ContendedResult {
 impl Campaign {
     /// Runs the contended (multi-task, shared-L2) MBPTA protocol: every
     /// seed executes one run of `sources[0]` (the victim) co-scheduled
-    /// against `sources[1..]` (the opponents) on a
-    /// [`crate::contention::SharedL2Hierarchy`], under this campaign's
-    /// [`Arbitration`] policy.  Runs are distributed over the same worker
-    /// thread pool as [`Self::run_seeds`]; each run is a pure function of
-    /// its seed, so results are thread-invariant.
+    /// against `sources[1..]` (the opponents) in front of one shared L2,
+    /// under this campaign's [`Arbitration`] policy.  Runs are distributed
+    /// over the same worker thread pool as [`Self::run_seeds`]; each run is
+    /// a pure function of its seed, so results are thread-invariant.
     ///
     /// **Solo fast path**: when every opponent trace is empty (an idle
     /// co-schedule), the victim's runs route through the seed-batched
@@ -164,17 +163,16 @@ impl Campaign {
     /// *bit-identical* to the single-task protocol (and enjoys its
     /// throughput).
     ///
-    /// **Batched round-robin path**: under round-robin arbitration the
-    /// interleaved co-schedule never depends on the placement seed, so it
-    /// is computed once per campaign ([`ContendedSchedule::round_robin`])
-    /// and replayed across placement-seed lanes — at most
-    /// [`Self::CONTENDED_LANE_GROUP`] per schedule pass, the measured
-    /// host-cache sweet spot — by a [`BatchContentionCore`],
-    /// bit-identical to the scalar per-seed engine, at a fraction of its
-    /// decode and interleave cost.
-    /// Seeded-random arbitration (whose schedule is drawn from the run
-    /// seed) and `with_lanes(1)` (the documented sequential escape hatch)
-    /// run the scalar [`ContentionCore`] per seed instead.
+    /// **Round-robin**: the interleaved co-schedule never depends on the
+    /// placement seed, so it is computed once per campaign
+    /// ([`ContendedSchedule::round_robin`]) and replayed across
+    /// placement-seed lanes — at most [`Self::CONTENDED_LANE_GROUP`] per
+    /// schedule pass, the measured host-cache sweet spot — by a
+    /// [`BatchContentionCore`].
+    ///
+    /// **Seeded-random**: each run's interleave is drawn from its seed
+    /// ([`ContendedSchedule::seeded_random`]) and replayed as a one-lane
+    /// wave on the same engine.
     ///
     /// # Errors
     ///
@@ -255,59 +253,63 @@ impl Campaign {
             ));
         }
         let config = self.config;
-        let lanes = self.lanes;
-        if self.arbitration == Arbitration::RoundRobin && lanes > 1 {
-            // The round-robin schedule is a pure function of the traces:
-            // interleave (and run-collapse) once, then replay it across
-            // placement-seed lanes, shared read-only across the workers.
-            let schedule = ContendedSchedule::round_robin(
-                &config,
-                tasks,
-                sources.iter().map(|s| s.events()).collect(),
-            );
-            let schedule = &schedule;
-            // The lane knob is an upper bound here: a contended lane holds a
-            // full co-schedule's cache state (per-task L1 pairs plus a shared
-            // L2), so groups wider than `CONTENDED_LANE_GROUP` thrash the
-            // host cache and run measurably slower.
-            let group = lanes.min(Campaign::CONTENDED_LANE_GROUP);
+        if self.arbitration == Arbitration::SeededRandom {
+            // A seeded-random interleave is drawn from the run seed: build
+            // each run's schedule and replay it as a one-lane wave.
             let runs = scoped_chunks(seeds, self.threads, |chunk| {
-                let mut core = BatchContentionCore::new(&config, tasks, group.min(chunk.len()))?;
+                let mut core = BatchContentionCore::new(&config, tasks, 1)?;
                 let mut out = Vec::with_capacity(chunk.len());
-                for group in chunk.chunks(core.lane_count()) {
-                    let lane_results = core.execute_schedule(schedule, group);
-                    for (&seed, task_results) in group.iter().zip(lane_results) {
-                        out.push(ContendedRun {
-                            seed,
-                            tasks: task_results
-                                .into_iter()
-                                .map(|(cycles, stats)| TaskRun { cycles, stats })
-                                .collect(),
-                        });
-                    }
+                for &seed in chunk {
+                    let streams = sources.iter().map(|s| s.events()).collect();
+                    let schedule = ContendedSchedule::seeded_random(&config, tasks, streams, seed);
+                    let lane_results = core.execute_schedule(&schedule, &[seed]);
+                    out.extend(contended_runs(&[seed], lane_results));
                 }
                 Ok(out)
             })?;
             return Ok(ContendedResult::from_runs(runs));
         }
-        let arbitration = self.arbitration;
+        // The round-robin schedule is a pure function of the traces:
+        // interleave (and run-collapse) once, then replay it across
+        // placement-seed lanes, shared read-only across the workers.
+        let schedule = ContendedSchedule::round_robin(
+            &config,
+            tasks,
+            sources.iter().map(|s| s.events()).collect(),
+        );
+        let schedule = &schedule;
+        // The lane knob is an upper bound here: a contended lane holds a
+        // full co-schedule's cache state (per-task L1 pairs plus a shared
+        // L2), so groups wider than `CONTENDED_LANE_GROUP` thrash the host
+        // cache and run measurably slower.
+        let group = self.lanes.min(Campaign::CONTENDED_LANE_GROUP);
         let runs = scoped_chunks(seeds, self.threads, |chunk| {
-            let mut core = ContentionCore::new(&config, tasks, arbitration)?;
+            let mut core = BatchContentionCore::new(&config, tasks, group.min(chunk.len()))?;
             let mut out = Vec::with_capacity(chunk.len());
-            for &seed in chunk {
-                let streams: Vec<_> = sources.iter().map(|s| s.events()).collect();
-                let task_runs = core
-                    .execute_contended(streams, seed)
-                    .into_iter()
-                    .map(|(cycles, stats)| TaskRun { cycles, stats })
-                    .collect();
-                out.push(ContendedRun {
-                    seed,
-                    tasks: task_runs,
-                });
+            for group in chunk.chunks(core.lane_count()) {
+                let lane_results = core.execute_schedule(schedule, group);
+                out.extend(contended_runs(group, lane_results));
             }
             Ok(out)
         })?;
         Ok(ContendedResult::from_runs(runs))
     }
+}
+
+/// Pairs each seed of one lane group with its per-task `(cycles, stats)`
+/// results, as [`BatchContentionCore::execute_schedule`] returns them.
+fn contended_runs(
+    seeds: &[u64],
+    lane_results: Vec<Vec<(u64, HierarchyStats)>>,
+) -> impl Iterator<Item = ContendedRun> + '_ {
+    seeds
+        .iter()
+        .zip(lane_results)
+        .map(|(&seed, task_results)| ContendedRun {
+            seed,
+            tasks: task_results
+                .into_iter()
+                .map(|(cycles, stats)| TaskRun { cycles, stats })
+                .collect(),
+        })
 }

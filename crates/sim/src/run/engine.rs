@@ -4,7 +4,6 @@
 use super::schedule::scoped_chunks;
 use super::Campaign;
 use crate::batch::BatchCore;
-use crate::cpu::InOrderCore;
 use crate::hierarchy::HierarchyStats;
 use crate::trace::{EventSource, Trace};
 use randmod_core::ConfigError;
@@ -164,8 +163,10 @@ impl Campaign {
     /// Runs the deterministic-platform protocol of Figure 4(b) in streaming
     /// form: `build(i)` produces the trace of the `i`-th memory layout, and
     /// each worker thread holds at most one layout's trace alive at a time
-    /// — the sweep's memory footprint no longer grows with the number of
-    /// layouts.  The result's `seed` field records the layout index.
+    /// — the sweep's memory footprint does not grow with the number of
+    /// layouts.  Each layout replays as a one-lane [`BatchCore`] wave under
+    /// seed 0, streamed straight from its trace (no per-layout schedule is
+    /// built).  The result's `seed` field records the layout index.
     ///
     /// # Errors
     ///
@@ -183,16 +184,17 @@ impl Campaign {
         let config = self.config;
         let indices: Vec<usize> = (0..layouts).collect();
         let runs = scoped_chunks(&indices, self.threads, |chunk| {
-            let mut core = InOrderCore::new(&config)?;
+            let mut core = BatchCore::new(&config, 1)?;
             let mut out = Vec::with_capacity(chunk.len());
             for &index in chunk {
                 let layout_trace = build(index);
-                let (cycles, stats) = core.execute_isolated(layout_trace.events(), 0);
-                out.push(RunResult {
-                    seed: index as u64,
-                    cycles,
-                    stats,
-                });
+                for (cycles, stats) in core.execute_batch(layout_trace.events(), &[0]) {
+                    out.push(RunResult {
+                        seed: index as u64,
+                        cycles,
+                        stats,
+                    });
+                }
             }
             Ok(out)
         })?;

@@ -13,19 +13,24 @@
 //! or a slice of events — shared read-only across the worker threads.
 //!
 //! Contended campaigns ([`Campaign::run_contended`]) use the same lane
-//! batching: under round-robin arbitration the interleaved co-schedule is
-//! seed-independent, so it is computed once per campaign and replayed
-//! across placement-seed lanes by a
-//! [`crate::contention::BatchContentionCore`] per worker (seeded-random
-//! arbitration and `with_lanes(1)` fall back to the scalar per-seed
-//! [`crate::contention::ContentionCore`]).
+//! batching on the contended engine,
+//! [`crate::contention::BatchContentionCore`]: under round-robin
+//! arbitration the interleaved co-schedule is seed-independent, so it is
+//! computed once per campaign and replayed across placement-seed lanes by
+//! each worker; under seeded-random arbitration every run draws its own
+//! interleave and replays it as a one-lane wave.
 //!
 //! For the deterministic baseline of Figure 4(b), the execution time does
 //! not vary with a seed but with the *memory layout* of the program; the
 //! corresponding protocol, sweeping layouts and recording the high-water
 //! mark, is provided by [`Campaign::run_layout_sweep_with`] (which builds
-//! one layout's trace at a time, keeping the sweep's memory footprint
+//! one layout's trace at a time and replays it as a one-lane
+//! [`crate::batch::BatchCore`] wave, keeping the sweep's memory footprint
 //! constant) and its collecting adapter [`Campaign::run_layout_sweep`].
+//!
+//! Every protocol therefore runs on one of the two lane engines; the
+//! naive model in the `reference_model` test suite is their independent
+//! oracle.
 //!
 //! The module is organised by protocol:
 //!
@@ -96,13 +101,17 @@ impl Campaign {
     /// Default number of seed lanes stepped per trace decode (see
     /// [`Self::with_lanes`]).
     ///
-    /// Four lanes won the PR 7 width sweep (`CAMPAIGN_BENCH_LANES` on the
-    /// `campaign_throughput` bench): the per-wave shared costs — decode,
-    /// placement, filter lookups — are already amortised at K=4, while
-    /// the lane-major tag arrays and residency-filter tables scale
-    /// linearly with K, so wider waves grow the working set past the
-    /// host's fast cache levels and throughput *drops* (4 > 8 > 16 on
-    /// every placement kind; see EXPERIMENTS.md).
+    /// The lane-width sweep recorded in `BENCH_baseline.json`
+    /// (`CAMPAIGN_BENCH_LANES` on the `campaign_throughput` bench, 200-run
+    /// campaigns) found no single best width.  The uniform placements peak at K = 8
+    /// (modulo 218.8 and XOR 221.0 Mev/s, against 196.9 and 200.8 at
+    /// K = 4); the seeded per-lane placements peak at K = 4 (hRP 165.6 and
+    /// RM 164.9 Mev/s, against 133.3 and 150.9 at K = 8); K = 16 wins
+    /// nowhere.  Wider waves amortise the per-wave decode further, but the
+    /// lane-major tag arrays and per-lane placement state grow linearly
+    /// with K and eventually outgrow the host's fast cache levels.  Four
+    /// lanes is the best width for the seeded policies that MBPTA
+    /// campaigns actually sweep.
     pub const DEFAULT_LANES: usize = 4;
 
     /// Widest lane group the lane-batched contended engine steps per
@@ -148,17 +157,15 @@ impl Campaign {
     /// decodes the trace `N / (T * lanes)` times per thread.  Results are
     /// bit-identical for every `(threads, lanes)` combination, for solo
     /// *and* contended campaigns.  Contended round-robin campaigns treat
-    /// the knob as an upper bound: the lane-batched engine steps at most
+    /// the knob as an upper bound: the contended engine steps at most
     /// [`Self::CONTENDED_LANE_GROUP`] placement lanes per schedule pass,
     /// because each contended lane carries a full co-schedule's cache
     /// state and wider groups thrash the host cache (see
-    /// `run::contended`).  `with_lanes(1)` is the sequential
-    /// escape hatch: solo runs use one hierarchy per decode pass, and
-    /// contended runs select the scalar per-seed
-    /// [`crate::contention::ContentionCore`] instead of the lane-batched
-    /// engine (no panic, no silent batching) — kept as the comparison
-    /// baseline of the `campaign_throughput` and `contention_throughput`
-    /// benchmarks.
+    /// `run::contended`); seeded-random campaigns always replay one lane
+    /// per run, since every run has its own schedule.  `with_lanes(1)`
+    /// runs every protocol as one-lane waves on the same engines — the
+    /// comparison baseline of the `campaign_throughput` and
+    /// `contention_throughput` benchmarks, not a different engine.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes.max(1);
         self
@@ -443,9 +450,8 @@ mod tests {
         // The contended analogue of `lanes_and_threads_do_not_change_results`:
         // the full grid of the batching knobs must reproduce one
         // ContendedResult bit-for-bit (per-task cycles *and* stats) against
-        // the sequential scalar reference, for both arbitration policies —
-        // lanes > 1 under round-robin routes through the lane-batched
-        // engine, everything else through the scalar one.
+        // the single-thread one-lane reference, for both arbitration
+        // policies.
         let sources = [stress_trace(), opponent_trace()];
         let seeds: Vec<u64> = (0..11).map(|i| 0xFEED ^ (i * 0x9E37_79B9)).collect();
         for arbitration in crate::contention::Arbitration::ALL {
@@ -473,27 +479,35 @@ mod tests {
     }
 
     #[test]
-    fn with_lanes_one_contended_selects_the_scalar_engine() {
-        // The sequential escape hatch: `with_lanes(1)` must run the scalar
-        // per-seed ContentionCore (not panic, not silently batch) and
-        // reproduce it bit for bit.
-        use crate::contention::{Arbitration, ContentionCore};
+    fn with_lanes_one_contended_runs_one_lane_waves() {
+        // `with_lanes(1)` is not a different engine: every run is a
+        // one-lane replay of the schedule its arbitration draws.
+        use crate::contention::{Arbitration, BatchContentionCore, ContendedSchedule};
+        let config = PlatformConfig::leon3();
         let sources = [stress_trace(), opponent_trace()];
         let seeds = [4u64, 18, 0xC0FFEE];
-        let result = Campaign::new(PlatformConfig::leon3(), 0)
-            .with_threads(1)
-            .with_lanes(1)
-            .run_contended(&sources, &seeds)
-            .unwrap();
-        let mut scalar =
-            ContentionCore::new(&PlatformConfig::leon3(), 2, Arbitration::RoundRobin).unwrap();
-        for (run, &seed) in result.runs().iter().zip(&seeds) {
-            let reference = scalar
-                .execute_contended(sources.iter().map(|s| s.iter().copied()).collect(), seed);
-            assert_eq!(run.seed, seed);
-            let tasks: Vec<(u64, HierarchyStats)> =
-                run.tasks.iter().map(|t| (t.cycles, t.stats)).collect();
-            assert_eq!(tasks, reference);
+        for arbitration in Arbitration::ALL {
+            let result = Campaign::new(config, 0)
+                .with_threads(1)
+                .with_lanes(1)
+                .with_arbitration(arbitration)
+                .run_contended(&sources, &seeds)
+                .unwrap();
+            let mut one_lane = BatchContentionCore::new(&config, 2, 1).unwrap();
+            for (run, &seed) in result.runs().iter().zip(&seeds) {
+                let streams = sources.iter().map(|s| s.iter().copied()).collect();
+                let schedule = match arbitration {
+                    Arbitration::RoundRobin => ContendedSchedule::round_robin(&config, 2, streams),
+                    Arbitration::SeededRandom => {
+                        ContendedSchedule::seeded_random(&config, 2, streams, seed)
+                    }
+                };
+                let reference = one_lane.execute_schedule(&schedule, &[seed]).remove(0);
+                assert_eq!(run.seed, seed);
+                let tasks: Vec<(u64, HierarchyStats)> =
+                    run.tasks.iter().map(|t| (t.cycles, t.stats)).collect();
+                assert_eq!(tasks, reference, "{arbitration} seed {seed}");
+            }
         }
     }
 

@@ -1,17 +1,18 @@
 //! Property-based equivalence of batched and sequential replay.
 //!
-//! The seed-batched engine must be *bit-identical* to the sequential
-//! `InOrderCore` path — same cycle counts and same per-level statistics —
-//! for every placement policy, replacement policy and write policy, on
-//! arbitrary traces and seed sets.  These properties pin the tentpole
-//! guarantee of the data-oriented replay engine.
+//! The seed-batched engine must be *bit-identical* to sequential replay —
+//! each seed alone on a one-lane wave, same cycle counts and same
+//! per-level statistics — for every placement policy, replacement policy
+//! and write policy, on arbitrary traces and seed sets: lanes never
+//! interact.  (The naive reference model of the `reference_model` suite is
+//! the independent oracle both shapes answer to.)
 
 mod common;
 
 use common::{event_strategy, expand, platform};
 use proptest::prelude::*;
 use randmod_core::{Address, PlacementKind, ReplacementKind, WritePolicy};
-use randmod_sim::{BatchCore, Campaign, InOrderCore, PackedTrace, PlatformConfig, Trace};
+use randmod_sim::{BatchCore, Campaign, PackedTrace, PlatformConfig, Trace};
 
 /// A fixed cache-stressing trace for the deterministic edge-case tests.
 fn stress_trace() -> Trace {
@@ -97,30 +98,31 @@ fn run_count_not_divisible_by_threads_times_lanes_matches_sequential() {
 
 #[test]
 fn reseed_between_runs_disarms_the_mru_read_filter() {
-    // The MRU read filter is armed only under Random replacement, where a
-    // repeat read hit mutates no state.  Reseeding between runs flushes
-    // every cache; a stale `mru_line` surviving the flush would turn the
-    // first read of the new run into a phantom hit — a silent wrong
-    // result.  Replaying the same batch twice (execute_batch reseeds every
-    // lane) and checking each run against a freshly constructed sequential
-    // core pins the disarm.
+    // The lane banks' residency filter (an MRU read filter widened to the
+    // whole wave) is armed only under Random replacement, where a repeat
+    // read hit mutates no state.  Reseeding between runs flushes every
+    // cache; a stale filter entry surviving the flush would turn the first
+    // read of the new run into a phantom hit — a silent wrong result.
+    // Replaying the same batch twice (execute_batch reseeds every lane)
+    // and checking each run against a freshly constructed one-lane core
+    // pins the disarm.
     let config = PlatformConfig::leon3()
         .with_l1_placement(PlacementKind::RandomModulo)
         .with_replacement(ReplacementKind::Random);
     let trace = stress_trace();
     let mut batch = BatchCore::new(&config, 4).unwrap();
-    // First batch leaves every lane's MRU filter armed on some line.
+    // First batch leaves every lane's filter armed on some line.
     let first = batch.execute_batch(&trace, &[11, 22, 33, 44]);
     // Second batch with different seeds reuses the same (warm, armed)
-    // lanes; results must match isolated sequential runs exactly.
+    // lanes; results must match fresh sequential runs exactly.
     let seeds = [55u64, 66, 77, 88];
     let second = batch.execute_batch(&trace, &seeds);
-    let mut core = InOrderCore::new(&config).unwrap();
     for (&seed, &(cycles, stats)) in seeds.iter().zip(&second) {
+        let mut fresh = BatchCore::new(&config, 1).unwrap();
         assert_eq!(
-            core.execute_isolated(&trace, seed),
+            fresh.execute_batch(&trace, &[seed])[0],
             (cycles, stats),
-            "stale MRU state leaked across the reseed for seed {seed}"
+            "stale filter state leaked across the reseed for seed {seed}"
         );
     }
     // And re-running the first seeds reproduces the first results.
@@ -158,10 +160,9 @@ proptest! {
         let mut batch = BatchCore::new(&config, seeds.len()).unwrap();
         let batched = batch.execute_batch(&trace, &seeds);
 
-        let mut core = InOrderCore::new(&config).unwrap();
-        for (&seed, &(cycles, stats)) in seeds.iter().zip(&batched) {
-            let (seq_cycles, seq_stats) = core.execute_isolated(&trace, seed);
-            prop_assert_eq!((cycles, stats), (seq_cycles, seq_stats));
+        let mut sequential = BatchCore::new(&config, 1).unwrap();
+        for (&seed, &run) in seeds.iter().zip(&batched) {
+            prop_assert_eq!(run, sequential.execute_batch(&trace, &[seed])[0]);
         }
     }
 

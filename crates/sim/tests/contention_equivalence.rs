@@ -6,33 +6,34 @@
 //! `HierarchyStats` — for every placement policy and both arbitration
 //! policies.  Two layers are pinned:
 //!
-//! * `ContentionCore` itself (the interleaving engine, no fast path)
-//!   against the sequential `InOrderCore` reference, and
+//! * `BatchContentionCore` itself (the interleave-and-replay engine, no
+//!   fast path) against the solo `BatchCore`, and
 //! * `Campaign::run_contended` (which routes idle co-schedules through the
 //!   batched `BatchCore` pool) against `Campaign::run_seeds`.
 //!
 //! A third property pins the execution-geometry invariance of contended
 //! campaigns: one `ContendedResult`, reproduced bit-for-bit across every
-//! lanes × threads grid point, under both round-robin (where `lanes > 1`
-//! selects the lane-batched `BatchContentionCore`) and seeded-random
-//! (where the lane knob is inert and everything stays scalar).
+//! lanes × threads grid point, under both round-robin (where the lane
+//! knob sizes the lane groups of the shared schedule) and seeded-random
+//! (where every run replays its own schedule as a one-lane wave and the
+//! knob is inert).
 
 mod common;
 
 use common::{event_strategy, expand};
 use proptest::prelude::*;
 use randmod_core::{Address, PlacementKind};
-use randmod_sim::contention::{Arbitration, ContentionCore};
-use randmod_sim::{Campaign, InOrderCore, PlatformConfig, Trace};
+use randmod_sim::contention::{Arbitration, BatchContentionCore, ContendedSchedule};
+use randmod_sim::{BatchCore, Campaign, PlatformConfig, Trace};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The interleaving engine with idle opponents is the sequential
-    /// single-task engine, for every placement × arbitration and arbitrary
-    /// traces/seeds.
+    /// The contended engine with idle opponents is the solo engine, for
+    /// every placement × arbitration and arbitrary traces/seeds — one lane
+    /// per seed (the seeded-random shape) and all seeds in one wave.
     #[test]
-    fn contention_core_with_idle_opponents_matches_in_order_core(
+    fn contended_engine_with_idle_opponents_matches_the_solo_engine(
         events in prop::collection::vec(event_strategy(), 1..300),
         seeds in prop::collection::vec(any::<u64>(), 1..5),
         placement_index in 0usize..4,
@@ -41,32 +42,41 @@ proptest! {
     ) {
         let placement = PlacementKind::ALL[placement_index];
         let config = PlatformConfig::leon3().with_l1_placement(placement);
-        let arbitration = if seeded_random {
-            Arbitration::SeededRandom
-        } else {
-            Arbitration::RoundRobin
-        };
         let trace = expand(&events);
-        let mut contended = ContentionCore::new(&config, 1 + opponents, arbitration).unwrap();
-        let mut reference = InOrderCore::new(&config).unwrap();
-        for &seed in &seeds {
+        let tasks = 1 + opponents;
+        let streams = || {
             let mut streams = vec![trace.iter().copied()];
             streams.extend((0..opponents).map(|_| [].iter().copied()));
-            let results = contended.execute_contended(streams, seed);
-            let (ref_cycles, ref_stats) = reference.execute_isolated(&trace, seed);
-            prop_assert_eq!(results[0], (ref_cycles, ref_stats));
+            streams
+        };
+        let solo = BatchCore::new(&config, seeds.len()).unwrap().execute_batch(&trace, &seeds);
+        let mut one_lane = BatchContentionCore::new(&config, tasks, 1).unwrap();
+        for (&seed, &expected) in seeds.iter().zip(&solo) {
+            let schedule = if seeded_random {
+                ContendedSchedule::seeded_random(&config, tasks, streams(), seed)
+            } else {
+                ContendedSchedule::round_robin(&config, tasks, streams())
+            };
+            let results = one_lane.execute_schedule(&schedule, &[seed]).remove(0);
+            prop_assert_eq!(results[0], expected);
             for idle in &results[1..] {
                 prop_assert_eq!(idle.0, 0);
             }
+        }
+        let wave = BatchContentionCore::new(&config, tasks, seeds.len())
+            .unwrap()
+            .execute_schedule(&ContendedSchedule::round_robin(&config, tasks, streams()), &seeds);
+        for (runs, &expected) in wave.iter().zip(&solo) {
+            prop_assert_eq!(runs[0], expected);
         }
     }
 
     /// One contended campaign, every lanes × threads grid point: the
     /// `ContendedResult` must reproduce bit-for-bit — per-task cycles,
     /// per-task statistics, run order — whatever the execution geometry.
-    /// Under round-robin the grid spans the scalar engine (`lanes == 1`),
+    /// Under round-robin the grid spans one-lane waves (`lanes == 1`),
     /// partial batches and full lane groups; under seeded-random every
-    /// point stays on the scalar engine, which must be equally
+    /// run is a one-lane wave of its own schedule, which must be equally
     /// lane-knob-invariant (the knob is simply inert there).
     #[test]
     fn contended_results_are_lane_and_thread_invariant(

@@ -1,32 +1,32 @@
 //! The differential reference model: a deliberately naive, allocation-happy
-//! re-implementation of the cache hierarchy, used as a standing oracle for
-//! the optimised engines.
+//! re-implementation of the cache hierarchy, used as the standing oracle
+//! for the optimised engines.
 //!
 //! `RefCache`/`RefHierarchy` share **no code** with the production model's
-//! hot paths: per-set `Vec`s of line slots instead of flat SoA arrays, a
-//! textbook move-to-front LRU list instead of packed rank vectors, boxed
-//! `dyn PlacementPolicy` dispatch instead of the static enum (which also
-//! bypasses RM's per-segment permutation memo), no MRU read filter, no
-//! run collapsing, no lean counter blocks.  What they *do* share is the
-//! specification: the same placement mathematics, the same
-//! seed→layout derivation, the same replacement and write-policy
-//! semantics, the same latency charging.
+//! hot paths: per-set `Vec`s of line slots instead of lane-major tag
+//! arrays, a textbook move-to-front LRU list instead of packed rank
+//! vectors, boxed `dyn PlacementPolicy` dispatch instead of the static
+//! enum (which also bypasses RM's per-segment permutation memo), no
+//! residency filter, no run collapsing, no lane batching, no lean counter
+//! blocks.  What they *do* share is the specification: the same placement
+//! mathematics, the same seed→layout derivation, the same replacement and
+//! write-policy semantics, the same latency charging.
 //!
 //! The proptests assert cycle- and stats-equality of the reference against
-//! both production engines — the sequential `InOrderCore` and the batched
-//! `BatchCore` — across arbitrary traces × all four placements ×
-//! {LRU, Random} replacement × {write-through, write-back} L1s.  Any
-//! future engine optimisation that changes an observable number fails
-//! here first.
+//! the solo engine — `BatchCore` waves, the campaign seed sweep at one and
+//! at non-multiple lane widths, and the deterministic layout sweep —
+//! across arbitrary traces × all four placements × {LRU, Random}
+//! replacement × {write-through, write-back} L1s.  Any future engine
+//! optimisation that changes an observable number fails here first.
 //!
 //! The contended half does the same for the shared-L2 platform:
 //! `RefSharedL2`/`RefContentionCore` naively re-implement the K-task
 //! hierarchy and both arbitration policies (per-set `Vec`s, `VecDeque`
 //! event queues, per-access statistics snapshots — no run collapsing, no
 //! precomputed schedule, no lane batching) and are proptested against the
-//! scalar `ContentionCore` *and* the full `Campaign::run_contended` path,
-//! which under round-robin routes through the lane-batched
-//! `BatchContentionCore`.
+//! full `Campaign::run_contended` path, which runs `BatchContentionCore`
+//! — multi-lane and one-lane round-robin waves, and one-lane
+//! seeded-random waves.
 //!
 //! `REFERENCE_MODEL_CASES` (env) scales the proptest case count; CI runs
 //! this suite with a larger budget than the local default.
@@ -38,10 +38,10 @@ use proptest::prelude::*;
 use randmod_core::placement::PlacementPolicy;
 use randmod_core::prng::{CombinedLfsr, SplitMix64};
 use randmod_core::{Address, CacheGeometry, CacheStats, PlacementKind, ReplacementKind, WritePolicy};
-use randmod_sim::contention::{Arbitration, ContentionCore};
+use randmod_sim::contention::Arbitration;
 use randmod_sim::hierarchy::HierarchyStats;
 use randmod_sim::trace::MemEvent;
-use randmod_sim::{BatchCore, Campaign, InOrderCore, PlatformConfig, Trace};
+use randmod_sim::{BatchCore, Campaign, PlatformConfig, Trace};
 
 /// The arbitration-RNG salt of the contention engine, restated from its
 /// documented specification (decorrelates interleaving decisions from
@@ -174,8 +174,8 @@ impl RefCache {
     }
 }
 
-/// A naive two-level hierarchy mirroring `MemoryHierarchy`'s latency and
-/// routing specification.
+/// A naive two-level hierarchy mirroring the production hierarchy's
+/// latency and routing specification (`randmod_sim::hierarchy`).
 struct RefHierarchy {
     config: PlatformConfig,
     il1: RefCache,
@@ -198,7 +198,8 @@ impl RefHierarchy {
         }
     }
 
-    /// Mirrors `MemoryHierarchy::reseed`'s per-cache seed derivation.
+    /// Mirrors the production per-cache seed derivation: the IL1, DL1 and
+    /// L2 seeds are the first three draws of `SplitMix64(seed)`.
     fn reseed(&mut self, seed: u64) {
         let mut sm = SplitMix64::new(seed);
         self.il1.reseed(sm.next_u64());
@@ -260,7 +261,8 @@ impl RefHierarchy {
         }
     }
 
-    /// The reference counterpart of `InOrderCore::execute_isolated`.
+    /// One cold run of `trace` under `seed` — the reference counterpart of
+    /// one `BatchCore` lane.
     fn execute_isolated(&mut self, trace: &Trace, seed: u64) -> (u64, HierarchyStats) {
         self.reseed(seed);
         self.reset_stats();
@@ -289,8 +291,8 @@ fn stats_delta(after: CacheStats, before: CacheStats) -> CacheStats {
 }
 
 /// The naive shared-L2 platform: `K` per-task `RefCache` L1 pairs in
-/// front of one shared `RefCache` L2 — the reference counterpart of
-/// `SharedL2Hierarchy`.  Per-task L2 views are attributed the slow way,
+/// front of one shared `RefCache` L2 — the reference counterpart of the
+/// contended engine's lane-banked shared-L2 hierarchy.  Per-task L2 views are attributed the slow way,
 /// by snapshotting the shared cache's statistics around every access.
 struct RefSharedL2 {
     config: PlatformConfig,
@@ -322,7 +324,7 @@ impl RefSharedL2 {
         self.tasks.len()
     }
 
-    /// Mirrors `SharedL2Hierarchy::reseed`'s derivation order: task 0's
+    /// Mirrors the contended engine's per-lane derivation order: task 0's
     /// IL1, task 0's DL1, the shared L2, then the remaining tasks' pairs
     /// — the order that makes a solo victim bit-identical to the
     /// single-task hierarchy.
@@ -410,8 +412,7 @@ impl RefSharedL2 {
 /// [`RefSharedL2`] under the documented arbitration specification —
 /// round-robin visits ready tasks in index order; seeded-random draws a
 /// uniformly random ready task per step from `SplitMix64(seed ^ salt)`.
-/// Shares no code with `ContentionCore`, `ContendedSchedule` or the
-/// lane-batched replay (in particular: no run collapsing, no
+/// Shares no code with `ContendedSchedule` or the lane-batched replay (in particular: no run collapsing, no
 /// precomputed schedule).
 struct RefContentionCore {
     hierarchy: RefSharedL2,
@@ -426,10 +427,10 @@ impl RefContentionCore {
         }
     }
 
-    /// The reference counterpart of `ContentionCore::execute_contended`:
-    /// one contended run, returning `(cycles, stats)` per task in task
-    /// order.  Traces beyond the task count are ignored; missing traces
-    /// behave as idle tasks.
+    /// One contended run — the reference counterpart of one lane of a
+    /// `BatchContentionCore` schedule replay — returning `(cycles, stats)`
+    /// per task in task order.  Traces beyond the task count are ignored;
+    /// missing traces behave as idle tasks.
     fn execute_contended(&mut self, traces: &[Trace], seed: u64) -> Vec<(u64, HierarchyStats)> {
         let tasks = self.hierarchy.task_count();
         self.hierarchy.reseed(seed);
@@ -488,9 +489,9 @@ fn cases() -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// The naive reference reproduces both production engines exactly —
-    /// cycles and full per-level statistics — for every placement ×
-    /// {LRU, Random} × {WT, WB} over arbitrary traces and seeds.
+    /// The naive reference reproduces the solo engine exactly — cycles and
+    /// full per-level statistics — for every placement × {LRU, Random} ×
+    /// {WT, WB} over arbitrary traces and seeds.
     #[test]
     fn production_engines_match_the_reference_model(
         events in prop::collection::vec(event_strategy(), 1..350),
@@ -514,18 +515,16 @@ proptest! {
         let trace = expand(&events);
 
         let mut reference = RefHierarchy::new(config);
-        let mut sequential = InOrderCore::new(&config).unwrap();
         let mut batch = BatchCore::new(&config, seeds.len()).unwrap();
         let batched = batch.execute_batch(&trace, &seeds);
         for (&seed, &batched_result) in seeds.iter().zip(&batched) {
-            let expected = reference.execute_isolated(&trace, seed);
-            prop_assert_eq!(sequential.execute_isolated(&trace, seed), expected);
-            prop_assert_eq!(batched_result, expected);
+            prop_assert_eq!(batched_result, reference.execute_isolated(&trace, seed));
         }
-        // Non-multiple lane widths through the full campaign path (trace
-        // precollapse + partial final lane groups): with 1..6 seeds,
-        // widths 3 and 5 leave a partial trailing group in most cases.
-        for width in [3usize, 5] {
+        // One-lane waves and non-multiple lane widths through the full
+        // campaign path (trace precollapse + partial final lane groups):
+        // with 1..6 seeds, widths 3 and 5 leave a partial trailing group
+        // in most cases.
+        for width in [1usize, 3, 5] {
             let swept = Campaign::new(config, 0)
                 .with_threads(1)
                 .with_lanes(width)
@@ -537,14 +536,14 @@ proptest! {
         }
     }
 
-    /// The naive contention reference reproduces both contended
-    /// production engines exactly — per-task cycles and full per-task
-    /// statistics (private L1s plus each task's view of the shared L2) —
-    /// across arbitrations × placements × co-schedule sizes ×
-    /// {LRU, Random} × {WT, WB}.  The campaign goes through
-    /// `Campaign::run_contended` with several lanes and threads, so under
-    /// round-robin this also pins the lane-batched
-    /// `BatchContentionCore` path against the reference.
+    /// The naive contention reference reproduces the contended engine
+    /// exactly — per-task cycles and full per-task statistics (private L1s
+    /// plus each task's view of the shared L2) — across arbitrations ×
+    /// placements × co-schedule sizes × {LRU, Random} × {WT, WB}.  The
+    /// campaign goes through `Campaign::run_contended` on two threads at
+    /// one lane and at three, so both the one-lane waves (every
+    /// seeded-random run, and `with_lanes(1)`) and the multi-lane
+    /// round-robin groups are pinned against the reference.
     #[test]
     fn contended_engines_match_the_reference_model(
         victim in prop::collection::vec(event_strategy(), 1..200),
@@ -579,32 +578,68 @@ proptest! {
         let tasks = traces.len();
 
         let mut reference = RefContentionCore::new(config, tasks, arbitration);
-        let mut scalar = ContentionCore::new(&config, tasks, arbitration).unwrap();
-        let campaign_result = Campaign::new(config, 0)
-            .with_threads(2)
-            .with_lanes(3)
-            .with_arbitration(arbitration)
-            .run_contended(&traces, &seeds)
-            .unwrap();
-        prop_assert_eq!(campaign_result.len(), seeds.len());
-        for (&seed, run) in seeds.iter().zip(campaign_result.runs()) {
-            let expected = reference.execute_contended(&traces, seed);
-            let scalar_run = scalar
-                .execute_contended(traces.iter().map(|t| t.iter().copied()).collect(), seed);
-            prop_assert_eq!(&scalar_run, &expected);
-            prop_assert_eq!(run.seed, seed);
-            prop_assert_eq!(run.tasks.len(), tasks);
-            for (task_run, &(cycles, stats)) in run.tasks.iter().zip(&expected) {
-                prop_assert_eq!((task_run.cycles, task_run.stats), (cycles, stats));
+        let expected: Vec<_> =
+            seeds.iter().map(|&seed| reference.execute_contended(&traces, seed)).collect();
+        for lanes in [1usize, 3] {
+            let campaign_result = Campaign::new(config, 0)
+                .with_threads(2)
+                .with_lanes(lanes)
+                .with_arbitration(arbitration)
+                .run_contended(&traces, &seeds)
+                .unwrap();
+            prop_assert_eq!(campaign_result.len(), seeds.len());
+            for ((&seed, run), expected) in seeds.iter().zip(campaign_result.runs()).zip(&expected) {
+                prop_assert_eq!(run.seed, seed);
+                prop_assert_eq!(run.tasks.len(), tasks);
+                for (task_run, &(cycles, stats)) in run.tasks.iter().zip(expected) {
+                    prop_assert_eq!((task_run.cycles, task_run.stats), (cycles, stats));
+                }
+            }
+        }
+    }
+
+    /// The deterministic layout sweep replays every layout exactly as the
+    /// reference runs it under seed 0 — on the deterministic platform the
+    /// sweep exists for, and on a randomized one (where seed 0 still fixes
+    /// one random layout per cache).
+    #[test]
+    fn layout_sweep_matches_the_reference_model(
+        events in prop::collection::vec(event_strategy(), 1..300),
+        offsets in prop::collection::vec((0u64..64, 0u64..512), 1..6),
+        placement_index in 0usize..4,
+        replacement_is_lru in any::<bool>(),
+    ) {
+        let trace = expand(&events);
+        let layouts: Vec<Trace> = offsets
+            .iter()
+            .map(|&(code, data)| trace.with_offsets(code * 32, data * 32))
+            .collect();
+        let replacement = if replacement_is_lru {
+            ReplacementKind::Lru
+        } else {
+            ReplacementKind::Random
+        };
+        let randomized =
+            platform(PlacementKind::ALL[placement_index], replacement, WritePolicy::WriteThrough);
+        for config in [PlatformConfig::leon3_deterministic(), randomized] {
+            let sweep = Campaign::new(config, 0)
+                .with_threads(2)
+                .run_layout_sweep_with(layouts.len(), |i| &layouts[i])
+                .unwrap();
+            prop_assert_eq!(sweep.len(), layouts.len());
+            let mut reference = RefHierarchy::new(config);
+            for (index, (run, layout)) in sweep.runs().iter().zip(&layouts).enumerate() {
+                prop_assert_eq!(run.seed, index as u64);
+                prop_assert_eq!((run.cycles, run.stats), reference.execute_isolated(layout, 0));
             }
         }
     }
 }
 
 /// The contended counterpart of the heavy deterministic case: the naive
-/// contention reference against the scalar `ContentionCore` and the
-/// lane-batched campaign path, on an L2-stressing three-task co-schedule,
-/// for every placement × both arbitrations.
+/// contention reference against the campaign path at one lane and at full
+/// width, on an L2-stressing three-task co-schedule, for every placement ×
+/// both arbitrations.
 #[test]
 fn contended_reference_model_agrees_on_a_pressure_stressing_co_schedule() {
     let mut victim = Trace::new();
@@ -628,35 +663,35 @@ fn contended_reference_model_agrees_on_a_pressure_stressing_co_schedule() {
         for arbitration in Arbitration::ALL {
             let config = PlatformConfig::leon3().with_l1_placement(placement);
             let mut reference = RefContentionCore::new(config, traces.len(), arbitration);
-            let mut scalar = ContentionCore::new(&config, traces.len(), arbitration).unwrap();
-            let campaign_result = Campaign::new(config, 0)
-                .with_threads(2)
-                .with_lanes(seeds.len())
-                .with_arbitration(arbitration)
-                .run_contended(&traces, &seeds)
-                .unwrap();
-            for (&seed, run) in seeds.iter().zip(campaign_result.runs()) {
-                let expected = reference.execute_contended(&traces, seed);
-                let scalar_run = scalar
-                    .execute_contended(traces.iter().map(|t| t.iter().copied()).collect(), seed);
-                assert_eq!(
-                    scalar_run, expected,
-                    "scalar diverged from the reference: {placement}/{arbitration} seed {seed}"
-                );
-                let campaign_run: Vec<(u64, HierarchyStats)> =
-                    run.tasks.iter().map(|t| (t.cycles, t.stats)).collect();
-                assert_eq!(
-                    campaign_run, expected,
-                    "campaign diverged from the reference: {placement}/{arbitration} seed {seed}"
-                );
+            let expected: Vec<_> = seeds
+                .iter()
+                .map(|&seed| reference.execute_contended(&traces, seed))
+                .collect();
+            for lanes in [1, seeds.len()] {
+                let campaign_result = Campaign::new(config, 0)
+                    .with_threads(2)
+                    .with_lanes(lanes)
+                    .with_arbitration(arbitration)
+                    .run_contended(&traces, &seeds)
+                    .unwrap();
+                for ((&seed, run), expected) in
+                    seeds.iter().zip(campaign_result.runs()).zip(&expected)
+                {
+                    let campaign_run: Vec<(u64, HierarchyStats)> =
+                        run.tasks.iter().map(|t| (t.cycles, t.stats)).collect();
+                    assert_eq!(
+                        &campaign_run, expected,
+                        "campaign diverged from the reference: {placement}/{arbitration} lanes {lanes} seed {seed}"
+                    );
+                }
             }
         }
     }
 }
 
-/// A deterministic heavy case pinning the reference against both engines
-/// on a capacity-stressing trace (runs even when the proptest budget is
-/// tiny, and gives a stable repro target).
+/// A deterministic heavy case pinning the reference against the solo
+/// engine on a capacity-stressing trace (runs even when the proptest
+/// budget is tiny, and gives a stable repro target).
 #[test]
 fn reference_model_agrees_on_a_capacity_stressing_trace() {
     let mut trace = Trace::new();
@@ -678,16 +713,10 @@ fn reference_model_agrees_on_a_capacity_stressing_trace() {
             for l1_write in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
                 let config = platform(placement, replacement, l1_write);
                 let mut reference = RefHierarchy::new(config);
-                let mut sequential = InOrderCore::new(&config).unwrap();
                 let mut batch = BatchCore::new(&config, seeds.len()).unwrap();
                 let batched = batch.execute_batch(&trace, &seeds);
                 for (&seed, &batched_result) in seeds.iter().zip(&batched) {
                     let expected = reference.execute_isolated(&trace, seed);
-                    assert_eq!(
-                        sequential.execute_isolated(&trace, seed),
-                        expected,
-                        "sequential diverged from the reference: {placement}/{replacement}/{l1_write:?} seed {seed}"
-                    );
                     assert_eq!(
                         batched_result, expected,
                         "batched diverged from the reference: {placement}/{replacement}/{l1_write:?} seed {seed}"
@@ -695,5 +724,34 @@ fn reference_model_agrees_on_a_capacity_stressing_trace() {
                 }
             }
         }
+    }
+}
+
+/// The layout-sweep counterpart of the heavy case: 16 layouts of the
+/// capacity-stressing trace on the deterministic platform, each against
+/// the reference under seed 0.
+#[test]
+fn layout_sweep_reference_model_agrees_on_a_capacity_stressing_trace() {
+    let mut trace = Trace::new();
+    for i in 0..2400u64 {
+        trace.fetch(Address::new(0x1000 + (i % 40) * 4));
+        trace.load(Address::new(0x10_0000 + (i % 900) * 36));
+        if i % 5 == 0 {
+            trace.store(Address::new(0x20_0000 + (i % 700) * 32));
+        }
+    }
+    let config = PlatformConfig::leon3_deterministic();
+    let layout = |i: usize| trace.with_offsets(i as u64 * 96, i as u64 * 4128);
+    let sweep = Campaign::new(config, 0)
+        .with_threads(2)
+        .run_layout_sweep_with(16, layout)
+        .unwrap();
+    let mut reference = RefHierarchy::new(config);
+    for (index, run) in sweep.runs().iter().enumerate() {
+        assert_eq!(
+            (run.cycles, run.stats),
+            reference.execute_isolated(&layout(index), 0),
+            "layout {index} diverged from the reference"
+        );
     }
 }

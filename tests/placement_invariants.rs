@@ -144,16 +144,16 @@ proptest! {
         stride in prop_oneof![Just(32u64), Just(64u64), Just(4096u64)],
         accesses in 10u64..200,
     ) {
-        use randmod::sim::{InOrderCore, PlatformConfig, Trace};
+        use randmod::sim::{BatchCore, PlatformConfig, Trace};
         for placement in PlacementKind::ALL {
             let config = PlatformConfig::leon3().with_l1_placement(placement);
             let mut trace = Trace::new();
             for i in 0..accesses {
                 trace.load(Address::new(0x1000 + i * stride));
             }
-            let mut core = InOrderCore::new(&config).unwrap();
-            let (a, _) = core.execute_isolated(&trace, seed);
-            let (b, _) = core.execute_isolated(&trace, seed);
+            let mut core = BatchCore::new(&config, 1).unwrap();
+            let (a, _) = core.execute_batch(&trace, &[seed])[0];
+            let (b, _) = core.execute_batch(&trace, &[seed])[0];
             prop_assert_eq!(a, b);
         }
     }
