@@ -6,7 +6,7 @@
 //! mapping, with hRP a few lines can pile up in one set with non-negligible
 //! probability, and with RM lines of the same cache segment never collide.
 //! The functions in this module quantify those effects for a given set of
-//! line addresses, and back both the analysis figures and the test-suite.
+//! line addresses, and back the test-suite's placement invariants.
 
 use crate::address::{CacheGeometry, LineAddr};
 use crate::placement::PlacementPolicy;

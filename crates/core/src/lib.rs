@@ -17,31 +17,36 @@
 //!   deterministic modulo, deterministic XOR hashing, hash-based random
 //!   placement (hRP) and Random Modulo (RM).
 //! * [`replacement`] — random / LRU / round-robin replacement.
-//! * [`cache`] — a set-associative cache model with pluggable placement and
-//!   replacement, per-access outcomes and statistics.
+//! * [`cache`] — the set-associative cache model: a bank of K per-seed
+//!   caches probed as one wavefront, with pluggable placement and
+//!   replacement, per-lane outcome flags and statistics.
 //! * [`layout`] — cache-layout census utilities (conflict counting,
-//!   per-set occupancy) used by the analysis figures and the test-suite.
+//!   per-set occupancy) used by the test-suite.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use randmod_core::{CacheGeometry, Address, PlacementKind, ReplacementKind};
-//! use randmod_core::cache::{SetAssocCache, AccessKind, WritePolicy};
+//! use randmod_core::{AccessFlags, CacheGeometry, Address, PlacementKind, ReplacementKind};
+//! use randmod_core::cache::{SetAssocCacheLanes, AccessKind, WritePolicy};
 //!
 //! # fn main() -> Result<(), randmod_core::ConfigError> {
-//! // LEON3-like 16KB, 4-way, 32-byte-line first-level cache.
+//! // Two seed lanes of a LEON3-like 16KB, 4-way, 32-byte-line first-level
+//! // cache.
 //! let geometry = CacheGeometry::new(128, 4, 32)?;
-//! let mut cache = SetAssocCache::new(
+//! let mut cache = SetAssocCacheLanes::with_kinds(
 //!     geometry,
-//!     PlacementKind::RandomModulo.build(geometry)?,
+//!     PlacementKind::RandomModulo,
 //!     ReplacementKind::Random,
 //!     WritePolicy::WriteThrough,
-//! );
-//! cache.reseed(0xDEAD_BEEF_CAFE_F00D);
-//! let outcome = cache.access(Address::new(0x4000_1040), AccessKind::Load);
-//! assert!(outcome.is_miss());
-//! let outcome = cache.access(Address::new(0x4000_1040), AccessKind::Load);
-//! assert!(outcome.is_hit());
+//!     2,
+//! )?;
+//! cache.reseed_wave(&[0xDEAD_BEEF_CAFE_F00D, 7]);
+//! let line = geometry.line_addr(Address::new(0x4000_1040));
+//! let mut flags = [AccessFlags::default(); 2];
+//! cache.access_lean_lanes(line, AccessKind::Load, &mut flags);
+//! assert!(flags.iter().all(|f| f.is_miss()));
+//! cache.access_lean_lanes(line, AccessKind::Load, &mut flags);
+//! assert!(flags.iter().all(|f| f.is_hit()));
 //! # Ok(())
 //! # }
 //! ```
@@ -60,14 +65,11 @@ pub mod prng;
 pub mod replacement;
 
 pub use address::{Address, CacheGeometry, LineAddr};
-pub use cache::{
-    AccessFlags, AccessKind, AccessOutcome, CacheStats, SetAssocCache, SetAssocCacheLanes,
-    WritePolicy,
-};
+pub use cache::{AccessFlags, AccessKind, CacheStats, SetAssocCacheLanes, WritePolicy};
 pub use error::ConfigError;
 pub use placement::{
-    HashRandomPlacement, ModuloPlacement, Placement, PlacementKind, PlacementLanes,
-    PlacementPolicy, RandomModuloPlacement, XorPlacement,
+    HashRandomPlacement, ModuloPlacement, PlacementKind, PlacementLanes, PlacementPolicy,
+    RandomModuloPlacement, XorPlacement,
 };
 pub use prng::{CombinedLfsr, CombinedLfsrLanes, SeedSequence, SplitMix64};
 pub use replacement::{ReplacementKind, ReplacementState};

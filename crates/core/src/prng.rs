@@ -179,9 +179,9 @@ impl CombinedLfsr {
 /// per-lane loop.
 ///
 /// Each lane's stream is bit-identical to a standalone `CombinedLfsr` seeded
-/// with the same value — the batched engine must consume random words in
-/// exactly the per-lane order the scalar engine does, and only for lanes that
-/// actually draw (a lane whose set has an invalid way never advances).
+/// with the same value — the lane bank must consume random words in exactly
+/// the order a lone cache with its own generator does, and only for lanes
+/// that actually draw (a lane whose set has an invalid way never advances).
 ///
 /// ```
 /// use randmod_core::prng::{CombinedLfsr, CombinedLfsrLanes};

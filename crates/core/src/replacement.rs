@@ -12,7 +12,6 @@
 //! * [`ReplacementKind::RoundRobin`] — a FIFO-like pointer per set, common
 //!   in embedded cores (e.g. ARM Cortex-R configurations).
 
-use crate::prng::CombinedLfsr;
 use std::fmt;
 use std::str::FromStr;
 
@@ -76,100 +75,14 @@ impl FromStr for ReplacementKind {
     }
 }
 
-/// Per-set replacement bookkeeping.
-///
-/// The state is deliberately small (a few bytes per set) to mirror the
-/// hardware cost of the policies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplacementSet {
-    kind: ReplacementKind,
-    ways: u32,
-    /// For LRU: `age[w]` is the recency rank of way `w` (0 = most recent).
-    /// For round-robin: `age[0]` holds the next victim pointer.
-    age: Vec<u32>,
-}
-
-impl ReplacementSet {
-    /// Creates replacement state for one set with `ways` ways.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ways` is zero.
-    pub fn new(kind: ReplacementKind, ways: u32) -> Self {
-        assert!(ways > 0, "a set needs at least one way");
-        let age = match kind {
-            ReplacementKind::Lru => (0..ways).collect(),
-            ReplacementKind::RoundRobin => vec![0],
-            ReplacementKind::Random => Vec::new(),
-        };
-        ReplacementSet { kind, ways, age }
-    }
-
-    /// The policy this state implements.
-    pub fn kind(&self) -> ReplacementKind {
-        self.kind
-    }
-
-    /// Notifies the policy that `way` was accessed (hit or fill).
-    pub fn touch(&mut self, way: u32) {
-        debug_assert!(way < self.ways);
-        if self.kind == ReplacementKind::Lru {
-            let old_rank = self.age[way as usize];
-            for rank in self.age.iter_mut() {
-                if *rank < old_rank {
-                    *rank += 1;
-                }
-            }
-            self.age[way as usize] = 0;
-        }
-    }
-
-    /// Selects the way to evict when the set is full.
-    ///
-    /// Random replacement draws from `rng`; the other policies ignore it.
-    pub fn victim(&mut self, rng: &mut CombinedLfsr) -> u32 {
-        match self.kind {
-            ReplacementKind::Random => rng.next_below(self.ways),
-            ReplacementKind::Lru => {
-                let (way, _) = self
-                    .age
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(_, &rank)| rank)
-                    .expect("set has at least one way");
-                way as u32
-            }
-            ReplacementKind::RoundRobin => {
-                let way = self.age[0];
-                self.age[0] = (way + 1) % self.ways;
-                way
-            }
-        }
-    }
-
-    /// Resets the state (used when the cache is flushed on a seed change).
-    pub fn reset(&mut self) {
-        match self.kind {
-            ReplacementKind::Lru => {
-                for (w, rank) in self.age.iter_mut().enumerate() {
-                    *rank = w as u32;
-                }
-            }
-            ReplacementKind::RoundRobin => self.age[0] = 0,
-            ReplacementKind::Random => {}
-        }
-    }
-}
-
 /// Whole-cache replacement bookkeeping in one flat allocation.
 ///
-/// [`ReplacementSet`] keeps one heap allocation per set, which scatters the
-/// replay hot path across the heap.  `ReplacementState` stores the state of
-/// *every* set contiguously, indexed by `set * ways + way` (LRU) or `set`
-/// (round-robin), so a whole cache's replacement metadata is one `Vec<u32>`
-/// that stays resident in a few cache lines.  Behaviour is identical to a
-/// `ReplacementSet` per set, which is what keeps the data-oriented cache
-/// model bit-exact with the original nested layout.
+/// The state of *every* set is stored contiguously, indexed by
+/// `set * ways + way` (LRU) or `set` (round-robin), so a whole cache's
+/// replacement metadata is one `Vec<u32>` that stays resident in a few
+/// cache lines instead of one heap allocation per set.  The state is
+/// deliberately small (a few bytes per set) to mirror the hardware cost of
+/// the policies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplacementState {
     kind: ReplacementKind,
@@ -227,22 +140,14 @@ impl ReplacementState {
         }
     }
 
-    /// Selects the way of `set` to evict when the set is full.
+    /// Selects the way of `set` to evict when the set is full, drawing any
+    /// random word from the caller-supplied `draw` closure (called with the
+    /// way count, at most once, and only under [`ReplacementKind::Random`]).
     ///
-    /// Random replacement draws from `rng`; the other policies ignore it.
-    #[inline]
-    pub fn victim(&mut self, set: u32, rng: &mut CombinedLfsr) -> u32 {
-        self.victim_with(set, |ways| rng.next_below(ways))
-    }
-
-    /// Selects the way of `set` to evict, drawing any random word from the
-    /// caller-supplied `draw` closure (called with the way count, at most
-    /// once, and only under [`ReplacementKind::Random`]).
-    ///
-    /// The lane-batched engine keeps one PRNG *bank* for all seed lanes, so
-    /// it cannot hand over a `&mut CombinedLfsr`; routing both engines
-    /// through this one implementation keeps every policy detail — including
-    /// LRU's choice among equal ranks — in exactly one place.
+    /// The lane bank keeps one PRNG *bank* for all seed lanes, so a lane's
+    /// draw is whatever that bank hands out; the closure keeps the PRNG
+    /// out of this type while every policy detail — including LRU's choice
+    /// among equal ranks — stays here.
     #[inline]
     pub fn victim_with(&mut self, set: u32, draw: impl FnOnce(u32) -> u32) -> u32 {
         debug_assert!(set < self.sets);
@@ -286,6 +191,17 @@ impl ReplacementState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prng::CombinedLfsr;
+
+    /// The draw closure for deterministic policies, which never draw.
+    fn no_draw(_ways: u32) -> u32 {
+        unreachable!("deterministic replacement never draws")
+    }
+
+    /// Replacement state for a single set of `ways` ways.
+    fn one_set(kind: ReplacementKind, ways: u32) -> ReplacementState {
+        ReplacementState::new(kind, 1, ways)
+    }
 
     #[test]
     fn kind_parsing_round_trips() {
@@ -299,52 +215,49 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one way")]
     fn zero_ways_panics() {
-        ReplacementSet::new(ReplacementKind::Lru, 0);
+        one_set(ReplacementKind::Lru, 0);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut set = ReplacementSet::new(ReplacementKind::Lru, 4);
-        let mut rng = CombinedLfsr::new(1);
+        let mut set = one_set(ReplacementKind::Lru, 4);
         // Touch ways in order 0, 1, 2, 3: way 0 is now the LRU.
         for w in 0..4 {
-            set.touch(w);
+            set.touch(0, w);
         }
-        assert_eq!(set.victim(&mut rng), 0);
+        assert_eq!(set.victim_with(0, no_draw), 0);
         // Re-touch way 0; now way 1 is the LRU.
-        set.touch(0);
-        assert_eq!(set.victim(&mut rng), 1);
+        set.touch(0, 0);
+        assert_eq!(set.victim_with(0, no_draw), 1);
     }
 
     #[test]
     fn lru_reset_restores_initial_order() {
-        let mut set = ReplacementSet::new(ReplacementKind::Lru, 4);
-        let mut rng = CombinedLfsr::new(1);
-        set.touch(3);
-        set.touch(0);
+        let mut set = one_set(ReplacementKind::Lru, 4);
+        set.touch(0, 3);
+        set.touch(0, 0);
         set.reset();
         // After reset, the highest-numbered way is the least recent again.
-        assert_eq!(set.victim(&mut rng), 3);
+        assert_eq!(set.victim_with(0, no_draw), 3);
     }
 
     #[test]
     fn round_robin_cycles_through_ways() {
-        let mut set = ReplacementSet::new(ReplacementKind::RoundRobin, 4);
-        let mut rng = CombinedLfsr::new(1);
-        let victims: Vec<u32> = (0..8).map(|_| set.victim(&mut rng)).collect();
+        let mut set = one_set(ReplacementKind::RoundRobin, 4);
+        let victims: Vec<u32> = (0..8).map(|_| set.victim_with(0, no_draw)).collect();
         assert_eq!(victims, vec![0, 1, 2, 3, 0, 1, 2, 3]);
         set.reset();
-        assert_eq!(set.victim(&mut rng), 0);
+        assert_eq!(set.victim_with(0, no_draw), 0);
     }
 
     #[test]
     fn random_victims_cover_all_ways() {
-        let mut set = ReplacementSet::new(ReplacementKind::Random, 4);
+        let mut set = one_set(ReplacementKind::Random, 4);
         let mut rng = CombinedLfsr::new(0xFEED);
         let mut counts = [0u32; 4];
         let draws = 40_000;
         for _ in 0..draws {
-            counts[set.victim(&mut rng) as usize] += 1;
+            counts[set.victim_with(0, |ways| rng.next_below(ways)) as usize] += 1;
         }
         let expected = draws as f64 / 4.0;
         for (w, &c) in counts.iter().enumerate() {
@@ -357,9 +270,9 @@ mod tests {
 
     #[test]
     fn random_touch_is_a_no_op() {
-        let mut set = ReplacementSet::new(ReplacementKind::Random, 2);
+        let mut set = one_set(ReplacementKind::Random, 2);
         let snapshot = set.clone();
-        set.touch(1);
+        set.touch(0, 1);
         assert_eq!(set, snapshot);
     }
 
@@ -367,21 +280,20 @@ mod tests {
     fn single_way_set_always_evicts_way_zero() {
         let mut rng = CombinedLfsr::new(2);
         for kind in ReplacementKind::ALL {
-            let mut set = ReplacementSet::new(kind, 1);
+            let mut set = one_set(kind, 1);
             for _ in 0..10 {
-                assert_eq!(set.victim(&mut rng), 0);
+                assert_eq!(set.victim_with(0, |ways| rng.next_below(ways)), 0);
             }
         }
     }
 
     #[test]
     fn lru_two_way_alternation() {
-        let mut set = ReplacementSet::new(ReplacementKind::Lru, 2);
-        let mut rng = CombinedLfsr::new(3);
-        set.touch(0);
-        assert_eq!(set.victim(&mut rng), 1);
-        set.touch(1);
-        assert_eq!(set.victim(&mut rng), 0);
+        let mut set = one_set(ReplacementKind::Lru, 2);
+        set.touch(0, 0);
+        assert_eq!(set.victim_with(0, no_draw), 1);
+        set.touch(0, 1);
+        assert_eq!(set.victim_with(0, no_draw), 0);
     }
 
     #[test]
@@ -392,14 +304,15 @@ mod tests {
 
     #[test]
     fn flat_state_matches_per_set_state() {
-        // The flat layout must reproduce the per-set ReplacementSet
-        // behaviour exactly for every policy, including after resets.
+        // The flat layout must behave exactly like one independent
+        // single-set state per set — no set's touches or victim picks leak
+        // into another's — for every policy, including after resets.
         let sets = 4u32;
         let ways = 4u32;
         for kind in ReplacementKind::ALL {
             let mut flat = ReplacementState::new(kind, sets, ways);
-            let mut nested: Vec<ReplacementSet> =
-                (0..sets).map(|_| ReplacementSet::new(kind, ways)).collect();
+            let mut nested: Vec<ReplacementState> =
+                (0..sets).map(|_| one_set(kind, ways)).collect();
             assert_eq!(flat.kind(), kind);
             // Two independent RNGs seeded identically so Random replacement
             // draws the same victims on both sides.
@@ -410,10 +323,10 @@ mod tests {
                 let set = driver.next_below(sets);
                 let way = driver.next_below(ways);
                 flat.touch(set, way);
-                nested[set as usize].touch(way);
+                nested[set as usize].touch(0, way);
                 assert_eq!(
-                    flat.victim(set, &mut rng_a),
-                    nested[set as usize].victim(&mut rng_b),
+                    flat.victim_with(set, |w| rng_a.next_below(w)),
+                    nested[set as usize].victim_with(0, |w| rng_b.next_below(w)),
                     "diverged at step {step} (kind {kind})"
                 );
                 if step % 97 == 0 {

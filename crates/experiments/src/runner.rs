@@ -714,8 +714,8 @@ mod tests {
     #[test]
     fn contended_lane_override_does_not_change_the_sample() {
         use randmod_workloads::CoSchedule;
-        // --lanes on a contended campaign switches between the scalar
-        // engine (1), partial batches and full lane groups; every setting
+        // --lanes on a contended campaign switches between one-lane waves
+        // (1), partial batches and full lane groups; every setting
         // must reproduce the same per-task samples bit for bit.
         let kernel = SyntheticKernel::with_traversals(4 * 1024, 2);
         let schedule = CoSchedule::pressure_level(kernel, 2);

@@ -5,19 +5,28 @@
 //! `RefCache`/`RefHierarchy` share **no code** with the production model's
 //! hot paths: per-set `Vec`s of line slots instead of lane-major tag
 //! arrays, a textbook move-to-front LRU list instead of packed rank
-//! vectors, boxed `dyn PlacementPolicy` dispatch instead of the static
-//! enum (which also bypasses RM's per-segment permutation memo), no
-//! residency filter, no run collapsing, no lane batching, no lean counter
-//! blocks.  What they *do* share is the specification: the same placement
+//! vectors, per-set round-robin pointers of its own instead of
+//! `ReplacementState`, the pure boxed `dyn PlacementPolicy` from
+//! `PlacementKind::build` instead of the lane bank's placement memos (the
+//! hRP hash memo and RM's per-segment permutation LUTs), no residency
+//! filter, no run collapsing, no lane batching, no lean counter blocks.
+//! What they *do* share is the specification: the same placement
 //! mathematics, the same seed→layout derivation, the same replacement and
 //! write-policy semantics, the same latency charging.
+//!
+//! The lane-bank oracle drives `SetAssocCacheLanes` — dense waves and
+//! sparse single-lane accesses — against one `RefCache` per lane and
+//! compares every access's outcome (hit, fill, eviction, write-back) for
+//! every placement × replacement × write policy, at partial lane widths
+//! and at the geometry extremes a platform may configure (banks wider
+//! than 32 ways, one set, more sets than the RM memo covers).
 //!
 //! The proptests assert cycle- and stats-equality of the reference against
 //! the solo engine — `BatchCore` waves, the campaign seed sweep at one and
 //! at non-multiple lane widths, and the deterministic layout sweep —
-//! across arbitrary traces × all four placements × {LRU, Random}
-//! replacement × {write-through, write-back} L1s.  Any future engine
-//! optimisation that changes an observable number fails here first.
+//! across arbitrary traces × all four placements × {LRU, Random,
+//! round-robin} replacement × {write-through, write-back} L1s.  Any future
+//! engine optimisation that changes an observable number fails here first.
 //!
 //! The contended half does the same for the shared-L2 platform:
 //! `RefSharedL2`/`RefContentionCore` naively re-implement the K-task
@@ -37,7 +46,10 @@ use common::{event_strategy, expand, platform};
 use proptest::prelude::*;
 use randmod_core::placement::PlacementPolicy;
 use randmod_core::prng::{CombinedLfsr, SplitMix64};
-use randmod_core::{Address, CacheGeometry, CacheStats, PlacementKind, ReplacementKind, WritePolicy};
+use randmod_core::{
+    AccessFlags, AccessKind, Address, CacheGeometry, CacheStats, PlacementKind, ReplacementKind,
+    SetAssocCacheLanes, WritePolicy,
+};
 use randmod_sim::contention::Arbitration;
 use randmod_sim::hierarchy::HierarchyStats;
 use randmod_sim::trace::MemEvent;
@@ -55,8 +67,31 @@ struct RefLine {
     dirty: bool,
 }
 
+/// What one access did to a cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct RefOutcome {
+    hit: bool,
+    /// A line was brought in (write-through store misses do not allocate).
+    filled: bool,
+    /// The fill displaced a valid line.
+    evicted: bool,
+    /// The displaced line was dirty.
+    wrote_back: bool,
+}
+
+impl From<AccessFlags> for RefOutcome {
+    fn from(flags: AccessFlags) -> Self {
+        RefOutcome {
+            hit: flags.is_hit(),
+            filled: flags.filled(),
+            evicted: flags.evicted(),
+            wrote_back: flags.wrote_back(),
+        }
+    }
+}
+
 /// A naive set-associative cache: one `Vec<Option<RefLine>>` per set plus
-/// a move-to-front recency list per set.
+/// a move-to-front recency list and a round-robin pointer per set.
 struct RefCache {
     geometry: CacheGeometry,
     placement: Box<dyn PlacementPolicy>,
@@ -67,6 +102,9 @@ struct RefCache {
     /// `recency[set]` — way indices, most recent first (LRU victim at the
     /// back).  Maintained for every policy, consulted only by LRU.
     recency: Vec<Vec<u32>>,
+    /// `next_victim[set]` — the round-robin victim pointer: the way the
+    /// next victim pick in that set takes.
+    next_victim: Vec<u32>,
     rng: CombinedLfsr,
     stats: CacheStats,
 }
@@ -87,13 +125,15 @@ impl RefCache {
             write_policy,
             slots: vec![vec![None; ways]; sets],
             recency: (0..sets).map(|_| (0..ways as u32).collect()).collect(),
+            next_victim: vec![0; sets],
             rng: CombinedLfsr::new(0),
             stats: CacheStats::default(),
         }
     }
 
-    /// Mirrors `SetAssocCache::reseed`: new placement layout, fresh
-    /// replacement RNG (same salt), full flush.
+    /// Mirrors one lane of `SetAssocCacheLanes::reseed_wave`: new
+    /// placement layout, fresh replacement RNG (same salt), full flush,
+    /// replacement state back to its initial order.
     fn reseed(&mut self, seed: u64) {
         self.placement.reseed(seed);
         self.rng = CombinedLfsr::new(seed ^ 0x5EED_5EED_5EED_5EED);
@@ -103,6 +143,7 @@ impl RefCache {
         for order in &mut self.recency {
             *order = (0..self.geometry.ways()).collect();
         }
+        self.next_victim.fill(0);
         self.stats.flushes += 1;
     }
 
@@ -117,9 +158,8 @@ impl RefCache {
         order.insert(0, way);
     }
 
-    /// One access; returns `(hit, latency-relevant miss info unused by the
-    /// caller — the hierarchy recomputes it from `hit`)`.
-    fn access(&mut self, addr: Address, is_write: bool) -> bool {
+    /// One access and everything it did.
+    fn access(&mut self, addr: Address, is_write: bool) -> RefOutcome {
         let line = self.geometry.line_addr(addr).raw();
         let set = self.placement.set_index_of_line(self.geometry.line_addr(addr)) as usize;
         self.stats.accesses += 1;
@@ -137,13 +177,16 @@ impl RefCache {
             if is_write && self.write_policy == WritePolicy::WriteBack {
                 self.slots[set][way].as_mut().expect("hit line").dirty = true;
             }
-            return true;
+            return RefOutcome {
+                hit: true,
+                ..RefOutcome::default()
+            };
         }
 
         self.stats.misses += 1;
         // Write-through store misses do not allocate.
         if is_write && self.write_policy == WritePolicy::WriteThrough {
-            return false;
+            return RefOutcome::default();
         }
 
         // Prefer the first invalid way, exactly like the production probe.
@@ -154,11 +197,14 @@ impl RefCache {
                 ReplacementKind::Random => self.rng.next_below(self.geometry.ways()) as usize,
                 ReplacementKind::Lru => *self.recency[set].last().expect("non-empty set") as usize,
                 ReplacementKind::RoundRobin => {
-                    unimplemented!("the reference model covers LRU and Random")
+                    let way = self.next_victim[set];
+                    self.next_victim[set] = (way + 1) % self.geometry.ways();
+                    way as usize
                 }
             }
         };
-        if let Some(victim) = self.slots[set][way] {
+        let victim = self.slots[set][way];
+        if let Some(victim) = victim {
             self.stats.evictions += 1;
             if victim.dirty {
                 self.stats.writebacks += 1;
@@ -170,7 +216,12 @@ impl RefCache {
         });
         self.stats.fills += 1;
         self.touch(set, way as u32);
-        false
+        RefOutcome {
+            hit: false,
+            filled: true,
+            evicted: victim.is_some(),
+            wrote_back: victim.is_some_and(|v| v.dirty),
+        }
     }
 }
 
@@ -228,14 +279,14 @@ impl RefHierarchy {
         match event {
             MemEvent::Compute(cycles) => cycles as u64,
             MemEvent::InstrFetch(addr) => {
-                if self.il1.access(addr, false) {
+                if self.il1.access(addr, false).hit {
                     lat.l1_hit as u64
                 } else {
                     self.fill_from_l2(addr) + lat.l1_hit as u64
                 }
             }
             MemEvent::Load(addr) => {
-                if self.dl1.access(addr, false) {
+                if self.dl1.access(addr, false).hit {
                     lat.l1_hit as u64
                 } else {
                     self.fill_from_l2(addr) + lat.l1_hit as u64
@@ -243,7 +294,7 @@ impl RefHierarchy {
             }
             MemEvent::Store(addr) => {
                 self.dl1.access(addr, true);
-                if !self.l2.access(addr, true) {
+                if !self.l2.access(addr, true).hit {
                     self.memory_accesses += 1;
                 }
                 lat.store as u64
@@ -253,7 +304,7 @@ impl RefHierarchy {
 
     fn fill_from_l2(&mut self, addr: Address) -> u64 {
         let lat = self.config.latencies;
-        if self.l2.access(addr, false) {
+        if self.l2.access(addr, false).hit {
             lat.l2_hit as u64
         } else {
             self.memory_accesses += 1;
@@ -368,14 +419,14 @@ impl RefSharedL2 {
         match event {
             MemEvent::Compute(cycles) => cycles as u64,
             MemEvent::InstrFetch(addr) => {
-                if self.tasks[task].0.access(addr, false) {
+                if self.tasks[task].0.access(addr, false).hit {
                     lat.l1_hit as u64
                 } else {
                     self.fill_from_l2(task, addr) + lat.l1_hit as u64
                 }
             }
             MemEvent::Load(addr) => {
-                if self.tasks[task].1.access(addr, false) {
+                if self.tasks[task].1.access(addr, false).hit {
                     lat.l1_hit as u64
                 } else {
                     self.fill_from_l2(task, addr) + lat.l1_hit as u64
@@ -384,7 +435,7 @@ impl RefSharedL2 {
             MemEvent::Store(addr) => {
                 self.tasks[task].1.access(addr, true);
                 let before = self.l2.stats;
-                let hit = self.l2.access(addr, true);
+                let hit = self.l2.access(addr, true).hit;
                 self.l2_views[task] = self.l2_views[task].merged(stats_delta(self.l2.stats, before));
                 if !hit {
                     self.memory_accesses[task] += 1;
@@ -397,7 +448,7 @@ impl RefSharedL2 {
     fn fill_from_l2(&mut self, task: usize, addr: Address) -> u64 {
         let lat = self.config.latencies;
         let before = self.l2.stats;
-        let hit = self.l2.access(addr, false);
+        let hit = self.l2.access(addr, false).hit;
         self.l2_views[task] = self.l2_views[task].merged(stats_delta(self.l2.stats, before));
         if hit {
             lat.l2_hit as u64
@@ -486,26 +537,155 @@ fn cases() -> u32 {
         .unwrap_or(20)
 }
 
+/// Drives a lane bank and one `RefCache` per active lane through the same
+/// access stream — dense waves with sparse single-lane accesses mixed in,
+/// and a reseed of every lane halfway through — and asserts the same
+/// outcome on every lane of every access.
+fn assert_lane_bank_matches_reference(
+    geometry: CacheGeometry,
+    placement: PlacementKind,
+    replacement: ReplacementKind,
+    write_policy: WritePolicy,
+    active: usize,
+    capacity: usize,
+) {
+    let mut bank =
+        SetAssocCacheLanes::with_kinds(geometry, placement, replacement, write_policy, capacity)
+            .unwrap();
+    let seeds: Vec<u64> = (0..active as u64).map(|i| i * 0x9E37_79B9 + 0xFEED).collect();
+    bank.reseed_wave(&seeds);
+    assert_eq!(bank.active_lanes(), active);
+    let mut references: Vec<RefCache> = seeds
+        .iter()
+        .map(|&seed| {
+            let mut cache = RefCache::new(geometry, placement, replacement, write_policy);
+            cache.reseed(seed);
+            cache
+        })
+        .collect();
+    // Half the accesses revisit a working set twice the cache's capacity
+    // (hits, evictions, residency-filter traffic); the rest stream over
+    // 2^16 lines.
+    let hot_lines = 2 * u64::from(geometry.sets() * geometry.ways());
+    let mut sm = SplitMix64::new(0x1234);
+    let mut flags = vec![AccessFlags::default(); active];
+    let context =
+        format!("{geometry:?} {placement}/{replacement}/{write_policy:?} {active}/{capacity}");
+    for step in 0..4_000u64 {
+        if step == 2_000 {
+            // A mid-stream reseed must flush every lane and restart its
+            // replacement state and victim draws, as a fresh cache would.
+            let reseeds: Vec<u64> = seeds.iter().map(|seed| !seed).collect();
+            bank.reseed_wave(&reseeds);
+            for (reference, &seed) in references.iter_mut().zip(&reseeds) {
+                reference.reseed(seed);
+            }
+        }
+        let r = sm.next_u64();
+        let line_number = if r & 1 == 0 { (r >> 1) % hot_lines } else { (r >> 1) & 0xFFFF };
+        let addr = Address::new(line_number * u64::from(geometry.line_size()));
+        let kind = match step % 5 {
+            0 | 1 => AccessKind::Load,
+            2 => AccessKind::Store,
+            _ => AccessKind::InstructionFetch,
+        };
+        let line = geometry.line_addr(addr);
+        if step % 7 == 3 {
+            // Sparse single-lane access (the L2 read-wave path).
+            let lane = (step % active as u64) as usize;
+            assert_eq!(
+                RefOutcome::from(bank.access_lean_lane(lane, line, kind)),
+                references[lane].access(addr, kind.is_write()),
+                "{context} sparse lane {lane} step {step}"
+            );
+        } else {
+            bank.access_lean_lanes(line, kind, &mut flags);
+            for (lane, reference) in references.iter_mut().enumerate() {
+                assert_eq!(
+                    RefOutcome::from(flags[lane]),
+                    reference.access(addr, kind.is_write()),
+                    "{context} lane {lane} step {step}"
+                );
+            }
+        }
+    }
+}
+
+/// Runs `check` for every placement × replacement × write policy.
+fn for_every_policy_mix(mut check: impl FnMut(PlacementKind, ReplacementKind, WritePolicy)) {
+    for placement in PlacementKind::ALL {
+        for replacement in ReplacementKind::ALL {
+            for write_policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
+                check(placement, replacement, write_policy);
+            }
+        }
+    }
+}
+
+#[test]
+fn lane_bank_matches_reference_caches_for_every_policy_mix() {
+    let geometry = CacheGeometry::new(8, 4, 32).unwrap();
+    for_every_policy_mix(|placement, replacement, write_policy| {
+        assert_lane_bank_matches_reference(geometry, placement, replacement, write_policy, 4, 4);
+    });
+}
+
+#[test]
+fn lane_bank_partial_waves_match_reference_caches() {
+    // Non-multiple widths and partial final chunks: active < capacity,
+    // including a single active lane and odd counts.
+    let geometry = CacheGeometry::new(8, 4, 32).unwrap();
+    for (active, capacity) in [(1usize, 8usize), (3, 8), (5, 8), (3, 3), (7, 16)] {
+        for_every_policy_mix(|placement, replacement, write_policy| {
+            assert_lane_bank_matches_reference(
+                geometry,
+                placement,
+                replacement,
+                write_policy,
+                active,
+                capacity,
+            );
+        });
+    }
+}
+
+#[test]
+fn lane_bank_matches_reference_caches_at_geometry_extremes() {
+    // Geometries a platform or server spec may configure but the other
+    // suites never reach: banks wider than 32 ways (the select-chain
+    // probe), a single fully associative set (no index bits), and more
+    // sets than the RM memo covers (the unmemoized network walk).
+    for (sets, ways) in [(2, 48), (4, 33), (1, 40), (8192, 2)] {
+        let geometry = CacheGeometry::new(sets, ways, 32).unwrap();
+        for_every_policy_mix(|placement, replacement, write_policy| {
+            assert_lane_bank_matches_reference(
+                geometry,
+                placement,
+                replacement,
+                write_policy,
+                3,
+                4,
+            );
+        });
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// The naive reference reproduces the solo engine exactly — cycles and
-    /// full per-level statistics — for every placement × {LRU, Random} ×
-    /// {WT, WB} over arbitrary traces and seeds.
+    /// full per-level statistics — for every placement × {LRU, Random,
+    /// round-robin} × {WT, WB} over arbitrary traces and seeds.
     #[test]
     fn production_engines_match_the_reference_model(
         events in prop::collection::vec(event_strategy(), 1..350),
         seeds in prop::collection::vec(any::<u64>(), 1..6),
         placement_index in 0usize..4,
-        replacement_is_lru in any::<bool>(),
+        replacement_index in 0usize..3,
         write_back_l1 in any::<bool>(),
     ) {
         let placement = PlacementKind::ALL[placement_index];
-        let replacement = if replacement_is_lru {
-            ReplacementKind::Lru
-        } else {
-            ReplacementKind::Random
-        };
+        let replacement = ReplacementKind::ALL[replacement_index];
         let l1_write = if write_back_l1 {
             WritePolicy::WriteBack
         } else {
@@ -539,9 +719,9 @@ proptest! {
     /// The naive contention reference reproduces the contended engine
     /// exactly — per-task cycles and full per-task statistics (private L1s
     /// plus each task's view of the shared L2) — across arbitrations ×
-    /// placements × co-schedule sizes × {LRU, Random} × {WT, WB}.  The
-    /// campaign goes through `Campaign::run_contended` on two threads at
-    /// one lane and at three, so both the one-lane waves (every
+    /// placements × co-schedule sizes × {LRU, Random, round-robin} × {WT,
+    /// WB}.  The campaign goes through `Campaign::run_contended` on two
+    /// threads at one lane and at three, so both the one-lane waves (every
     /// seeded-random run, and `with_lanes(1)`) and the multi-lane
     /// round-robin groups are pinned against the reference.
     #[test]
@@ -552,15 +732,11 @@ proptest! {
         seeds in prop::collection::vec(any::<u64>(), 1..5),
         placement_index in 0usize..4,
         seeded_random in any::<bool>(),
-        replacement_is_lru in any::<bool>(),
+        replacement_index in 0usize..3,
         write_back_l1 in any::<bool>(),
     ) {
         let placement = PlacementKind::ALL[placement_index];
-        let replacement = if replacement_is_lru {
-            ReplacementKind::Lru
-        } else {
-            ReplacementKind::Random
-        };
+        let replacement = ReplacementKind::ALL[replacement_index];
         let l1_write = if write_back_l1 {
             WritePolicy::WriteBack
         } else {
@@ -607,18 +783,14 @@ proptest! {
         events in prop::collection::vec(event_strategy(), 1..300),
         offsets in prop::collection::vec((0u64..64, 0u64..512), 1..6),
         placement_index in 0usize..4,
-        replacement_is_lru in any::<bool>(),
+        replacement_index in 0usize..3,
     ) {
         let trace = expand(&events);
         let layouts: Vec<Trace> = offsets
             .iter()
             .map(|&(code, data)| trace.with_offsets(code * 32, data * 32))
             .collect();
-        let replacement = if replacement_is_lru {
-            ReplacementKind::Lru
-        } else {
-            ReplacementKind::Random
-        };
+        let replacement = ReplacementKind::ALL[replacement_index];
         let randomized =
             platform(PlacementKind::ALL[placement_index], replacement, WritePolicy::WriteThrough);
         for config in [PlatformConfig::leon3_deterministic(), randomized] {
@@ -691,7 +863,8 @@ fn contended_reference_model_agrees_on_a_pressure_stressing_co_schedule() {
 
 /// A deterministic heavy case pinning the reference against the solo
 /// engine on a capacity-stressing trace (runs even when the proptest
-/// budget is tiny, and gives a stable repro target).
+/// budget is tiny, and gives a stable repro target): one multi-lane wave,
+/// and a one-lane sweep that reuses each bank from run to run.
 #[test]
 fn reference_model_agrees_on_a_capacity_stressing_trace() {
     let mut trace = Trace::new();
@@ -709,17 +882,28 @@ fn reference_model_agrees_on_a_capacity_stressing_trace() {
     }
     let seeds = [0u64, 7, 0xDEAD_BEEF, u64::MAX];
     for placement in PlacementKind::ALL {
-        for replacement in [ReplacementKind::Lru, ReplacementKind::Random] {
+        for replacement in ReplacementKind::ALL {
             for l1_write in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
                 let config = platform(placement, replacement, l1_write);
                 let mut reference = RefHierarchy::new(config);
                 let mut batch = BatchCore::new(&config, seeds.len()).unwrap();
                 let batched = batch.execute_batch(&trace, &seeds);
-                for (&seed, &batched_result) in seeds.iter().zip(&batched) {
+                let swept = Campaign::new(config, 0)
+                    .with_threads(1)
+                    .with_lanes(1)
+                    .run_seeds(&trace, &seeds)
+                    .unwrap();
+                let runs = seeds.iter().zip(&batched).zip(swept.runs());
+                for ((&seed, &batched_result), run) in runs {
                     let expected = reference.execute_isolated(&trace, seed);
                     assert_eq!(
                         batched_result, expected,
                         "batched diverged from the reference: {placement}/{replacement}/{l1_write:?} seed {seed}"
+                    );
+                    assert_eq!(
+                        (run.cycles, run.stats),
+                        expected,
+                        "one-lane sweep diverged from the reference: {placement}/{replacement}/{l1_write:?} seed {seed}"
                     );
                 }
             }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use randmod::core::benes::BenesNetwork;
-use randmod::core::cache::{AccessKind, SetAssocCache, WritePolicy};
+use randmod::core::cache::{AccessFlags, AccessKind, SetAssocCacheLanes, WritePolicy};
 use randmod::core::layout::intra_segment_conflicts;
 use randmod::core::{Address, CacheGeometry, LineAddr, PlacementKind, ReplacementKind};
 
@@ -119,19 +119,22 @@ proptest! {
         seed in any::<u64>(),
         raw in 0u64..0xFFFF_FFFF,
     ) {
+        let line = geometry.line_addr(Address::new(raw));
         for placement in PlacementKind::ALL {
             for replacement in ReplacementKind::ALL {
-                let mut cache = SetAssocCache::with_kinds(
+                let mut cache = SetAssocCacheLanes::with_kinds(
                     geometry,
                     placement,
                     replacement,
                     WritePolicy::WriteThrough,
+                    1,
                 ).unwrap();
-                cache.reseed(seed);
-                let addr = Address::new(raw);
-                cache.access(addr, AccessKind::Load);
-                prop_assert!(cache.contains(addr));
-                prop_assert!(cache.access(addr, AccessKind::Load).is_hit());
+                cache.reseed_wave(&[seed]);
+                let mut flags = [AccessFlags::default()];
+                cache.access_lean_lanes(line, AccessKind::Load, &mut flags);
+                prop_assert!(flags[0].is_miss() && flags[0].filled());
+                cache.access_lean_lanes(line, AccessKind::Load, &mut flags);
+                prop_assert!(flags[0].is_hit());
             }
         }
     }
