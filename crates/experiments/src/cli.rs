@@ -1,4 +1,6 @@
-//! Minimal command-line parsing shared by the experiment binaries.
+//! Minimal command-line parsing shared by the experiment binaries: the
+//! run-count, seed and throughput knobs, the adaptive-campaign options,
+//! and `--store DIR`, the one persistence option.
 
 use crate::{DEFAULT_CAMPAIGN_SEED, DEFAULT_RUNS, MIN_RUNS};
 
@@ -29,22 +31,12 @@ pub struct ExperimentOptions {
     /// Adaptive run cap override (`--max-runs N`); `None` keeps
     /// [`crate::runner::DEFAULT_ADAPTIVE_MAX_RUNS`].
     pub max_runs: Option<usize>,
-    /// Shard-count override for the fixed-run campaigns (`--shards N`);
-    /// `None` runs unsharded unless `--checkpoint` implies sharding with
-    /// [`crate::runner::DEFAULT_SHARDS`].
-    pub shards: Option<usize>,
-    /// Checkpoint directory (`--checkpoint DIR`): persist completed shards
-    /// there so an interrupted campaign can be resumed.
-    pub checkpoint: Option<String>,
-    /// Resume mode (`--resume`): reuse an existing checkpoint instead of
-    /// clearing it and starting fresh.  Only meaningful with
-    /// `--checkpoint`.
-    pub resume: bool,
-    /// Campaign-server address (`--server ADDR`, e.g. `127.0.0.1:7878`):
-    /// submit fixed-run campaigns to a running `randmod-server` instead of
-    /// simulating locally, so repeated experiment invocations share its
-    /// content-addressed result cache.
-    pub server: Option<String>,
+    /// Result-store directory (`--store DIR`): every fixed-run campaign
+    /// runs in [`crate::runner::STORE_SHARDS`] shards, each persisted to
+    /// the campaign's fingerprint-named entry there as it completes, and
+    /// whatever an entry already holds is reused — an interrupted campaign
+    /// resumes, a finished one is never simulated twice.
+    pub store: Option<String>,
 }
 
 impl Default for ExperimentOptions {
@@ -58,10 +50,7 @@ impl Default for ExperimentOptions {
             adaptive: false,
             target_cv: None,
             max_runs: None,
-            shards: None,
-            checkpoint: None,
-            resume: false,
-            server: None,
+            store: None,
         }
     }
 }
@@ -188,23 +177,9 @@ impl ExperimentOptions {
                         }
                     }
                 }
-                "--shards" => {
-                    if let Some(value) = numeric_value(&args, &mut i, "--shards", &mut warnings) {
-                        options.shards = Some(value);
-                    }
-                }
-                "--checkpoint" => {
-                    if let Some(value) = string_value(&args, &mut i, "--checkpoint", &mut warnings)
-                    {
-                        options.checkpoint = Some(value);
-                    }
-                }
-                "--resume" => {
-                    options.resume = true;
-                }
-                "--server" => {
-                    if let Some(value) = string_value(&args, &mut i, "--server", &mut warnings) {
-                        options.server = Some(value);
+                "--store" => {
+                    if let Some(value) = string_value(&args, &mut i, "--store", &mut warnings) {
+                        options.store = Some(value);
                     }
                 }
                 "--adaptive" => {
@@ -246,51 +221,16 @@ impl ExperimentOptions {
                 options.max_runs = Some(MIN_RUNS);
             }
         }
-        if options.shards == Some(0) {
-            warnings.push("--shards: 0 is not a valid shard count; using the default".into());
-            options.shards = None;
-        }
-        if options.resume && options.checkpoint.is_none() {
-            warnings
-                .push("--resume has no effect without --checkpoint; flag ignored".into());
-            options.resume = false;
-        }
         // The adaptive driver grows the campaign sequentially until the
         // pWCET estimate converges; its run count is not a pure function of
-        // the options, so there is no fixed schedule to shard or resume.
-        if options.adaptive && (options.shards.is_some() || options.checkpoint.is_some()) {
+        // the options, so there is no fixed schedule to shard and store.
+        if options.adaptive && options.store.is_some() {
             warnings.push(
-                "--adaptive campaigns grow until convergence and cannot be sharded or \
-                 checkpointed; --shards/--checkpoint/--resume ignored"
+                "--adaptive campaigns grow until convergence and cannot be stored; \
+                 --store ignored"
                     .into(),
             );
-            options.shards = None;
-            options.checkpoint = None;
-            options.resume = false;
-        }
-        // Client mode offloads the whole fixed schedule to the server,
-        // whose content-addressed store already provides the persistence
-        // --checkpoint would; and the adaptive driver streams its
-        // trajectory interactively, which the batch client cannot consume.
-        if options.server.is_some() && options.adaptive {
-            warnings.push(
-                "--adaptive campaigns run locally (the client mode consumes whole samples, \
-                 not convergence streams); --server ignored"
-                    .into(),
-            );
-            options.server = None;
-        }
-        if options.server.is_some()
-            && (options.shards.is_some() || options.checkpoint.is_some())
-        {
-            warnings.push(
-                "--server campaigns are cached by the server's result store; \
-                 --shards/--checkpoint/--resume ignored"
-                    .into(),
-            );
-            options.shards = None;
-            options.checkpoint = None;
-            options.resume = false;
+            options.store = None;
         }
         (options, warnings)
     }
@@ -343,27 +283,9 @@ impl ExperimentOptions {
         self
     }
 
-    /// Returns the options with a shard-count override.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
-    /// Returns the options with a checkpoint directory.
-    pub fn with_checkpoint(mut self, dir: impl Into<String>) -> Self {
-        self.checkpoint = Some(dir.into());
-        self
-    }
-
-    /// Returns the options with resume mode enabled.
-    pub fn with_resume(mut self) -> Self {
-        self.resume = true;
-        self
-    }
-
-    /// Returns the options with a campaign-server address.
-    pub fn with_server(mut self, addr: impl Into<String>) -> Self {
-        self.server = Some(addr.into());
+    /// Returns the options with a result-store directory.
+    pub fn with_store(mut self, dir: impl Into<String>) -> Self {
+        self.store = Some(dir.into());
         self
     }
 }
@@ -462,9 +384,7 @@ mod tests {
 
     #[test]
     fn each_flag_warns_on_a_malformed_value() {
-        for flag in
-            ["--runs", "--seed", "--threads", "--lanes", "--max-runs", "--target-cv", "--shards"]
-        {
+        for flag in ["--runs", "--seed", "--threads", "--lanes", "--max-runs", "--target-cv"] {
             let (options, warnings) = ExperimentOptions::parse_with_warnings([flag, "bogus"]);
             assert_eq!(options, ExperimentOptions::default(), "{flag} changed the options");
             assert_eq!(warnings.len(), 1, "{flag}: {warnings:?}");
@@ -515,13 +435,15 @@ mod tests {
             .with_threads(3)
             .with_adaptive()
             .with_max_runs(400)
-            .with_target_cv(0.02);
+            .with_target_cv(0.02)
+            .with_store("/tmp/state");
         assert_eq!(options.runs, 77);
         assert_eq!(options.campaign_seed, 9);
         assert_eq!(options.threads, Some(3));
         assert!(options.adaptive);
         assert_eq!(options.max_runs, Some(400));
         assert_eq!(options.target_cv, Some(0.02));
+        assert_eq!(options.store.as_deref(), Some("/tmp/state"));
     }
 
     #[test]
@@ -547,138 +469,39 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_checkpoint_flags_are_parsed() {
-        let options =
-            ExperimentOptions::parse(["--shards", "8", "--checkpoint", "/tmp/ckpt", "--resume"]);
-        assert_eq!(options.shards, Some(8));
-        assert_eq!(options.checkpoint.as_deref(), Some("/tmp/ckpt"));
-        assert!(options.resume);
-        // Checkpoint alone is fine: the runner supplies a default shard
-        // count.
-        let options = ExperimentOptions::parse(["--checkpoint", "state"]);
-        assert_eq!(options.shards, None);
-        assert_eq!(options.checkpoint.as_deref(), Some("state"));
-        assert!(!options.resume);
-    }
-
-    #[test]
-    fn zero_shards_warn_and_fall_back_to_the_default() {
-        let (options, warnings) = ExperimentOptions::parse_with_warnings(["--shards", "0"]);
-        assert_eq!(options.shards, None);
-        assert!(warnings[0].contains("--shards"), "{warnings:?}");
+    fn store_flag_is_parsed() {
+        let options = ExperimentOptions::parse(["--store", "/tmp/results", "--quick"]);
+        assert_eq!(options.store.as_deref(), Some("/tmp/results"));
+        assert!(options.quick);
+        assert_eq!(ExperimentOptions::default().store, None);
     }
 
     #[test]
     fn checkpoint_does_not_swallow_a_following_flag() {
-        let (options, warnings) =
-            ExperimentOptions::parse_with_warnings(["--checkpoint", "--quick"]);
-        assert_eq!(options.checkpoint, None);
+        // `--store` names the directory the campaigns' checkpoints live in.
+        let (options, warnings) = ExperimentOptions::parse_with_warnings(["--store", "--quick"]);
+        assert_eq!(options.store, None);
         assert!(options.quick, "--quick must still be scanned");
-        assert!(warnings[0].contains("--checkpoint"), "{warnings:?}");
+        assert!(warnings[0].contains("--store"), "{warnings:?}");
 
-        let (options, warnings) = ExperimentOptions::parse_with_warnings(["--checkpoint"]);
-        assert_eq!(options.checkpoint, None);
+        let (options, warnings) = ExperimentOptions::parse_with_warnings(["--store"]);
+        assert_eq!(options.store, None);
         assert!(warnings[0].contains("expects a value"), "{warnings:?}");
-    }
-
-    #[test]
-    fn resume_without_a_checkpoint_warns_and_is_ignored() {
-        let (options, warnings) = ExperimentOptions::parse_with_warnings(["--resume"]);
-        assert!(!options.resume);
-        assert!(warnings[0].contains("--resume"), "{warnings:?}");
-        // Order independent: --resume before --checkpoint still sticks.
-        let (options, warnings) =
-            ExperimentOptions::parse_with_warnings(["--resume", "--checkpoint", "dir"]);
-        assert!(options.resume);
-        assert!(warnings.is_empty(), "{warnings:?}");
     }
 
     #[test]
     fn adaptive_mode_rejects_sharding_and_checkpointing() {
-        let (options, warnings) = ExperimentOptions::parse_with_warnings([
-            "--adaptive",
-            "--shards",
-            "4",
-            "--checkpoint",
-            "dir",
-            "--resume",
-        ]);
-        assert!(options.adaptive);
-        assert_eq!(options.shards, None);
-        assert_eq!(options.checkpoint, None);
-        assert!(!options.resume);
-        assert!(
-            warnings.iter().any(|w| w.contains("--adaptive")),
-            "{warnings:?}"
-        );
-    }
-
-    #[test]
-    fn shard_builder_helpers_set_fields() {
-        let options = ExperimentOptions::default()
-            .with_shards(6)
-            .with_checkpoint("/tmp/state")
-            .with_resume();
-        assert_eq!(options.shards, Some(6));
-        assert_eq!(options.checkpoint.as_deref(), Some("/tmp/state"));
-        assert!(options.resume);
-    }
-
-    #[test]
-    fn server_flag_is_parsed_and_built() {
-        let options = ExperimentOptions::parse(["--server", "127.0.0.1:7878"]);
-        assert_eq!(options.server.as_deref(), Some("127.0.0.1:7878"));
-        let built = ExperimentOptions::default().with_server("localhost:9");
-        assert_eq!(built.server.as_deref(), Some("localhost:9"));
-        assert_eq!(ExperimentOptions::default().server, None);
-    }
-
-    #[test]
-    fn server_does_not_swallow_a_following_flag() {
-        let (options, warnings) = ExperimentOptions::parse_with_warnings(["--server", "--quick"]);
-        assert_eq!(options.server, None);
-        assert!(options.quick, "--quick must still be scanned");
-        assert!(warnings[0].contains("--server"), "{warnings:?}");
-
-        let (options, warnings) = ExperimentOptions::parse_with_warnings(["--server"]);
-        assert_eq!(options.server, None);
-        assert!(warnings[0].contains("expects a value"), "{warnings:?}");
-    }
-
-    #[test]
-    fn adaptive_mode_keeps_campaigns_local() {
-        let (options, warnings) = ExperimentOptions::parse_with_warnings([
-            "--server",
-            "127.0.0.1:7878",
-            "--adaptive",
-        ]);
-        assert!(options.adaptive);
-        assert_eq!(options.server, None);
-        assert!(
-            warnings.iter().any(|w| w.contains("--server")),
-            "{warnings:?}"
-        );
-    }
-
-    #[test]
-    fn server_mode_supersedes_local_checkpointing() {
-        let (options, warnings) = ExperimentOptions::parse_with_warnings([
-            "--server",
-            "127.0.0.1:7878",
-            "--shards",
-            "4",
-            "--checkpoint",
-            "dir",
-            "--resume",
-        ]);
-        assert_eq!(options.server.as_deref(), Some("127.0.0.1:7878"));
-        assert_eq!(options.shards, None);
-        assert_eq!(options.checkpoint, None);
-        assert!(!options.resume);
-        assert!(
-            warnings.iter().any(|w| w.contains("result store")),
-            "{warnings:?}"
-        );
+        // The store shards and checkpoints fixed-run campaigns only; in
+        // either argument order, --adaptive drops it with a warning.
+        for args in [["--adaptive", "--store", "dir"], ["--store", "dir", "--adaptive"]] {
+            let (options, warnings) = ExperimentOptions::parse_with_warnings(args);
+            assert!(options.adaptive);
+            assert_eq!(options.store, None);
+            assert!(
+                warnings.iter().any(|w| w.contains("--adaptive") && w.contains("--store")),
+                "{warnings:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! The error type of the experiment pipeline.
 //!
-//! Experiments fail in four ways: an invalid platform configuration, a
-//! campaign-layer failure (which, for sharded checkpointed campaigns,
-//! includes checkpoint IO, corruption and fingerprint mismatches),
-//! filesystem trouble around the checkpoint directory itself, or — in
-//! `--server` client mode — a campaign-server transport or protocol
-//! failure.  All of them carry enough context to print a diagnosable
-//! one-line message; the
+//! Experiments fail in three ways: an invalid platform configuration, a
+//! campaign-layer failure (which, for campaigns run under `--store`,
+//! includes store IO, corruption and fingerprint mismatches), or
+//! filesystem trouble around the store directory itself.  All of them
+//! carry enough context to print a diagnosable one-line message; the
 //! binaries render them via `Display` and exit nonzero instead of
 //! unwinding with a backtrace.
 
@@ -20,22 +18,16 @@ use std::fmt;
 pub enum ExperimentError {
     /// The platform configuration failed validation.
     Config(ConfigError),
-    /// The campaign failed — for checkpointed campaigns this covers
-    /// checkpoint IO errors, corruption and cross-campaign mismatches.
+    /// The campaign failed — for stored campaigns this covers store IO
+    /// errors, corruption and cross-campaign mismatches.
     Campaign(CampaignError),
     /// A filesystem operation outside the campaign itself failed (e.g.
-    /// creating the checkpoint directory).
+    /// creating the store directory).
     Io {
         /// The path the operation targeted.
         path: String,
         /// The underlying error.
         source: std::io::Error,
-    },
-    /// The campaign server (`--server`) could not be reached, refused the
-    /// submission, or returned a payload that failed validation.
-    Server {
-        /// What went wrong, including the server address.
-        detail: String,
     },
 }
 
@@ -45,7 +37,6 @@ impl fmt::Display for ExperimentError {
             ExperimentError::Config(err) => write!(f, "{err}"),
             ExperimentError::Campaign(err) => write!(f, "{err}"),
             ExperimentError::Io { path, source } => write!(f, "{path}: {source}"),
-            ExperimentError::Server { detail } => write!(f, "campaign server: {detail}"),
         }
     }
 }
@@ -56,7 +47,6 @@ impl std::error::Error for ExperimentError {
             ExperimentError::Config(err) => Some(err),
             ExperimentError::Campaign(err) => Some(err),
             ExperimentError::Io { source, .. } => Some(source),
-            ExperimentError::Server { .. } => None,
         }
     }
 }
@@ -104,12 +94,5 @@ mod tests {
         assert!(io.to_string().contains("/nonexistent/dir"), "{io}");
         assert!(io.to_string().contains("denied"), "{io}");
         assert!(std::error::Error::source(&io).is_some());
-
-        let server = ExperimentError::Server {
-            detail: "127.0.0.1:7878: connection refused".into(),
-        };
-        assert!(server.to_string().contains("campaign server"), "{server}");
-        assert!(server.to_string().contains("127.0.0.1:7878"), "{server}");
-        assert!(std::error::Error::source(&server).is_none());
     }
 }

@@ -48,7 +48,7 @@ pub struct Fig1Result {
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
-/// or a checkpointed measurement fails.
+/// or a stored measurement fails.
 pub fn generate(options: &ExperimentOptions) -> Result<Fig1Result, ExperimentError> {
     let kernel = SyntheticKernel::fits_l2();
     let measurement = runner::measure_campaign(

@@ -138,18 +138,18 @@ pub fn summarize_fig4a(rows: &[Fig4aRow]) -> Fig4aSummary {
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
-/// or a checkpointed measurement fails.
+/// or a stored measurement fails.
 pub fn fig4a_row(
     benchmark: EembcBenchmark,
     options: &ExperimentOptions,
 ) -> Result<Fig4aRow, ExperimentError> {
     let seed = options.campaign_seed ^ (benchmark.initials().as_bytes()[1] as u64) << 8;
-    let rm_sample = runner::measure_opts(&benchmark, PlacementKind::RandomModulo, options, seed)?;
-    let hrp_sample = runner::measure_opts(&benchmark, PlacementKind::HashRandom, options, seed)?;
+    let rm = runner::measure_campaign(&benchmark, PlacementKind::RandomModulo, options, seed)?;
+    let hrp = runner::measure_campaign(&benchmark, PlacementKind::HashRandom, options, seed)?;
     Ok(Fig4aRow {
         benchmark,
-        pwcet_rm: runner::analyze(&rm_sample).pwcet_at(CUTOFF_PROBABILITY),
-        pwcet_hrp: runner::analyze(&hrp_sample).pwcet_at(CUTOFF_PROBABILITY),
+        pwcet_rm: runner::analyze_measurement(&rm).pwcet_at(CUTOFF_PROBABILITY),
+        pwcet_hrp: runner::analyze_measurement(&hrp).pwcet_at(CUTOFF_PROBABILITY),
     })
 }
 
@@ -158,7 +158,7 @@ pub fn fig4a_row(
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
-/// or a checkpointed measurement fails.
+/// or a stored measurement fails.
 pub fn fig4a(options: &ExperimentOptions) -> Result<Vec<Fig4aRow>, ExperimentError> {
     EembcBenchmark::ALL
         .iter()
@@ -172,18 +172,18 @@ pub fn fig4a(options: &ExperimentOptions) -> Result<Vec<Fig4aRow>, ExperimentErr
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
-/// or a checkpointed measurement fails.
+/// or a stored measurement fails.
 pub fn fig4b_row(
     benchmark: EembcBenchmark,
     layouts: usize,
     options: &ExperimentOptions,
 ) -> Result<Fig4bRow, ExperimentError> {
     let seed = options.campaign_seed ^ (benchmark.initials().as_bytes()[0] as u64) << 16;
-    let rm_sample = runner::measure_opts(&benchmark, PlacementKind::RandomModulo, options, seed)?;
+    let rm = runner::measure_campaign(&benchmark, PlacementKind::RandomModulo, options, seed)?;
     let det_sample = runner::measure_deterministic_sweep(&benchmark, layouts, options.threads)?;
     Ok(Fig4bRow {
         benchmark,
-        pwcet_rm: runner::analyze(&rm_sample).pwcet_at(CUTOFF_PROBABILITY),
+        pwcet_rm: runner::analyze_measurement(&rm).pwcet_at(CUTOFF_PROBABILITY),
         deterministic_hwm: HighWaterMark::from_sample(&det_sample),
     })
 }
@@ -193,7 +193,7 @@ pub fn fig4b_row(
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
-/// or a checkpointed measurement fails.
+/// or a stored measurement fails.
 pub fn fig4b(layouts: usize, options: &ExperimentOptions) -> Result<Vec<Fig4bRow>, ExperimentError> {
     EembcBenchmark::ALL
         .iter()

@@ -101,24 +101,24 @@ pub const HISTOGRAM_BINS: usize = 40;
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
-/// or a checkpointed measurement fails.
+/// or a stored measurement fails.
 pub fn compare(kernel: SyntheticKernel, options: &ExperimentOptions) -> Result<Fig5Result, ExperimentError> {
     let seed = options.campaign_seed ^ kernel.footprint_bytes();
-    let rm_sample = runner::measure_opts(&kernel, PlacementKind::RandomModulo, options, seed)?;
-    let hrp_sample = runner::measure_opts(&kernel, PlacementKind::HashRandom, options, seed)?;
-    let rm_report = runner::analyze(&rm_sample);
-    let hrp_report = runner::analyze(&hrp_sample);
+    let rm = runner::measure_campaign(&kernel, PlacementKind::RandomModulo, options, seed)?;
+    let hrp = runner::measure_campaign(&kernel, PlacementKind::HashRandom, options, seed)?;
+    let rm_report = runner::analyze_measurement(&rm);
+    let hrp_report = runner::analyze_measurement(&hrp);
     let probabilities = PwcetCurve::standard_probabilities();
     Ok(Fig5Result {
         kernel,
-        rm_histogram: Histogram::from_sample(&rm_sample, HISTOGRAM_BINS),
-        hrp_histogram: Histogram::from_sample(&hrp_sample, HISTOGRAM_BINS),
+        rm_histogram: Histogram::from_sample(&rm.sample, HISTOGRAM_BINS),
+        hrp_histogram: Histogram::from_sample(&hrp.sample, HISTOGRAM_BINS),
         rm_pwcet: rm_report.pwcet_at(1e-15),
         hrp_pwcet: hrp_report.pwcet_at(1e-15),
         rm_curve: rm_report.curve.points(&probabilities),
         hrp_curve: hrp_report.curve.points(&probabilities),
-        rm_sample,
-        hrp_sample,
+        rm_sample: rm.sample,
+        hrp_sample: hrp.sample,
     })
 }
 
@@ -127,7 +127,7 @@ pub fn compare(kernel: SyntheticKernel, options: &ExperimentOptions) -> Result<F
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
-/// or a checkpointed measurement fails.
+/// or a stored measurement fails.
 pub fn generate(options: &ExperimentOptions) -> Result<Fig5Result, ExperimentError> {
     compare(SyntheticKernel::fits_l2(), options)
 }
@@ -137,7 +137,7 @@ pub fn generate(options: &ExperimentOptions) -> Result<Fig5Result, ExperimentErr
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
-/// or a checkpointed measurement fails.
+/// or a stored measurement fails.
 pub fn footprint_sweep(options: &ExperimentOptions) -> Result<Vec<Fig5Result>, ExperimentError> {
     SyntheticKernel::paper_variants()
         .into_iter()
@@ -163,7 +163,7 @@ pub const LARGE_QUICK_TRAVERSALS: u32 = 3;
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
-/// or a checkpointed measurement fails.
+/// or a stored measurement fails.
 pub fn large_footprint_sweep(options: &ExperimentOptions) -> Result<Vec<Fig5Result>, ExperimentError> {
     SyntheticKernel::large_variants()
         .into_iter()
@@ -213,20 +213,18 @@ impl fmt::Display for StressComparison {
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
-/// or a checkpointed measurement fails.
+/// or a stored measurement fails.
 pub fn l2_stress(options: &ExperimentOptions) -> Result<StressComparison, ExperimentError> {
     let stress = EembcStress::l2_sized();
     let seed = options.campaign_seed ^ stress.data_bytes();
-    let rm_sample = runner::measure_opts(&stress, PlacementKind::RandomModulo, options, seed)?;
-    let hrp_sample = runner::measure_opts(&stress, PlacementKind::HashRandom, options, seed)?;
-    let rm_pwcet = runner::analyze(&rm_sample).pwcet_at(1e-15);
-    let hrp_pwcet = runner::analyze(&hrp_sample).pwcet_at(1e-15);
+    let rm = runner::measure_campaign(&stress, PlacementKind::RandomModulo, options, seed)?;
+    let hrp = runner::measure_campaign(&stress, PlacementKind::HashRandom, options, seed)?;
     Ok(StressComparison {
         workload: stress.name(),
-        rm_sample,
-        hrp_sample,
-        rm_pwcet,
-        hrp_pwcet,
+        rm_pwcet: runner::analyze_measurement(&rm).pwcet_at(1e-15),
+        hrp_pwcet: runner::analyze_measurement(&hrp).pwcet_at(1e-15),
+        rm_sample: rm.sample,
+        hrp_sample: hrp.sample,
     })
 }
 

@@ -69,7 +69,7 @@ pub fn victim() -> SyntheticKernel {
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
-/// or a checkpointed measurement fails.
+/// or a stored measurement fails.
 pub fn generate(options: &ExperimentOptions) -> Result<Vec<Fig6Row>, ExperimentError> {
     let mut rows = Vec::new();
     for l2_placement in PlacementKind::ALL {

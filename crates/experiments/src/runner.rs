@@ -1,5 +1,17 @@
 //! Shared campaign-running helpers for all experiments.
 //!
+//! Every MBPTA campaign of every experiment goes through one of two entry
+//! points, [`measure_campaign`] (one task) and [`measure_contended`] (a
+//! shared-L2 co-schedule).  Both run a fixed-run campaign by default and
+//! the convergence-driven protocol under `--adaptive`.  Under
+//! `--store DIR` a fixed-run campaign runs in [`STORE_SHARDS`] shards
+//! through the checkpointed driver, into the entry
+//! `DIR/ckpt_<fingerprint>.bin`: a rerun reuses whatever the entry holds,
+//! so an interrupted campaign resumes and a finished one is never
+//! simulated twice.  The deterministic layout sweep of Figure 4(b)
+//! ([`measure_deterministic_sweep`]) has no seed schedule and is never
+//! stored.
+//!
 //! Campaigns replay the packed 8-byte-per-event trace representation
 //! ([`randmod_sim::PackedTrace`]): workloads emit straight into the packed
 //! form and the layout sweeps of Figure 4(b) stream one layout's trace at
@@ -14,10 +26,9 @@ use randmod_mbpta::{
     ConvergenceCriterion, ExecutionSample, MbptaAnalysis, MbptaConfig, MbptaReport,
 };
 use randmod_sim::checkpoint::{CheckpointError, CheckpointStore};
-use randmod_sim::trace::EventSource;
 use randmod_sim::{
-    AdaptiveResult, Campaign, ContendedAdaptiveResult, FileCheckpointStore, PlatformConfig,
-    ShardedReport,
+    AdaptiveResult, Campaign, CampaignError, ContendedAdaptiveResult, FileCheckpointStore,
+    PlatformConfig, ShardedReport,
 };
 use randmod_workloads::{CoSchedule, LayoutSweep, MemoryLayout, Workload};
 
@@ -46,52 +57,6 @@ pub fn campaign(
         campaign = campaign.with_lanes(lanes);
     }
     campaign
-}
-
-/// Runs an MBPTA measurement campaign for `workload` with the given L1
-/// placement policy and returns the execution-time sample.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if the platform configuration is invalid.
-pub fn measure(
-    workload: &dyn Workload,
-    l1_placement: PlacementKind,
-    runs: usize,
-    campaign_seed: u64,
-    threads: Option<usize>,
-    lanes: Option<usize>,
-) -> Result<ExecutionSample, ConfigError> {
-    let trace = workload.packed_trace(&MemoryLayout::default());
-    measure_source(
-        &trace,
-        platform_with_l1(l1_placement),
-        runs,
-        campaign_seed,
-        threads,
-        lanes,
-    )
-}
-
-/// Runs an MBPTA measurement campaign for an already-generated event
-/// source (packed or boxed) on an explicit platform.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if the platform configuration is invalid.
-pub fn measure_source<S>(
-    source: &S,
-    platform: PlatformConfig,
-    runs: usize,
-    campaign_seed: u64,
-    threads: Option<usize>,
-    lanes: Option<usize>,
-) -> Result<ExecutionSample, ConfigError>
-where
-    S: EventSource + ?Sized,
-{
-    let result = campaign(platform, runs, campaign_seed, threads, lanes).run(source)?;
-    Ok(ExecutionSample::from_cycles_iter(result.cycles_iter()))
 }
 
 /// Runs the deterministic-platform layout sweep (modulo placement, LRU
@@ -142,148 +107,18 @@ pub fn analyze_measurement(measurement: &Measurement) -> MbptaReport {
     }
 }
 
-/// `measure` driven by [`ExperimentOptions`] (runs, threads), with a
-/// per-experiment seed.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if the platform configuration is invalid.
-pub fn measure_opts(
-    workload: &dyn Workload,
-    l1_placement: PlacementKind,
-    options: &ExperimentOptions,
-    campaign_seed: u64,
-) -> Result<ExecutionSample, ConfigError> {
-    measure(
-        workload,
-        l1_placement,
-        options.runs,
-        campaign_seed,
-        options.threads,
-        options.lanes,
-    )
-}
-
-/// How long the client keeps retrying a `429 Retry-After` backpressure
-/// refusal before giving up: a saturated server is expected to drain —
-/// campaigns are finite — but a wedged one must not hang an experiment
-/// forever.
-pub const SERVER_BUSY_PATIENCE: std::time::Duration = std::time::Duration::from_secs(300);
-
-/// Submits one fixed-run campaign to a `randmod-server` (`--server`) and
-/// decodes the returned sample.  The server replays exactly the seed
-/// schedule the local engine would use, so the returned sample is
-/// bit-identical to [`measure_source`] — warm submissions are just served
-/// from the server's content-addressed cache instead of recomputed.
-///
-/// # Errors
-///
-/// Returns [`ExperimentError::Server`] if the server is unreachable,
-/// stays saturated past [`SERVER_BUSY_PATIENCE`], refuses the campaign,
-/// or returns a payload that fails seed-schedule validation.
-pub fn measure_via_server(
-    addr: &str,
-    trace: &randmod_sim::PackedTrace,
-    platform: PlatformConfig,
-    runs: usize,
-    campaign_seed: u64,
-) -> Result<ExecutionSample, ExperimentError> {
-    let server_error = |detail: String| ExperimentError::Server { detail };
-    let seeds = Campaign::new(platform, runs)
-        .with_campaign_seed(campaign_seed)
-        .seed_schedule();
-    let spec = randmod_server::CampaignSpec {
-        config: platform,
-        campaign_seed,
-        mode: randmod_server::SpecMode::Fixed(seeds.clone()),
-        trace: trace.clone(),
-    };
-    let body = randmod_server::encode_spec(&spec);
-    let mut client = randmod_server::Client::connect(addr)
-        .map_err(|err| server_error(format!("{addr}: connect failed: {err}")))?;
-    let deadline = std::time::Instant::now() + SERVER_BUSY_PATIENCE;
-    loop {
-        let response = client
-            .post("/campaign", &body)
-            .map_err(|err| server_error(format!("{addr}: submission failed: {err}")))?;
-        match response.status {
-            200 => {
-                let runs = randmod_sim::decode_solo_runs(&response.body, &seeds).ok_or_else(
-                    || {
-                        server_error(format!(
-                            "{addr}: response payload does not match the campaign's seed schedule"
-                        ))
-                    },
-                )?;
-                return Ok(ExecutionSample::from_cycles_iter(
-                    runs.iter().map(|run| run.cycles),
-                ));
-            }
-            429 => {
-                if std::time::Instant::now() >= deadline {
-                    return Err(server_error(format!(
-                        "{addr}: still saturated after {}s of 429 backpressure",
-                        SERVER_BUSY_PATIENCE.as_secs()
-                    )));
-                }
-                std::thread::sleep(std::time::Duration::from_millis(200));
-            }
-            status => {
-                return Err(server_error(format!(
-                    "{addr}: campaign refused with status {status}: {}",
-                    String::from_utf8_lossy(&response.body)
-                )));
-            }
-        }
-    }
-}
-
-/// Default shard count when `--checkpoint` asks for a resumable campaign
-/// without an explicit `--shards`: enough shards that an interruption
-/// loses at most a few percent of a long campaign, few enough that the
-/// per-shard checkpoint rewrite stays negligible.
-pub const DEFAULT_SHARDS: usize = 16;
+/// Shard count of every stored campaign: enough shards that an
+/// interruption loses at most a few percent of a long campaign, few
+/// enough that the per-shard checkpoint rewrite stays negligible.  The
+/// shard count is part of an entry's fingerprint, so it is fixed rather
+/// than an option: every run of a campaign finds the same entry.
+pub const STORE_SHARDS: usize = 16;
 
 /// Environment variable of the fault-injection smoke test: when set to
 /// `N` (≥ 1), the process dies on the spot — no unwinding, no cleanup,
 /// exactly as `kill -9` would — immediately after the `N`-th shard
 /// checkpoint has persisted.
 pub const KILL_AFTER_SHARD_ENV: &str = "RANDMOD_KILL_AFTER_SHARD";
-
-/// The shard count the options imply: an explicit `--shards`, or
-/// [`DEFAULT_SHARDS`] when `--checkpoint` requests a resumable campaign,
-/// or `None` for the classic unsharded path (bit-identical either way —
-/// that is the shard protocol's defining property).
-pub fn sharding(options: &ExperimentOptions) -> Option<usize> {
-    match (options.shards, options.checkpoint.as_deref()) {
-        (Some(shards), _) => Some(shards),
-        (None, Some(_)) => Some(DEFAULT_SHARDS),
-        (None, None) => None,
-    }
-}
-
-/// Opens the checkpoint store of a campaign: the file
-/// `ckpt_<fingerprint>.bin` inside `dir` (the directory is created if
-/// missing; the fingerprint in the name keeps concurrent experiments in
-/// one directory from colliding).  Without `resume`, any existing file is
-/// removed first so a re-run starts fresh instead of replaying stale
-/// shards.
-fn open_checkpoint_store(
-    dir: &str,
-    fingerprint: u64,
-    resume: bool,
-) -> Result<FileCheckpointStore, ExperimentError> {
-    std::fs::create_dir_all(dir).map_err(|source| ExperimentError::Io {
-        path: dir.to_string(),
-        source,
-    })?;
-    let path = std::path::Path::new(dir).join(format!("ckpt_{fingerprint:016x}.bin"));
-    let mut store = FileCheckpointStore::new(path);
-    if !resume {
-        store.clear()?;
-    }
-    Ok(store)
-}
 
 /// A store wrapper honouring [`KILL_AFTER_SHARD_ENV`] for the CI
 /// fault-injection smoke test.
@@ -316,32 +151,46 @@ impl CheckpointStore for KillStore {
     }
 }
 
-/// Boxes the store, arming the [`KILL_AFTER_SHARD_ENV`] crash hook when
-/// the environment requests it.
-fn with_kill_hook(store: FileCheckpointStore) -> Box<dyn CheckpointStore> {
-    match std::env::var(KILL_AFTER_SHARD_ENV)
+/// Runs one campaign against its store entry, the file
+/// `ckpt_<fingerprint>.bin` inside `dir` (the directory is created if
+/// missing; the fingerprint in the name keeps the campaigns sharing a
+/// directory apart).  An existing entry is never cleared: `run` restores
+/// the shards it holds and executes the rest.  Resume progress and
+/// checkpoint diagnostics go to **stderr**, so the CSV on stdout stays
+/// byte-identical to an unstored run; the [`KILL_AFTER_SHARD_ENV`] crash
+/// hook is armed when the environment requests it.
+fn run_stored<R>(
+    dir: &str,
+    fingerprint: u64,
+    run: impl FnOnce(&mut dyn CheckpointStore) -> Result<ShardedReport<R>, CampaignError>,
+) -> Result<R, ExperimentError> {
+    std::fs::create_dir_all(dir).map_err(|source| ExperimentError::Io {
+        path: dir.to_string(),
+        source,
+    })?;
+    let entry = FileCheckpointStore::new(
+        std::path::Path::new(dir).join(format!("ckpt_{fingerprint:016x}.bin")),
+    );
+    let kill_after = std::env::var(KILL_AFTER_SHARD_ENV)
         .ok()
         .and_then(|value| value.parse::<usize>().ok())
-    {
-        Some(kill_after) if kill_after > 0 => Box::new(KillStore {
-            inner: store,
-            saves: 0,
-            kill_after,
-        }),
-        _ => Box::new(store),
-    }
-}
-
-/// Reports checkpoint diagnostics and resume progress on **stderr**, so
-/// the CSV on stdout stays byte-identical to an uninterrupted run.
-fn report_checkpoint_progress<R>(report: &ShardedReport<R>, location: &str) {
+        .filter(|&kill_after| kill_after > 0);
+    let mut store: Box<dyn CheckpointStore> = match kill_after {
+        Some(kill_after) => Box::new(KillStore { inner: entry, saves: 0, kill_after }),
+        None => Box::new(entry),
+    };
+    let report = run(store.as_mut())?;
     for diagnostic in &report.diagnostics {
         eprintln!("checkpoint warning: {diagnostic}");
     }
     eprintln!(
-        "checkpoint {location}: resumed {} shard(s), executed {} of {}",
-        report.resumed, report.executed, report.shard_count
+        "checkpoint {}: resumed {} shard(s), executed {} of {}",
+        store.location(),
+        report.resumed,
+        report.executed,
+        report.shard_count
     );
+    Ok(report.result)
 }
 
 /// Default run cap of adaptive campaigns (double the paper's fixed 1,000
@@ -423,82 +272,54 @@ pub struct Measurement {
     pub adaptive: Option<AdaptiveSummary>,
 }
 
-/// [`measure_opts`] that honours `options.adaptive`, `options.shards`,
-/// `options.checkpoint` and `options.server`: a fixed-run campaign by
-/// default, the convergence-driven protocol (whose collected runs are a
-/// bit-identical prefix of the fixed schedule) under `--adaptive`, the
-/// sharded — optionally checkpointed and resumable — protocol
-/// (bit-identical to the unsharded campaign) under
-/// `--shards`/`--checkpoint`, or — for fixed-run campaigns under
-/// `--server` — a submission to a running campaign server via
-/// [`measure_via_server`] (bit-identical again: the server runs the same
-/// engine over the same seed schedule).
+/// Runs an MBPTA measurement campaign for `workload` (packed at the
+/// default memory layout) with the given L1 placement policy, honouring
+/// `options`: `--runs`, `--threads` and `--lanes` shape the campaign,
+/// `--adaptive` switches to the convergence-driven protocol (whose
+/// collected runs are a bit-identical prefix of the fixed schedule), and
+/// `--store` runs a fixed-run campaign through its store entry (see
+/// [`STORE_SHARDS`]) — bit-identical to the unstored campaign, as the
+/// shard protocol guarantees.
 ///
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid,
-/// the checkpoint directory cannot be created, the checkpoint store
-/// fails or belongs to a different campaign, or — in client mode — the
-/// campaign server fails (see [`measure_via_server`]).
+/// the store directory cannot be created, or the store entry fails or
+/// belongs to a different campaign.
 pub fn measure_campaign(
     workload: &dyn Workload,
     l1_placement: PlacementKind,
     options: &ExperimentOptions,
     campaign_seed: u64,
 ) -> Result<Measurement, ExperimentError> {
-    if !options.adaptive {
-        if let Some(addr) = options.server.as_deref() {
-            let trace = workload.packed_trace(&MemoryLayout::default());
-            let sample = measure_via_server(
-                addr,
-                &trace,
-                platform_with_l1(l1_placement),
-                options.runs,
-                campaign_seed,
-            )?;
-            return Ok(Measurement { sample, adaptive: None });
-        }
-        let sample = match sharding(options) {
-            None => measure_opts(workload, l1_placement, options, campaign_seed)?,
-            Some(shards) => {
-                let trace = workload.packed_trace(&MemoryLayout::default());
-                let campaign = campaign(
-                    platform_with_l1(l1_placement),
-                    options.runs,
-                    campaign_seed,
-                    options.threads,
-                    options.lanes,
-                );
-                let result = match options.checkpoint.as_deref() {
-                    None => campaign.run_sharded(&trace, shards)?,
-                    Some(dir) => {
-                        let fingerprint = campaign.default_sharded_fingerprint(&trace, shards);
-                        let mut store =
-                            with_kill_hook(open_checkpoint_store(dir, fingerprint, options.resume)?);
-                        let report =
-                            campaign.run_sharded_checkpointed(&trace, shards, store.as_mut())?;
-                        report_checkpoint_progress(&report, &store.location());
-                        report.result
-                    }
-                };
-                ExecutionSample::from_cycles_iter(result.cycles_iter())
-            }
-        };
-        return Ok(Measurement { sample, adaptive: None });
-    }
     let trace = workload.packed_trace(&MemoryLayout::default());
-    let criterion = convergence_criterion(options);
-    let result = campaign(
+    let campaign = campaign(
         platform_with_l1(l1_placement),
-        0,
+        options.runs,
         campaign_seed,
         options.threads,
         options.lanes,
-    )
-    .run_adaptive(&trace, &criterion)?;
+    );
+    if options.adaptive {
+        let result = campaign.run_adaptive(&trace, &convergence_criterion(options))?;
+        return Ok(Measurement {
+            sample: ExecutionSample::from_cycles_iter(result.result().cycles_iter()),
+            adaptive: Some(AdaptiveSummary::from_result(&result)),
+        });
+    }
+    let result = match options.store.as_deref() {
+        None => campaign.run(&trace)?,
+        Some(dir) => {
+            let fingerprint =
+                campaign.sharded_fingerprint(&trace, &campaign.seed_schedule(), STORE_SHARDS);
+            run_stored(dir, fingerprint, |store| {
+                campaign.run_sharded_checkpointed(&trace, STORE_SHARDS, store)
+            })?
+        }
+    };
     Ok(Measurement {
-        sample: ExecutionSample::from_cycles_iter(result.result().cycles_iter()),
-        adaptive: Some(AdaptiveSummary::from_result(&result)),
+        sample: ExecutionSample::from_cycles_iter(result.cycles_iter()),
+        adaptive: None,
     })
 }
 
@@ -542,16 +363,17 @@ impl AdaptiveSummary {
 }
 
 /// Runs a contended (shared-L2) campaign for one co-schedule and splits
-/// the result into per-task samples.  Honours `options.adaptive`: a
-/// fixed-run schedule by default, or the convergence-driven protocol on
-/// the victim's pWCET (whose collected runs are a bit-identical prefix of
-/// the fixed schedule) under `--adaptive`.
+/// the result into per-task samples.  Honours `options` as
+/// [`measure_campaign`] does: a fixed-run schedule by default, the
+/// convergence-driven protocol on the victim's pWCET (whose collected runs
+/// are a bit-identical prefix of the fixed schedule) under `--adaptive`,
+/// and the campaign's store entry under `--store`.
 ///
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid,
-/// the checkpoint directory cannot be created, or the checkpoint store
-/// fails or belongs to a different campaign.
+/// the store directory cannot be created, or the store entry fails or
+/// belongs to a different campaign.
 pub fn measure_contended<W: Workload>(
     schedule: &CoSchedule<W>,
     l2_placement: PlacementKind,
@@ -568,27 +390,15 @@ pub fn measure_contended<W: Workload>(
         options.lanes,
     );
     let (result, adaptive) = if options.adaptive {
-        let criterion = convergence_criterion(options);
-        let adaptive = campaign.run_contended_adaptive(&sources, &criterion)?;
+        let adaptive = campaign.run_contended_adaptive(&sources, &convergence_criterion(options))?;
         let summary = AdaptiveSummary::from_contended(&adaptive);
         (adaptive.result().clone(), Some(summary))
-    } else if let Some(shards) = sharding(options) {
-        let result = match options.checkpoint.as_deref() {
-            None => campaign.run_contended_sharded_campaign(&sources, shards)?,
-            Some(dir) => {
-                let fingerprint = campaign.contended_sharded_fingerprint(
-                    &sources,
-                    &campaign.seed_schedule(),
-                    shards,
-                );
-                let mut store =
-                    with_kill_hook(open_checkpoint_store(dir, fingerprint, options.resume)?);
-                let report =
-                    campaign.run_contended_sharded_checkpointed(&sources, shards, store.as_mut())?;
-                report_checkpoint_progress(&report, &store.location());
-                report.result
-            }
-        };
+    } else if let Some(dir) = options.store.as_deref() {
+        let fingerprint =
+            campaign.contended_sharded_fingerprint(&sources, &campaign.seed_schedule(), STORE_SHARDS);
+        let result = run_stored(dir, fingerprint, |store| {
+            campaign.run_contended_sharded_checkpointed(&sources, STORE_SHARDS, store)
+        })?;
         (result, None)
     } else {
         (campaign.run_contended_campaign(&sources)?, None)
@@ -604,40 +414,45 @@ mod tests {
     use super::*;
     use randmod_workloads::SyntheticKernel;
 
+    /// A fixed-run measurement of the 4KB kernel with the given options.
+    fn measure_small(options: ExperimentOptions, seed: u64) -> ExecutionSample {
+        let kernel = SyntheticKernel::with_traversals(4 * 1024, 3);
+        measure_campaign(&kernel, PlacementKind::RandomModulo, &options, seed)
+            .unwrap()
+            .sample
+    }
+
+    /// A fresh, empty store directory for one test.
+    fn store_dir(tag: &str) -> String {
+        let dir = std::env::temp_dir()
+            .join(format!("randmod-runner-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir.to_str().unwrap().to_string()
+    }
+
     #[test]
     fn measure_produces_requested_runs() {
-        let kernel = SyntheticKernel::with_traversals(4 * 1024, 3);
-        let sample = measure(&kernel, PlacementKind::RandomModulo, 12, 1, None, None).unwrap();
+        let sample = measure_small(ExperimentOptions::default().with_runs(12), 1);
         assert_eq!(sample.len(), 12);
         assert!(sample.min() > 0);
     }
 
     #[test]
     fn thread_override_does_not_change_the_sample() {
-        let kernel = SyntheticKernel::with_traversals(4 * 1024, 3);
-        let default_threads =
-            measure(&kernel, PlacementKind::RandomModulo, 10, 2, None, None).unwrap();
-        let one_thread =
-            measure(&kernel, PlacementKind::RandomModulo, 10, 2, Some(1), None).unwrap();
-        let four_threads =
-            measure(&kernel, PlacementKind::RandomModulo, 10, 2, Some(4), None).unwrap();
-        assert_eq!(default_threads, one_thread);
-        assert_eq!(default_threads, four_threads);
+        let options = ExperimentOptions::default().with_runs(10);
+        let default_threads = measure_small(options.clone(), 2);
+        assert_eq!(default_threads, measure_small(options.clone().with_threads(1), 2));
+        assert_eq!(default_threads, measure_small(options.with_threads(4), 2));
     }
 
     #[test]
     fn lane_override_does_not_change_the_sample() {
         // --lanes is a throughput knob: any lane count (including the
         // sequential escape hatch) reproduces the same sample.
-        let kernel = SyntheticKernel::with_traversals(4 * 1024, 3);
-        let default_lanes =
-            measure(&kernel, PlacementKind::RandomModulo, 10, 2, None, None).unwrap();
-        let sequential =
-            measure(&kernel, PlacementKind::RandomModulo, 10, 2, None, Some(1)).unwrap();
-        let five_lanes =
-            measure(&kernel, PlacementKind::RandomModulo, 10, 2, None, Some(5)).unwrap();
-        assert_eq!(default_lanes, sequential);
-        assert_eq!(default_lanes, five_lanes);
+        let options = ExperimentOptions::default().with_runs(10);
+        let default_lanes = measure_small(options.clone(), 2);
+        assert_eq!(default_lanes, measure_small(options.clone().with_lanes(1), 2));
+        assert_eq!(default_lanes, measure_small(options.with_lanes(5), 2));
     }
 
     #[test]
@@ -666,7 +481,7 @@ mod tests {
             .map(|layout| kernel.trace(&layout))
             .collect();
         let collected = Campaign::new(PlatformConfig::leon3_deterministic(), 0)
-            .run_layout_sweep(&traces)
+            .run_layout_sweep_with(traces.len(), |i| &traces[i])
             .unwrap();
         assert_eq!(
             streamed,
@@ -676,21 +491,20 @@ mod tests {
 
     #[test]
     fn measure_opts_applies_runs_and_threads() {
-        let kernel = SyntheticKernel::with_traversals(4 * 1024, 2);
-        let options = crate::cli::ExperimentOptions::default()
+        // The experiment options (runs, threads, lanes) reach the
+        // measurement.
+        let options = ExperimentOptions::default()
             .with_runs(8)
             .with_threads(2)
             .with_lanes(4);
-        let sample = measure_opts(&kernel, PlacementKind::RandomModulo, &options, 3).unwrap();
-        assert_eq!(sample.len(), 8);
+        assert_eq!(measure_small(options, 3).len(), 8);
     }
 
     #[test]
     fn contended_solo_measurement_matches_the_single_task_protocol() {
-        use randmod_workloads::CoSchedule;
         let kernel = SyntheticKernel::with_traversals(4 * 1024, 2);
         let schedule = CoSchedule::pressure_level(kernel, 0); // idle opponent
-        let options = crate::cli::ExperimentOptions::default().with_runs(MIN_RUNS);
+        let options = ExperimentOptions::default().with_runs(MIN_RUNS);
         let measurement =
             measure_contended(&schedule, PlacementKind::RandomModulo, &options, 5).unwrap();
         assert!(measurement.adaptive.is_none());
@@ -698,29 +512,22 @@ mod tests {
         // The victim sample is bit-identical to the solo protocol on the
         // same platform; the idle opponent contributes all-zero cycles.
         let trace = kernel.packed_trace(&MemoryLayout::default());
-        let solo = measure_source(
-            &trace,
-            contention_platform(PlacementKind::RandomModulo),
-            MIN_RUNS,
-            5,
-            None,
-            None,
-        )
-        .unwrap();
-        assert_eq!(measurement.victim(), &solo);
+        let solo = campaign(contention_platform(PlacementKind::RandomModulo), MIN_RUNS, 5, None, None)
+            .run(&trace)
+            .unwrap();
+        assert_eq!(measurement.victim(), &ExecutionSample::from_cycles_iter(solo.cycles_iter()));
         assert!(measurement.per_task[1].values().iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn contended_lane_override_does_not_change_the_sample() {
-        use randmod_workloads::CoSchedule;
         // --lanes on a contended campaign switches between one-lane waves
         // (1), partial batches and full lane groups; every setting
         // must reproduce the same per-task samples bit for bit.
         let kernel = SyntheticKernel::with_traversals(4 * 1024, 2);
         let schedule = CoSchedule::pressure_level(kernel, 2);
         let measure_with = |lanes: Option<usize>| {
-            let mut options = crate::cli::ExperimentOptions::default().with_runs(10);
+            let mut options = ExperimentOptions::default().with_runs(10);
             if let Some(lanes) = lanes {
                 options = options.with_lanes(lanes);
             }
@@ -734,10 +541,9 @@ mod tests {
 
     #[test]
     fn contended_adaptive_measurement_is_a_prefix_of_the_fixed_schedule() {
-        use randmod_workloads::CoSchedule;
         let kernel = SyntheticKernel::with_traversals(20 * 1024, 3);
         let schedule = CoSchedule::pressure_level(kernel, 2);
-        let options = crate::cli::ExperimentOptions::default()
+        let options = ExperimentOptions::default()
             .with_adaptive()
             .with_max_runs(60)
             .with_target_cv(0.1);
@@ -748,7 +554,7 @@ mod tests {
         let fixed = measure_contended(
             &schedule,
             PlacementKind::HashRandom,
-            &crate::cli::ExperimentOptions::default().with_runs(summary.runs_used),
+            &ExperimentOptions::default().with_runs(summary.runs_used),
             11,
         )
         .unwrap();
@@ -756,98 +562,49 @@ mod tests {
     }
 
     #[test]
-    fn sharding_follows_the_options() {
-        let options = crate::cli::ExperimentOptions::default();
-        assert_eq!(sharding(&options), None);
-        assert_eq!(sharding(&options.clone().with_shards(6)), Some(6));
-        assert_eq!(
-            sharding(&options.clone().with_checkpoint("/tmp/x")),
-            Some(DEFAULT_SHARDS)
-        );
-        assert_eq!(
-            sharding(&options.with_shards(3).with_checkpoint("/tmp/x")),
-            Some(3)
-        );
-    }
-
-    #[test]
     fn sharded_measurement_is_bit_identical_to_the_unsharded_one() {
-        let kernel = SyntheticKernel::with_traversals(4 * 1024, 2);
-        let options = crate::cli::ExperimentOptions::default().with_runs(12);
-        let reference =
-            measure_campaign(&kernel, PlacementKind::RandomModulo, &options, 5).unwrap();
-        for shards in [1, 3, 5] {
-            let sharded = measure_campaign(
-                &kernel,
-                PlacementKind::RandomModulo,
-                &options.clone().with_shards(shards),
-                5,
-            )
-            .unwrap();
-            assert_eq!(sharded, reference, "shards={shards}");
+        // Under --store every campaign runs in STORE_SHARDS shards (clamped
+        // to the run count): below, at and above that count the stored
+        // sample equals the unstored one.
+        let dir = store_dir("sharded");
+        for runs in [12, STORE_SHARDS, 40] {
+            let options = ExperimentOptions::default().with_runs(runs);
+            let reference = measure_small(options.clone(), 5);
+            assert_eq!(measure_small(options.with_store(dir.clone()), 5), reference, "runs={runs}");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn checkpointed_measurement_round_trips_through_the_store() {
         let kernel = SyntheticKernel::with_traversals(4 * 1024, 2);
-        let dir = std::env::temp_dir().join(format!(
-            "randmod-runner-ckpt-test-{}",
-            std::process::id()
-        ));
-        let dir_str = dir.to_str().unwrap().to_string();
-        let options = crate::cli::ExperimentOptions::default()
-            .with_runs(12)
-            .with_shards(4)
-            .with_checkpoint(dir_str.clone());
-        let reference = measure_campaign(
-            &kernel,
-            PlacementKind::RandomModulo,
-            &crate::cli::ExperimentOptions::default().with_runs(12),
-            7,
-        )
-        .unwrap();
-        // Fresh run populates the store and matches the unsharded result.
-        let fresh = measure_campaign(&kernel, PlacementKind::RandomModulo, &options, 7).unwrap();
-        assert_eq!(fresh, reference);
-        // Resume replays every shard from the store — still bit-identical.
-        let resumed = measure_campaign(
-            &kernel,
-            PlacementKind::RandomModulo,
-            &options.clone().with_resume(),
-            7,
-        )
-        .unwrap();
-        assert_eq!(resumed, reference);
-        // The contended driver shares the store plumbing.
+        let dir = store_dir("ckpt");
+        let options = ExperimentOptions::default().with_runs(12);
+        let stored = options.clone().with_store(dir.clone());
+        let reference = measure_campaign(&kernel, PlacementKind::RandomModulo, &options, 7).unwrap();
+        // The first run fills the store entry, the second restores every
+        // shard from it: both match the unstored result.
+        for pass in ["fresh", "restored"] {
+            let measurement =
+                measure_campaign(&kernel, PlacementKind::RandomModulo, &stored, 7).unwrap();
+            assert_eq!(measurement, reference, "{pass}");
+        }
+        // One entry per campaign, named by its fingerprint.
+        let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(entries.len(), 1);
+        // The contended driver shares the store plumbing, and its entry
+        // sits beside the solo one.
         let schedule = CoSchedule::pressure_level(kernel, 1);
-        let contended_options = crate::cli::ExperimentOptions::default()
-            .with_runs(10)
-            .with_shards(3)
-            .with_checkpoint(dir_str);
-        let contended_ref = measure_contended(
-            &schedule,
-            PlacementKind::HashRandom,
-            &crate::cli::ExperimentOptions::default().with_runs(10),
-            7,
-        )
-        .unwrap();
-        let contended = measure_contended(
-            &schedule,
-            PlacementKind::HashRandom,
-            &contended_options,
-            7,
-        )
-        .unwrap();
-        assert_eq!(contended, contended_ref);
-        let contended_resumed = measure_contended(
-            &schedule,
-            PlacementKind::HashRandom,
-            &contended_options.with_resume(),
-            7,
-        )
-        .unwrap();
-        assert_eq!(contended_resumed, contended_ref);
+        let options = ExperimentOptions::default().with_runs(10);
+        let contended_ref =
+            measure_contended(&schedule, PlacementKind::HashRandom, &options, 7).unwrap();
+        let stored = options.with_store(dir.clone());
+        for pass in ["fresh", "restored"] {
+            let contended =
+                measure_contended(&schedule, PlacementKind::HashRandom, &stored, 7).unwrap();
+            assert_eq!(contended, contended_ref, "{pass}");
+        }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -861,9 +618,9 @@ mod tests {
         ));
         std::fs::write(&blocker, b"not a directory").unwrap();
         let dir = blocker.join("nested");
-        let options = crate::cli::ExperimentOptions::default()
+        let options = ExperimentOptions::default()
             .with_runs(12)
-            .with_checkpoint(dir.to_str().unwrap());
+            .with_store(dir.to_str().unwrap());
         let err = measure_campaign(&kernel, PlacementKind::RandomModulo, &options, 7).unwrap_err();
         assert!(
             matches!(err, ExperimentError::Io { .. }),
@@ -883,39 +640,43 @@ mod tests {
 
     #[test]
     fn convergence_criterion_follows_the_options() {
-        let defaults = convergence_criterion(&crate::cli::ExperimentOptions::default());
+        let defaults = convergence_criterion(&ExperimentOptions::default());
         assert_eq!(defaults.max_runs, DEFAULT_ADAPTIVE_MAX_RUNS);
         assert_eq!(defaults.min_runs, 100);
         assert_eq!(defaults.target_probability, ADAPTIVE_TARGET_PROBABILITY);
         let tuned = convergence_criterion(
-            &crate::cli::ExperimentOptions::default()
+            &ExperimentOptions::default()
                 .with_max_runs(600)
                 .with_target_cv(0.05),
         );
         assert_eq!(tuned.max_runs, 600);
         assert_eq!(tuned.relative_tolerance, 0.05);
-        let quick = convergence_criterion(&crate::cli::ExperimentOptions::parse(["--quick"]));
+        let quick = convergence_criterion(&ExperimentOptions::parse(["--quick"]));
         assert_eq!(quick.max_runs, 40);
         assert!(quick.min_runs <= quick.max_runs);
     }
 
     #[test]
-    fn measure_campaign_without_adaptive_matches_measure_opts() {
+    fn measure_campaign_without_adaptive_matches_campaign_run() {
         let kernel = SyntheticKernel::with_traversals(4 * 1024, 2);
-        let options = crate::cli::ExperimentOptions::default().with_runs(10);
+        let options = ExperimentOptions::default().with_runs(10);
         let measurement =
             measure_campaign(&kernel, PlacementKind::RandomModulo, &options, 5).unwrap();
         assert!(measurement.adaptive.is_none());
+        let direct = Campaign::new(platform_with_l1(PlacementKind::RandomModulo), 10)
+            .with_campaign_seed(5)
+            .run(&kernel.packed_trace(&MemoryLayout::default()))
+            .unwrap();
         assert_eq!(
             measurement.sample,
-            measure_opts(&kernel, PlacementKind::RandomModulo, &options, 5).unwrap()
+            ExecutionSample::from_cycles_iter(direct.cycles_iter())
         );
     }
 
     #[test]
     fn adaptive_measurement_is_a_prefix_of_the_fixed_campaign() {
         let kernel = SyntheticKernel::with_traversals(20 * 1024, 3);
-        let options = crate::cli::ExperimentOptions::default()
+        let options = ExperimentOptions::default()
             .with_adaptive()
             .with_max_runs(200)
             .with_target_cv(0.05);
@@ -926,16 +687,14 @@ mod tests {
         assert!(summary.checkpoints >= 1);
         // The adaptive sample is exactly the first N observations of the
         // fixed-run campaign with the same seed.
-        let fixed = measure(
+        let fixed = measure_campaign(
             &kernel,
             PlacementKind::RandomModulo,
-            summary.runs_used,
+            &ExperimentOptions::default().with_runs(summary.runs_used),
             9,
-            None,
-            None,
         )
         .unwrap();
-        assert_eq!(measurement.sample, fixed);
+        assert_eq!(measurement.sample, fixed.sample);
     }
 
     #[test]
@@ -945,7 +704,7 @@ mod tests {
         // under RM converges with far fewer runs than the paper's fixed
         // 1,000 while agreeing with the fixed-campaign pWCET at 1e-12.
         let benchmark = EembcBenchmark::A2time;
-        let options = crate::cli::ExperimentOptions::default().with_adaptive();
+        let options = ExperimentOptions::default().with_adaptive();
         let measurement =
             measure_campaign(&benchmark, PlacementKind::RandomModulo, &options, 42).unwrap();
         let summary = measurement.adaptive.expect("adaptive summary missing");
@@ -957,8 +716,14 @@ mod tests {
         );
         // Fixed-1000 reference, same seed stream, same block size as the
         // adaptive refit loop.
-        let fixed = measure(&benchmark, PlacementKind::RandomModulo, 1000, 42, None, None).unwrap();
-        let fixed_pwcet = randmod_mbpta::PwcetCurve::fit(&fixed, ADAPTIVE_BLOCK_SIZE)
+        let fixed = measure_campaign(
+            &benchmark,
+            PlacementKind::RandomModulo,
+            &ExperimentOptions::default().with_runs(1000),
+            42,
+        )
+        .unwrap();
+        let fixed_pwcet = randmod_mbpta::PwcetCurve::fit(&fixed.sample, ADAPTIVE_BLOCK_SIZE)
             .pwcet(ADAPTIVE_TARGET_PROBABILITY);
         let delta = (summary.pwcet_estimate - fixed_pwcet).abs() / fixed_pwcet;
         assert!(

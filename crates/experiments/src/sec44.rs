@@ -76,7 +76,7 @@ pub fn summarize(rows: &[AvgPerformanceRow]) -> AvgPerformanceSummary {
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
-/// or a checkpointed measurement fails.
+/// or a stored measurement fails.
 pub fn row_for(
     benchmark: EembcBenchmark,
     options: &ExperimentOptions,
@@ -111,7 +111,7 @@ pub fn row_for(
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
-/// or a checkpointed measurement fails.
+/// or a stored measurement fails.
 pub fn generate(options: &ExperimentOptions) -> Result<Vec<AvgPerformanceRow>, ExperimentError> {
     EembcBenchmark::ALL
         .iter()

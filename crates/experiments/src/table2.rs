@@ -56,7 +56,7 @@ impl fmt::Display for Table2Row {
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
-/// or a checkpointed measurement fails.
+/// or a stored measurement fails.
 pub fn generate(options: &ExperimentOptions) -> Result<Vec<Table2Row>, ExperimentError> {
     EembcBenchmark::ALL
         .iter()
@@ -69,7 +69,7 @@ pub fn generate(options: &ExperimentOptions) -> Result<Vec<Table2Row>, Experimen
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
-/// or a checkpointed measurement fails.
+/// or a stored measurement fails.
 pub fn row_for(
     benchmark: EembcBenchmark,
     options: &ExperimentOptions,

@@ -12,7 +12,7 @@
 use randmod_core::PlacementKind;
 use randmod_experiments::cli::ExperimentOptions;
 use randmod_experiments::fig4::{CUTOFF_PROBABILITY, FIG4B_LAYOUTS};
-use randmod_experiments::{fig1, fig6, runner, table2};
+use randmod_experiments::{fig1, fig4, fig5, fig6, runner, table2};
 use randmod_workloads::{CoSchedule, EembcBenchmark};
 
 /// The recorded Figure 1 headline number: pWCET(10⁻¹⁵) = 171,639 cycles
@@ -135,4 +135,61 @@ fn fig4b_deterministic_hwm_column_matches_the_recorded_values() {
             benchmark.label()
         );
     }
+}
+
+/// The recorded Figure 4(a) bars: the rounded RM and hRP pWCETs at 10⁻¹⁵
+/// of every EEMBC-like kernel, as `fig4a_rm_vs_hrp` prints them at the
+/// default schedule (300 runs, seed `0xC0FFEE`), and the tightening
+/// summary EXPERIMENTS.md records: mean 26.3%, max 40.5%, min 16.1%.
+#[test]
+fn fig4a_rows_match_the_recorded_values() {
+    let recorded = [
+        (EembcBenchmark::A2time, 243_600, 354_073),
+        (EembcBenchmark::Basefp, 244_644, 410_999),
+        (EembcBenchmark::Bitmnp, 216_034, 292_798),
+        (EembcBenchmark::Cacheb, 197_820, 235_719),
+        (EembcBenchmark::Canrdr, 205_272, 285_620),
+        (EembcBenchmark::Matrix, 151_532, 181_366),
+        (EembcBenchmark::Pntrch, 147_716, 195_421),
+        (EembcBenchmark::Puwmod, 209_866, 285_283),
+        (EembcBenchmark::Rspeed, 166_038, 223_630),
+        (EembcBenchmark::Tblook, 199_742, 266_101),
+        (EembcBenchmark::Ttsprk, 231_696, 328_963),
+    ];
+    let rows = fig4::fig4a(&ExperimentOptions::default()).unwrap();
+    assert_eq!(rows.len(), recorded.len());
+    for (row, (benchmark, rm, hrp)) in rows.iter().zip(recorded) {
+        assert_eq!(row.benchmark, benchmark);
+        assert_eq!(
+            (row.pwcet_rm.round() as u64, row.pwcet_hrp.round() as u64),
+            (rm, hrp),
+            "fig4a {} (RM, hRP) pWCETs drifted from the EXPERIMENTS.md record",
+            benchmark.label()
+        );
+    }
+    let summary = fig4::summarize_fig4a(&rows);
+    let percent = |fraction: f64| format!("{:.1}", fraction * 100.0);
+    assert_eq!(
+        [
+            percent(summary.mean_tightening),
+            percent(summary.max_tightening),
+            percent(summary.min_tightening)
+        ],
+        ["26.3", "40.5", "16.1"],
+        "fig4a tightening summary drifted: {summary:?}"
+    );
+}
+
+/// The recorded Figure 5 comparison: the 20KB synthetic kernel's
+/// pWCET(10⁻¹⁵) under RM (174,218 cycles) and under hRP (242,993 cycles)
+/// at the default schedule.
+#[test]
+fn fig5_twenty_kb_pwcets_match_the_recorded_values() {
+    let result = fig5::generate(&ExperimentOptions::default()).unwrap();
+    assert_eq!(result.rm_sample.len(), 300);
+    assert_eq!(
+        (result.rm_pwcet.round() as u64, result.hrp_pwcet.round() as u64),
+        (174_218, 242_993),
+        "fig5 20KB (RM, hRP) pWCETs drifted from the EXPERIMENTS.md record"
+    );
 }

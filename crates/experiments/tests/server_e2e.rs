@@ -1,6 +1,6 @@
-//! End-to-end client-mode pins: the experiment pipeline driven through a
-//! live campaign server reproduces the recorded EXPERIMENTS.md numbers
-//! bit for bit.
+//! End-to-end server pin: the Figure 1 campaign submitted to a live
+//! campaign server reproduces the recorded EXPERIMENTS.md number bit for
+//! bit.
 //!
 //! The headline assertion reproduces the Figure 1 golden value —
 //! pWCET(10⁻¹⁵) = 171,639 cycles for the 20KB synthetic kernel under RM
@@ -12,57 +12,48 @@
 use randmod_core::PlacementKind;
 use randmod_experiments::cli::ExperimentOptions;
 use randmod_experiments::{fig1, runner};
+use randmod_mbpta::ExecutionSample;
 use randmod_server::{encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode};
-use randmod_sim::{encode_solo_runs, Campaign};
+use randmod_sim::{decode_solo_runs, encode_solo_runs, Campaign};
 use randmod_workloads::{MemoryLayout, SyntheticKernel, Workload};
-use std::path::PathBuf;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("randmod_e2e_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 #[test]
 fn fig1_through_the_server_reproduces_the_golden_pwcet() {
-    let dir = temp_dir("fig1");
+    let dir = std::env::temp_dir().join(format!("randmod_e2e_fig1_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let store = ResultStore::in_dir(&dir).unwrap();
     let handle = start(ServerConfig::default(), store).unwrap();
-    let addr = handle.addr().to_string();
 
-    // The exact fig1 protocol, offloaded: default options are the golden
-    // schedule (300 runs, campaign seed 0xC0FFEE).
-    let remote_options = ExperimentOptions::default().with_server(addr.clone());
-    let remote = fig1::generate(&remote_options).unwrap();
-    assert_eq!(remote.runs, 300);
-    assert_eq!(remote.cutoff_probability, 1e-15);
-    assert_eq!(
-        remote.pwcet_at_cutoff.round() as u64,
-        171_639,
-        "server-computed fig1 pWCET drifted from the EXPERIMENTS.md record: {}",
-        remote.pwcet_at_cutoff
-    );
-
-    // The entire artefact — every curve point, not just the headline —
-    // is identical to the local pipeline's.
-    let local = fig1::generate(&ExperimentOptions::default()).unwrap();
-    assert_eq!(remote, local, "client mode must be invisible to the results");
-
-    // Warm resubmission of the same underlying spec: a cache hit whose
-    // body is byte-identical to the direct engine path.
-    let kernel = SyntheticKernel::fits_l2();
-    let trace = kernel.packed_trace(&MemoryLayout::default());
+    // The exact fig1 campaign: the 20KB kernel at the default layout, RM
+    // in the L1s, the golden schedule (300 runs, campaign seed 0xC0FFEE).
+    let trace = SyntheticKernel::fits_l2().packed_trace(&MemoryLayout::default());
     let platform = runner::platform_with_l1(PlacementKind::RandomModulo);
     let campaign = Campaign::new(platform, 300).with_campaign_seed(0xC0FFEE);
     let seeds = campaign.seed_schedule();
-    let spec = CampaignSpec {
+    let spec = encode_spec(&CampaignSpec {
         config: platform,
         campaign_seed: 0xC0FFEE,
         mode: SpecMode::Fixed(seeds.clone()),
         trace: trace.clone(),
-    };
+    });
     let mut client = Client::connect(handle.addr()).unwrap();
-    let warm = client.post("/campaign", &encode_spec(&spec)).unwrap();
+    let cold = client.post("/campaign", &spec).unwrap();
+    assert_eq!(cold.status, 200);
+    let runs = decode_solo_runs(&cold.body, &seeds).expect("payload matches the seed schedule");
+    let sample = ExecutionSample::from_cycles_iter(runs.iter().map(|run| run.cycles));
+    let pwcet = runner::analyze(&sample).pwcet_at(1e-15);
+    assert_eq!(
+        pwcet.round() as u64,
+        171_639,
+        "server-computed fig1 pWCET drifted from the EXPERIMENTS.md record: {pwcet}"
+    );
+    // Exactly the local pipeline's number, not just the same rounding.
+    let local = fig1::generate(&ExperimentOptions::default()).unwrap();
+    assert_eq!(pwcet, local.pwcet_at_cutoff, "the server must be invisible to the result");
+
+    // Warm resubmission of the same spec: a cache hit whose body is
+    // byte-identical to the direct engine path.
+    let warm = client.post("/campaign", &spec).unwrap();
     assert_eq!(warm.status, 200);
     assert_eq!(
         warm.header("X-Randmod-Cache"),
@@ -74,61 +65,4 @@ fn fig1_through_the_server_reproduces_the_golden_pwcet() {
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn client_mode_sample_is_bit_identical_to_the_local_engine() {
-    let dir = temp_dir("parity");
-    let store = ResultStore::in_dir(&dir).unwrap();
-    let handle = start(ServerConfig::default(), store).unwrap();
-    let addr = handle.addr().to_string();
-
-    let kernel = SyntheticKernel::with_traversals(8 * 1024, 3);
-    let local_options = ExperimentOptions::default().with_runs(24).with_campaign_seed(13);
-    let remote_options = local_options.clone().with_server(addr);
-
-    let local =
-        runner::measure_campaign(&kernel, PlacementKind::RandomModulo, &local_options, 13).unwrap();
-    // Cold (computed server-side) and warm (served from the store) both
-    // reproduce the local sample exactly.
-    for round in ["cold", "warm"] {
-        let remote =
-            runner::measure_campaign(&kernel, PlacementKind::RandomModulo, &remote_options, 13)
-                .unwrap();
-        assert!(remote.adaptive.is_none());
-        assert_eq!(remote, local, "{round} client-mode sample diverged");
-    }
-
-    handle.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn adaptive_campaigns_ignore_the_server_and_run_locally() {
-    // The runner must not even attempt a connection for adaptive
-    // campaigns: a nonsense address only fails if it is dialled.
-    let kernel = SyntheticKernel::with_traversals(8 * 1024, 3);
-    let options = ExperimentOptions::default()
-        .with_server("this-host-does-not-exist:1")
-        .with_adaptive()
-        .with_max_runs(40)
-        .with_target_cv(0.1);
-    let measurement =
-        runner::measure_campaign(&kernel, PlacementKind::RandomModulo, &options, 3).unwrap();
-    assert!(measurement.adaptive.is_some(), "adaptive mode must run locally");
-}
-
-#[test]
-fn an_unreachable_server_is_a_contextual_error() {
-    // Port 1 on loopback refuses immediately; the runner must surface a
-    // diagnosable Server error, not panic or hang.
-    let kernel = SyntheticKernel::with_traversals(8 * 1024, 2);
-    let options = ExperimentOptions::default()
-        .with_runs(12)
-        .with_server("127.0.0.1:1");
-    let err = runner::measure_campaign(&kernel, PlacementKind::RandomModulo, &options, 3)
-        .unwrap_err();
-    let message = err.to_string();
-    assert!(message.contains("campaign server"), "{message}");
-    assert!(message.contains("127.0.0.1:1"), "{message}");
 }

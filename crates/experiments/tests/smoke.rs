@@ -6,21 +6,67 @@
 
 use std::process::Command;
 
-/// Runs one experiment binary with the given arguments and returns stdout.
-fn run(exe: &str, args: &[&str]) -> String {
+/// Runs one experiment binary with the given arguments and returns stdout
+/// and stderr.
+fn run_full(exe: &str, args: &[&str]) -> (String, String) {
     let output = Command::new(exe)
         .args(args)
         .output()
         .unwrap_or_else(|err| panic!("failed to spawn {exe}: {err}"));
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
     assert!(
         output.status.success(),
-        "{exe} exited with {:?}\nstderr:\n{}",
-        output.status.code(),
-        String::from_utf8_lossy(&output.stderr)
+        "{exe} exited with {:?}\nstderr:\n{stderr}",
+        output.status.code()
     );
     let stdout = String::from_utf8(output.stdout).expect("experiment output is UTF-8");
     assert!(!stdout.trim().is_empty(), "{exe} printed nothing");
-    stdout
+    (stdout, stderr)
+}
+
+/// Runs one experiment binary with the given arguments and returns stdout.
+fn run(exe: &str, args: &[&str]) -> String {
+    run_full(exe, args).0
+}
+
+/// A fresh, empty `--store` directory for one test.
+fn store_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("randmod-smoke-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The `checkpoint <path>: resumed N shard(s), executed M of K` lines a
+/// stored run prints on stderr, one per campaign.
+fn store_progress(stderr: &str) -> Vec<&str> {
+    stderr
+        .lines()
+        .filter(|l| l.starts_with("checkpoint ") && l.contains(": resumed "))
+        .collect()
+}
+
+/// Runs `exe --quick` without a store, then twice with one: both stored
+/// stdouts must equal the unstored one byte for byte, and the second run
+/// must restore all `campaigns` campaigns from the store without
+/// executing a single shard.
+fn assert_warm_store_reruns_nothing(exe: &str, tag: &str, campaigns: usize) {
+    let golden = run(exe, &["--quick"]);
+    let dir = store_dir(tag);
+    let store_args = ["--quick", "--store", dir.to_str().unwrap()];
+    let (cold, cold_stderr) = run_full(exe, &store_args);
+    assert_eq!(cold, golden, "a cold store changed the experiment output");
+    assert_eq!(store_progress(&cold_stderr).len(), campaigns, "{cold_stderr}");
+    let (warm, warm_stderr) = run_full(exe, &store_args);
+    assert_eq!(warm, golden, "a warm store changed the experiment output");
+    let progress = store_progress(&warm_stderr);
+    assert_eq!(progress.len(), campaigns, "{warm_stderr}");
+    for line in progress {
+        assert!(
+            line.ends_with("resumed 16 shard(s), executed 0 of 16"),
+            "a warm campaign re-simulated: {line}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("failed to clean up the store directory");
 }
 
 /// Asserts that every non-comment line below the CSV header splits into
@@ -111,6 +157,25 @@ fn fig4a_rm_vs_hrp_quick() {
 }
 
 #[test]
+fn fig4a_adaptive_quick() {
+    // fig4a honours --adaptive like the other MBPTA binaries: the same
+    // CSV, from one adaptive campaign per benchmark and policy.
+    let stdout = run(env!("CARGO_BIN_EXE_fig4a_rm_vs_hrp"), &["--quick", "--adaptive"]);
+    assert_csv_rows(
+        &stdout,
+        "benchmark,pwcet_rm,pwcet_hrp,rm_over_hrp,tightening_percent",
+        5,
+        11,
+    );
+}
+
+#[test]
+fn fig4a_warm_store_reruns_nothing() {
+    // 11 benchmarks x {RM, hRP}.
+    assert_warm_store_reruns_nothing(env!("CARGO_BIN_EXE_fig4a_rm_vs_hrp"), "fig4a", 22);
+}
+
+#[test]
 fn fig4b_rm_vs_det_quick() {
     let stdout = run(env!("CARGO_BIN_EXE_fig4b_rm_vs_det"), &["--quick"]);
     assert_csv_rows(&stdout, "benchmark,pwcet_rm,deterministic_hwm,rm_over_hwm", 4, 11);
@@ -128,6 +193,17 @@ fn fig5_synthetic_quick() {
         "missing hRP histogram:\n{stdout}"
     );
     assert!(stdout.contains("pWCET curves"), "missing curve section");
+}
+
+#[test]
+fn fig5_adaptive_quick() {
+    let stdout = run(env!("CARGO_BIN_EXE_fig5_synthetic"), &["--quick", "--adaptive"]);
+    assert_csv_rows(
+        &stdout,
+        "## Figure 5(c): pWCET curves (probability, RM bound, hRP bound)",
+        3,
+        18,
+    );
 }
 
 #[test]
@@ -251,6 +327,13 @@ fn fig6_contention_quick() {
 }
 
 #[test]
+fn fig6_warm_store_reruns_nothing() {
+    // 4 shared-L2 placements x pressures P0-P3, the idle P0 cells
+    // included.
+    assert_warm_store_reruns_nothing(env!("CARGO_BIN_EXE_fig6_contention"), "fig6", 16);
+}
+
+#[test]
 fn fig6_contention_adaptive_quick() {
     let stdout = run(
         env!("CARGO_BIN_EXE_fig6_contention"),
@@ -271,21 +354,19 @@ fn fig6_contention_adaptive_quick() {
 #[test]
 fn sharded_kill_and_resume_reproduces_the_uninterrupted_output() {
     // The crash-safety acceptance path, end to end through a real binary:
-    // golden run → sharded run (byte-identical stdout) → `kill -9`-style
-    // crash mid-campaign (nonzero exit, no CSV) → resume (byte-identical
-    // stdout again, with the resumed shards reported on stderr).
-    let golden = run(env!("CARGO_BIN_EXE_fig1_pwcet_curve"), &["--quick"]);
-    let dir = std::env::temp_dir().join(format!("randmod-smoke-ckpt-{}", std::process::id()));
-    let dir_str = dir.to_str().unwrap().to_string();
-    let shard_args = ["--quick", "--shards", "4", "--checkpoint", dir_str.as_str()];
-
-    // Sharding alone must not change a single output byte.
-    let sharded = run(env!("CARGO_BIN_EXE_fig1_pwcet_curve"), &shard_args);
-    assert_eq!(sharded, golden, "sharding changed the experiment output");
+    // golden run → `kill -9`-style crash after the second of the store's
+    // 16 shard checkpoints (nonzero exit, no CSV) → rerun on the same
+    // store (byte-identical stdout, the 2 persisted shards reused) → a
+    // third run that simulates nothing at all.
+    let exe = env!("CARGO_BIN_EXE_fig1_pwcet_curve");
+    let golden = run(exe, &["--quick"]);
+    let dir = store_dir("kill");
+    let dir_str = dir.to_str().unwrap();
+    let store_args = ["--quick", "--store", dir_str];
 
     // Crash immediately after the second shard checkpoint persists.
-    let crashed = Command::new(env!("CARGO_BIN_EXE_fig1_pwcet_curve"))
-        .args(shard_args)
+    let crashed = Command::new(exe)
+        .args(store_args)
         .env("RANDMOD_KILL_AFTER_SHARD", "2")
         .output()
         .expect("failed to spawn fig1_pwcet_curve");
@@ -295,55 +376,26 @@ fn sharded_kill_and_resume_reproduces_the_uninterrupted_output() {
         String::from_utf8_lossy(&crashed.stderr)
     );
 
-    // Resume completes the remaining shards and reproduces the golden
-    // output bit for bit.
-    let resumed = Command::new(env!("CARGO_BIN_EXE_fig1_pwcet_curve"))
-        .args(["--quick", "--shards", "4", "--checkpoint", &dir_str, "--resume"])
-        .output()
-        .expect("failed to spawn fig1_pwcet_curve");
-    assert!(
-        resumed.status.success(),
-        "resume failed:\n{}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&resumed.stdout),
-        golden,
-        "resumed run diverged from the uninterrupted output"
-    );
-    let stderr = String::from_utf8_lossy(&resumed.stderr);
-    assert!(
-        stderr.contains("resumed 2 shard(s)"),
-        "resume progress missing from stderr:\n{stderr}"
-    );
+    // The rerun completes the remaining shards and reproduces the golden
+    // output bit for bit; the one after it only reads the store.
+    for expected in [
+        "resumed 2 shard(s), executed 14 of 16",
+        "resumed 16 shard(s), executed 0 of 16",
+    ] {
+        let (stdout, stderr) = run_full(exe, &store_args);
+        assert_eq!(stdout, golden, "the stored run diverged from the uninterrupted output");
+        assert!(stderr.contains(expected), "expected {expected:?} on stderr:\n{stderr}");
+    }
 
     // A different campaign (different seed) fingerprints to a *different*
-    // checkpoint file in the same directory, so resuming there can never
-    // replay the old campaign's shards: it starts fresh instead.
-    let mismatched = Command::new(env!("CARGO_BIN_EXE_fig1_pwcet_curve"))
-        .args([
-            "--quick",
-            "--shards",
-            "4",
-            "--checkpoint",
-            &dir_str,
-            "--resume",
-            "--seed",
-            "99",
-        ])
-        .output()
-        .expect("failed to spawn fig1_pwcet_curve");
+    // entry in the same directory, so it can never replay the old
+    // campaign's shards: it starts fresh instead.
+    let (_, stderr) = run_full(exe, &["--quick", "--store", dir_str, "--seed", "99"]);
     assert!(
-        mismatched.status.success(),
-        "a different seed names a different checkpoint file and must start fresh:\n{}",
-        String::from_utf8_lossy(&mismatched.stderr)
+        stderr.contains("resumed 0 shard(s)"),
+        "a different campaign must not resume the old campaign's shards:\n{stderr}"
     );
-    assert!(
-        String::from_utf8_lossy(&mismatched.stderr).contains("resumed 0 shard(s)"),
-        "a different campaign must not resume the old campaign's shards:\n{}",
-        String::from_utf8_lossy(&mismatched.stderr)
-    );
-    std::fs::remove_dir_all(&dir).expect("failed to clean up the checkpoint directory");
+    std::fs::remove_dir_all(&dir).expect("failed to clean up the store directory");
 }
 
 #[test]

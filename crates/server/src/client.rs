@@ -1,12 +1,11 @@
 //! A minimal blocking HTTP/1.1 client for the campaign service.
 //!
-//! Just enough protocol for the load harness, the test batteries and
-//! the experiment driver's client mode: keep-alive request/response
-//! over one [`TcpStream`], fixed-length (`Content-Length`) and
-//! `chunked` response bodies, nothing else.  It deliberately shares no
-//! code with the server-side parser in [`crate::http`], so the two
-//! directions of every integration test exercise independently written
-//! framing logic.
+//! Just enough protocol for the load harness and the test batteries:
+//! keep-alive request/response over one [`TcpStream`], fixed-length
+//! (`Content-Length`) and `chunked` response bodies, nothing else.  It
+//! deliberately shares no code with the server-side parser in
+//! [`crate::http`], so the two directions of every integration test
+//! exercise independently written framing logic.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -28,8 +28,9 @@
 //!   `Retry-After`).
 //! * [`server`] — the TCP front end: keep-alive connections, read
 //!   timeouts, graceful shutdown that drains in-flight campaigns.
-//! * [`client`] — a minimal blocking client (used by the load harness,
-//!   the test batteries and the experiment driver's client mode).
+//! * [`client`] — a minimal blocking client (used by the load harness
+//!   and the test batteries, including the experiments' end-to-end
+//!   Figure 1 pin).
 //!
 //! ## Protocol sketch
 //!

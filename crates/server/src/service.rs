@@ -213,7 +213,7 @@ impl Service {
             );
         }
         let campaign = self.build_campaign(spec, seeds.len());
-        let key = campaign.campaign_fingerprint(&spec.trace, &seeds);
+        let key = campaign.sharded_fingerprint(&spec.trace, &seeds, 1);
         let total_runs = seeds.len() as u64;
         if let Some(payload) = self.store.load(key, total_runs) {
             return result_response(key, "hit", payload);
@@ -278,7 +278,7 @@ impl Service {
 fn adaptive_key(campaign: &Campaign, spec: &CampaignSpec, criterion: &ConvergenceCriterion) -> u64 {
     let mut fp = Fingerprint::new();
     fp.write(b"adaptive");
-    fp.write_u64(campaign.campaign_fingerprint(&spec.trace, &[]));
+    fp.write_u64(campaign.sharded_fingerprint(&spec.trace, &[], 1));
     fp.write_u64(spec.campaign_seed);
     fp.write_u64(criterion.target_probability.to_bits());
     fp.write_u64(criterion.relative_tolerance.to_bits());

@@ -157,7 +157,7 @@ impl fmt::Display for CheckpointError {
                 write!(
                     f,
                     "checkpoint {location}: belongs to a different campaign ({detail}); \
-                     remove it or point --checkpoint elsewhere"
+                     remove it or store this campaign elsewhere"
                 )
             }
             CheckpointError::Interrupted { location, detail } => {

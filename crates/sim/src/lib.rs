@@ -31,8 +31,10 @@
 //!   default), adaptively grow the campaign until the pWCET estimate
 //!   converges ([`Campaign::run_adaptive`]), sweep memory layouts under
 //!   deterministic placement (the industrial high-water-mark protocol), or
-//!   split the campaign into crash-safe resumable shards
-//!   ([`Campaign::run_sharded_checkpointed`]).
+//!   split a fixed-run campaign into crash-safe shards persisted through a
+//!   checkpoint store, so a rerun resumes or reuses them
+//!   ([`Campaign::run_sharded_checkpointed`],
+//!   [`Campaign::run_contended_sharded_checkpointed`]).
 //! * [`checkpoint`] — the versioned, checksummed, atomically-written
 //!   checkpoint container the sharded drivers persist completed shards
 //!   through, plus the injectable [`CheckpointStore`] trait and the

@@ -5,7 +5,7 @@ use super::schedule::scoped_chunks;
 use super::Campaign;
 use crate::batch::BatchCore;
 use crate::hierarchy::HierarchyStats;
-use crate::trace::{EventSource, Trace};
+use crate::trace::EventSource;
 use randmod_core::ConfigError;
 use std::fmt;
 
@@ -199,19 +199,5 @@ impl Campaign {
             Ok(out)
         })?;
         Ok(CampaignResult::from_runs(runs))
-    }
-
-    /// Collecting adapter for pre-materialised layout sweeps: every entry
-    /// of `layouts` is the same program placed differently in memory; each
-    /// is executed once (the layout, not a seed, is what varies).  Prefer
-    /// [`Self::run_layout_sweep_with`] when the traces can be generated on
-    /// demand.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the platform configuration is invalid.
-    pub fn run_layout_sweep(&self, layouts: &[Trace]) -> Result<CampaignResult, ConfigError> {
-        // randmod: allow(P1, run_layout_sweep_with only calls back with i < layouts.len(), the count handed to it on this very line)
-        self.run_layout_sweep_with(layouts.len(), |i| &layouts[i])
     }
 }

@@ -23,10 +23,10 @@
 //! For the deterministic baseline of Figure 4(b), the execution time does
 //! not vary with a seed but with the *memory layout* of the program; the
 //! corresponding protocol, sweeping layouts and recording the high-water
-//! mark, is provided by [`Campaign::run_layout_sweep_with`] (which builds
+//! mark, is provided by [`Campaign::run_layout_sweep_with`], which builds
 //! one layout's trace at a time and replays it as a one-lane
 //! [`crate::batch::BatchCore`] wave, keeping the sweep's memory footprint
-//! constant) and its collecting adapter [`Campaign::run_layout_sweep`].
+//! constant.
 //!
 //! Every protocol therefore runs on one of the two lane engines; the
 //! naive model in the `reference_model` test suite is their independent
@@ -47,9 +47,10 @@
 //!   ([`Campaign::run_adaptive`], [`Campaign::run_contended_adaptive`]),
 //!   plus [`AdaptiveResult`] / [`ContendedAdaptiveResult`].
 //! * [`shard`](self) — the crash-safe sharded drivers
-//!   ([`Campaign::run_sharded`], [`Campaign::run_sharded_checkpointed`]):
-//!   deterministic contiguous shards over the seed schedule, merged
-//!   bit-identical to the unsharded run, with checkpoint/resume through a
+//!   ([`Campaign::run_sharded_checkpointed`],
+//!   [`Campaign::run_contended_sharded_checkpointed`]): deterministic
+//!   contiguous shards over the seed schedule, merged bit-identical to the
+//!   unsharded run, with checkpoint/resume through a
 //!   [`crate::checkpoint::CheckpointStore`]; plus [`ShardSpec`] /
 //!   [`ShardedReport`] / [`CampaignError`].
 
@@ -330,18 +331,18 @@ mod tests {
         let campaign = Campaign::new(PlatformConfig::leon3_deterministic(), 0).with_threads(2);
         let base = stress_trace();
         let layouts: Vec<Trace> = (0..5u64).map(|i| base.with_offsets(i * 64, i * 4096)).collect();
-        let result = campaign.run_layout_sweep(&layouts).unwrap();
+        let sweep = || campaign.run_layout_sweep_with(layouts.len(), |i| &layouts[i]).unwrap();
+        let result = sweep();
         assert_eq!(result.len(), 5);
         let indices: Vec<u64> = result.runs().iter().map(|r| r.seed).collect();
         assert_eq!(indices, vec![0, 1, 2, 3, 4]);
         // Deterministic platform: re-running the sweep reproduces it.
-        assert_eq!(result, campaign.run_layout_sweep(&layouts).unwrap());
+        assert_eq!(result, sweep());
     }
 
     #[test]
     fn empty_layout_sweep_is_empty() {
         let campaign = Campaign::new(PlatformConfig::leon3_deterministic(), 0);
-        assert!(campaign.run_layout_sweep(&[]).unwrap().is_empty());
         assert!(campaign
             .run_layout_sweep_with(0, |_| Trace::new())
             .unwrap()
@@ -353,7 +354,7 @@ mod tests {
         let campaign = Campaign::new(PlatformConfig::leon3_deterministic(), 0).with_threads(3);
         let base = stress_trace();
         let layouts: Vec<Trace> = (0..7u64).map(|i| base.with_offsets(i * 64, i * 4096)).collect();
-        let collected = campaign.run_layout_sweep(&layouts).unwrap();
+        let collected = campaign.run_layout_sweep_with(layouts.len(), |i| &layouts[i]).unwrap();
         let streamed = campaign
             .run_layout_sweep_with(7, |i| base.with_offsets(i as u64 * 64, i as u64 * 4096))
             .unwrap();

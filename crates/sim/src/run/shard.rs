@@ -349,8 +349,11 @@ impl Campaign {
 
     /// The resume-safety fingerprint of a sharded solo campaign over an
     /// explicit seed schedule: hash of packed trace + config + seed
-    /// schedule + shard count.  [`Self::run_seeds_sharded_checkpointed`]
-    /// refuses any checkpoint whose header disagrees.
+    /// schedule + shard count.  [`Self::run_sharded_checkpointed`] refuses
+    /// any checkpoint whose header disagrees.  With `shards = 1` it is the
+    /// content-address the `randmod-server` result cache files results
+    /// under — any change to the trace, the platform configuration or the
+    /// seed schedule changes the key.
     pub fn sharded_fingerprint<S>(&self, source: &S, seeds: &[u64], shards: usize) -> u64
     where
         S: EventSource + ?Sized,
@@ -360,27 +363,6 @@ impl Campaign {
         hash.write_u64(1); // task count
         Self::fold_trace(&mut hash, source);
         hash.finish()
-    }
-
-    /// The content-address of an unsharded solo campaign over an explicit
-    /// seed schedule: [`Self::sharded_fingerprint`] with a single shard.
-    /// This is the key the `randmod-server` result cache files results
-    /// under — any change to the trace, the platform configuration or the
-    /// seed schedule changes the key.
-    pub fn campaign_fingerprint<S>(&self, source: &S, seeds: &[u64]) -> u64
-    where
-        S: EventSource + ?Sized,
-    {
-        self.sharded_fingerprint(source, seeds, 1)
-    }
-
-    /// The fingerprint of [`Self::run_sharded_checkpointed`]: the solo
-    /// fingerprint over this campaign's default seed schedule.
-    pub fn default_sharded_fingerprint<S>(&self, source: &S, shards: usize) -> u64
-    where
-        S: EventSource + ?Sized,
-    {
-        self.sharded_fingerprint(source, &self.seed_schedule(), shards)
     }
 
     /// The resume-safety fingerprint of a sharded contended campaign:
@@ -401,8 +383,20 @@ impl Campaign {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded drivers
+// Checkpointed drivers
 // ---------------------------------------------------------------------------
+
+impl<R> ShardedReport<R> {
+    fn map<U>(self, f: impl FnOnce(R) -> U) -> ShardedReport<U> {
+        ShardedReport {
+            result: f(self.result),
+            shard_count: self.shard_count,
+            resumed: self.resumed,
+            executed: self.executed,
+            diagnostics: self.diagnostics,
+        }
+    }
+}
 
 /// The generic checkpointed driver: `execute` runs one shard's seed
 /// sub-range, `encode`/`decode` translate a shard's runs to and from a
@@ -410,7 +404,7 @@ impl Campaign {
 /// resume logic, so their crash-safety guarantees cannot drift apart.
 fn run_checkpointed<T, E, Enc, Dec>(
     seeds: &[u64],
-    spec: ShardSpec,
+    shard_count: usize,
     fingerprint: u64,
     store: &mut dyn CheckpointStore,
     mut execute: E,
@@ -422,6 +416,7 @@ where
     Enc: Fn(&[T]) -> Vec<u8>,
     Dec: Fn(&[u8], &[u64]) -> Option<Vec<T>>,
 {
+    let spec = ShardSpec::new(seeds.len(), shard_count);
     let header = CheckpointHeader {
         fingerprint,
         total_runs: spec.total_runs() as u64,
@@ -513,65 +508,16 @@ where
 }
 
 impl Campaign {
-    /// [`Self::run`] split into `shards` deterministic contiguous shards,
-    /// each executed through the existing lane/thread pool, merged in
-    /// shard order — bit-identical to the unsharded campaign (pinned by
-    /// the `shard_equivalence` proptests).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the platform configuration is invalid.
-    pub fn run_sharded<S>(&self, source: &S, shards: usize) -> Result<CampaignResult, ConfigError>
-    where
-        S: EventSource + ?Sized,
-    {
-        self.config().validate()?;
-        self.run_seeds_sharded_validated(source, &self.seed_schedule(), shards)
-    }
-
-    /// [`Self::run_seeds`] over `shards` contiguous sub-ranges of `seeds`,
-    /// merged in shard order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the platform configuration is invalid.
-    pub fn run_seeds_sharded<S>(
-        &self,
-        source: &S,
-        seeds: &[u64],
-        shards: usize,
-    ) -> Result<CampaignResult, ConfigError>
-    where
-        S: EventSource + ?Sized,
-    {
-        self.config().validate()?;
-        self.run_seeds_sharded_validated(source, seeds, shards)
-    }
-
-    fn run_seeds_sharded_validated<S>(
-        &self,
-        source: &S,
-        seeds: &[u64],
-        shards: usize,
-    ) -> Result<CampaignResult, ConfigError>
-    where
-        S: EventSource + ?Sized,
-    {
-        let spec = ShardSpec::new(seeds.len(), shards);
-        let mut runs = Vec::with_capacity(seeds.len());
-        for range in spec.ranges() {
-            // randmod: allow(P1, ShardSpec::new(seeds.len(), ..) yields ranges inside 0..seeds.len() by construction)
-            runs.extend(self.run_seeds_validated(source, &seeds[range])?.into_runs());
-        }
-        Ok(CampaignResult::from_runs(runs))
-    }
-
-    /// The crash-safe sharded campaign: like [`Self::run_sharded`], but
-    /// every completed shard is persisted to `store`, and shards already
-    /// recorded there (under a matching campaign fingerprint) are restored
-    /// instead of re-executed.  Corrupt or partial records are detected by
-    /// checksum and re-run; a checkpoint from a *different* campaign is
-    /// refused with [`CheckpointError::Mismatch`].
+    /// The crash-safe sharded campaign: [`Self::run`]'s seed schedule
+    /// split into `shards` deterministic contiguous shards, each executed
+    /// through the existing lane/thread pool and merged in shard order —
+    /// bit-identical to the unsharded campaign (pinned by the
+    /// `shard_equivalence` proptests).  Every completed shard is persisted
+    /// to `store`, and shards already recorded there (under a matching
+    /// campaign fingerprint) are restored instead of re-executed.  Corrupt
+    /// or partial records are detected by checksum and re-run; a
+    /// checkpoint from a *different* campaign is refused with
+    /// [`CheckpointError::Mismatch`].
     ///
     /// Interruption-safety: the store is atomically replaced after each
     /// shard, so killing the process at any instant loses at most the
@@ -592,99 +538,25 @@ impl Campaign {
     where
         S: EventSource + ?Sized,
     {
-        self.run_seeds_sharded_checkpointed(source, &self.seed_schedule(), shards, store)
-    }
-
-    /// [`Self::run_sharded_checkpointed`] over an explicit seed schedule.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignError`] for an invalid platform configuration or
-    /// a checkpoint-layer failure.
-    pub fn run_seeds_sharded_checkpointed<S>(
-        &self,
-        source: &S,
-        seeds: &[u64],
-        shards: usize,
-        store: &mut dyn CheckpointStore,
-    ) -> Result<ShardedReport<CampaignResult>, CampaignError>
-    where
-        S: EventSource + ?Sized,
-    {
         self.config().validate()?;
-        let spec = ShardSpec::new(seeds.len(), shards);
-        let fingerprint = self.sharded_fingerprint(source, seeds, shards);
+        let seeds = self.seed_schedule();
         let report = run_checkpointed(
-            seeds,
-            spec,
-            fingerprint,
+            &seeds,
+            shards,
+            self.sharded_fingerprint(source, &seeds, shards),
             store,
             |shard_seeds| Ok(self.run_seeds_validated(source, shard_seeds)?.into_runs()),
             encode_solo_runs,
             decode_solo_runs,
         )?;
-        Ok(ShardedReport {
-            result: CampaignResult::from_runs(report.result),
-            shard_count: report.shard_count,
-            resumed: report.resumed,
-            executed: report.executed,
-            diagnostics: report.diagnostics,
-        })
-    }
-
-    /// [`Self::run_contended`] split into `shards` contiguous sub-ranges
-    /// of `seeds`, merged in shard order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the platform configuration is invalid.
-    pub fn run_contended_sharded<S>(
-        &self,
-        sources: &[S],
-        seeds: &[u64],
-        shards: usize,
-    ) -> Result<ContendedResult, ConfigError>
-    where
-        S: EventSource,
-    {
-        self.config().validate()?;
-        if sources.is_empty() || seeds.is_empty() {
-            return Ok(ContendedResult::default());
-        }
-        let spec = ShardSpec::new(seeds.len(), shards);
-        let mut runs = Vec::with_capacity(seeds.len());
-        for range in spec.ranges() {
-            // randmod: allow(P1, ShardSpec::new(seeds.len(), ..) yields ranges inside 0..seeds.len() by construction)
-            runs.extend(
-                self.run_contended_validated(sources, &seeds[range])?
-                    .into_runs(),
-            );
-        }
-        Ok(ContendedResult::from_runs(runs))
-    }
-
-    /// [`Self::run_contended_campaign`] (the default seed schedule) split
-    /// into `shards` shards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the platform configuration is invalid.
-    pub fn run_contended_sharded_campaign<S>(
-        &self,
-        sources: &[S],
-        shards: usize,
-    ) -> Result<ContendedResult, ConfigError>
-    where
-        S: EventSource,
-    {
-        self.run_contended_sharded(sources, &self.seed_schedule(), shards)
+        Ok(report.map(CampaignResult::from_runs))
     }
 
     /// The crash-safe contended campaign over this campaign's default
     /// seed schedule: the contended analogue of
-    /// [`Self::run_sharded_checkpointed`], with the same resume, checksum
-    /// and fingerprint guarantees (per-task cycles *and* stats round-trip
-    /// bit-for-bit).
+    /// [`Self::run_sharded_checkpointed`], with the same shard-merge,
+    /// resume, checksum and fingerprint guarantees (per-task cycles *and*
+    /// stats round-trip bit-for-bit).
     ///
     /// # Errors
     ///
@@ -699,27 +571,8 @@ impl Campaign {
     where
         S: EventSource,
     {
-        self.run_contended_seeds_sharded_checkpointed(sources, &self.seed_schedule(), shards, store)
-    }
-
-    /// [`Self::run_contended_sharded_checkpointed`] over an explicit seed
-    /// schedule.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignError`] for an invalid platform configuration or
-    /// a checkpoint-layer failure.
-    pub fn run_contended_seeds_sharded_checkpointed<S>(
-        &self,
-        sources: &[S],
-        seeds: &[u64],
-        shards: usize,
-        store: &mut dyn CheckpointStore,
-    ) -> Result<ShardedReport<ContendedResult>, CampaignError>
-    where
-        S: EventSource,
-    {
         self.config().validate()?;
+        let seeds = self.seed_schedule();
         if sources.is_empty() || seeds.is_empty() {
             return Ok(ShardedReport {
                 result: ContendedResult::default(),
@@ -729,25 +582,17 @@ impl Campaign {
                 diagnostics: Vec::new(),
             });
         }
-        let spec = ShardSpec::new(seeds.len(), shards);
-        let fingerprint = self.contended_sharded_fingerprint(sources, seeds, shards);
         let tasks = sources.len();
         let report = run_checkpointed(
-            seeds,
-            spec,
-            fingerprint,
+            &seeds,
+            shards,
+            self.contended_sharded_fingerprint(sources, &seeds, shards),
             store,
             |shard_seeds| Ok(self.run_contended_validated(sources, shard_seeds)?.into_runs()),
             encode_contended_runs,
             |payload, shard_seeds| decode_contended_runs(payload, shard_seeds, tasks),
         )?;
-        Ok(ShardedReport {
-            result: ContendedResult::from_runs(report.result),
-            shard_count: report.shard_count,
-            resumed: report.resumed,
-            executed: report.executed,
-            diagnostics: report.diagnostics,
-        })
+        Ok(report.map(ContendedResult::from_runs))
     }
 }
 
@@ -819,7 +664,9 @@ mod tests {
         let campaign = campaign(13);
         let reference = campaign.run(&trace).unwrap();
         for shards in [1, 2, 3, 5, 13, 40] {
-            assert_eq!(campaign.run_sharded(&trace, shards).unwrap(), reference, "{shards}");
+            let mut store = MemoryCheckpointStore::new();
+            let report = campaign.run_sharded_checkpointed(&trace, shards, &mut store).unwrap();
+            assert_eq!(report.result, reference, "{shards}");
         }
     }
 

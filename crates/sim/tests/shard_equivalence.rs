@@ -1,11 +1,11 @@
 //! Property-based equivalence of sharded and unsharded campaigns.
 //!
 //! The shard protocol's acceptance criterion: splitting a campaign into
-//! deterministic contiguous shards and merging the `ShardResult`s in
-//! shard order must be **bit-identical** to the unsharded run — same
-//! per-run cycles *and* per-run `HierarchyStats` — across shard counts ×
-//! placements × lane widths, for solo and contended campaigns, with or
-//! without a checkpoint store in the loop.  These properties are what
+//! deterministic contiguous shards, persisting each through a checkpoint
+//! store and merging them in shard order must be **bit-identical** to the
+//! unsharded run — same per-run cycles *and* per-run `HierarchyStats` —
+//! across shard counts × placements × lane widths, for solo and contended
+//! campaigns, whether the shards were just executed or restored.  These properties are what
 //! make checkpoint/resume sound: if shard-merge ≡ single-run, then
 //! re-running only the missing shards after a crash reconstructs the
 //! uninterrupted result exactly.
@@ -40,8 +40,10 @@ proptest! {
         prop_assert_eq!(next, total);
     }
 
-    /// Shard-merge ≡ unsharded `run_seeds`, bit-for-bit (cycles and
-    /// stats), across shard counts × placements × lane widths.
+    /// Shard-merge ≡ unsharded `run`, bit-for-bit (cycles and stats),
+    /// across shard counts × placements × lane widths — both for the run
+    /// that fills a fresh store and for the rerun that restores every
+    /// shard from it.
     #[test]
     fn sharded_solo_campaign_matches_unsharded(
         events in prop::collection::vec(event_strategy(), 1..250),
@@ -51,31 +53,33 @@ proptest! {
         let placement = PlacementKind::ALL[placement_index];
         let config = PlatformConfig::leon3().with_l1_placement(placement);
         let trace = expand(&events);
-        let seeds: Vec<u64> = (0..13u64).map(|i| campaign_seed ^ (i * 0x9E37_79B9)).collect();
-        let reference = Campaign::new(config, 0)
-            .with_threads(2)
-            .run_seeds(&trace, &seeds)
-            .unwrap();
+        let campaign = Campaign::new(config, 13)
+            .with_campaign_seed(campaign_seed)
+            .with_threads(2);
+        let reference = campaign.run(&trace).unwrap();
         // 1 shard is the degenerate identity, 13 puts one seed per shard,
         // 40 over-shards (clamped back to 13); 3 and 5 leave ragged tails.
         for shards in [1usize, 3, 5, 13, 40] {
             for lanes in [1usize, 4, 7] {
-                let sharded = Campaign::new(config, 0)
-                    .with_threads(2)
-                    .with_lanes(lanes)
-                    .run_seeds_sharded(&trace, &seeds, shards)
-                    .unwrap();
-                prop_assert!(
-                    sharded == reference,
-                    "shards={shards} lanes={lanes} diverged from the unsharded run"
-                );
+                let sharded = campaign.clone().with_lanes(lanes);
+                let mut store = MemoryCheckpointStore::new();
+                for pass in ["fresh", "restored"] {
+                    let report = sharded
+                        .run_sharded_checkpointed(&trace, shards, &mut store)
+                        .unwrap();
+                    prop_assert!(
+                        report.result == reference,
+                        "{pass}: shards={shards} lanes={lanes} diverged from the unsharded run"
+                    );
+                }
             }
         }
     }
 
     /// The contended analogue: sharded contended campaigns reproduce the
     /// unsharded `ContendedResult` — per-task cycles and stats — across
-    /// shard counts, lane widths and both arbitration policies.
+    /// shard counts, lane widths and both arbitration policies, fresh and
+    /// restored.
     #[test]
     fn sharded_contended_campaign_matches_unsharded(
         victim_events in prop::collection::vec(event_strategy(), 1..150),
@@ -92,24 +96,24 @@ proptest! {
             Arbitration::RoundRobin
         };
         let sources = [expand(&victim_events), expand(&opponent_events)];
-        let seeds: Vec<u64> = (0..9u64).map(|i| campaign_seed ^ (i * 0x9E37_79B9)).collect();
-        let reference = Campaign::new(config, 0)
+        let campaign = Campaign::new(config, 9)
+            .with_campaign_seed(campaign_seed)
             .with_threads(2)
-            .with_arbitration(arbitration)
-            .run_contended(&sources, &seeds)
-            .unwrap();
+            .with_arbitration(arbitration);
+        let reference = campaign.run_contended_campaign(&sources).unwrap();
         for shards in [1usize, 2, 4, 9] {
             for lanes in [1usize, Campaign::CONTENDED_LANE_GROUP, 5] {
-                let sharded = Campaign::new(config, 0)
-                    .with_threads(2)
-                    .with_lanes(lanes)
-                    .with_arbitration(arbitration)
-                    .run_contended_sharded(&sources, &seeds, shards)
-                    .unwrap();
-                prop_assert!(
-                    sharded == reference,
-                    "shards={shards} lanes={lanes} diverged from the unsharded run"
-                );
+                let sharded = campaign.clone().with_lanes(lanes);
+                let mut store = MemoryCheckpointStore::new();
+                for pass in ["fresh", "restored"] {
+                    let report = sharded
+                        .run_contended_sharded_checkpointed(&sources, shards, &mut store)
+                        .unwrap();
+                    prop_assert!(
+                        report.result == reference,
+                        "{pass}: shards={shards} lanes={lanes} diverged from the unsharded run"
+                    );
+                }
             }
         }
     }
@@ -145,8 +149,8 @@ proptest! {
     }
 }
 
-/// The default-schedule conveniences agree with their explicit-schedule
-/// counterparts and with the unsharded protocols.
+/// Both checkpointed drivers agree with the unsharded protocols over the
+/// campaign's default seed schedule, and a rerun restores every shard.
 #[test]
 fn default_schedule_sharded_drivers_match_run() {
     let config = PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo);
@@ -160,20 +164,20 @@ fn default_schedule_sharded_drivers_match_run() {
     let campaign = Campaign::new(config, 10)
         .with_campaign_seed(77)
         .with_threads(2);
-    assert_eq!(
-        campaign.run_sharded(&victim, 4).unwrap(),
-        campaign.run(&victim).unwrap()
-    );
+    let mut store = MemoryCheckpointStore::new();
+    let report = campaign.run_sharded_checkpointed(&victim, 4, &mut store).unwrap();
+    assert_eq!(report.result, campaign.run(&victim).unwrap());
+    assert_eq!(report.executed, 4);
     let sources = [victim, opponent];
-    assert_eq!(
-        campaign.run_contended_sharded_campaign(&sources, 4).unwrap(),
-        campaign.run_contended_campaign(&sources).unwrap()
-    );
-    // The contended checkpointed driver over the default schedule too.
     let mut store = MemoryCheckpointStore::new();
     let report = campaign
         .run_contended_sharded_checkpointed(&sources, 4, &mut store)
         .unwrap();
     assert_eq!(report.result, campaign.run_contended_campaign(&sources).unwrap());
     assert_eq!(report.executed, 4);
+    let restored = campaign
+        .run_contended_sharded_checkpointed(&sources, 4, &mut store)
+        .unwrap();
+    assert_eq!(restored.result, report.result);
+    assert_eq!((restored.resumed, restored.executed), (4, 0));
 }

@@ -94,7 +94,9 @@ fn deterministic_platform_varies_with_memory_layout_but_not_with_seed() {
     };
     let layouts: Vec<randmod::sim::Trace> = (0..6u64).map(build_trace).collect();
     let campaign = Campaign::new(PlatformConfig::leon3_deterministic(), 0);
-    let sweep = campaign.run_layout_sweep(&layouts).expect("valid platform");
+    let sweep = campaign
+        .run_layout_sweep_with(layouts.len(), |i| &layouts[i])
+        .expect("valid platform");
     let distinct: std::collections::HashSet<u64> = sweep.cycles().into_iter().collect();
     assert!(
         distinct.len() > 1,
