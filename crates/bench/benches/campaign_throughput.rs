@@ -1,19 +1,19 @@
 //! Campaign throughput: the repo's recorded perf baseline.
 //!
 //! Replays the 1,000-seed EEMBC-style measurement campaign (the paper's
-//! MBPTA protocol on the `cacheb` kernel) through [`Campaign`] in both
-//! engine shapes — `batched` (the default, [`Campaign::DEFAULT_LANES`]
-//! seed lanes per trace decode) and `sequential` (`with_lanes(1)`, one
-//! hierarchy per decode pass) — for every placement kind, on one worker
-//! thread so the numbers measure the replay engine rather than the host's
-//! core count.
+//! MBPTA protocol on the `cacheb` kernel) through [`Campaign`] in two
+//! wave shapes on the one lane engine — `batched/<K>` (K seed lanes per
+//! schedule pass, [`Campaign::DEFAULT_LANES`] by default) and
+//! `sequential` (`with_lanes(1)`, one-lane waves) — for every placement
+//! kind, on one worker thread so the numbers measure the replay engine
+//! rather than the host's core count.
 //!
 //! Before timing anything the bench asserts that both shapes produce the
 //! same `CampaignResult` bit-for-bit; a divergence aborts the bench (this
-//! is the equivalence gate the `bench-smoke` CI step relies on).  In bench
-//! mode it also prints a `throughput:` line per configuration in
-//! events/second — the numbers recorded in `BENCH_baseline.json` and
-//! EXPERIMENTS.md.
+//! is the equivalence gate the CI bench step relies on).  In bench mode
+//! every benchmark prints its median `time:` line and a `throughput:`
+//! line in events/second derived from that same median — the numbers
+//! recorded in `BENCH_baseline.json` and EXPERIMENTS.md.
 //!
 //! Environment knobs:
 //!
@@ -21,7 +21,7 @@
 //! * `CAMPAIGN_BENCH_RUNS=N` — explicit run count (default 1,000).
 //! * `CAMPAIGN_BENCH_LANES=1,4,8,16` — lane-width sweep: the equivalence
 //!   gate runs once per width (each width must reproduce the sequential
-//!   engine bit-for-bit), and bench mode prints one `throughput:` line
+//!   shape bit-for-bit), and bench mode times one `batched/<K>` benchmark
 //!   per width.  Defaults to [`Campaign::DEFAULT_LANES`] alone.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -30,7 +30,6 @@ use randmod_core::PlacementKind;
 use randmod_sim::{Campaign, CampaignResult, PackedTrace, PlatformConfig};
 use randmod_workloads::{EembcBenchmark, MemoryLayout, Workload};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// The campaign seed used by every timed configuration (fixed so recorded
 /// numbers are comparable across machines and PRs).
@@ -88,7 +87,6 @@ fn campaign_throughput(c: &mut Criterion) {
     let events = trace.len() as u64;
     let runs = runs();
     let widths = lane_widths();
-    let lanes = widths[0];
 
     let mut group = c.benchmark_group("campaign_throughput");
     group.throughput(Throughput::Elements(events * runs as u64));
@@ -97,8 +95,8 @@ fn campaign_throughput(c: &mut Criterion) {
     for kind in PlacementKind::ALL {
         let platform = bench_platform(kind);
 
-        // Equivalence gate: the batched engine must reproduce the
-        // sequential engine bit-for-bit before its throughput means
+        // Equivalence gate: the batched shape must reproduce the
+        // sequential shape bit-for-bit before its throughput means
         // anything.  `assert_eq!` on the full CampaignResult covers cycles
         // and per-run HierarchyStats.  Under `cargo test` (no `--bench`)
         // the gate still runs, on a reduced campaign, so plain test runs
@@ -113,29 +111,13 @@ fn campaign_throughput(c: &mut Criterion) {
             );
         }
 
-        if bench_mode() {
-            // One manually timed pass per shape, reported as events/sec
-            // (the criterion stub reports wall-clock medians only).
-            let mut shapes: Vec<(&str, usize)> =
-                widths.iter().map(|&w| ("batched", w)).collect();
-            shapes.push(("sequential", 1));
-            for (label, shape_lanes) in shapes {
-                let start = Instant::now();
-                black_box(run_campaign(platform, runs, shape_lanes, &trace));
-                let elapsed = start.elapsed().as_secs_f64();
-                let events_per_sec = (events * runs as u64) as f64 / elapsed;
-                println!(
-                    "throughput: {}/{}/{} {:.3e} events/sec ({} runs x {} events)",
-                    kind, label, shape_lanes, events_per_sec, runs, events
-                );
-            }
+        for &width in &widths {
+            group.bench_with_input(
+                BenchmarkId::new(format!("{kind}"), format!("batched/{width}")),
+                &trace,
+                |b, trace| b.iter(|| black_box(run_campaign(platform, runs, width, trace))),
+            );
         }
-
-        group.bench_with_input(
-            BenchmarkId::new(format!("{kind}"), "batched"),
-            &trace,
-            |b, trace| b.iter(|| black_box(run_campaign(platform, runs, lanes, trace))),
-        );
         group.bench_with_input(
             BenchmarkId::new(format!("{kind}"), "sequential"),
             &trace,

@@ -1,10 +1,10 @@
-//! Contended-campaign throughput: the shared-L2 engine's perf record.
+//! Contended-campaign throughput: the shared-L2 perf record.
 //!
 //! Replays the `fig6_contention` victim (the 20KB synthetic kernel)
 //! co-scheduled against the stress opponent ladder through
 //! [`Campaign::run_contended`], on one worker thread, in three
-//! configurations per pressure level — all on the one contended engine,
-//! `BatchContentionCore`:
+//! configurations per pressure level — all on the one lane engine,
+//! `BatchCore`:
 //!
 //! * `round-robin/batched` — the default lane count (one interleave per
 //!   campaign, replayed across placement-seed lane groups);
@@ -14,14 +14,15 @@
 //!   wave.
 //!
 //! Before timing anything the bench asserts two equivalence gates, so it
-//! doubles as the CI smoke check of the contention engine's defining
+//! doubles as the CI smoke check of the contended protocol's defining
 //! invariants: a contended campaign with an idle opponent must reproduce
 //! `run_seeds` bit-for-bit (at the default width *and* at one lane, under
 //! both arbitrations), and on a real co-schedule the default width must
 //! reproduce one-lane waves bit-for-bit under both arbitrations.
 //!
-//! In bench mode it prints a `throughput:` line per configuration in
-//! events/second (total interleaved events across all tasks).
+//! In bench mode every configuration prints its median `time:` line and a
+//! `throughput:` line in events/second (total interleaved events across
+//! all tasks) derived from that same median.
 //!
 //! Environment knobs:
 //!
@@ -34,7 +35,6 @@ use randmod_sim::contention::Arbitration;
 use randmod_sim::{Campaign, PackedTrace, PlatformConfig};
 use randmod_workloads::{CoSchedule, MemoryLayout, SyntheticKernel};
 use std::hint::black_box;
-use std::time::Instant;
 
 const CAMPAIGN_SEED: u64 = 0xC0DE;
 
@@ -46,10 +46,6 @@ fn runs() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(200)
-}
-
-fn bench_mode() -> bool {
-    std::env::args().any(|a| a == "--bench")
 }
 
 fn platform() -> PlatformConfig {
@@ -136,21 +132,6 @@ fn contention_throughput(c: &mut Criterion) {
                 }
                 c
             };
-            if bench_mode() {
-                let start = Instant::now();
-                black_box(
-                    build().run_contended(&sources, &seed_list).expect("valid platform"),
-                );
-                let elapsed = start.elapsed().as_secs_f64();
-                println!(
-                    "throughput: contended/P{}/{} {:.3e} events/sec ({} runs x {} events)",
-                    pressure,
-                    label,
-                    (events * runs as u64) as f64 / elapsed,
-                    runs,
-                    events
-                );
-            }
             group.bench_with_input(
                 BenchmarkId::new(format!("P{pressure}"), label),
                 &sources,

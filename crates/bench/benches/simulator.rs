@@ -1,6 +1,7 @@
 //! Microbenchmarks of the cache-hierarchy simulator: trace-replay
-//! throughput for each placement policy, one seed per replay on a one-lane
-//! [`BatchCore`].
+//! throughput for each placement policy, one seed per replay streamed
+//! through a one-task, one-lane [`BatchCore`] (the lane engine's
+//! `execute_batch` entry point).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use randmod_bench::{bench_platform, bench_trace};
@@ -18,7 +19,7 @@ fn trace_replay(c: &mut Criterion) {
         PlacementKind::HashRandom,
         PlacementKind::RandomModulo,
     ] {
-        let mut core = BatchCore::new(&bench_platform(kind), 1).expect("valid platform");
+        let mut core = BatchCore::new(&bench_platform(kind), 1, 1).expect("valid platform");
         let mut seed = 0u64;
         group.bench_with_input(BenchmarkId::from_parameter(kind), &trace, |b, trace| {
             b.iter(|| {

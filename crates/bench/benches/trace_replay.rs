@@ -1,6 +1,6 @@
 //! Packed versus boxed trace replay: the representation benchmark behind
-//! the streaming pipeline.  Replays the same kernel through a one-lane
-//! [`BatchCore`] from the boxed `Vec<MemEvent>` [`Trace`] (16
+//! the streaming pipeline.  Streams the same kernel through a one-task,
+//! one-lane [`BatchCore`] from the boxed `Vec<MemEvent>` [`Trace`] (16
 //! bytes/event) and from the 8-byte-per-event [`PackedTrace`], plus the
 //! encode cost of producing each representation from the workload
 //! generator.
@@ -22,7 +22,7 @@ fn replay(c: &mut Criterion) {
     group.sample_size(20);
 
     let mut core =
-        BatchCore::new(&bench_platform(PlacementKind::RandomModulo), 1).expect("valid platform");
+        BatchCore::new(&bench_platform(PlacementKind::RandomModulo), 1, 1).expect("valid platform");
     let mut seed = 0u64;
     group.bench_with_input(BenchmarkId::from_parameter("boxed"), &boxed, |b, trace| {
         b.iter(|| {

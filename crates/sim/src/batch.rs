@@ -1,61 +1,86 @@
-//! Seed-batched replay: decode the trace once, simulate many seeds.
+//! The lane engine: decode once, simulate many seeds.
 //!
-//! An MBPTA campaign replays one immutable trace under ~1,000 placement
-//! seeds.  The sequential protocol pays the trace decode (and its memory
+//! An MBPTA campaign replays one immutable program under ~1,000 placement
+//! seeds.  The sequential protocol pays the decode (and its memory
 //! traffic) once *per run*; [`BatchCore`] instead steps `K` independent
-//! *seed lanes* through every event as it is decoded, so a campaign of
-//! `N` runs streams the trace `N / K` times instead of `N`.  Since the
-//! wavefront rewrite the lanes are not `K` separate hierarchies but one
-//! `LaneHierarchy` (crate-private, in `crate::hierarchy`) of lane-banked caches
-//! ([`randmod_core::cache::SetAssocCacheLanes`]): each decoded operation
-//! is pushed through all `K` lanes as one probe wave over lane-major tag
+//! *seed lanes* through every operation, so a campaign of `N` runs
+//! replays the program `N / K` times instead of `N`.  The lanes are not
+//! `K` separate hierarchies but one `LaneHierarchy` (crate-private, in
+//! `crate::hierarchy`) of lane-banked caches
+//! ([`randmod_core::cache::SetAssocCacheLanes`]): each operation is
+//! pushed through all `K` lanes as one probe wave over lane-major tag
 //! storage, with the per-lane placement indices, tag compares, victim
 //! draws and statistics updates evaluated in chunked cross-lane sweeps.
 //!
+//! The platform has `T` tasks, each with its own core and private L1
+//! pair, in front of one L2.  A solo program is the one-task case, where
+//! the L2 is the task's private partition — the paper's platform; with
+//! more tasks the L2 is shared (the `fig6_contention` scenario).  Each
+//! lane draws task 0's cache seeds first, so a task next to idle tasks
+//! is bit-identical to the task alone.
+//!
 //! Lanes never interact: each lane is reseeded with its own placement
-//! seed and observes exactly the event sequence a sequential replay would
-//! feed it, so batched results are bit-identical to running the lanes one
-//! at a time (pinned by the `batch_equivalence` proptest suite and the
-//! campaign tests) and to the naive reference model (the
+//! seed and observes exactly the operation sequence a one-lane replay
+//! would feed it, so batched results are bit-identical to running the
+//! lanes one at a time (pinned by the `batch_equivalence` proptest suite
+//! and the campaign tests) and to the naive reference model (the
 //! `reference_model` suite).  Per-run statistics are accumulated in each
 //! lane's compact counter block and expanded to [`HierarchyStats`] once
 //! per run, instead of read-modify-writing the per-cache statistics
 //! structs on every event.
 //!
-//! Every solo protocol of [`crate::run::Campaign`] runs on `BatchCore`:
-//! the MBPTA seed sweep steps `Campaign::lanes` seeds per pass
-//! (`with_lanes(1)` gives one-lane waves, the comparison baseline of the
-//! `campaign_throughput` benchmark), and the deterministic layout sweep
-//! replays each layout as a one-lane wave under seed 0.
+//! Two entry points feed the lanes.  [`BatchCore::execute_schedule`]
+//! replays a precollapsed [`ContendedSchedule`] of any task count: every
+//! MBPTA campaign of [`crate::run::Campaign`], solo or contended, builds
+//! one and replays it for each lane group.  [`BatchCore::execute_batch`]
+//! streams one task's events, collapsing same-line read runs as it
+//! decodes, so the deterministic layout sweep replays each layout in
+//! constant memory.
 
 use crate::config::PlatformConfig;
-use crate::hierarchy::{HierarchyStats, LaneHierarchy, RunCounters};
-use crate::lanes::{collapse_solo, replay_collapsed, replay_ops, LaneStepper, Op};
+use crate::contention::ContendedSchedule;
+use crate::hierarchy::{HierarchyStats, LaneHierarchy};
+use crate::lanes::{replay_collapsed, replay_ops};
 use crate::trace::MemEvent;
-use randmod_core::{Address, ConfigError, LineAddr};
+use randmod_core::ConfigError;
 
-/// A replay engine stepping up to `K` independent placement seeds per
-/// trace decode.
+/// A replay engine stepping up to `K` placement seeds of a `T`-task
+/// platform per pass.
 ///
 /// ```
-/// use randmod_sim::{BatchCore, PlatformConfig, Trace};
+/// use randmod_sim::{BatchCore, ContendedSchedule, PlatformConfig, Trace};
 /// use randmod_core::{Address, PlacementKind};
 ///
 /// # fn main() -> Result<(), randmod_core::ConfigError> {
 /// let config = PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo);
-/// let mut trace = Trace::new();
+/// let mut victim = Trace::new();
+/// let mut opponent = Trace::new();
 /// for i in 0..256u64 {
-///     trace.load(Address::new(0x1000 + i * 32));
+///     victim.load(Address::new(0x1000 + i * 32));
+///     opponent.load(Address::new(0x8_0000 + (i % 64) * 32));
 /// }
 ///
-/// // One decode pass, four seeds simulated.
-/// let mut batch = BatchCore::new(&config, 4)?;
-/// let results = batch.execute_batch(&trace, &[1, 2, 3, 4]);
-///
-/// // Bit-identical to replaying each seed on its own one-lane wave.
-/// let mut sequential = BatchCore::new(&config, 1)?;
+/// // One task: one decode pass, four seeds simulated, each bit-identical
+/// // to replaying its seed on a one-lane wave.
+/// let mut batch = BatchCore::new(&config, 1, 4)?;
+/// let results = batch.execute_batch(&victim, &[1, 2, 3, 4]);
+/// let mut one_lane = BatchCore::new(&config, 1, 1)?;
 /// for (seed, run) in [1u64, 2, 3, 4].into_iter().zip(&results) {
-///     assert_eq!(sequential.execute_batch(&trace, &[seed])[0], *run);
+///     assert_eq!(one_lane.execute_batch(&victim, &[seed])[0], *run);
+/// }
+///
+/// // Two tasks in front of one L2: one interleave, four seeds replayed.
+/// let schedule = ContendedSchedule::round_robin(
+///     &config,
+///     2,
+///     vec![victim.iter().copied(), opponent.iter().copied()],
+/// );
+/// let mut shared = BatchCore::new(&config, 2, 4)?;
+/// let results = shared.execute_schedule(&schedule, &[1, 2, 3, 4]);
+/// let mut one_lane = BatchCore::new(&config, 2, 1)?;
+/// for (&seed, runs) in [1u64, 2, 3, 4].iter().zip(&results) {
+///     assert_eq!(runs, &one_lane.execute_schedule(&schedule, &[seed])[0]);
+///     assert!(runs[0].0 > 0 && runs[1].0 > 0);
 /// }
 /// # Ok(())
 /// # }
@@ -63,30 +88,22 @@ use randmod_core::{Address, ConfigError, LineAddr};
 #[derive(Debug, Clone)]
 pub struct BatchCore {
     hierarchy: LaneHierarchy,
-    /// Per-lane cycle counters and statistics blocks (lane capacity long;
-    /// the active prefix is in use during a batch).
-    cycles: Vec<u64>,
-    counters: Vec<RunCounters>,
     /// Offset bits of the IL1 / DL1 geometry, used to detect runs of
-    /// consecutive same-line reads in the decode loop.
+    /// consecutive same-line reads in the streaming decode loop.
     il1_shift: u32,
     dl1_shift: u32,
 }
 
 impl BatchCore {
-    /// Builds a batched core with `lanes` seed lanes (clamped to at least
-    /// one) on the given platform.
+    /// Builds a core with `lanes` seed lanes for `tasks` tasks (both
+    /// clamped to at least one) on the given platform.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the configuration is invalid.
-    pub fn new(config: &PlatformConfig, lanes: usize) -> Result<Self, ConfigError> {
-        let hierarchy = LaneHierarchy::new(config, lanes)?;
-        let capacity = hierarchy.lane_count();
+    pub fn new(config: &PlatformConfig, tasks: usize, lanes: usize) -> Result<Self, ConfigError> {
         Ok(BatchCore {
-            hierarchy,
-            cycles: vec![0; capacity],
-            counters: vec![RunCounters::default(); capacity],
+            hierarchy: LaneHierarchy::new(config, tasks, lanes)?,
             il1_shift: config.il1.geometry.offset_bits(),
             dl1_shift: config.dl1.geometry.offset_bits(),
         })
@@ -94,16 +111,52 @@ impl BatchCore {
 
     /// Number of seed lanes.
     pub fn lane_count(&self) -> usize {
-        self.cycles.len()
+        self.hierarchy.lane_count()
     }
 
-    /// Replays `events` once, simulating one run per seed in `seeds` (cold
-    /// caches, fresh placement layout per lane, statistics from zero) —
-    /// the "run to completion" unit of analysis the paper uses.  Accepts
-    /// anything that iterates [`MemEvent`]s by value (`&Trace`,
-    /// `&PackedTrace`, a decoding or generating iterator); the stream is
-    /// consumed on the fly, never materialised.  Returns `(cycles, stats)`
-    /// per seed, in seed order.
+    /// Number of tasks each lane runs.
+    pub fn task_count(&self) -> usize {
+        self.hierarchy.task_count()
+    }
+
+    /// Replays `schedule` once, simulating one run per seed in `seeds`
+    /// (cold caches, fresh placement layout per lane, statistics from
+    /// zero) — the "run to completion" unit of analysis the paper uses.
+    /// Returns, per seed in seed order, `(cycles, stats)` per task in task
+    /// order; the stats are each task's own view (its private L1s plus its
+    /// share of the L2 traffic).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seeds` holds more seeds than there are lanes, or if the
+    /// schedule was built for a different task count.
+    pub fn execute_schedule(
+        &mut self,
+        schedule: &ContendedSchedule,
+        seeds: &[u64],
+    ) -> Vec<Vec<(u64, HierarchyStats)>> {
+        assert_eq!(
+            schedule.task_count(),
+            self.task_count(),
+            "schedule interleaves a different task count than this core"
+        );
+        self.hierarchy.reseed_wave(seeds);
+        replay_ops(&schedule.ops, &mut self.hierarchy);
+        (0..seeds.len())
+            .map(|lane| {
+                (0..self.task_count())
+                    .map(|task| self.hierarchy.outcome(task, lane))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Streams `events` once as task 0 (any other task stays idle),
+    /// simulating one run per seed in `seeds`.  Accepts anything that
+    /// iterates [`MemEvent`]s by value (`&Trace`, `&PackedTrace`, a
+    /// decoding or generating iterator); the stream is consumed on the
+    /// fly, never materialised.  Returns task 0's `(cycles, stats)` per
+    /// seed, in seed order.
     ///
     /// # Panics
     ///
@@ -112,120 +165,21 @@ impl BatchCore {
     where
         I: IntoIterator<Item = MemEvent>,
     {
-        assert!(
-            seeds.len() <= self.lane_count(),
-            "{} seeds exceed the {} configured lanes",
-            seeds.len(),
-            self.lane_count()
-        );
-        let active = seeds.len();
         self.hierarchy.reseed_wave(seeds);
-        self.cycles[..active].fill(0);
-        self.counters[..active].fill(RunCounters::default());
-        // The hot loop lives in `crate::lanes::replay_collapsed`: each
-        // event is decoded exactly once — with same-line read runs
-        // collapsed at decode time — before fanning out as one wave over
-        // all active lanes through the stepper below.
-        let mut stepper = SoloLanes {
-            hierarchy: &mut self.hierarchy,
-            cycles: &mut self.cycles[..active],
-            counters: &mut self.counters[..active],
-        };
-        replay_collapsed(events, self.il1_shift, self.dl1_shift, &mut stepper);
-        self.cycles[..active]
-            .iter()
-            .zip(&self.counters[..active])
-            .map(|(&cycles, counters)| (cycles, counters.into_stats()))
+        replay_collapsed(events, self.il1_shift, self.dl1_shift, &mut self.hierarchy);
+        (0..seeds.len())
+            .map(|lane| self.hierarchy.outcome(0, lane))
             .collect()
-    }
-
-    /// Collapses `events` into the [`Op`] schedule [`Self::execute_batch`]
-    /// would derive on the fly, for replay via
-    /// [`Self::execute_batch_ops`].  A campaign collapses the trace once
-    /// per worker and replays the schedule for every lane group, instead
-    /// of re-decoding the packed trace `runs / K` times.
-    pub(crate) fn collapse<I>(&self, events: I) -> Vec<Op>
-    where
-        I: IntoIterator<Item = MemEvent>,
-    {
-        collapse_solo(events, self.il1_shift, self.dl1_shift)
-    }
-
-    /// [`Self::execute_batch`] over a precollapsed schedule from
-    /// [`Self::collapse`]: bit-identical results, no per-batch decode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` holds more seeds than there are lanes.
-    pub(crate) fn execute_batch_ops(
-        &mut self,
-        ops: &[Op],
-        seeds: &[u64],
-    ) -> Vec<(u64, HierarchyStats)> {
-        assert!(
-            seeds.len() <= self.lane_count(),
-            "{} seeds exceed the {} configured lanes",
-            seeds.len(),
-            self.lane_count()
-        );
-        let active = seeds.len();
-        self.hierarchy.reseed_wave(seeds);
-        self.cycles[..active].fill(0);
-        self.counters[..active].fill(RunCounters::default());
-        let mut stepper = SoloLanes {
-            hierarchy: &mut self.hierarchy,
-            cycles: &mut self.cycles[..active],
-            counters: &mut self.counters[..active],
-        };
-        replay_ops(ops, &mut stepper);
-        self.cycles[..active]
-            .iter()
-            .zip(&self.counters[..active])
-            .map(|(&cycles, counters)| (cycles, counters.into_stats()))
-            .collect()
-    }
-}
-
-/// The solo engine's lane fan-out: every collapsed operation becomes one
-/// wave through the lane-banked hierarchy (task indices are always 0 on
-/// this path).  Collapsed repeats — each a guaranteed L1 hit — are booked
-/// inside the wave helpers.
-struct SoloLanes<'a> {
-    hierarchy: &'a mut LaneHierarchy,
-    cycles: &'a mut [u64],
-    counters: &'a mut [RunCounters],
-}
-
-impl LaneStepper for SoloLanes<'_> {
-    #[inline]
-    fn fetch(&mut self, _task: usize, addr: Address, line: LineAddr, repeats: u64) {
-        self.hierarchy.fetch_wave(addr, line, repeats, self.cycles, self.counters);
-    }
-
-    #[inline]
-    fn load(&mut self, _task: usize, addr: Address, line: LineAddr, repeats: u64) {
-        self.hierarchy.load_wave(addr, line, repeats, self.cycles, self.counters);
-    }
-
-    #[inline]
-    fn store(&mut self, _task: usize, addr: Address, line: LineAddr) {
-        self.hierarchy.store_wave(addr, line, self.cycles, self.counters);
-    }
-
-    #[inline]
-    fn compute(&mut self, _task: usize, cycles: u64) {
-        for lane in self.cycles.iter_mut() {
-            *lane += cycles;
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::Op;
     use crate::packed::PackedTrace;
     use crate::trace::{EventSource, Trace};
-    use randmod_core::{Address, PlacementKind, ReplacementKind, WritePolicy};
+    use randmod_core::{Address, LineAddr, PlacementKind, ReplacementKind, WritePolicy};
 
     /// The sequential replay of one seed: a one-lane wave stepping every
     /// event as its own operation — no lane batching and no same-line run
@@ -259,9 +213,10 @@ mod tests {
                 },
             })
             .collect();
-        BatchCore::new(config, 1)
+        let schedule = ContendedSchedule { ops, tasks: 1 };
+        BatchCore::new(config, 1, 1)
             .unwrap()
-            .execute_batch_ops(&ops, &[seed])[0]
+            .execute_schedule(&schedule, &[seed])[0][0]
     }
 
     fn stress_trace() -> Trace {
@@ -283,11 +238,14 @@ mod tests {
 
     #[test]
     fn batched_replay_matches_sequential_replay() {
+        // A K-lane wave at one task equals the uncollapsed sequential
+        // replay of each seed (the several-task case is
+        // `contention::tests::batched_contended_replay_matches_scalar_per_seed`).
         let seeds = [0u64, 1, 7, 42, 0xDEAD_BEEF];
         for placement in PlacementKind::ALL {
             let config = PlatformConfig::leon3().with_l1_placement(placement);
             let trace = stress_trace();
-            let mut batch = BatchCore::new(&config, seeds.len()).unwrap();
+            let mut batch = BatchCore::new(&config, 1, seeds.len()).unwrap();
             let batched = batch.execute_batch(&trace, &seeds);
             for (&seed, &(cycles, stats)) in seeds.iter().zip(&batched) {
                 assert_eq!(
@@ -332,7 +290,7 @@ mod tests {
                 let config = PlatformConfig::leon3()
                     .with_l1_placement(placement)
                     .with_replacement(replacement);
-                let mut batch = BatchCore::new(&config, seeds.len()).unwrap();
+                let mut batch = BatchCore::new(&config, 1, seeds.len()).unwrap();
                 let batched = batch.execute_batch(&trace, &seeds);
                 for (&seed, &(cycles, stats)) in seeds.iter().zip(&batched) {
                     assert_eq!(
@@ -356,7 +314,7 @@ mod tests {
         config.l2.replacement = ReplacementKind::RoundRobin;
         let trace = stress_trace();
         let seeds = [3u64, 9, 12];
-        let mut batch = BatchCore::new(&config, 4).unwrap();
+        let mut batch = BatchCore::new(&config, 1, 4).unwrap();
         let batched = batch.execute_batch(&trace, &seeds);
         for (&seed, &(cycles, stats)) in seeds.iter().zip(&batched) {
             assert_eq!(sequential(&config, &trace, seed), (cycles, stats));
@@ -369,7 +327,7 @@ mod tests {
         let trace = stress_trace();
         let packed = PackedTrace::from(&trace);
         let seeds = [5u64, 6];
-        let mut batch = BatchCore::new(&config, 2).unwrap();
+        let mut batch = BatchCore::new(&config, 1, 2).unwrap();
         let from_boxed = batch.execute_batch(EventSource::events(&trace), &seeds);
         let from_packed = batch.execute_batch(EventSource::events(&packed), &seeds);
         assert_eq!(from_boxed, from_packed);
@@ -379,7 +337,7 @@ mod tests {
     fn identical_seeds_in_one_batch_produce_identical_lanes() {
         let config = PlatformConfig::leon3();
         let trace = stress_trace();
-        let mut batch = BatchCore::new(&config, 3).unwrap();
+        let mut batch = BatchCore::new(&config, 1, 3).unwrap();
         let results = batch.execute_batch(&trace, &[11, 11, 11]);
         assert_eq!(results[0], results[1]);
         assert_eq!(results[1], results[2]);
@@ -389,7 +347,7 @@ mod tests {
     fn partial_batches_use_a_lane_prefix() {
         let config = PlatformConfig::leon3();
         let trace = stress_trace();
-        let mut batch = BatchCore::new(&config, 8).unwrap();
+        let mut batch = BatchCore::new(&config, 1, 8).unwrap();
         assert_eq!(batch.lane_count(), 8);
         let results = batch.execute_batch(&trace, &[1, 2]);
         assert_eq!(results.len(), 2);
@@ -401,26 +359,28 @@ mod tests {
     #[test]
     fn empty_seed_list_is_a_no_op() {
         let config = PlatformConfig::leon3();
-        let mut batch = BatchCore::new(&config, 2).unwrap();
+        let mut batch = BatchCore::new(&config, 1, 2).unwrap();
         assert!(batch.execute_batch(stress_trace(), &[]).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "exceed the")]
     fn too_many_seeds_panic() {
-        let mut batch = BatchCore::new(&PlatformConfig::leon3(), 2).unwrap();
+        let mut batch = BatchCore::new(&PlatformConfig::leon3(), 1, 2).unwrap();
         batch.execute_batch(Trace::new(), &[1, 2, 3]);
     }
 
     #[test]
     fn zero_lanes_is_clamped_to_one() {
-        let batch = BatchCore::new(&PlatformConfig::leon3(), 0).unwrap();
-        assert_eq!(batch.lane_count(), 1);
+        for tasks in [1, 3] {
+            let batch = BatchCore::new(&PlatformConfig::leon3(), tasks, 0).unwrap();
+            assert_eq!((batch.lane_count(), batch.task_count()), (1, tasks));
+        }
     }
 
     #[test]
     fn empty_trace_costs_nothing() {
-        let mut core = BatchCore::new(&PlatformConfig::leon3(), 1).unwrap();
+        let mut core = BatchCore::new(&PlatformConfig::leon3(), 1, 1).unwrap();
         assert_eq!(core.execute_batch(Trace::new(), &[3])[0].0, 0);
     }
 
@@ -432,7 +392,7 @@ mod tests {
         trace.load(Address::new(0x9000)); // cold miss -> memory
         trace.load(Address::new(0x9000)); // L1 hit
         trace.compute(5);
-        let mut core = BatchCore::new(&config, 1).unwrap();
+        let mut core = BatchCore::new(&config, 1, 1).unwrap();
         let expected = (lat.l1_hit + lat.l2_hit + lat.memory) as u64 + lat.l1_hit as u64 + 5;
         assert_eq!(core.execute_batch(&trace, &[0])[0].0, expected);
     }
@@ -450,7 +410,7 @@ mod tests {
             }
             trace
         };
-        let mut core = BatchCore::new(&PlatformConfig::leon3_deterministic(), 1).unwrap();
+        let mut core = BatchCore::new(&PlatformConfig::leon3_deterministic(), 1, 1).unwrap();
         let cold = core.execute_batch(loop_trace(1), &[0])[0].0;
         let both = core.execute_batch(loop_trace(2), &[0])[0].0;
         assert!(
@@ -472,7 +432,7 @@ mod tests {
             }
         }
         let seeds: Vec<u64> = (0..10u64).map(|s| s * 7 + 1).collect();
-        let mut batch = BatchCore::new(&config, seeds.len()).unwrap();
+        let mut batch = BatchCore::new(&config, 1, seeds.len()).unwrap();
         let distinct: std::collections::BTreeSet<u64> = batch
             .execute_batch(&trace, &seeds)
             .iter()
@@ -490,7 +450,7 @@ mod tests {
         trace.fetch(Address::new(0));
         trace.load(Address::new(0x100));
         trace.store(Address::new(0x200));
-        let mut core = BatchCore::new(&PlatformConfig::leon3_deterministic(), 1).unwrap();
+        let mut core = BatchCore::new(&PlatformConfig::leon3_deterministic(), 1, 1).unwrap();
         let (_, stats) = core.execute_batch(&trace, &[0])[0];
         assert_eq!(stats.il1.accesses, 1);
         assert_eq!(stats.dl1.accesses, 2);

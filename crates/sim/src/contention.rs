@@ -15,7 +15,8 @@
 //! * [`Arbitration::RoundRobin`] — tasks take turns in index order,
 //!   skipping exhausted traces;
 //! * [`Arbitration::SeededRandom`] — each step picks a uniformly random
-//!   ready task from a [`SplitMix64`] stream derived from the run seed.
+//!   ready task from a [`SplitMix64`](randmod_core::prng::SplitMix64)
+//!   stream derived from the run seed.
 //!
 //! Both are pure functions of `(traces, run seed)`: no wall-clock, no
 //! thread scheduling, no global state.  Replaying the same co-schedule
@@ -30,31 +31,27 @@
 //! state — extra victim misses caused by opponent fills.  The
 //! interleaving granularity is one trace event per arbitration step.
 //!
-//! **One engine.**  [`BatchContentionCore`] replays a schedule across up
-//! to `K` placement-seed lanes per pass, exactly as
-//! [`crate::batch::BatchCore`] does for solo campaigns.  A round-robin
-//! schedule never consults the placement seed, so
-//! [`ContendedSchedule::round_robin`] builds it once per campaign and
-//! every lane group replays it; a seeded-random schedule is drawn per run
+//! **One engine.**  [`crate::batch::BatchCore`] replays a schedule across up to `K`
+//! placement-seed lanes per pass, whatever its task count; a solo
+//! campaign is the one-task schedule.  A round-robin schedule never
+//! consults the placement seed, so [`ContendedSchedule::round_robin`]
+//! builds it once per campaign and every lane group replays it; a
+//! seeded-random schedule is drawn per run
 //! ([`ContendedSchedule::seeded_random`]) and replays as a one-lane wave.
 //! The naive `RefContentionCore` of the reference-model suite pins both
 //! against an independent implementation.
 //!
 //! **Solo-task equivalence.**  A contended run with one task and idle
-//! (empty-trace) opponents reproduces the single-task engine exactly: per
-//! lane, the seed→layout derivation draws the victim's IL1, DL1 and the
-//! shared L2 seeds in the same order as the solo hierarchy, and both
-//! engines step the same lane-banked caches through the same wave helpers.
+//! (empty-trace) opponents reproduces the one-task run exactly: per lane,
+//! the seed→layout derivation draws the victim's IL1, DL1 and the L2
+//! seeds first, whatever the task count, and idle tasks emit no events.
 //! `tests/contention_equivalence.rs` pins this bit-identity against
-//! `BatchCore` and `Campaign::run_seeds`.
+//! `BatchCore::execute_batch` and `Campaign::run_seeds`.
 
 use crate::config::PlatformConfig;
-use crate::hierarchy::{read_lean_wave, store_lean_wave, HierarchyStats, RunCounters};
-use crate::lanes::{interleave, replay_ops, LaneStepper, Op};
+use crate::lanes::{interleave, Op};
 use crate::trace::MemEvent;
-use randmod_core::cache::{AccessKind, SetAssocCacheLanes};
-use randmod_core::prng::SplitMix64;
-use randmod_core::{AccessFlags, Address, ConfigError, LineAddr};
+use randmod_core::ConfigError;
 use std::fmt;
 use std::str::FromStr;
 
@@ -102,7 +99,7 @@ impl FromStr for Arbitration {
 }
 
 /// A precomputed, collapsed interleaving of one co-schedule — the input
-/// [`BatchContentionCore::execute_schedule`] replays.
+/// [`crate::batch::BatchCore::execute_schedule`] replays.
 ///
 /// Under round-robin arbitration the merged event stream is a pure
 /// function of the task traces: the cursor visits ready tasks in index
@@ -114,8 +111,8 @@ impl FromStr for Arbitration {
 /// schedule per run and replay each under that run's seed alone.
 #[derive(Debug, Clone)]
 pub struct ContendedSchedule {
-    ops: Vec<Op>,
-    tasks: usize,
+    pub(crate) ops: Vec<Op>,
+    pub(crate) tasks: usize,
 }
 
 impl ContendedSchedule {
@@ -187,355 +184,13 @@ impl ContendedSchedule {
     }
 }
 
-/// One task's private lane-banked first-level caches.
-#[derive(Debug, Clone)]
-struct TaskL1Lanes {
-    il1: SetAssocCacheLanes,
-    dl1: SetAssocCacheLanes,
-}
-
-/// The lane-banked shared-L2 hierarchy: per-task IL1/DL1
-/// [`SetAssocCacheLanes`] pairs in front of one lane-banked shared L2,
-/// stepping up to `K` placement seeds per collapsed schedule operation —
-/// the wavefront engine behind [`BatchContentionCore`].  Lanes never
-/// interact: lane `i` holds the whole platform's cache state under
-/// placement seed `seeds[i]`.
-#[derive(Debug, Clone)]
-struct SharedL2LaneHierarchy {
-    latencies: crate::config::LatencyConfig,
-    tasks: Vec<TaskL1Lanes>,
-    l2: SetAssocCacheLanes,
-    /// Per-wave outcome scratch, truncated to the active lane count.
-    flags: Vec<AccessFlags>,
-    active: usize,
-}
-
-impl SharedL2LaneHierarchy {
-    fn new(config: &PlatformConfig, tasks: usize, lanes: usize) -> Result<Self, ConfigError> {
-        config.validate()?;
-        let lanes = lanes.max(1);
-        let build = |c: &crate::config::CacheConfig| -> Result<SetAssocCacheLanes, ConfigError> {
-            SetAssocCacheLanes::with_kinds(c.geometry, c.placement, c.replacement, c.write_policy, lanes)
-        };
-        let tasks = (0..tasks.max(1))
-            .map(|_| {
-                Ok(TaskL1Lanes {
-                    il1: build(&config.il1)?,
-                    dl1: build(&config.dl1)?,
-                })
-            })
-            .collect::<Result<Vec<_>, ConfigError>>()?;
-        Ok(SharedL2LaneHierarchy {
-            latencies: config.latencies,
-            tasks,
-            l2: build(&config.l2)?,
-            flags: vec![AccessFlags::default(); lanes],
-            active: 0,
-        })
-    }
-
-    fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
-    fn lane_count(&self) -> usize {
-        self.flags.len()
-    }
-
-    /// Reseeds lanes `0..seeds.len()` and flushes every lane's contents.
-    /// Per lane, the per-cache seeds are drawn from `SplitMix64(seed)` in
-    /// the order task 0's IL1, task 0's DL1, the shared L2, then the
-    /// remaining tasks' L1 pairs — so task 0's three cache seeds are
-    /// exactly the solo hierarchy's for the same run seed, whatever the
-    /// task count.  That ordering is what makes a solo victim
-    /// bit-identical to the single-task engine.
-    fn reseed_wave(&mut self, seeds: &[u64]) {
-        self.active = seeds.len();
-        let mut streams: Vec<SplitMix64> = seeds.iter().map(|&s| SplitMix64::new(s)).collect();
-        let draw = |streams: &mut [SplitMix64]| -> Vec<u64> {
-            streams.iter_mut().map(SplitMix64::next_u64).collect()
-        };
-        let (first, rest) = self.tasks.split_first_mut().expect("at least one task");
-        first.il1.reseed_wave(&draw(&mut streams));
-        first.dl1.reseed_wave(&draw(&mut streams));
-        self.l2.reseed_wave(&draw(&mut streams));
-        for task in rest {
-            task.il1.reseed_wave(&draw(&mut streams));
-            task.dl1.reseed_wave(&draw(&mut streams));
-        }
-    }
-
-    /// One instruction fetch of `task` across all active lanes (plus
-    /// `repeats` collapsed repeat fetches); see
-    /// [`crate::hierarchy::read_lean_wave`].
-    #[inline]
-    fn fetch_wave(
-        &mut self,
-        task: usize,
-        addr: Address,
-        line: LineAddr,
-        repeats: u64,
-        cycles: &mut [u64],
-        counters: &mut [RunCounters],
-    ) {
-        read_lean_wave(
-            &mut self.tasks[task].il1,
-            &mut self.l2,
-            &self.latencies,
-            addr,
-            line,
-            AccessKind::InstructionFetch,
-            repeats,
-            &mut self.flags[..self.active],
-            cycles,
-            counters,
-        );
-    }
-
-    /// One data load of `task` across all active lanes (plus `repeats`
-    /// collapsed repeat loads); see [`crate::hierarchy::read_lean_wave`].
-    #[inline]
-    fn load_wave(
-        &mut self,
-        task: usize,
-        addr: Address,
-        line: LineAddr,
-        repeats: u64,
-        cycles: &mut [u64],
-        counters: &mut [RunCounters],
-    ) {
-        read_lean_wave(
-            &mut self.tasks[task].dl1,
-            &mut self.l2,
-            &self.latencies,
-            addr,
-            line,
-            AccessKind::Load,
-            repeats,
-            &mut self.flags[..self.active],
-            cycles,
-            counters,
-        );
-    }
-
-    /// One data store of `task` across all active lanes; see
-    /// [`crate::hierarchy::store_lean_wave`].
-    #[inline]
-    fn store_wave(
-        &mut self,
-        task: usize,
-        addr: Address,
-        line: LineAddr,
-        cycles: &mut [u64],
-        counters: &mut [RunCounters],
-    ) {
-        store_lean_wave(
-            &mut self.tasks[task].dl1,
-            &mut self.l2,
-            &self.latencies,
-            addr,
-            line,
-            &mut self.flags[..self.active],
-            cycles,
-            counters,
-        );
-    }
-}
-
-/// The lane-batched contended engine: replays one precomputed
-/// [`ContendedSchedule`] across up to `K` placement-seed lanes per pass —
-/// the contended counterpart of [`crate::batch::BatchCore`], driven by
-/// the same `crate::lanes` machinery.
-///
-/// ```
-/// use randmod_sim::contention::{BatchContentionCore, ContendedSchedule};
-/// use randmod_sim::{PlatformConfig, Trace};
-/// use randmod_core::Address;
-///
-/// # fn main() -> Result<(), randmod_core::ConfigError> {
-/// let config = PlatformConfig::leon3();
-/// let mut victim = Trace::new();
-/// let mut opponent = Trace::new();
-/// for i in 0..256u64 {
-///     victim.load(Address::new(0x1000 + i * 32));
-///     opponent.load(Address::new(0x8_0000 + (i % 64) * 32));
-/// }
-///
-/// // One interleave, four placement seeds replayed.
-/// let schedule = ContendedSchedule::round_robin(
-///     &config,
-///     2,
-///     vec![victim.iter().copied(), opponent.iter().copied()],
-/// );
-/// let mut batch = BatchContentionCore::new(&config, 2, 4)?;
-/// let results = batch.execute_schedule(&schedule, &[1, 2, 3, 4]);
-///
-/// // Lanes never interact: each matches a one-lane replay of its seed.
-/// let mut one_lane = BatchContentionCore::new(&config, 2, 1)?;
-/// for (&seed, runs) in [1u64, 2, 3, 4].iter().zip(&results) {
-///     assert_eq!(runs, &one_lane.execute_schedule(&schedule, &[seed])[0]);
-///     assert!(runs[0].0 > 0 && runs[1].0 > 0);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct BatchContentionCore {
-    hierarchy: SharedL2LaneHierarchy,
-    /// Per-task, per-lane cycle counters and statistics blocks, laid out
-    /// task-major: entry `task * lane_capacity + lane`.
-    cycles: Vec<u64>,
-    counters: Vec<RunCounters>,
-}
-
-impl BatchContentionCore {
-    /// Builds a batched contended core with `lanes` placement-seed lanes
-    /// for `tasks` tasks (both clamped to at least one).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the configuration is invalid.
-    pub fn new(config: &PlatformConfig, tasks: usize, lanes: usize) -> Result<Self, ConfigError> {
-        let hierarchy = SharedL2LaneHierarchy::new(config, tasks, lanes)?;
-        let slots = hierarchy.task_count() * hierarchy.lane_count();
-        Ok(BatchContentionCore {
-            hierarchy,
-            cycles: vec![0; slots],
-            counters: vec![RunCounters::default(); slots],
-        })
-    }
-
-    /// Number of placement-seed lanes.
-    pub fn lane_count(&self) -> usize {
-        self.hierarchy.lane_count()
-    }
-
-    /// Number of tasks each lane interleaves.
-    pub fn task_count(&self) -> usize {
-        self.hierarchy.task_count()
-    }
-
-    /// Replays `schedule` once, simulating one contended run per seed in
-    /// `seeds` (cold caches, fresh placement layout per lane).  Returns,
-    /// per seed in seed order, `(cycles, stats)` per task in task order;
-    /// the stats are each task's own view (its private L1s plus its share
-    /// of the shared-L2 traffic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` holds more seeds than there are lanes, or if the
-    /// schedule was built for a different task count.
-    pub fn execute_schedule(
-        &mut self,
-        schedule: &ContendedSchedule,
-        seeds: &[u64],
-    ) -> Vec<Vec<(u64, HierarchyStats)>> {
-        assert!(
-            seeds.len() <= self.lane_count(),
-            "{} seeds exceed the {} configured lanes",
-            seeds.len(),
-            self.lane_count()
-        );
-        assert_eq!(
-            schedule.task_count(),
-            self.task_count(),
-            "schedule interleaves a different task count than this core"
-        );
-        let active = seeds.len();
-        let capacity = self.lane_count();
-        self.hierarchy.reseed_wave(seeds);
-        self.cycles.fill(0);
-        self.counters.fill(RunCounters::default());
-        let mut stepper = ContendedLanes {
-            hierarchy: &mut self.hierarchy,
-            cycles: &mut self.cycles,
-            counters: &mut self.counters,
-            capacity,
-            active,
-        };
-        replay_ops(&schedule.ops, &mut stepper);
-        (0..active)
-            .map(|lane| {
-                (0..self.task_count())
-                    .map(|task| {
-                        let slot = task * capacity + lane;
-                        (self.cycles[slot], self.counters[slot].into_stats())
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-}
-
-/// The contended engine's lane fan-out: every collapsed operation of the
-/// shared schedule becomes one wave through the issuing task's lane-banked
-/// L1 pair (and the shared lane-banked L2), booked against the task's
-/// per-lane cycle and statistics slices.  Collapsed repeats — each a
-/// guaranteed private-L1 hit (an opponent can never evict the line a
-/// task's repeat read is about to hit) — are booked inside the wave
-/// helpers.
-struct ContendedLanes<'a> {
-    hierarchy: &'a mut SharedL2LaneHierarchy,
-    /// Task-major per-lane slots (see [`BatchContentionCore`]).
-    cycles: &'a mut [u64],
-    counters: &'a mut [RunCounters],
-    capacity: usize,
-    active: usize,
-}
-
-impl LaneStepper for ContendedLanes<'_> {
-    #[inline]
-    fn fetch(&mut self, task: usize, addr: Address, line: LineAddr, repeats: u64) {
-        let slots = task * self.capacity..task * self.capacity + self.active;
-        self.hierarchy.fetch_wave(
-            task,
-            addr,
-            line,
-            repeats,
-            &mut self.cycles[slots.clone()],
-            &mut self.counters[slots],
-        );
-    }
-
-    #[inline]
-    fn load(&mut self, task: usize, addr: Address, line: LineAddr, repeats: u64) {
-        let slots = task * self.capacity..task * self.capacity + self.active;
-        self.hierarchy.load_wave(
-            task,
-            addr,
-            line,
-            repeats,
-            &mut self.cycles[slots.clone()],
-            &mut self.counters[slots],
-        );
-    }
-
-    #[inline]
-    fn store(&mut self, task: usize, addr: Address, line: LineAddr) {
-        let slots = task * self.capacity..task * self.capacity + self.active;
-        self.hierarchy.store_wave(
-            task,
-            addr,
-            line,
-            &mut self.cycles[slots.clone()],
-            &mut self.counters[slots],
-        );
-    }
-
-    #[inline]
-    fn compute(&mut self, task: usize, cycles: u64) {
-        let slots = task * self.capacity..task * self.capacity + self.active;
-        for lane in &mut self.cycles[slots] {
-            *lane += cycles;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchCore;
+    use crate::hierarchy::HierarchyStats;
     use crate::trace::Trace;
-    use randmod_core::PlacementKind;
+    use randmod_core::{Address, PlacementKind};
 
     fn config() -> PlatformConfig {
         PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo)
@@ -580,7 +235,7 @@ mod tests {
                 ContendedSchedule::seeded_random(config, tasks, streams, seed)
             }
         };
-        let mut core = BatchContentionCore::new(config, tasks, 1).unwrap();
+        let mut core = BatchCore::new(config, tasks, 1).unwrap();
         core.execute_schedule(&schedule, &[seed]).remove(0)
     }
 
@@ -597,7 +252,7 @@ mod tests {
 
     #[test]
     fn task_count_is_clamped_to_one() {
-        let core = BatchContentionCore::new(&config(), 0, 1).unwrap();
+        let core = BatchCore::new(&config(), 0, 1).unwrap();
         assert_eq!(core.task_count(), 1);
         let schedule =
             ContendedSchedule::seeded_random(&config(), 0, vec![victim_trace().into_iter()], 3);
@@ -718,7 +373,7 @@ mod tests {
                 3,
                 traces.iter().map(|t| t.iter().copied()).collect(),
             );
-            let mut batch = BatchContentionCore::new(&config, 3, seeds.len()).unwrap();
+            let mut batch = BatchCore::new(&config, 3, seeds.len()).unwrap();
             let batched = batch.execute_schedule(&schedule, &seeds);
             for (&seed, runs) in seeds.iter().zip(&batched) {
                 let reference = run_once(&config, 3, Arbitration::RoundRobin, &traces, seed);
@@ -735,7 +390,7 @@ mod tests {
             2,
             vec![victim_trace().into_iter(), opponent_trace().into_iter()],
         );
-        let mut batch = BatchContentionCore::new(&config, 2, 8).unwrap();
+        let mut batch = BatchCore::new(&config, 2, 8).unwrap();
         assert_eq!(batch.lane_count(), 8);
         assert_eq!(batch.task_count(), 2);
         let results = batch.execute_schedule(&schedule, &[1, 2]);
@@ -751,7 +406,7 @@ mod tests {
         let config = config();
         let schedule =
             ContendedSchedule::round_robin(&config, 2, vec![victim_trace().into_iter()]);
-        let mut batch = BatchContentionCore::new(&config, 2, 2).unwrap();
+        let mut batch = BatchCore::new(&config, 2, 2).unwrap();
         batch.execute_schedule(&schedule, &[1, 2, 3]);
     }
 
@@ -761,7 +416,7 @@ mod tests {
         let config = config();
         let schedule =
             ContendedSchedule::round_robin(&config, 3, vec![victim_trace().into_iter()]);
-        let mut batch = BatchContentionCore::new(&config, 2, 2).unwrap();
+        let mut batch = BatchCore::new(&config, 2, 2).unwrap();
         batch.execute_schedule(&schedule, &[1]);
     }
 
@@ -772,7 +427,7 @@ mod tests {
             ContendedSchedule::round_robin(&config, 2, Vec::<std::vec::IntoIter<MemEvent>>::new());
         assert!(schedule.is_empty());
         assert_eq!(schedule.len(), 0);
-        let mut batch = BatchContentionCore::new(&config, 2, 1).unwrap();
+        let mut batch = BatchCore::new(&config, 2, 1).unwrap();
         let results = batch.execute_schedule(&schedule, &[9]);
         assert_eq!(results[0][0], (0, HierarchyStats::default()));
         assert_eq!(results[0][1], (0, HierarchyStats::default()));

@@ -1,8 +1,8 @@
-//! The two-level cache hierarchy of one core, stepped as lanes.
+//! The two-level cache hierarchy, stepped as lanes.
 //!
-//! Each core sees a private instruction L1, a private data L1 and an L2
-//! partition in front of main memory, and every access is charged
-//! according to where it is served:
+//! Each task runs on its own core with a private instruction L1 and a
+//! private data L1, in front of an L2 partition and main memory, and
+//! every access is charged according to where it is served:
 //!
 //! * L1 hit: `l1_hit` cycles,
 //! * L1 miss / L2 hit: `l1_hit + l2_hit` cycles,
@@ -11,19 +11,21 @@
 //!   write-through update of the L2 contents.
 //!
 //! A seed change re-randomises every cache's placement and flushes all
-//! contents, as the real design does.  The access paths (`read_lean_wave`
-//! and `store_lean_wave`) push one access through K placement lanes of
-//! lane-banked caches; the solo `LaneHierarchy` here and the contended
-//! shared-L2 hierarchy differ only in *which* L1 pair sits in front of the
-//! L2, so one implementation keeps their latency and statistics semantics
-//! identical by construction.  [`HierarchyStats`] is the per-run,
-//! per-level statistics block both engines report.
+//! contents, as the real design does.  One `LaneHierarchy` holds the
+//! whole platform for K placement lanes: an IL1/DL1 pair of lane-banked
+//! caches per task in front of one lane-banked L2 — the paper's private
+//! partition at one task, a shared L2 beyond.  Its access paths push one
+//! access of one task through all K lanes and book it against that
+//! task's per-lane cycles and counters.  [`HierarchyStats`] is the
+//! per-run, per-level statistics block the engine reports per task.
 
-use crate::config::{LatencyConfig, PlatformConfig};
+use crate::config::{CacheConfig, LatencyConfig, PlatformConfig};
+use crate::lanes::LaneStepper;
 use randmod_core::cache::{AccessKind, SetAssocCacheLanes};
 use randmod_core::prng::SplitMix64;
 use randmod_core::{AccessFlags, Address, CacheStats, ConfigError, LineAddr};
 use std::fmt;
+use std::ops::Range;
 
 /// Per-level statistics of one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -135,21 +137,23 @@ impl RunCounters {
     }
 }
 
-/// The L1→L2→memory read path of one hierarchy shape: one decoded read is
-/// pushed through all active placement lanes of the fronting L1 in one
+/// The L1→L2→memory read path: one decoded read is pushed through all
+/// active placement lanes of the fronting L1 in one
 /// [`SetAssocCacheLanes::access_lean_lanes`] sweep, then the lanes that
 /// missed fill from the L2 — as a second full wave when every lane missed
 /// (the common cold-stream case), or lane by lane through the sparse
 /// [`SetAssocCacheLanes::access_lean_lane`] path otherwise.  Each lane
 /// books its level counters, memory accesses and latency, and the
 /// `repeats` collapsed same-line re-reads (each a guaranteed L1 hit) are
-/// folded in here so both engines book them in one place.
+/// folded in here.
 ///
-/// `flags`, `cycles` and `counters` are the caller's per-lane slices, all
-/// of the same length (the active lane count of both cache banks).
+/// `flags`, `cycles` and `counters` are per-lane slices of the same
+/// length (the active lane count).  Each bank and slice is a `&mut`
+/// parameter of its own, rather than a field reached through the
+/// hierarchy, so the compiler knows that none of them alias.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn read_lean_wave(
+fn read_lean_wave(
     l1: &mut SetAssocCacheLanes,
     l2: &mut SetAssocCacheLanes,
     latencies: &LatencyConfig,
@@ -209,14 +213,14 @@ pub(crate) fn read_lean_wave(
     }
 }
 
-/// The store path of one hierarchy shape: the write-through DL1 is
-/// updated without allocation, and every store is forwarded to the L2 —
-/// one full-lane sweep each, with no miss filtering — where a missing
-/// line is fetched from memory in the background.  A store costs the
-/// store latency whatever the outcome.
+/// The store path: the write-through DL1 is updated without allocation,
+/// and every store is forwarded to the L2 — one full-lane sweep each, with
+/// no miss filtering — where a missing line is fetched from memory in the
+/// background.  A store costs the store latency whatever the outcome.
+/// The slices are as for [`read_lean_wave`].
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn store_lean_wave(
+fn store_lean_wave(
     dl1: &mut SetAssocCacheLanes,
     l2: &mut SetAssocCacheLanes,
     latencies: &LatencyConfig,
@@ -241,39 +245,79 @@ pub(crate) fn store_lean_wave(
     }
 }
 
-/// The lane-banked solo hierarchy: one IL1/DL1/L2 triple of
-/// [`SetAssocCacheLanes`] banks stepping up to `K` placement seeds per
-/// decoded event — the wavefront engine behind
-/// [`crate::batch::BatchCore`].  Lanes never interact: lane `i` of a wave
-/// holds the hierarchy's state under placement seed `seeds[i]`.
+/// One task's private lane-banked first-level caches.
+#[derive(Debug, Clone)]
+struct TaskL1Lanes {
+    il1: SetAssocCacheLanes,
+    dl1: SetAssocCacheLanes,
+}
+
+/// The lane-banked hierarchy: per-task IL1/DL1 [`SetAssocCacheLanes`]
+/// pairs in front of one lane-banked L2, stepping up to `K` placement
+/// seeds per collapsed operation — the wavefront engine behind
+/// [`crate::batch::BatchCore`].  It also holds every task's per-lane
+/// cycle counters and statistics blocks, so it is the engine's
+/// [`LaneStepper`].  Lanes never interact: lane `i` holds the whole
+/// platform's state under placement seed `seeds[i]`.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneHierarchy {
     latencies: LatencyConfig,
-    il1: SetAssocCacheLanes,
-    dl1: SetAssocCacheLanes,
+    /// Per-task private L1 pairs, task 0 first.
+    tasks: Vec<TaskL1Lanes>,
+    /// The L2 behind every task's L1 pair.
     l2: SetAssocCacheLanes,
     /// Per-wave outcome scratch, truncated to the active lane count.
     flags: Vec<AccessFlags>,
+    /// Per-task, per-lane cycle counters and statistics blocks, laid out
+    /// task-major: slot `task * lane_count + lane`.
+    cycles: Vec<u64>,
+    counters: Vec<RunCounters>,
     active: usize,
 }
 
 impl LaneHierarchy {
-    /// Builds a lane-banked hierarchy with capacity for `lanes` placement
-    /// seeds (clamped to at least one) on the given platform.
-    pub(crate) fn new(config: &PlatformConfig, lanes: usize) -> Result<Self, ConfigError> {
+    /// Builds a lane-banked hierarchy for `tasks` tasks with capacity for
+    /// `lanes` placement seeds (both clamped to at least one) on the given
+    /// platform.
+    pub(crate) fn new(
+        config: &PlatformConfig,
+        tasks: usize,
+        lanes: usize,
+    ) -> Result<Self, ConfigError> {
         config.validate()?;
         let lanes = lanes.max(1);
-        let build = |c: &crate::config::CacheConfig| -> Result<SetAssocCacheLanes, ConfigError> {
-            SetAssocCacheLanes::with_kinds(c.geometry, c.placement, c.replacement, c.write_policy, lanes)
+        let build = |c: &CacheConfig| -> Result<SetAssocCacheLanes, ConfigError> {
+            SetAssocCacheLanes::with_kinds(
+                c.geometry,
+                c.placement,
+                c.replacement,
+                c.write_policy,
+                lanes,
+            )
         };
+        let tasks = (0..tasks.max(1))
+            .map(|_| {
+                Ok(TaskL1Lanes {
+                    il1: build(&config.il1)?,
+                    dl1: build(&config.dl1)?,
+                })
+            })
+            .collect::<Result<Vec<_>, ConfigError>>()?;
+        let slots = tasks.len() * lanes;
         Ok(LaneHierarchy {
             latencies: config.latencies,
-            il1: build(&config.il1)?,
-            dl1: build(&config.dl1)?,
+            tasks,
             l2: build(&config.l2)?,
             flags: vec![AccessFlags::default(); lanes],
+            cycles: vec![0; slots],
+            counters: vec![RunCounters::default(); slots],
             active: 0,
         })
+    }
+
+    /// Number of tasks.
+    pub(crate) fn task_count(&self) -> usize {
+        self.tasks.len()
     }
 
     /// Lane capacity K.
@@ -281,99 +325,120 @@ impl LaneHierarchy {
         self.flags.len()
     }
 
-    /// Reseeds lanes `0..seeds.len()` and flushes every lane's contents.
-    /// Each lane's IL1, DL1 and L2 seeds are the first three draws of
-    /// `SplitMix64(seed)`, so the three layouts are not correlated with
-    /// one another.
+    /// Reseeds lanes `0..seeds.len()`, flushes every lane's contents and
+    /// zeroes every task's cycles and counters.  Per lane, the per-cache
+    /// seeds are drawn from `SplitMix64(seed)` in the order task 0's IL1,
+    /// task 0's DL1, the L2, then the remaining tasks' L1 pairs — so task
+    /// 0's three layouts are the same for every task count, which is what
+    /// makes a task next to idle tasks bit-identical to the task alone.
     ///
     /// # Panics
     ///
     /// Panics if `seeds` is longer than the lane capacity.
     pub(crate) fn reseed_wave(&mut self, seeds: &[u64]) {
-        self.active = seeds.len();
-        let mut il1 = Vec::with_capacity(seeds.len());
-        let mut dl1 = Vec::with_capacity(seeds.len());
-        let mut l2 = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            let mut sm = SplitMix64::new(seed);
-            il1.push(sm.next_u64());
-            dl1.push(sm.next_u64());
-            l2.push(sm.next_u64());
-        }
-        self.il1.reseed_wave(&il1);
-        self.dl1.reseed_wave(&dl1);
-        self.l2.reseed_wave(&l2);
-    }
-
-    /// One instruction fetch (plus `repeats` collapsed same-line repeat
-    /// fetches) across all active lanes; see [`read_lean_wave`].
-    #[inline]
-    pub(crate) fn fetch_wave(
-        &mut self,
-        addr: Address,
-        line: LineAddr,
-        repeats: u64,
-        cycles: &mut [u64],
-        counters: &mut [RunCounters],
-    ) {
-        read_lean_wave(
-            &mut self.il1,
-            &mut self.l2,
-            &self.latencies,
-            addr,
-            line,
-            AccessKind::InstructionFetch,
-            repeats,
-            &mut self.flags[..self.active],
-            cycles,
-            counters,
+        assert!(
+            seeds.len() <= self.lane_count(),
+            "{} seeds exceed the {} configured lanes",
+            seeds.len(),
+            self.lane_count()
         );
+        self.active = seeds.len();
+        self.cycles.fill(0);
+        self.counters.fill(RunCounters::default());
+        let mut streams: Vec<SplitMix64> = seeds.iter().map(|&s| SplitMix64::new(s)).collect();
+        let mut draw = || -> Vec<u64> { streams.iter_mut().map(SplitMix64::next_u64).collect() };
+        for (index, task) in self.tasks.iter_mut().enumerate() {
+            task.il1.reseed_wave(&draw());
+            task.dl1.reseed_wave(&draw());
+            if index == 0 {
+                self.l2.reseed_wave(&draw());
+            }
+        }
     }
 
-    /// One data load (plus `repeats` collapsed same-line repeat loads)
+    /// `task`'s cycles and statistics in `lane` since the last reseed.
+    pub(crate) fn outcome(&self, task: usize, lane: usize) -> (u64, HierarchyStats) {
+        let slot = task * self.lane_count() + lane;
+        (self.cycles[slot], self.counters[slot].into_stats())
+    }
+
+    /// The counter slots of `task`'s active lanes.
+    #[inline]
+    fn slots(&self, task: usize) -> Range<usize> {
+        let first = task * self.lane_count();
+        first..first + self.active
+    }
+
+    /// One read of `task` — an instruction fetch through its IL1 or a data
+    /// load through its DL1, plus `repeats` collapsed same-line re-reads —
     /// across all active lanes; see [`read_lean_wave`].
     #[inline]
-    pub(crate) fn load_wave(
+    fn read_wave(
         &mut self,
+        task: usize,
+        kind: AccessKind,
         addr: Address,
         line: LineAddr,
         repeats: u64,
-        cycles: &mut [u64],
-        counters: &mut [RunCounters],
     ) {
+        let slots = self.slots(task);
+        let l1s = &mut self.tasks[task];
+        let l1 = match kind {
+            AccessKind::InstructionFetch => &mut l1s.il1,
+            _ => &mut l1s.dl1,
+        };
         read_lean_wave(
-            &mut self.dl1,
+            l1,
             &mut self.l2,
             &self.latencies,
             addr,
             line,
-            AccessKind::Load,
+            kind,
             repeats,
             &mut self.flags[..self.active],
-            cycles,
-            counters,
+            &mut self.cycles[slots.clone()],
+            &mut self.counters[slots],
+        );
+    }
+}
+
+/// The engine's lane fan-out: every collapsed operation becomes one wave
+/// through the issuing task's L1 pair (and the L2 behind it), booked
+/// against that task's per-lane slots.  Collapsed repeats — each a
+/// guaranteed private-L1 hit (another task can never evict the line a
+/// task's repeat read is about to hit) — are booked inside the read wave.
+impl LaneStepper for LaneHierarchy {
+    #[inline]
+    fn fetch(&mut self, task: usize, addr: Address, line: LineAddr, repeats: u64) {
+        self.read_wave(task, AccessKind::InstructionFetch, addr, line, repeats);
+    }
+
+    #[inline]
+    fn load(&mut self, task: usize, addr: Address, line: LineAddr, repeats: u64) {
+        self.read_wave(task, AccessKind::Load, addr, line, repeats);
+    }
+
+    #[inline]
+    fn store(&mut self, task: usize, addr: Address, line: LineAddr) {
+        let slots = self.slots(task);
+        store_lean_wave(
+            &mut self.tasks[task].dl1,
+            &mut self.l2,
+            &self.latencies,
+            addr,
+            line,
+            &mut self.flags[..self.active],
+            &mut self.cycles[slots.clone()],
+            &mut self.counters[slots],
         );
     }
 
-    /// One data store across all active lanes; see [`store_lean_wave`].
     #[inline]
-    pub(crate) fn store_wave(
-        &mut self,
-        addr: Address,
-        line: LineAddr,
-        cycles: &mut [u64],
-        counters: &mut [RunCounters],
-    ) {
-        store_lean_wave(
-            &mut self.dl1,
-            &mut self.l2,
-            &self.latencies,
-            addr,
-            line,
-            &mut self.flags[..self.active],
-            cycles,
-            counters,
-        );
+    fn compute(&mut self, task: usize, cycles: u64) {
+        let slots = self.slots(task);
+        for lane in &mut self.cycles[slots] {
+            *lane += cycles;
+        }
     }
 }
 
@@ -403,7 +468,7 @@ mod tests {
 
     /// One run of `events` on a fresh one-lane core under seed 1.
     fn run(config: &PlatformConfig, events: &[MemEvent]) -> (u64, HierarchyStats) {
-        let mut core = BatchCore::new(config, 1).unwrap();
+        let mut core = BatchCore::new(config, 1, 1).unwrap();
         core.execute_batch(events.iter().copied(), &[1])[0]
     }
 
@@ -480,7 +545,7 @@ mod tests {
         let config = config(PlacementKind::RandomModulo);
         let lat = config.latencies;
         let load = MemEvent::Load(Address::new(0x1234_0000));
-        let mut core = BatchCore::new(&config, 1).unwrap();
+        let mut core = BatchCore::new(&config, 1, 1).unwrap();
         let (warm, _) = core.execute_batch([load, load], &[5])[0];
         assert_eq!(warm, (2 * lat.l1_hit + lat.l2_hit + lat.memory) as u64);
         let (cold, stats) = core.execute_batch([load], &[77])[0];
@@ -491,7 +556,7 @@ mod tests {
     #[test]
     fn reset_stats_clears_counts() {
         // Every run's statistics start from zero, whatever ran before.
-        let mut core = BatchCore::new(&config(PlacementKind::Modulo), 1).unwrap();
+        let mut core = BatchCore::new(&config(PlacementKind::Modulo), 1, 1).unwrap();
         core.execute_batch([MemEvent::Load(Address::new(0))], &[1]);
         let idle = core.execute_batch(std::iter::empty(), &[1]);
         assert_eq!(idle[0], (0, HierarchyStats::default()));
@@ -503,7 +568,7 @@ mod tests {
         let events: Vec<MemEvent> = (0..5000u64)
             .map(|i| MemEvent::Load(Address::new((i * 1037) % 65536)))
             .collect();
-        let mut core = BatchCore::new(&config, 1).unwrap();
+        let mut core = BatchCore::new(&config, 1, 1).unwrap();
         let first = core.execute_batch(events.iter().copied(), &[123]);
         assert_eq!(core.execute_batch(events.iter().copied(), &[123]), first);
         assert!(first[0].0 > 0);

@@ -1,13 +1,11 @@
-//! The unified lane-batched execution machinery.
+//! The lane-batched execution machinery.
 //!
-//! Both measurement engines — the solo seed sweep ([`crate::batch::BatchCore`])
-//! and the contended shared-L2 sweep
-//! ([`crate::contention::BatchContentionCore`]) — replay one immutable
-//! program under many placement seeds.  The machinery that makes that fast
-//! is identical in both and lives here, in one place:
+//! The engine ([`crate::batch::BatchCore`]) replays one immutable program
+//! — one task's trace, or an interleaved co-schedule of several — under
+//! many placement seeds.  The machinery that makes that fast lives here:
 //!
 //! * **Same-line run collapsing** ([`replay_collapsed`] for the streaming
-//!   solo path, [`interleave`] for the precomputed schedules): runs of
+//!   one-task path, [`interleave`] for the precomputed schedules): runs of
 //!   consecutive reads of one cache line — the dominant pattern of
 //!   straight-line instruction fetch and sequential data traversal — are
 //!   detected once at decode time.  The first access runs in full per
@@ -17,20 +15,21 @@
 //!   and a no-op otherwise, and reads never dirty a line), so each lane
 //!   just books `repeats` hits and cycles.
 //! * **Lane fan-out through one interface** ([`LaneStepper`]): the decode
-//!   drivers emit each collapsed operation exactly once, and the engines
-//!   implement the per-lane stepping (K hierarchies, K cycle counters,
-//!   per-lane [`crate::hierarchy::RunCounters`]) behind the trait.  The
-//!   line address of the fronting L1 is computed once per operation and
-//!   shared across all lanes.
+//!   loops emit each collapsed operation exactly once, and the lane
+//!   hierarchy (`crate::hierarchy::LaneHierarchy`) implements the
+//!   per-lane stepping (K lanes of caches, per-task cycle counters and
+//!   [`crate::hierarchy::RunCounters`]) behind the trait.  The line
+//!   address of the fronting L1 is computed once per operation and shared
+//!   across all lanes.
 //!
-//! The contended path adds one idea on top: a co-schedule's interleaved
-//! event stream is decided by the arbitration policy alone — the placement
-//! seed never enters an arbitration decision — so the decode + interleave
-//! runs **before** replay ([`interleave`] produces the collapsed [`Op`]
-//! schedule) and the schedule is replayed across placement-seed lanes
-//! ([`replay_ops`]).  A round-robin schedule is seed-independent and is
-//! built once per campaign; a seeded-random schedule is drawn from the run
-//! seed and is built once per run, then replayed as a one-lane wave.
+//! A campaign decodes and interleaves **before** replay: the interleaved
+//! event stream is decided by the arbitration policy alone — the
+//! placement seed never enters an arbitration decision — so
+//! [`interleave`] produces the collapsed [`Op`] schedule and
+//! [`replay_ops`] replays it across placement-seed lanes.  A round-robin
+//! schedule (and every one-task schedule) is seed-independent and is
+//! built once per campaign; a seeded-random schedule is drawn from the
+//! run seed and is built once per run, then replayed as a one-lane wave.
 //! Collapsing stays sound across task switches because each task's L1s are
 //! private: an opponent's event can never evict the line a victim's repeat
 //! read is about to hit, so a per-task run survives any interleaving (the
@@ -45,13 +44,13 @@ use randmod_core::{Address, LineAddr};
 
 /// The per-lane stepping interface of the collapsed replay drivers.
 ///
-/// Implementations own the lanes (hierarchies, cycle counters, statistics
+/// Implementations own the lanes (caches, cycle counters, statistics
 /// blocks) and fan each collapsed operation out across them; the drivers
-/// guarantee each operation is emitted exactly once, in program (solo) or
-/// arbitration (contended) order, with the fronting L1's line address
-/// precomputed.  `repeats` counts the *extra* same-line reads collapsed
-/// into the operation (0 for a lone access); each one is a guaranteed L1
-/// hit costing the L1-hit latency.
+/// guarantee each operation is emitted exactly once, in program (one
+/// task) or arbitration (several tasks) order, with the fronting L1's
+/// line address precomputed.  `repeats` counts the *extra* same-line
+/// reads collapsed into the operation (0 for a lone access); each one is
+/// a guaranteed L1 hit costing the L1-hit latency.
 pub(crate) trait LaneStepper {
     /// One instruction fetch by `task`, plus `repeats` collapsed same-line
     /// repeat fetches.
@@ -66,8 +65,8 @@ pub(crate) trait LaneStepper {
 }
 
 /// Streams `events` through `stepper` as task 0, collapsing same-line read
-/// runs at decode time — the solo replay driver.  The trace is decoded
-/// exactly once however many lanes the stepper fans out to.
+/// runs at decode time — the streaming one-task replay loop.  The trace
+/// is decoded exactly once however many lanes the stepper fans out to.
 pub(crate) fn replay_collapsed<I>(
     events: I,
     il1_shift: u32,
@@ -159,8 +158,8 @@ pub(crate) enum Op {
 }
 
 /// Interleaves the task streams under `arbitration` and collapses per-task
-/// same-line read runs, producing the [`Op`] schedule the contended engine
-/// replays across placement lanes.
+/// same-line read runs, producing the [`Op`] schedule the engine replays
+/// across placement lanes.
 ///
 /// * Round-robin: tasks take turns in index order, skipping exhausted
 ///   traces (`seed` is unused).
@@ -292,28 +291,9 @@ where
     ops
 }
 
-/// Collapses one solo event stream into the [`Op`] schedule that
-/// [`replay_collapsed`] would drive, so a campaign can decode the trace
-/// once per worker and replay the schedule across every lane group
-/// (single-task interleaving degenerates to plain run collapsing).
-pub(crate) fn collapse_solo<I>(events: I, il1_shift: u32, dl1_shift: u32) -> Vec<Op>
-where
-    I: IntoIterator<Item = MemEvent>,
-{
-    interleave(
-        vec![events.into_iter()],
-        1,
-        Arbitration::RoundRobin,
-        0,
-        il1_shift,
-        dl1_shift,
-    )
-}
-
 /// Replays a precomputed collapsed schedule through `stepper` — the
-/// contended counterpart of [`replay_collapsed`], amortising the
-/// decode + interleave across every placement-seed lane that shares the
-/// schedule.
+/// counterpart of [`replay_collapsed`] that amortises the decode +
+/// interleave across every placement-seed lane that shares the schedule.
 pub(crate) fn replay_ops(ops: &[Op], stepper: &mut impl LaneStepper) {
     for &op in ops {
         match op {

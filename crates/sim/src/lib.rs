@@ -15,17 +15,17 @@
 //! * [`packed`] — [`PackedTrace`], the 8-byte-per-event replay format with
 //!   an on-the-fly decoding iterator (half the memory of a boxed
 //!   [`Trace`]).
-//! * [`hierarchy`] — the two-level cache hierarchy (IL1 + DL1 + unified L2
-//!   partition + main memory): its latency model and per-level statistics.
-//! * [`batch`] — the solo replay engine: an in-order single-issue core
-//!   model that decodes the trace once and steps `K` independent seed
-//!   lanes (hierarchies + cycle counters) per event, each lane
-//!   bit-identical to replaying its seed alone.
+//! * [`hierarchy`] — the two-level cache hierarchy (per-task IL1 + DL1
+//!   pairs + one unified L2 partition + main memory): its latency model
+//!   and per-level statistics.
+//! * [`batch`] — the replay engine: in-order cores that step `K`
+//!   independent seed lanes (lane-banked caches + cycle counters) per
+//!   operation, each lane bit-identical to replaying its seed alone.  A
+//!   solo program is the one-task case of the multi-task platform.
 //! * [`contention`] — the multi-task shared-L2 platform: per-task private
 //!   L1 pairs over one shared L2 partition, interleaved by a deterministic
 //!   arbitration policy (round-robin or seeded-random) into a schedule
-//!   that the lane-batched contended engine replays across `K` placement
-//!   seeds.
+//!   that the engine replays across `K` placement seeds.
 //! * [`run`] — measurement campaigns: run a program repeatedly with a fresh
 //!   placement seed per run (the MBPTA protocol, batched across seeds by
 //!   default), adaptively grow the campaign until the pWCET estimate
@@ -55,8 +55,8 @@
 //! trace.push(MemEvent::InstrFetch(Address::new(0x1000)));
 //! trace.push(MemEvent::Load(Address::new(0x8000)));
 //!
-//! // One run under placement seed 42, on a one-lane core.
-//! let mut core = BatchCore::new(&config, 1)?;
+//! // One run under placement seed 42, on a one-task, one-lane core.
+//! let mut core = BatchCore::new(&config, 1, 1)?;
 //! let (cycles, stats) = core.execute_batch(&trace, &[42])[0];
 //! assert!(cycles > 0);
 //! assert_eq!(stats.l1_misses(), 2);
@@ -89,7 +89,7 @@ pub use checkpoint::{
     MemoryCheckpointStore,
 };
 pub use config::{CacheConfig, LatencyConfig, PlatformConfig};
-pub use contention::{Arbitration, BatchContentionCore, ContendedSchedule};
+pub use contention::{Arbitration, ContendedSchedule};
 pub use hierarchy::HierarchyStats;
 pub use packed::PackedTrace;
 pub use run::{

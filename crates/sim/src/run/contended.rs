@@ -1,26 +1,30 @@
 //! The contended (multi-task, shared-L2) campaign protocol and its result
-//! types.
+//! types, and the one worker pool every MBPTA seed sweep runs on.
 //!
-//! Two engines back [`Campaign::run_contended`], picked per campaign:
+//! [`Campaign::run_contended`] replays its co-schedule on the lane engine
+//! ([`BatchCore`]), routed per campaign:
 //!
-//! * **idle co-schedule** → the victim routes through the solo
-//!   [`crate::batch::BatchCore`] pool (bit-identical to
-//!   [`Campaign::run_seeds`], at its throughput);
-//! * **anything else** → the lane-batched [`BatchContentionCore`].  Under
-//!   round-robin the interleaved schedule is seed-independent, so it is
-//!   computed once per campaign, shared read-only across worker threads
-//!   and replayed across placement-seed lanes (`with_lanes(1)` just makes
-//!   every wave one lane wide).  Under seeded-random arbitration each
-//!   run's schedule is drawn from its seed, so every run builds its own
-//!   schedule and replays it as a one-lane wave.
+//! * **one active task** — a solo campaign ([`Campaign::run_seeds`] is the
+//!   one-task co-schedule) or an idle co-schedule, whose victim replays
+//!   alone while the idle tasks get zero runs: the round-robin schedule at
+//!   the full [`Campaign::lanes`] width (one task has nothing to
+//!   arbitrate, so the arbitration policy is moot);
+//! * **round-robin** — the interleaved schedule is seed-independent, so it
+//!   is computed once per campaign, shared read-only across worker
+//!   threads and replayed across placement-seed lanes, at most
+//!   [`Campaign::CONTENDED_LANE_GROUP`] per pass (`with_lanes(1)` just
+//!   makes every wave one lane wide);
+//! * **seeded-random** — each run's schedule is drawn from its seed, so
+//!   every run builds its own schedule and replays it as a one-lane wave.
 //!
-//! Both produce bit-identical [`ContendedResult`]s where their domains
-//! overlap — pinned by the `contention_equivalence` suite, the
+//! All routes produce bit-identical [`ContendedResult`]s where their
+//! domains overlap — pinned by the `contention_equivalence` suite, the
 //! differential reference model and the unit grid tests.
 
 use super::schedule::scoped_chunks;
 use super::{Campaign, CampaignResult, RunResult};
-use crate::contention::{Arbitration, BatchContentionCore, ContendedSchedule};
+use crate::batch::BatchCore;
+use crate::contention::{Arbitration, ContendedSchedule};
 use crate::hierarchy::HierarchyStats;
 use crate::trace::EventSource;
 use randmod_core::ConfigError;
@@ -156,19 +160,18 @@ impl Campaign {
     /// over the same worker thread pool as [`Self::run_seeds`]; each run is
     /// a pure function of its seed, so results are thread-invariant.
     ///
-    /// **Solo fast path**: when every opponent trace is empty (an idle
-    /// co-schedule), the victim's runs route through the seed-batched
-    /// [`crate::batch::BatchCore`] lane pool — the exact
-    /// [`Self::run_seeds`] engine — so a solo contended campaign is
-    /// *bit-identical* to the single-task protocol (and enjoys its
-    /// throughput).
+    /// **Idle co-schedule**: when every opponent trace is empty, the
+    /// victim replays as the one task of the schedule, exactly as
+    /// [`Self::run_seeds`] replays it, and the idle tasks get zero runs —
+    /// so a solo contended campaign is *bit-identical* to the single-task
+    /// protocol (and runs at its throughput).
     ///
     /// **Round-robin**: the interleaved co-schedule never depends on the
     /// placement seed, so it is computed once per campaign
     /// ([`ContendedSchedule::round_robin`]) and replayed across
     /// placement-seed lanes — at most [`Self::CONTENDED_LANE_GROUP`] per
     /// schedule pass, the measured host-cache sweet spot — by a
-    /// [`BatchContentionCore`].
+    /// [`BatchCore`].
     ///
     /// **Seeded-random**: each run's interleave is drawn from its seed
     /// ([`ContendedSchedule::seeded_random`]) and replayed as a one-lane
@@ -207,8 +210,8 @@ impl Campaign {
         self.run_contended_validated(sources, &self.seed_schedule())
     }
 
-    /// The contended worker pool; the configuration is already validated
-    /// by the public entry points.
+    /// The worker pool of every MBPTA seed sweep, solo and contended; the
+    /// configuration is already validated by the public entry points.
     pub(super) fn run_contended_validated<S>(
         &self,
         sources: &[S],
@@ -223,47 +226,26 @@ impl Campaign {
         if seeds.is_empty() {
             return Ok(ContendedResult::default());
         }
-        let tasks = sources.len();
-        // Idle co-schedule: no opponent emits an event, so the shared L2
-        // sees only the victim — route through the batched solo engine.
-        if opponents.iter().all(|s| s.events().next().is_none()) {
-            let solo = self.run_seeds_validated(victim, seeds)?;
-            return Ok(ContendedResult::from_runs(
-                solo.runs()
-                    .iter()
-                    .map(|run| ContendedRun {
-                        seed: run.seed,
-                        tasks: (0..tasks)
-                            .map(|task| {
-                                if task == 0 {
-                                    TaskRun {
-                                        cycles: run.cycles,
-                                        stats: run.stats,
-                                    }
-                                } else {
-                                    TaskRun {
-                                        cycles: 0,
-                                        stats: HierarchyStats::default(),
-                                    }
-                                }
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-            ));
-        }
+        // Idle co-schedule: no opponent emits an event, so the victim
+        // replays alone and the idle tasks are padded with zero runs.
+        let active = if opponents.iter().all(|s| s.events().next().is_none()) {
+            std::slice::from_ref(victim)
+        } else {
+            sources
+        };
+        let (tasks, padded) = (active.len(), sources.len());
         let config = self.config;
-        if self.arbitration == Arbitration::SeededRandom {
+        if tasks > 1 && self.arbitration == Arbitration::SeededRandom {
             // A seeded-random interleave is drawn from the run seed: build
             // each run's schedule and replay it as a one-lane wave.
             let runs = scoped_chunks(seeds, self.threads, |chunk| {
-                let mut core = BatchContentionCore::new(&config, tasks, 1)?;
+                let mut core = BatchCore::new(&config, tasks, 1)?;
                 let mut out = Vec::with_capacity(chunk.len());
                 for &seed in chunk {
-                    let streams = sources.iter().map(|s| s.events()).collect();
+                    let streams = active.iter().map(|s| s.events()).collect();
                     let schedule = ContendedSchedule::seeded_random(&config, tasks, streams, seed);
                     let lane_results = core.execute_schedule(&schedule, &[seed]);
-                    out.extend(contended_runs(&[seed], lane_results));
+                    out.extend(contended_runs(&[seed], lane_results, padded));
                 }
                 Ok(out)
             })?;
@@ -275,20 +257,24 @@ impl Campaign {
         let schedule = ContendedSchedule::round_robin(
             &config,
             tasks,
-            sources.iter().map(|s| s.events()).collect(),
+            active.iter().map(|s| s.events()).collect(),
         );
         let schedule = &schedule;
-        // The lane knob is an upper bound here: a contended lane holds a
-        // full co-schedule's cache state (per-task L1 pairs plus a shared
-        // L2), so groups wider than `CONTENDED_LANE_GROUP` thrash the host
-        // cache and run measurably slower.
-        let group = self.lanes.min(Campaign::CONTENDED_LANE_GROUP);
+        // The lane knob is an upper bound on several tasks: such a lane
+        // holds a full co-schedule's cache state (per-task L1 pairs plus a
+        // shared L2), so groups wider than `CONTENDED_LANE_GROUP` thrash
+        // the host cache and run measurably slower.
+        let width = if tasks == 1 {
+            self.lanes
+        } else {
+            self.lanes.min(Campaign::CONTENDED_LANE_GROUP)
+        };
         let runs = scoped_chunks(seeds, self.threads, |chunk| {
-            let mut core = BatchContentionCore::new(&config, tasks, group.min(chunk.len()))?;
+            let mut core = BatchCore::new(&config, tasks, width.min(chunk.len()))?;
             let mut out = Vec::with_capacity(chunk.len());
             for group in chunk.chunks(core.lane_count()) {
                 let lane_results = core.execute_schedule(schedule, group);
-                out.extend(contended_runs(group, lane_results));
+                out.extend(contended_runs(group, lane_results, padded));
             }
             Ok(out)
         })?;
@@ -297,19 +283,26 @@ impl Campaign {
 }
 
 /// Pairs each seed of one lane group with its per-task `(cycles, stats)`
-/// results, as [`BatchContentionCore::execute_schedule`] returns them.
+/// results, as [`BatchCore::execute_schedule`] returns them, padded with
+/// zero runs up to `tasks` (the idle tasks of an idle co-schedule).
 fn contended_runs(
     seeds: &[u64],
     lane_results: Vec<Vec<(u64, HierarchyStats)>>,
+    tasks: usize,
 ) -> impl Iterator<Item = ContendedRun> + '_ {
+    let idle = TaskRun {
+        cycles: 0,
+        stats: HierarchyStats::default(),
+    };
     seeds
         .iter()
         .zip(lane_results)
-        .map(|(&seed, task_results)| ContendedRun {
-            seed,
-            tasks: task_results
+        .map(move |(&seed, task_results)| {
+            let mut runs: Vec<TaskRun> = task_results
                 .into_iter()
                 .map(|(cycles, stats)| TaskRun { cycles, stats })
-                .collect(),
+                .collect();
+            runs.resize(tasks, idle);
+            ContendedRun { seed, tasks: runs }
         })
 }

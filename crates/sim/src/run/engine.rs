@@ -1,5 +1,6 @@
-//! The solo protocols: the seed-batched MBPTA sweep and the deterministic
-//! layout sweep, plus their result types.
+//! The solo protocols: the MBPTA seed sweep (a one-task co-schedule of the
+//! contended worker pool) and the deterministic layout sweep, plus their
+//! result types.
 
 use super::schedule::scoped_chunks;
 use super::Campaign;
@@ -129,10 +130,10 @@ impl Campaign {
         self.run_seeds_validated(source, seeds)
     }
 
-    /// The seed-sweep worker pool; the configuration is already validated
-    /// by the public entry points (exactly once per campaign).  Each worker
-    /// owns one [`BatchCore`] and replays its seed chunk in groups of
-    /// `lanes` seeds per trace decode.
+    /// The seed sweep: the one-task case of the contended worker pool,
+    /// whose idle-co-schedule route replays a lone task at the full
+    /// [`Campaign::lanes`] width.  The configuration is already validated
+    /// by the public entry points (exactly once per campaign).
     pub(super) fn run_seeds_validated<S>(
         &self,
         source: &S,
@@ -141,32 +142,19 @@ impl Campaign {
     where
         S: EventSource + ?Sized,
     {
-        let config = self.config;
-        let lanes = self.lanes;
-        let runs = scoped_chunks(seeds, self.threads, |chunk| {
-            let mut core = BatchCore::new(&config, lanes.min(chunk.len()))?;
-            // Decode and run-collapse the trace once per worker; every
-            // lane group replays the precollapsed schedule.
-            let ops = core.collapse(source.events());
-            let mut out = Vec::with_capacity(chunk.len());
-            for group in chunk.chunks(core.lane_count()) {
-                let lane_results = core.execute_batch_ops(&ops, group);
-                for (&seed, (cycles, stats)) in group.iter().zip(lane_results) {
-                    out.push(RunResult { seed, cycles, stats });
-                }
-            }
-            Ok(out)
-        })?;
-        Ok(CampaignResult::from_runs(runs))
+        Ok(self
+            .run_contended_validated(&[source], seeds)?
+            .victim_result())
     }
 
     /// Runs the deterministic-platform protocol of Figure 4(b) in streaming
     /// form: `build(i)` produces the trace of the `i`-th memory layout, and
     /// each worker thread holds at most one layout's trace alive at a time
     /// — the sweep's memory footprint does not grow with the number of
-    /// layouts.  Each layout replays as a one-lane [`BatchCore`] wave under
-    /// seed 0, streamed straight from its trace (no per-layout schedule is
-    /// built).  The result's `seed` field records the layout index.
+    /// layouts.  Each layout replays as a one-task, one-lane [`BatchCore`]
+    /// wave under seed 0, streamed straight from its trace (no per-layout
+    /// schedule is built).  The result's `seed` field records the layout
+    /// index.
     ///
     /// # Errors
     ///
@@ -184,7 +172,7 @@ impl Campaign {
         let config = self.config;
         let indices: Vec<usize> = (0..layouts).collect();
         let runs = scoped_chunks(&indices, self.threads, |chunk| {
-            let mut core = BatchCore::new(&config, 1)?;
+            let mut core = BatchCore::new(&config, 1, 1)?;
             let mut out = Vec::with_capacity(chunk.len());
             for &index in chunk {
                 let layout_trace = build(index);

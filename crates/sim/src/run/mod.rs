@@ -5,32 +5,31 @@
 //! placement seed before each run so that every run samples a new random
 //! cache layout.  [`Campaign`] automates this protocol, executing runs in
 //! parallel across threads *and* in batches of seed lanes within each
-//! thread (each run is independent by construction): every worker owns a
-//! [`crate::batch::BatchCore`] that decodes the shared trace once per group
-//! of [`Campaign::lanes`] seeds instead of once per run.  The program is
-//! any [`EventSource`](crate::trace::EventSource) — a boxed
+//! thread (each run is independent by construction): the program is
+//! decoded and run-collapsed once per campaign into a schedule, and every
+//! worker owns a [`crate::batch::BatchCore`] that replays it once per
+//! group of [`Campaign::lanes`] seeds instead of once per run.  The
+//! program is any [`EventSource`](crate::trace::EventSource) — a boxed
 //! [`Trace`](crate::trace::Trace), a packed [`crate::packed::PackedTrace`],
 //! or a slice of events — shared read-only across the worker threads.
 //!
-//! Contended campaigns ([`Campaign::run_contended`]) use the same lane
-//! batching on the contended engine,
-//! [`crate::contention::BatchContentionCore`]: under round-robin
+//! A solo campaign is the one-task case of a contended one: both run on
+//! one worker pool ([`Campaign::run_contended`]).  Under round-robin
 //! arbitration the interleaved co-schedule is seed-independent, so it is
 //! computed once per campaign and replayed across placement-seed lanes by
-//! each worker; under seeded-random arbitration every run draws its own
-//! interleave and replays it as a one-lane wave.
+//! each worker; under seeded-random arbitration every run of several
+//! tasks draws its own interleave and replays it as a one-lane wave.
 //!
 //! For the deterministic baseline of Figure 4(b), the execution time does
 //! not vary with a seed but with the *memory layout* of the program; the
 //! corresponding protocol, sweeping layouts and recording the high-water
 //! mark, is provided by [`Campaign::run_layout_sweep_with`], which builds
-//! one layout's trace at a time and replays it as a one-lane
-//! [`crate::batch::BatchCore`] wave, keeping the sweep's memory footprint
-//! constant.
+//! one layout's trace at a time and streams it through a one-task,
+//! one-lane [`crate::batch::BatchCore`] wave, keeping the sweep's memory
+//! footprint constant.
 //!
-//! Every protocol therefore runs on one of the two lane engines; the
-//! naive model in the `reference_model` test suite is their independent
-//! oracle.
+//! Every protocol therefore runs on the one lane engine; the naive model
+//! in the `reference_model` test suite is its independent oracle.
 //!
 //! The module is organised by protocol:
 //!
@@ -40,9 +39,9 @@
 //! * [`engine`](self) — the solo seed sweep ([`Campaign::run`],
 //!   [`Campaign::run_seeds`]) and the deterministic layout sweep, plus
 //!   [`RunResult`] / [`CampaignResult`].
-//! * [`contended`](self) — the shared-L2 multi-task sweep
-//!   ([`Campaign::run_contended`]), plus [`TaskRun`] / [`ContendedRun`] /
-//!   [`ContendedResult`].
+//! * [`contended`](self) — the worker pool every seed sweep runs on and
+//!   the shared-L2 multi-task sweep ([`Campaign::run_contended`]), plus
+//!   [`TaskRun`] / [`ContendedRun`] / [`ContendedResult`].
 //! * [`adaptive`](self) — the convergence-driven drivers
 //!   ([`Campaign::run_adaptive`], [`Campaign::run_contended_adaptive`]),
 //!   plus [`AdaptiveResult`] / [`ContendedAdaptiveResult`].
@@ -115,13 +114,15 @@ impl Campaign {
     /// campaigns actually sweep.
     pub const DEFAULT_LANES: usize = 4;
 
-    /// Widest lane group the lane-batched contended engine steps per
-    /// schedule pass.  A solo lane is one hierarchy (~20KB for the LEON3
-    /// L1s), so eight lanes fit the host cache comfortably; a contended
-    /// lane is a whole co-schedule — per-task L1 pairs *plus* a shared L2,
-    /// ~70KB for a three-task LEON3 platform — and measured throughput
-    /// peaks at two lanes per group (wider groups thrash the host cache,
-    /// 8 lanes costing ~7% over 2 on the `contention_throughput` bench).
+    /// Widest lane group a campaign of several active tasks steps per
+    /// schedule pass.  A one-task lane is one L1 pair and its L2 (~20KB
+    /// of L1 metadata for the LEON3 L1s), so eight lanes fit the host
+    /// cache comfortably; a lane of several tasks is a whole co-schedule —
+    /// per-task L1 pairs *plus* a shared L2, ~70KB for a three-task LEON3
+    /// platform — and measured throughput peaks at two lanes per group
+    /// (wider groups thrash the host cache, 8 lanes costing ~7% over 2 on
+    /// the `contention_throughput` bench).  One-task campaigns step the
+    /// full [`Self::lanes`] width.
     pub const CONTENDED_LANE_GROUP: usize = 2;
 
     /// Creates a campaign of `runs` runs on the given platform.
@@ -155,16 +156,16 @@ impl Campaign {
     /// decode (minimum 1; the default is [`Self::DEFAULT_LANES`]).
     ///
     /// Lanes compose with threads: a campaign of `N` runs on `T` threads
-    /// decodes the trace `N / (T * lanes)` times per thread.  Results are
-    /// bit-identical for every `(threads, lanes)` combination, for solo
-    /// *and* contended campaigns.  Contended round-robin campaigns treat
-    /// the knob as an upper bound: the contended engine steps at most
+    /// replays its schedule `N / (T * lanes)` times per thread.  Results
+    /// are bit-identical for every `(threads, lanes)` combination, for
+    /// solo *and* contended campaigns.  Round-robin campaigns of several
+    /// active tasks treat the knob as an upper bound: they step at most
     /// [`Self::CONTENDED_LANE_GROUP`] placement lanes per schedule pass,
-    /// because each contended lane carries a full co-schedule's cache
-    /// state and wider groups thrash the host cache (see
-    /// `run::contended`); seeded-random campaigns always replay one lane
+    /// because each such lane carries a full co-schedule's cache state and
+    /// wider groups thrash the host cache (see `run::contended`);
+    /// seeded-random campaigns of several tasks always replay one lane
     /// per run, since every run has its own schedule.  `with_lanes(1)`
-    /// runs every protocol as one-lane waves on the same engines — the
+    /// runs every protocol as one-lane waves on the one engine — the
     /// comparison baseline of the `campaign_throughput` and
     /// `contention_throughput` benchmarks, not a different engine.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
@@ -178,7 +179,7 @@ impl Campaign {
     }
 
     /// Overrides the arbitration policy of contended campaigns (the
-    /// default is round-robin; ignored by the single-task protocols).
+    /// default is round-robin; ignored by campaigns with one active task).
     pub fn with_arbitration(mut self, arbitration: Arbitration) -> Self {
         self.arbitration = arbitration;
         self
@@ -483,7 +484,8 @@ mod tests {
     fn with_lanes_one_contended_runs_one_lane_waves() {
         // `with_lanes(1)` is not a different engine: every run is a
         // one-lane replay of the schedule its arbitration draws.
-        use crate::contention::{Arbitration, BatchContentionCore, ContendedSchedule};
+        use crate::batch::BatchCore;
+        use crate::contention::{Arbitration, ContendedSchedule};
         let config = PlatformConfig::leon3();
         let sources = [stress_trace(), opponent_trace()];
         let seeds = [4u64, 18, 0xC0FFEE];
@@ -494,7 +496,7 @@ mod tests {
                 .with_arbitration(arbitration)
                 .run_contended(&sources, &seeds)
                 .unwrap();
-            let mut one_lane = BatchContentionCore::new(&config, 2, 1).unwrap();
+            let mut one_lane = BatchCore::new(&config, 2, 1).unwrap();
             for (run, &seed) in result.runs().iter().zip(&seeds) {
                 let streams = sources.iter().map(|s| s.iter().copied()).collect();
                 let schedule = match arbitration {

@@ -110,7 +110,7 @@ fn reseed_between_runs_disarms_the_mru_read_filter() {
         .with_l1_placement(PlacementKind::RandomModulo)
         .with_replacement(ReplacementKind::Random);
     let trace = stress_trace();
-    let mut batch = BatchCore::new(&config, 4).unwrap();
+    let mut batch = BatchCore::new(&config, 1, 4).unwrap();
     // First batch leaves every lane's filter armed on some line.
     let first = batch.execute_batch(&trace, &[11, 22, 33, 44]);
     // Second batch with different seeds reuses the same (warm, armed)
@@ -118,7 +118,7 @@ fn reseed_between_runs_disarms_the_mru_read_filter() {
     let seeds = [55u64, 66, 77, 88];
     let second = batch.execute_batch(&trace, &seeds);
     for (&seed, &(cycles, stats)) in seeds.iter().zip(&second) {
-        let mut fresh = BatchCore::new(&config, 1).unwrap();
+        let mut fresh = BatchCore::new(&config, 1, 1).unwrap();
         assert_eq!(
             fresh.execute_batch(&trace, &[seed])[0],
             (cycles, stats),
@@ -157,10 +157,10 @@ proptest! {
         let config = platform(placement, replacement, l1_write);
         let trace = expand(&events);
 
-        let mut batch = BatchCore::new(&config, seeds.len()).unwrap();
+        let mut batch = BatchCore::new(&config, 1, seeds.len()).unwrap();
         let batched = batch.execute_batch(&trace, &seeds);
 
-        let mut sequential = BatchCore::new(&config, 1).unwrap();
+        let mut sequential = BatchCore::new(&config, 1, 1).unwrap();
         for (&seed, &run) in seeds.iter().zip(&batched) {
             prop_assert_eq!(run, sequential.execute_batch(&trace, &[seed])[0]);
         }

@@ -6,10 +6,12 @@
 //! `HierarchyStats` — for every placement policy and both arbitration
 //! policies.  Two layers are pinned:
 //!
-//! * `BatchContentionCore` itself (the interleave-and-replay engine, no
-//!   fast path) against the solo `BatchCore`, and
-//! * `Campaign::run_contended` (which routes idle co-schedules through the
-//!   batched `BatchCore` pool) against `Campaign::run_seeds`.
+//! * the engine itself: `BatchCore` replaying a K-task schedule with idle
+//!   opponents (the interleave-and-replay path, no idle routing) against
+//!   the same engine streaming the one task, and
+//! * `Campaign::run_contended` (which replays an idle co-schedule's
+//!   victim as the one task of the schedule) against
+//!   `Campaign::run_seeds`.
 //!
 //! A third property pins the execution-geometry invariance of contended
 //! campaigns: one `ContendedResult`, reproduced bit-for-bit across every
@@ -23,15 +25,15 @@ mod common;
 use common::{event_strategy, expand};
 use proptest::prelude::*;
 use randmod_core::{Address, PlacementKind};
-use randmod_sim::contention::{Arbitration, BatchContentionCore, ContendedSchedule};
+use randmod_sim::contention::{Arbitration, ContendedSchedule};
 use randmod_sim::{BatchCore, Campaign, PlatformConfig, Trace};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The contended engine with idle opponents is the solo engine, for
-    /// every placement × arbitration and arbitrary traces/seeds — one lane
-    /// per seed (the seeded-random shape) and all seeds in one wave.
+    /// K tasks with idle opponents are the one task alone, for every
+    /// placement × arbitration and arbitrary traces/seeds — one lane per
+    /// seed (the seeded-random shape) and all seeds in one wave.
     #[test]
     fn contended_engine_with_idle_opponents_matches_the_solo_engine(
         events in prop::collection::vec(event_strategy(), 1..300),
@@ -49,8 +51,8 @@ proptest! {
             streams.extend((0..opponents).map(|_| [].iter().copied()));
             streams
         };
-        let solo = BatchCore::new(&config, seeds.len()).unwrap().execute_batch(&trace, &seeds);
-        let mut one_lane = BatchContentionCore::new(&config, tasks, 1).unwrap();
+        let solo = BatchCore::new(&config, 1, seeds.len()).unwrap().execute_batch(&trace, &seeds);
+        let mut one_lane = BatchCore::new(&config, tasks, 1).unwrap();
         for (&seed, &expected) in seeds.iter().zip(&solo) {
             let schedule = if seeded_random {
                 ContendedSchedule::seeded_random(&config, tasks, streams(), seed)
@@ -63,7 +65,7 @@ proptest! {
                 prop_assert_eq!(idle.0, 0);
             }
         }
-        let wave = BatchContentionCore::new(&config, tasks, seeds.len())
+        let wave = BatchCore::new(&config, tasks, seeds.len())
             .unwrap()
             .execute_schedule(&ContendedSchedule::round_robin(&config, tasks, streams()), &seeds);
         for (runs, &expected) in wave.iter().zip(&solo) {
@@ -101,8 +103,8 @@ proptest! {
             .with_arbitration(arbitration)
             .run_contended(&sources, &seeds)
             .unwrap();
-        // `CONTENDED_LANE_GROUP` (= 2) is the widest group the batched
-        // contended engine steps per pass: lanes == 2 is the exact
+        // `CONTENDED_LANE_GROUP` (= 2) is the widest group a campaign of
+        // several tasks steps per pass: lanes == 2 is the exact
         // boundary, 3 is clamped back down to it (one full group plus a
         // partial single-lane pass per chunk), and 7 adds ragged thread
         // chunks; 11 seeds make every width end on a partial final group.

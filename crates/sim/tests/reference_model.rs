@@ -22,8 +22,9 @@
 //! than 32 ways, one set, more sets than the RM memo covers).
 //!
 //! The proptests assert cycle- and stats-equality of the reference against
-//! the solo engine — `BatchCore` waves, the campaign seed sweep at one and
-//! at non-multiple lane widths, and the deterministic layout sweep —
+//! the engine at one task — `BatchCore` streaming waves, the campaign seed
+//! sweep at one and at non-multiple lane widths, and the deterministic
+//! layout sweep —
 //! across arbitrary traces × all four placements × {LRU, Random,
 //! round-robin} replacement × {write-through, write-back} L1s.  Any future
 //! engine optimisation that changes an observable number fails here first.
@@ -33,8 +34,8 @@
 //! hierarchy and both arbitration policies (per-set `Vec`s, `VecDeque`
 //! event queues, per-access statistics snapshots — no run collapsing, no
 //! precomputed schedule, no lane batching) and are proptested against the
-//! full `Campaign::run_contended` path, which runs `BatchContentionCore`
-//! — multi-lane and one-lane round-robin waves, and one-lane
+//! full `Campaign::run_contended` path, which runs `BatchCore` schedule
+//! replays — multi-lane and one-lane round-robin waves, and one-lane
 //! seeded-random waves.
 //!
 //! `REFERENCE_MODEL_CASES` (env) scales the proptest case count; CI runs
@@ -313,7 +314,7 @@ impl RefHierarchy {
     }
 
     /// One cold run of `trace` under `seed` — the reference counterpart of
-    /// one `BatchCore` lane.
+    /// one one-task `BatchCore` lane.
     fn execute_isolated(&mut self, trace: &Trace, seed: u64) -> (u64, HierarchyStats) {
         self.reseed(seed);
         self.reset_stats();
@@ -343,8 +344,9 @@ fn stats_delta(after: CacheStats, before: CacheStats) -> CacheStats {
 
 /// The naive shared-L2 platform: `K` per-task `RefCache` L1 pairs in
 /// front of one shared `RefCache` L2 — the reference counterpart of the
-/// contended engine's lane-banked shared-L2 hierarchy.  Per-task L2 views are attributed the slow way,
-/// by snapshotting the shared cache's statistics around every access.
+/// engine's lane-banked hierarchy at several tasks.  Per-task L2 views are
+/// attributed the slow way, by snapshotting the shared cache's statistics
+/// around every access.
 struct RefSharedL2 {
     config: PlatformConfig,
     /// `(il1, dl1)` per task.
@@ -375,10 +377,10 @@ impl RefSharedL2 {
         self.tasks.len()
     }
 
-    /// Mirrors the contended engine's per-lane derivation order: task 0's
-    /// IL1, task 0's DL1, the shared L2, then the remaining tasks' pairs
-    /// — the order that makes a solo victim bit-identical to the
-    /// single-task hierarchy.
+    /// Mirrors the engine's per-lane derivation order: task 0's IL1, task
+    /// 0's DL1, the shared L2, then the remaining tasks' pairs — the order
+    /// that makes a victim next to idle tasks bit-identical to the victim
+    /// alone.
     fn reseed(&mut self, seed: u64) {
         let mut sm = SplitMix64::new(seed);
         let (first, rest) = self.tasks.split_first_mut().expect("at least one task");
@@ -479,7 +481,7 @@ impl RefContentionCore {
     }
 
     /// One contended run — the reference counterpart of one lane of a
-    /// `BatchContentionCore` schedule replay — returning `(cycles, stats)`
+    /// `BatchCore` schedule replay — returning `(cycles, stats)`
     /// per task in task order.  Traces beyond the task count are ignored;
     /// missing traces behave as idle tasks.
     fn execute_contended(&mut self, traces: &[Trace], seed: u64) -> Vec<(u64, HierarchyStats)> {
@@ -673,9 +675,9 @@ fn lane_bank_matches_reference_caches_at_geometry_extremes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// The naive reference reproduces the solo engine exactly — cycles and
-    /// full per-level statistics — for every placement × {LRU, Random,
-    /// round-robin} × {WT, WB} over arbitrary traces and seeds.
+    /// The naive reference reproduces the engine at one task exactly —
+    /// cycles and full per-level statistics — for every placement × {LRU,
+    /// Random, round-robin} × {WT, WB} over arbitrary traces and seeds.
     #[test]
     fn production_engines_match_the_reference_model(
         events in prop::collection::vec(event_strategy(), 1..350),
@@ -695,7 +697,7 @@ proptest! {
         let trace = expand(&events);
 
         let mut reference = RefHierarchy::new(config);
-        let mut batch = BatchCore::new(&config, seeds.len()).unwrap();
+        let mut batch = BatchCore::new(&config, 1, seeds.len()).unwrap();
         let batched = batch.execute_batch(&trace, &seeds);
         for (&seed, &batched_result) in seeds.iter().zip(&batched) {
             prop_assert_eq!(batched_result, reference.execute_isolated(&trace, seed));
@@ -716,11 +718,11 @@ proptest! {
         }
     }
 
-    /// The naive contention reference reproduces the contended engine
-    /// exactly — per-task cycles and full per-task statistics (private L1s
-    /// plus each task's view of the shared L2) — across arbitrations ×
-    /// placements × co-schedule sizes × {LRU, Random, round-robin} × {WT,
-    /// WB}.  The campaign goes through `Campaign::run_contended` on two
+    /// The naive contention reference reproduces the engine at several
+    /// tasks exactly — per-task cycles and full per-task statistics
+    /// (private L1s plus each task's view of the shared L2) — across
+    /// arbitrations × placements × co-schedule sizes × {LRU, Random,
+    /// round-robin} × {WT, WB}.  The campaign goes through `Campaign::run_contended` on two
     /// threads at one lane and at three, so both the one-lane waves (every
     /// seeded-random run, and `with_lanes(1)`) and the multi-lane
     /// round-robin groups are pinned against the reference.
@@ -886,7 +888,7 @@ fn reference_model_agrees_on_a_capacity_stressing_trace() {
             for l1_write in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
                 let config = platform(placement, replacement, l1_write);
                 let mut reference = RefHierarchy::new(config);
-                let mut batch = BatchCore::new(&config, seeds.len()).unwrap();
+                let mut batch = BatchCore::new(&config, 1, seeds.len()).unwrap();
                 let batched = batch.execute_batch(&trace, &seeds);
                 let swept = Campaign::new(config, 0)
                     .with_threads(1)

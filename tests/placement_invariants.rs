@@ -154,7 +154,7 @@ proptest! {
             for i in 0..accesses {
                 trace.load(Address::new(0x1000 + i * stride));
             }
-            let mut core = BatchCore::new(&config, 1).unwrap();
+            let mut core = BatchCore::new(&config, 1, 1).unwrap();
             let (a, _) = core.execute_batch(&trace, &[seed])[0];
             let (b, _) = core.execute_batch(&trace, &[seed])[0];
             prop_assert_eq!(a, b);
