@@ -1,11 +1,11 @@
 //! Micro-benchmark of the wavefront probe.
 //!
 //! Times `SetAssocCacheLanes::access_lean_lanes` on one synthetic L1-like
-//! access stream, per placement kind, at K lanes — the probe cost at the
-//! core of `campaign_throughput`, without trace decode or hierarchy
-//! booking.
+//! access stream, per placement kind, at K lanes — the per-wave probe cost
+//! at the core of every campaign, without trace decode or hierarchy
+//! booking.  End-to-end campaign cost is measured by `perfbench/`.
 //!
-//! Run with `cargo run --release -p randmod-bench --example probe_microbench`.
+//! Run with `cargo run --release -p randmod-core --example probe_microbench`.
 
 use randmod_core::cache::{AccessKind, SetAssocCacheLanes, WritePolicy};
 use randmod_core::{CacheGeometry, LineAddr, PlacementKind, ReplacementKind};

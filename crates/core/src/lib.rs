@@ -61,7 +61,9 @@ pub mod error;
 pub mod layout;
 #[warn(clippy::unwrap_used, clippy::expect_used)]
 pub mod placement;
+#[warn(clippy::unwrap_used, clippy::expect_used)]
 pub mod prng;
+#[warn(clippy::unwrap_used, clippy::expect_used)]
 pub mod replacement;
 
 pub use address::{Address, CacheGeometry, LineAddr};

@@ -223,6 +223,11 @@ impl CombinedLfsrLanes {
 
     /// Re-derives lane `lane`'s component states from `seed`, exactly as
     /// [`CombinedLfsr::new`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not below [`Self::lane_count`].
+    // randmod: allow(P1, lane < lane_count is the documented Panics contract and s1, s2, s3 each hold lane_count states; new passes 0..lanes, and SetAssocCacheLanes::reseed_wave passes a lane below seeds.len, which it asserts is at most the width it sized this bank to)
     pub fn reseed_lane(&mut self, lane: usize, seed: u64) {
         let mut sm = SplitMix64::new(seed);
         self.s1[lane] = (sm.next_u64() as u32) | 0x20;
@@ -231,6 +236,11 @@ impl CombinedLfsrLanes {
     }
 
     /// Advances lane `lane` by one step and returns its next 32-bit word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not below [`Self::lane_count`].
+    // randmod: allow(P1, lane < lane_count is the documented Panics contract and s1, s2, s3 each hold lane_count states; the lane cache sizes this bank to its lane width and draws only for active lanes: next_below_lanes for the miss wave's draw list, built from the active prefix that reseed_wave asserts fits the width, and next_below_lane for the one lane that access_lean_lane debug-asserts is active)
     #[inline]
     pub fn next_u32_lane(&mut self, lane: usize) -> u32 {
         let s1 = CombinedLfsr::taus_step(self.s1[lane], 13, 19, 12, 0xFFFF_FFFE);

@@ -124,6 +124,12 @@ impl ReplacementState {
     }
 
     /// Notifies the policy that `way` of `set` was accessed (hit or fill).
+    ///
+    /// # Panics
+    ///
+    /// Under LRU, panics if `set` or `way` is out of range (debug builds
+    /// check both on entry under every policy).
+    // randmod: allow(P1, set < sets and way < ways is the documented contract, debug-asserted on entry; LRU state holds sets * ways ranks, so base + ways never overruns it and way indexes the ways-long rank slice; the lane cache passes a set from its placement bank, below sets by geometry, and a way from its own probe or victim pick, below ways)
     #[inline]
     pub fn touch(&mut self, set: u32, way: u32) {
         debug_assert!(set < self.sets && way < self.ways);
@@ -148,6 +154,12 @@ impl ReplacementState {
     /// draw is whatever that bank hands out; the closure keeps the PRNG
     /// out of this type while every policy detail — including LRU's choice
     /// among equal ranks — stays here.
+    ///
+    /// # Panics
+    ///
+    /// Under LRU and round-robin, panics if `set` is out of range (debug
+    /// builds check it on entry under every policy).
+    // randmod: allow(P1, set < sets is the documented contract, debug-asserted on entry; LRU state holds sets * ways ranks and round-robin state holds sets pointers, so both slices are in bounds)
     #[inline]
     pub fn victim_with(&mut self, set: u32, draw: impl FnOnce(u32) -> u32) -> u32 {
         debug_assert!(set < self.sets);
@@ -156,12 +168,13 @@ impl ReplacementState {
             ReplacementKind::Lru => {
                 let base = (set * self.ways) as usize;
                 let ranks = &self.state[base..base + self.ways as usize];
-                let (way, _) = ranks
+                // `new` asserts ways > 0, so the rank slice is never empty
+                // and the fallback way is never taken.
+                ranks
                     .iter()
                     .enumerate()
                     .max_by_key(|&(_, &rank)| rank)
-                    .expect("set has at least one way");
-                way as u32
+                    .map_or(0, |(way, _)| way as u32)
             }
             ReplacementKind::RoundRobin => {
                 let pointer = &mut self.state[set as usize];

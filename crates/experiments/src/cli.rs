@@ -240,14 +240,13 @@ impl ExperimentOptions {
         Self::parse(std::env::args().skip(1))
     }
 
-    /// Returns the options with the given run count (test/bench helper).
+    /// Returns the options with the given run count (test helper).
     pub fn with_runs(mut self, runs: usize) -> Self {
         self.runs = runs;
         self
     }
 
-    /// Returns the options with the given campaign seed (test/bench
-    /// helper).
+    /// Returns the options with the given campaign seed (test helper).
     pub fn with_campaign_seed(mut self, seed: u64) -> Self {
         self.campaign_seed = seed;
         self

@@ -2,8 +2,8 @@
 //!
 //! Reproduction of every table and figure of the paper's evaluation
 //! (Section 4).  Each experiment is a library function returning structured
-//! rows, plus a thin binary that prints them; the Criterion harness of
-//! `randmod-bench` drives the same functions.
+//! rows, plus a thin binary that prints them; the unit, smoke and golden
+//! tests drive the same functions.
 //!
 //! | Paper artefact | Module | Binary |
 //! |---|---|---|

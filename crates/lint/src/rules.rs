@@ -140,8 +140,10 @@ const ENGINE_CRATES: [&str; 4] = [
 ];
 
 /// Hot-path modules: P1 (panic-freedom) applies, by file name.
-const HOT_PATH_FILES: [&str; 5] = [
+const HOT_PATH_FILES: [&str; 7] = [
     "placement.rs",
+    "prng.rs",
+    "replacement.rs",
     "lanes.rs",
     "checkpoint.rs",
     "packed.rs",

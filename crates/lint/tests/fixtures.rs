@@ -298,8 +298,14 @@ fn classification_matches_the_documented_scopes() {
     let engine = classify("crates/core/src/cache.rs").unwrap();
     assert!(engine.engine && !engine.hot_path && !engine.codec);
 
-    let hot = classify("crates/core/src/placement.rs").unwrap();
-    assert!(hot.engine && hot.hot_path);
+    for hot_path in [
+        "crates/core/src/placement.rs",
+        "crates/core/src/prng.rs",
+        "crates/core/src/replacement.rs",
+    ] {
+        let hot = classify(hot_path).unwrap();
+        assert!(hot.engine && hot.hot_path, "{hot_path} must be panic-free: {hot:?}");
+    }
 
     let run = classify("crates/sim/src/run/engine.rs").unwrap();
     assert!(run.engine && run.hot_path, "everything under run/ is hot-path");

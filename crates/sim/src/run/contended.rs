@@ -170,7 +170,7 @@ impl Campaign {
     /// placement seed, so it is computed once per campaign
     /// ([`ContendedSchedule::round_robin`]) and replayed across
     /// placement-seed lanes — at most [`Self::CONTENDED_LANE_GROUP`] per
-    /// schedule pass, the measured host-cache sweet spot — by a
+    /// schedule pass (its rustdoc records the width sweep) — by a
     /// [`BatchCore`].
     ///
     /// **Seeded-random**: each run's interleave is drawn from its seed
@@ -262,8 +262,8 @@ impl Campaign {
         let schedule = &schedule;
         // The lane knob is an upper bound on several tasks: such a lane
         // holds a full co-schedule's cache state (per-task L1 pairs plus a
-        // shared L2), so groups wider than `CONTENDED_LANE_GROUP` thrash
-        // the host cache and run measurably slower.
+        // shared L2), so groups wider than `CONTENDED_LANE_GROUP` buy no
+        // measurable speed (see `Campaign::CONTENDED_LANE_GROUP`).
         let width = if tasks == 1 {
             self.lanes
         } else {

@@ -101,27 +101,26 @@ impl Campaign {
     /// Default number of seed lanes stepped per trace decode (see
     /// [`Self::with_lanes`]).
     ///
-    /// The lane-width sweep recorded in `BENCH_baseline.json`
-    /// (`CAMPAIGN_BENCH_LANES` on the `campaign_throughput` bench, 200-run
-    /// campaigns) found no single best width.  The uniform placements peak at K = 8
-    /// (modulo 218.8 and XOR 221.0 Mev/s, against 196.9 and 200.8 at
-    /// K = 4); the seeded per-lane placements peak at K = 4 (hRP 165.6 and
-    /// RM 164.9 Mev/s, against 133.3 and 150.9 at K = 8); K = 16 wins
-    /// nowhere.  Wider waves amortise the per-wave decode further, but the
+    /// Measured on `fig4a_rm_vs_hrp --threads 1 --lanes K`, which runs the
+    /// seeded placements (RM and hRP) that MBPTA campaigns sweep: over 5
+    /// alternating rounds the median was 7.77 s at K = 1, 4.82 s at
+    /// K = 2, 4.52 s at K = 4, 4.49 s at K = 8 and 5.34 s at K = 16, with
+    /// byte-identical output at every width (EXPERIMENTS.md records the
+    /// sweep).  No width beats four by more than the run-to-run noise.
+    /// Wider waves amortise the per-wave decode further, but the
     /// lane-major tag arrays and per-lane placement state grow linearly
-    /// with K and eventually outgrow the host's fast cache levels.  Four
-    /// lanes is the best width for the seeded policies that MBPTA
-    /// campaigns actually sweep.
+    /// with K and eventually outgrow the host's fast cache levels.
     pub const DEFAULT_LANES: usize = 4;
 
     /// Widest lane group a campaign of several active tasks steps per
     /// schedule pass.  A one-task lane is one L1 pair and its L2 (~20KB
-    /// of L1 metadata for the LEON3 L1s), so eight lanes fit the host
-    /// cache comfortably; a lane of several tasks is a whole co-schedule —
-    /// per-task L1 pairs *plus* a shared L2, ~70KB for a three-task LEON3
-    /// platform — and measured throughput peaks at two lanes per group
-    /// (wider groups thrash the host cache, 8 lanes costing ~7% over 2 on
-    /// the `contention_throughput` bench).  One-task campaigns step the
+    /// of L1 metadata for the LEON3 L1s); a lane of several tasks is a
+    /// whole co-schedule — per-task L1 pairs *plus* a shared L2, ~70KB for
+    /// a three-task LEON3 platform.  On `fig6_contention --runs 300
+    /// --threads 1`, with this cap lifted, two lanes ran in 17.8–19.5 s
+    /// against 24.0 s for one lane, and neither four (17.6–19.5 s) nor
+    /// eight (19.1–20.0 s) beat two by more than the run-to-run noise
+    /// (EXPERIMENTS.md records the sweep).  One-task campaigns step the
     /// full [`Self::lanes`] width.
     pub const CONTENDED_LANE_GROUP: usize = 2;
 
@@ -162,12 +161,12 @@ impl Campaign {
     /// active tasks treat the knob as an upper bound: they step at most
     /// [`Self::CONTENDED_LANE_GROUP`] placement lanes per schedule pass,
     /// because each such lane carries a full co-schedule's cache state and
-    /// wider groups thrash the host cache (see `run::contended`);
+    /// wider groups measured no faster;
     /// seeded-random campaigns of several tasks always replay one lane
     /// per run, since every run has its own schedule.  `with_lanes(1)`
     /// runs every protocol as one-lane waves on the one engine — the
-    /// comparison baseline of the `campaign_throughput` and
-    /// `contention_throughput` benchmarks, not a different engine.
+    /// reference every width must reproduce bit for bit, not a different
+    /// engine.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes.max(1);
         self

@@ -58,16 +58,22 @@ fn quick_criterion() -> ConvergenceCriterion {
 #[test]
 fn adaptive_prefix_is_bit_identical_to_run_seeds() {
     let trace = noisy_trace();
-    let campaign = rm_campaign(0xADA7).with_threads(3).with_lanes(4);
-    let adaptive = campaign.run_adaptive(&trace, &quick_criterion()).unwrap();
-    let n = adaptive.runs_used();
-    assert!(n > 0);
-    // The same campaign executed as a fixed schedule over the first N
-    // seeds of the campaign's seed sequence: every RunResult (seed,
-    // cycles, per-level statistics) must match bit-for-bit.
-    let seeds: Vec<u64> = SeedSequence::new(0xADA7).take(n).collect();
-    let fixed = campaign.run_seeds(&trace, &seeds).unwrap();
-    assert_eq!(adaptive.result(), &fixed);
+    // Both seeded L1 placements an MBPTA campaign sweeps: RM and hRP.
+    for placement in [PlacementKind::RandomModulo, PlacementKind::HashRandom] {
+        let campaign = Campaign::new(PlatformConfig::leon3().with_l1_placement(placement), 0)
+            .with_campaign_seed(0xADA7)
+            .with_threads(3)
+            .with_lanes(4);
+        let adaptive = campaign.run_adaptive(&trace, &quick_criterion()).unwrap();
+        let n = adaptive.runs_used();
+        assert!(n > 0);
+        // The same campaign executed as a fixed schedule over the first N
+        // seeds of the campaign's seed sequence: every RunResult (seed,
+        // cycles, per-level statistics) must match bit-for-bit.
+        let seeds: Vec<u64> = SeedSequence::new(0xADA7).take(n).collect();
+        let fixed = campaign.run_seeds(&trace, &seeds).unwrap();
+        assert_eq!(adaptive.result(), &fixed, "adaptive prefix diverged under {placement}");
+    }
 }
 
 #[test]

@@ -122,7 +122,8 @@ proptest! {
     }
 
     /// `run_contended` with an idle co-schedule is `run_seeds`, across the
-    /// threads knob and both arbitration policies.
+    /// threads knob, one-lane and default-width waves, and both
+    /// arbitration policies.
     #[test]
     fn run_contended_solo_matches_run_seeds(
         events in prop::collection::vec(event_strategy(), 1..250),
@@ -139,12 +140,15 @@ proptest! {
             .unwrap();
         for arbitration in Arbitration::ALL {
             for threads in [1usize, 3] {
-                let contended = Campaign::new(config, 0)
-                    .with_threads(threads)
-                    .with_arbitration(arbitration)
-                    .run_contended(&[trace.clone(), Trace::new()], &seeds)
-                    .unwrap();
-                prop_assert_eq!(contended.victim_result(), reference.clone());
+                for lanes in [1, Campaign::DEFAULT_LANES] {
+                    let contended = Campaign::new(config, 0)
+                        .with_threads(threads)
+                        .with_lanes(lanes)
+                        .with_arbitration(arbitration)
+                        .run_contended(&[trace.clone(), Trace::new()], &seeds)
+                        .unwrap();
+                    prop_assert_eq!(contended.victim_result(), reference.clone());
+                }
             }
         }
     }
