@@ -192,7 +192,11 @@ impl CacheGeometry {
     ///
     /// Returns [`ConfigError`] if the capacity is not divisible into a
     /// power-of-two number of sets, or any parameter is invalid.
-    pub fn from_capacity(capacity_bytes: u32, ways: u32, line_size: u32) -> Result<Self, ConfigError> {
+    pub fn from_capacity(
+        capacity_bytes: u32,
+        ways: u32,
+        line_size: u32,
+    ) -> Result<Self, ConfigError> {
         if ways == 0 {
             return Err(ConfigError::Zero { parameter: "ways" });
         }
@@ -385,7 +389,13 @@ mod tests {
     #[test]
     fn rejects_non_power_of_two_sets() {
         let err = CacheGeometry::new(100, 4, 32).unwrap_err();
-        assert!(matches!(err, ConfigError::NotPowerOfTwo { parameter: "sets", .. }));
+        assert!(matches!(
+            err,
+            ConfigError::NotPowerOfTwo {
+                parameter: "sets",
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -387,7 +387,11 @@ mod tests {
             let controls = sm.next_u64() as u128;
             reached.insert(net.permutation(net.mask_controls(controls)));
         }
-        assert!(reached.len() > 2500, "only {} distinct permutations", reached.len());
+        assert!(
+            reached.len() > 2500,
+            "only {} distinct permutations",
+            reached.len()
+        );
     }
 
     #[test]

@@ -543,7 +543,11 @@ impl SetAssocCacheLanes {
                 for lane in 0..a {
                     let tag = self.tags[self.lane_base[lane] + offset];
                     hit_way[lane] = if tag == raw { way } else { hit_way[lane] };
-                    inv_way[lane] = if tag == INVALID_TAG { way } else { inv_way[lane] };
+                    inv_way[lane] = if tag == INVALID_TAG {
+                        way
+                    } else {
+                        inv_way[lane]
+                    };
                 }
             }
         }
@@ -584,11 +588,8 @@ impl SetAssocCacheLanes {
         // one call per lane (each lane draws from its own generator, once
         // per victim pick, as a lone cache would).
         if !self.draw_lanes.is_empty() {
-            self.rng.next_below_lanes(
-                self.geometry.ways(),
-                &self.draw_lanes,
-                &mut self.draws,
-            );
+            self.rng
+                .next_below_lanes(self.geometry.ways(), &self.draw_lanes, &mut self.draws);
         }
 
         // Hot read-wave resolution (Random replacement with the filter
@@ -743,7 +744,12 @@ impl SetAssocCacheLanes {
     /// independent cache whichever path touches it: the outcome and state
     /// change are those of the same access in a dense wave.
     #[inline]
-    pub fn access_lean_lane(&mut self, lane: usize, line: LineAddr, kind: AccessKind) -> AccessFlags {
+    pub fn access_lean_lane(
+        &mut self,
+        lane: usize,
+        line: LineAddr,
+        kind: AccessKind,
+    ) -> AccessFlags {
         debug_assert!(lane < self.active, "lane {lane} not active");
         debug_assert_ne!(
             line.raw(),
@@ -967,7 +973,10 @@ mod tests {
         }
         cache.reseed_wave(&[0]);
         for i in 0..16u64 {
-            assert!(access(&mut cache, i * 32, AccessKind::Load).is_miss(), "line {i}");
+            assert!(
+                access(&mut cache, i * 32, AccessKind::Load).is_miss(),
+                "line {i}"
+            );
         }
     }
 
@@ -1058,7 +1067,10 @@ mod tests {
             }
             for _ in 0..5 {
                 for i in 0..16u64 {
-                    assert!(access(&mut cache, i * 32, AccessKind::Load).is_hit(), "seed {seed}");
+                    assert!(
+                        access(&mut cache, i * 32, AccessKind::Load).is_hit(),
+                        "seed {seed}"
+                    );
                 }
             }
         }
@@ -1125,15 +1137,25 @@ mod tests {
     #[test]
     fn invalid_ways_are_filled_before_eviction() {
         for replacement in ReplacementKind::ALL {
-            let mut cache =
-                one_lane(PlacementKind::Modulo, replacement, WritePolicy::WriteThrough, 0);
+            let mut cache = one_lane(
+                PlacementKind::Modulo,
+                replacement,
+                WritePolicy::WriteThrough,
+                0,
+            );
             // Two lines of set 0 fill its two ways without evicting.
             for addr in [0, 256] {
                 let outcome = access(&mut cache, addr, AccessKind::Load);
                 assert!(outcome.filled() && !outcome.evicted(), "{replacement}");
             }
-            assert!(access(&mut cache, 0, AccessKind::Load).is_hit(), "{replacement}");
-            assert!(access(&mut cache, 256, AccessKind::Load).is_hit(), "{replacement}");
+            assert!(
+                access(&mut cache, 0, AccessKind::Load).is_hit(),
+                "{replacement}"
+            );
+            assert!(
+                access(&mut cache, 256, AccessKind::Load).is_hit(),
+                "{replacement}"
+            );
         }
     }
 
@@ -1159,7 +1181,10 @@ mod tests {
         // even with identical seeds (contents are gone).
         bank.reseed_wave(&[1, 2, 3, 4]);
         bank.access_lean_lanes(line, AccessKind::Load, &mut flags);
-        assert!(flags.iter().all(|f| f.is_miss()), "phantom hit after reseed_wave");
+        assert!(
+            flags.iter().all(|f| f.is_miss()),
+            "phantom hit after reseed_wave"
+        );
     }
 
     #[test]

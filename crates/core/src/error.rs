@@ -53,8 +53,13 @@ impl fmt::Display for ConfigError {
                 parameter,
                 value,
                 max,
-            } => write!(f, "{parameter} is {value}, which exceeds the maximum of {max}"),
-            ConfigError::Inconsistent { reason } => write!(f, "inconsistent configuration: {reason}"),
+            } => write!(
+                f,
+                "{parameter} is {value}, which exceeds the maximum of {max}"
+            ),
+            ConfigError::Inconsistent { reason } => {
+                write!(f, "inconsistent configuration: {reason}")
+            }
         }
     }
 }
@@ -87,7 +92,10 @@ mod tests {
             value: 40,
             max: 32,
         };
-        assert_eq!(err.to_string(), "index bits is 40, which exceeds the maximum of 32");
+        assert_eq!(
+            err.to_string(),
+            "index bits is 40, which exceeds the maximum of 32"
+        );
     }
 
     #[test]

@@ -244,7 +244,10 @@ mod tests {
             policy.reseed(seed);
             total += intra_segment_conflicts(policy.as_ref(), &lines);
         }
-        assert!(total > 0, "hRP never produced an intra-segment conflict in 50 seeds");
+        assert!(
+            total > 0,
+            "hRP never produced an intra-segment conflict in 50 seeds"
+        );
     }
 
     #[test]
@@ -267,11 +270,14 @@ mod tests {
         assert_eq!(census.lines(), 0);
         assert_eq!(census.max_lines_in_a_set(), 0);
         assert_eq!(census.entropy_bits(), 0.0);
-        assert_eq!(overcommit_probability(
-            PlacementKind::Modulo.build(l1()).unwrap().as_mut(),
-            &[],
-            std::iter::empty(),
-        ), 0.0);
+        assert_eq!(
+            overcommit_probability(
+                PlacementKind::Modulo.build(l1()).unwrap().as_mut(),
+                &[],
+                std::iter::empty(),
+            ),
+            0.0
+        );
     }
 
     #[test]

@@ -108,7 +108,10 @@ impl PlacementKind {
 
     /// Whether the policy's layout depends on the per-run seed.
     pub const fn is_randomized(self) -> bool {
-        matches!(self, PlacementKind::HashRandom | PlacementKind::RandomModulo)
+        matches!(
+            self,
+            PlacementKind::HashRandom | PlacementKind::RandomModulo
+        )
     }
 
     /// Whether the policy requires index bits to be stored in the tag array
@@ -495,7 +498,9 @@ impl RandomModuloLanes {
         let sets = geometry.sets() as usize;
         // The budget is per lane, so the memo simply scales by K.
         let slots = if geometry.sets() <= RM_MEMO_MAX_SETS {
-            (RM_MEMO_BUDGET_ENTRIES / sets).clamp(4, 64).next_power_of_two()
+            (RM_MEMO_BUDGET_ENTRIES / sets)
+                .clamp(4, 64)
+                .next_power_of_two()
         } else {
             0
         };
@@ -1101,7 +1106,9 @@ mod tests {
     #[test]
     fn hrp_layout_changes_with_seed() {
         let mut policy = HashRandomPlacement::new(l1());
-        let addrs: Vec<Address> = (0..64).map(|i| Address::new(0x4000_0000 + i * 32)).collect();
+        let addrs: Vec<Address> = (0..64)
+            .map(|i| Address::new(0x4000_0000 + i * 32))
+            .collect();
         policy.reseed(1);
         let layout_a: Vec<u32> = addrs.iter().map(|&a| policy.set_index(a)).collect();
         policy.reseed(2);
@@ -1212,7 +1219,9 @@ mod tests {
     #[test]
     fn rm_layout_changes_with_seed() {
         let mut policy = RandomModuloPlacement::new(l1());
-        let addrs: Vec<Address> = (0..128).map(|i| Address::new(0x4000_0000 + i * 32)).collect();
+        let addrs: Vec<Address> = (0..128)
+            .map(|i| Address::new(0x4000_0000 + i * 32))
+            .collect();
         let mut distinct_layouts = HashSet::new();
         for seed in 0..200u64 {
             policy.reseed(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
@@ -1266,12 +1275,18 @@ mod tests {
         let addr = Address::new(0x4000_0560);
         let modulo_index = geometry.modulo_index(addr);
         let popcount = modulo_index.count_ones();
-        let reachable = (0..geometry.sets()).filter(|s| s.count_ones() == popcount).count();
+        let reachable = (0..geometry.sets())
+            .filter(|s| s.count_ones() == popcount)
+            .count();
         let mut visited = HashSet::new();
         for seed in 0..4000u64 {
             policy.reseed(seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(99));
             let set = policy.set_index(addr);
-            assert_eq!(set.count_ones(), popcount, "bit permutation must preserve popcount");
+            assert_eq!(
+                set.count_ones(),
+                popcount,
+                "bit permutation must preserve popcount"
+            );
             visited.insert(set);
         }
         assert!(
@@ -1405,8 +1420,9 @@ mod tests {
                     assert_eq!(bank.lane_count(), lanes);
                     assert_eq!(bank.geometry(), geometry);
                     assert_eq!(bank.is_uniform(), !kind.is_randomized());
-                    let seeds: Vec<u64> =
-                        (0..lanes as u64).map(|lane| lane * 0x9E37_79B9 + 0xC0FFEE).collect();
+                    let seeds: Vec<u64> = (0..lanes as u64)
+                        .map(|lane| lane * 0x9E37_79B9 + 0xC0FFEE)
+                        .collect();
                     let pure = pure_lanes(&mut bank, kind, &seeds);
                     let mut sm = SplitMix64::new(0xABCD);
                     let mut out = vec![0u32; lanes];

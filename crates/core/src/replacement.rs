@@ -104,9 +104,7 @@ impl ReplacementState {
         assert!(sets > 0, "a cache needs at least one set");
         assert!(ways > 0, "a set needs at least one way");
         let state = match kind {
-            ReplacementKind::Lru => (0..sets)
-                .flat_map(|_| 0..ways)
-                .collect(),
+            ReplacementKind::Lru => (0..sets).flat_map(|_| 0..ways).collect(),
             ReplacementKind::RoundRobin => vec![0; sets as usize],
             ReplacementKind::Random => Vec::new(),
         };

@@ -21,7 +21,10 @@ fn main() {
         Ok(result) => {
             println!("exceedance_probability,execution_time_cycles");
             for point in &result.points {
-                println!("{:e},{:.0}", point.exceedance_probability, point.execution_time);
+                println!(
+                    "{:e},{:.0}",
+                    point.exceedance_probability, point.execution_time
+                );
             }
             println!(
                 "# pWCET at the {:.0e} cutoff: {:.0} cycles over {} runs",

@@ -7,7 +7,10 @@ use randmod_experiments::fig4;
 fn main() {
     let options = ExperimentOptions::from_env();
     println!("# Figure 4(a): pWCET at 1e-15, RM vs hRP in the L1 caches (L2 keeps hRP)");
-    println!("# runs = {}, campaign seed = {:#x}", options.runs, options.campaign_seed);
+    println!(
+        "# runs = {}, campaign seed = {:#x}",
+        options.runs, options.campaign_seed
+    );
     match fig4::fig4a(&options) {
         Ok(rows) => {
             println!("benchmark,pwcet_rm,pwcet_hrp,rm_over_hrp,tightening_percent");

@@ -7,8 +7,13 @@ use randmod_experiments::fig4;
 fn main() {
     let options = ExperimentOptions::from_env();
     let layouts = fig4::fig4b_layouts(options.quick);
-    println!("# Figure 4(b): RM pWCET at 1e-15 vs deterministic high-water mark ({layouts} layouts)");
-    println!("# runs = {}, campaign seed = {:#x}", options.runs, options.campaign_seed);
+    println!(
+        "# Figure 4(b): RM pWCET at 1e-15 vs deterministic high-water mark ({layouts} layouts)"
+    );
+    println!(
+        "# runs = {}, campaign seed = {:#x}",
+        options.runs, options.campaign_seed
+    );
     match fig4::fig4b(layouts, &options) {
         Ok(rows) => {
             println!("benchmark,pwcet_rm,deterministic_hwm,rm_over_hwm");

@@ -12,7 +12,10 @@ fn main() {
     let sweep = std::env::args().any(|a| a == "--sweep");
     let large = std::env::args().any(|a| a == "--large");
     println!("# Figure 5: synthetic kernel, RM vs hRP");
-    println!("# runs = {}, campaign seed = {:#x}", options.runs, options.campaign_seed);
+    println!(
+        "# runs = {}, campaign seed = {:#x}",
+        options.runs, options.campaign_seed
+    );
 
     let results = if large {
         fig5::large_footprint_sweep(&options)

@@ -13,7 +13,10 @@ use randmod_workloads::Workload;
 
 fn main() {
     let options = ExperimentOptions::from_env();
-    println!("# Contention sweep: {} victim, shared L2", fig6::victim().name());
+    println!(
+        "# Contention sweep: {} victim, shared L2",
+        fig6::victim().name()
+    );
     println!(
         "# runs = {}{}, campaign seed = {:#x}",
         options.runs,
@@ -22,7 +25,9 @@ fn main() {
     );
     match fig6::generate(&options) {
         Ok(rows) => {
-            println!("l2_placement,pressure,opponents,victim_pwcet,victim_mean,inflation_percent,runs");
+            println!(
+                "l2_placement,pressure,opponents,victim_pwcet,victim_mean,inflation_percent,runs"
+            );
             for row in &rows {
                 println!(
                     "{},{},{},{:.0},{:.0},{:.3},{}",
@@ -41,7 +46,11 @@ fn main() {
                         "# adaptive: {} P{} {} after {} runs ({} checkpoints)",
                         row.l2_placement.short_name(),
                         row.pressure,
-                        if adaptive.converged { "converged" } else { "hit the run cap" },
+                        if adaptive.converged {
+                            "converged"
+                        } else {
+                            "hit the run cap"
+                        },
                         adaptive.runs_used,
                         adaptive.checkpoints
                     );

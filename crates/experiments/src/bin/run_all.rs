@@ -9,7 +9,10 @@ use randmod_experiments::{fig1, fig4, fig5, fig6, sec44, table1, table2};
 fn main() {
     let options = ExperimentOptions::from_env();
     let layouts = fig4::fig4b_layouts(options.quick);
-    println!("# Full evaluation: runs = {}, campaign seed = {:#x}", options.runs, options.campaign_seed);
+    println!(
+        "# Full evaluation: runs = {}, campaign seed = {:#x}",
+        options.runs, options.campaign_seed
+    );
 
     let mut failures = 0usize;
     let mut check = |artefact: &str, outcome: Result<String, String>| match outcome {

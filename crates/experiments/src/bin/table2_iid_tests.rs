@@ -33,7 +33,10 @@ fn main() {
                 );
             }
             let passed = rows.iter().filter(|r| r.passed).count();
-            println!("# {passed}/{} benchmarks pass both Table-2 tests", rows.len());
+            println!(
+                "# {passed}/{} benchmarks pass both Table-2 tests",
+                rows.len()
+            );
             if options.adaptive {
                 let converged = rows.iter().filter(|r| r.converged == Some(true)).count();
                 let total_runs: usize = rows.iter().map(|r| r.runs).sum();

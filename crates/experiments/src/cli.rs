@@ -66,7 +66,9 @@ fn numeric_value<T: std::str::FromStr>(
 ) -> Option<T> {
     match args.get(*i + 1) {
         None => {
-            warnings.push(format!("{flag} expects a value but none was given; flag ignored"));
+            warnings.push(format!(
+                "{flag} expects a value but none was given; flag ignored"
+            ));
             None
         }
         Some(raw) => match raw.parse::<T>() {
@@ -93,7 +95,9 @@ fn string_value(
 ) -> Option<String> {
     match args.get(*i + 1) {
         None => {
-            warnings.push(format!("{flag} expects a value but none was given; flag ignored"));
+            warnings.push(format!(
+                "{flag} expects a value but none was given; flag ignored"
+            ));
             None
         }
         Some(raw) if raw.starts_with("--") => {
@@ -324,8 +328,7 @@ mod tests {
 
     #[test]
     fn malformed_or_zero_thread_counts_warn_and_are_ignored() {
-        let (options, warnings) =
-            ExperimentOptions::parse_with_warnings(["--threads", "lots"]);
+        let (options, warnings) = ExperimentOptions::parse_with_warnings(["--threads", "lots"]);
         assert_eq!(options.threads, None);
         assert_eq!(warnings.len(), 1);
         assert!(warnings[0].contains("--threads"), "{warnings:?}");
@@ -357,7 +360,10 @@ mod tests {
     fn malformed_or_zero_lane_counts_warn_and_are_ignored() {
         let (options, warnings) = ExperimentOptions::parse_with_warnings(["--lanes", "many"]);
         assert_eq!(options.lanes, None);
-        assert!(warnings[0].contains("--lanes") && warnings[0].contains("many"), "{warnings:?}");
+        assert!(
+            warnings[0].contains("--lanes") && warnings[0].contains("many"),
+            "{warnings:?}"
+        );
 
         let (options, warnings) = ExperimentOptions::parse_with_warnings(["--lanes"]);
         assert_eq!(options.lanes, None);
@@ -383,9 +389,20 @@ mod tests {
 
     #[test]
     fn each_flag_warns_on_a_malformed_value() {
-        for flag in ["--runs", "--seed", "--threads", "--lanes", "--max-runs", "--target-cv"] {
+        for flag in [
+            "--runs",
+            "--seed",
+            "--threads",
+            "--lanes",
+            "--max-runs",
+            "--target-cv",
+        ] {
             let (options, warnings) = ExperimentOptions::parse_with_warnings([flag, "bogus"]);
-            assert_eq!(options, ExperimentOptions::default(), "{flag} changed the options");
+            assert_eq!(
+                options,
+                ExperimentOptions::default(),
+                "{flag} changed the options"
+            );
             assert_eq!(warnings.len(), 1, "{flag}: {warnings:?}");
             assert!(warnings[0].contains(flag), "{warnings:?}");
             assert!(warnings[0].contains("bogus"), "{warnings:?}");
@@ -403,8 +420,7 @@ mod tests {
 
     #[test]
     fn malformed_adaptive_values_warn_and_are_ignored() {
-        let (options, warnings) =
-            ExperimentOptions::parse_with_warnings(["--target-cv", "-0.5"]);
+        let (options, warnings) = ExperimentOptions::parse_with_warnings(["--target-cv", "-0.5"]);
         assert_eq!(options.target_cv, None);
         assert!(warnings[0].contains("--target-cv"), "{warnings:?}");
 
@@ -492,12 +508,17 @@ mod tests {
     fn adaptive_mode_rejects_sharding_and_checkpointing() {
         // The store shards and checkpoints fixed-run campaigns only; in
         // either argument order, --adaptive drops it with a warning.
-        for args in [["--adaptive", "--store", "dir"], ["--store", "dir", "--adaptive"]] {
+        for args in [
+            ["--adaptive", "--store", "dir"],
+            ["--store", "dir", "--adaptive"],
+        ] {
             let (options, warnings) = ExperimentOptions::parse_with_warnings(args);
             assert!(options.adaptive);
             assert_eq!(options.store, None);
             assert!(
-                warnings.iter().any(|w| w.contains("--adaptive") && w.contains("--store")),
+                warnings
+                    .iter()
+                    .any(|w| w.contains("--adaptive") && w.contains("--store")),
                 "{warnings:?}"
             );
         }

@@ -84,7 +84,10 @@ mod tests {
             detail: "bad magic".into(),
         }
         .into();
-        assert!(checkpoint.to_string().contains("/tmp/x.ckpt"), "{checkpoint}");
+        assert!(
+            checkpoint.to_string().contains("/tmp/x.ckpt"),
+            "{checkpoint}"
+        );
         assert!(checkpoint.to_string().contains("bad magic"), "{checkpoint}");
 
         let io = ExperimentError::Io {

@@ -8,8 +8,8 @@
 //! evaluation uses.
 
 use crate::cli::ExperimentOptions;
-use crate::runner::{self, AdaptiveSummary};
 use crate::error::ExperimentError;
+use crate::runner::{self, AdaptiveSummary};
 use randmod_core::PlacementKind;
 use randmod_mbpta::PwcetCurve;
 use randmod_workloads::SyntheticKernel;
@@ -83,7 +83,9 @@ mod tests {
 
     #[test]
     fn curve_is_monotone_and_reaches_the_cutoff() {
-        let options = ExperimentOptions::default().with_runs(120).with_campaign_seed(11);
+        let options = ExperimentOptions::default()
+            .with_runs(120)
+            .with_campaign_seed(11);
         let result = generate(&options).unwrap();
         assert_eq!(result.points.len(), 18);
         assert_eq!(result.runs, 120);

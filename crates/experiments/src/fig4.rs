@@ -13,8 +13,8 @@
 //! the hwm, and below 1% for most benchmarks.
 
 use crate::cli::ExperimentOptions;
-use crate::runner;
 use crate::error::ExperimentError;
+use crate::runner;
 use randmod_core::PlacementKind;
 use randmod_mbpta::HighWaterMark;
 use randmod_workloads::EembcBenchmark;
@@ -128,7 +128,10 @@ pub fn summarize_fig4a(rows: &[Fig4aRow]) -> Fig4aSummary {
     let mean = tightenings.iter().sum::<f64>() / tightenings.len().max(1) as f64;
     Fig4aSummary {
         mean_tightening: mean,
-        max_tightening: tightenings.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+        max_tightening: tightenings
+            .iter()
+            .cloned()
+            .fold(f64::NEG_INFINITY, f64::max),
         min_tightening: tightenings.iter().cloned().fold(f64::INFINITY, f64::min),
     }
 }
@@ -194,7 +197,10 @@ pub fn fig4b_row(
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
 /// or a stored measurement fails.
-pub fn fig4b(layouts: usize, options: &ExperimentOptions) -> Result<Vec<Fig4bRow>, ExperimentError> {
+pub fn fig4b(
+    layouts: usize,
+    options: &ExperimentOptions,
+) -> Result<Vec<Fig4bRow>, ExperimentError> {
     EembcBenchmark::ALL
         .iter()
         .map(|&benchmark| fig4b_row(benchmark, layouts, options))
@@ -209,7 +215,9 @@ mod tests {
     fn fig4a_row_shows_rm_no_worse_than_hrp_for_a_cache_stressing_benchmark() {
         // cacheb stresses the caches the most, where the RM advantage is
         // clearest even with a reduced run count.
-        let options = ExperimentOptions::default().with_runs(120).with_campaign_seed(5);
+        let options = ExperimentOptions::default()
+            .with_runs(120)
+            .with_campaign_seed(5);
         let row = fig4a_row(EembcBenchmark::Cacheb, &options).unwrap();
         assert!(row.pwcet_rm > 0.0 && row.pwcet_hrp > 0.0);
         assert!(
@@ -220,7 +228,9 @@ mod tests {
 
     #[test]
     fn fig4b_row_ratio_is_close_to_one() {
-        let options = ExperimentOptions::default().with_runs(120).with_campaign_seed(5);
+        let options = ExperimentOptions::default()
+            .with_runs(120)
+            .with_campaign_seed(5);
         let row = fig4b_row(EembcBenchmark::Rspeed, 8, &options).unwrap();
         assert!(row.deterministic_hwm.value() > 0);
         // RM pWCET should be within a few tens of percent of the

@@ -10,8 +10,8 @@
 //! L2 partition).
 
 use crate::cli::ExperimentOptions;
-use crate::runner;
 use crate::error::ExperimentError;
+use crate::runner;
 use randmod_core::PlacementKind;
 use randmod_mbpta::{ExecutionSample, Histogram, PwcetCurve};
 use randmod_workloads::{EembcStress, SyntheticKernel, Workload};
@@ -89,7 +89,13 @@ impl Fig5Result {
 impl fmt::Display for Fig5Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.kernel)?;
-        write_comparison(f, &self.rm_sample, &self.hrp_sample, self.rm_pwcet, self.hrp_pwcet)
+        write_comparison(
+            f,
+            &self.rm_sample,
+            &self.hrp_sample,
+            self.rm_pwcet,
+            self.hrp_pwcet,
+        )
     }
 }
 
@@ -102,7 +108,10 @@ pub const HISTOGRAM_BINS: usize = 40;
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
 /// or a stored measurement fails.
-pub fn compare(kernel: SyntheticKernel, options: &ExperimentOptions) -> Result<Fig5Result, ExperimentError> {
+pub fn compare(
+    kernel: SyntheticKernel,
+    options: &ExperimentOptions,
+) -> Result<Fig5Result, ExperimentError> {
     let seed = options.campaign_seed ^ kernel.footprint_bytes();
     let rm = runner::measure_campaign(&kernel, PlacementKind::RandomModulo, options, seed)?;
     let hrp = runner::measure_campaign(&kernel, PlacementKind::HashRandom, options, seed)?;
@@ -164,7 +173,9 @@ pub const LARGE_QUICK_TRAVERSALS: u32 = 3;
 ///
 /// Returns [`ExperimentError`] if the platform configuration is invalid
 /// or a stored measurement fails.
-pub fn large_footprint_sweep(options: &ExperimentOptions) -> Result<Vec<Fig5Result>, ExperimentError> {
+pub fn large_footprint_sweep(
+    options: &ExperimentOptions,
+) -> Result<Vec<Fig5Result>, ExperimentError> {
     SyntheticKernel::large_variants()
         .into_iter()
         .map(|kernel| {
@@ -204,7 +215,13 @@ impl StressComparison {
 impl fmt::Display for StressComparison {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.workload)?;
-        write_comparison(f, &self.rm_sample, &self.hrp_sample, self.rm_pwcet, self.hrp_pwcet)
+        write_comparison(
+            f,
+            &self.rm_sample,
+            &self.hrp_sample,
+            self.rm_pwcet,
+            self.hrp_pwcet,
+        )
     }
 }
 
@@ -238,7 +255,9 @@ mod tests {
         // Reduced traversal count/runs to keep the test quick; the shape
         // (hRP has a wider spread and a larger pWCET) must already show.
         let kernel = SyntheticKernel::with_traversals(20 * 1024, 10);
-        let options = ExperimentOptions::default().with_runs(80).with_campaign_seed(9);
+        let options = ExperimentOptions::default()
+            .with_runs(80)
+            .with_campaign_seed(9);
         let result = compare(kernel, &options).unwrap();
         assert!(result.spread_ratio() > 1.0, "{result}");
         assert!(
@@ -255,7 +274,9 @@ mod tests {
 
     #[test]
     fn l2_stress_produces_positive_pwcets() {
-        let options = ExperimentOptions::default().with_runs(30).with_campaign_seed(2);
+        let options = ExperimentOptions::default()
+            .with_runs(30)
+            .with_campaign_seed(2);
         let result = l2_stress(&options).unwrap();
         assert!(result.rm_pwcet > 0.0 && result.hrp_pwcet > 0.0);
         assert!(result.spread_ratio() > 0.0);
@@ -269,7 +290,9 @@ mod tests {
         // layout-induced conflicts, so the absolute pWCET gap between hRP
         // and RM is smaller than for the 20KB footprint (the paper's "the
         // effect reduces since almost all data fits in cache").
-        let options = ExperimentOptions::default().with_runs(80).with_campaign_seed(9);
+        let options = ExperimentOptions::default()
+            .with_runs(80)
+            .with_campaign_seed(9);
         let small = compare(SyntheticKernel::with_traversals(8 * 1024, 10), &options).unwrap();
         let medium = compare(SyntheticKernel::with_traversals(20 * 1024, 10), &options).unwrap();
         let small_gap = small.hrp_pwcet - small.rm_pwcet;

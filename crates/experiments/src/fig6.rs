@@ -14,9 +14,9 @@
 //! degrades when co-runners hammer the shared level.
 
 use crate::cli::ExperimentOptions;
+use crate::error::ExperimentError;
 use crate::fig4::CUTOFF_PROBABILITY;
 use crate::runner::{self, AdaptiveSummary};
-use crate::error::ExperimentError;
 use randmod_core::PlacementKind;
 use randmod_workloads::{CoSchedule, SyntheticKernel};
 use std::fmt;
@@ -129,14 +129,19 @@ mod tests {
         let rows = generate(&options).unwrap();
         assert_eq!(rows.len(), 16, "4 placements x 4 pressure levels");
         for placement in PlacementKind::ALL {
-            let of_placement: Vec<&Fig6Row> =
-                rows.iter().filter(|r| r.l2_placement == placement).collect();
+            let of_placement: Vec<&Fig6Row> = rows
+                .iter()
+                .filter(|r| r.l2_placement == placement)
+                .collect();
             assert_eq!(of_placement.len(), 4);
             // The idle row is the normalisation baseline.
             assert_eq!(of_placement[0].pressure, 0);
             assert_eq!(of_placement[0].inflation_percent, 0.0);
             for row in &of_placement {
-                assert!(row.victim_pwcet.is_finite() && row.victim_pwcet > 0.0, "{row}");
+                assert!(
+                    row.victim_pwcet.is_finite() && row.victim_pwcet > 0.0,
+                    "{row}"
+                );
                 assert!(row.victim_mean > 0.0);
                 assert!(row.adaptive.is_none());
             }
@@ -151,8 +156,10 @@ mod tests {
         let options = ExperimentOptions::parse(["--quick"]).with_campaign_seed(3);
         let rows = generate(&options).unwrap();
         for placement in PlacementKind::ALL {
-            let of_placement: Vec<&Fig6Row> =
-                rows.iter().filter(|r| r.l2_placement == placement).collect();
+            let of_placement: Vec<&Fig6Row> = rows
+                .iter()
+                .filter(|r| r.l2_placement == placement)
+                .collect();
             assert!(
                 of_placement[3].victim_mean > of_placement[0].victim_mean,
                 "{placement}: pressure 3 mean {} not above idle mean {}",

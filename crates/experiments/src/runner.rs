@@ -176,7 +176,11 @@ fn run_stored<R>(
         .and_then(|value| value.parse::<usize>().ok())
         .filter(|&kill_after| kill_after > 0);
     let mut store: Box<dyn CheckpointStore> = match kill_after {
-        Some(kill_after) => Box::new(KillStore { inner: entry, saves: 0, kill_after }),
+        Some(kill_after) => Box::new(KillStore {
+            inner: entry,
+            saves: 0,
+            kill_after,
+        }),
         None => Box::new(entry),
     };
     let report = run(store.as_mut())?;
@@ -216,7 +220,11 @@ pub const ADAPTIVE_BLOCK_SIZE: usize = 25;
 pub fn convergence_criterion(options: &ExperimentOptions) -> ConvergenceCriterion {
     let max_runs = options
         .max_runs
-        .unwrap_or(if options.quick { 40 } else { DEFAULT_ADAPTIVE_MAX_RUNS })
+        .unwrap_or(if options.quick {
+            40
+        } else {
+            DEFAULT_ADAPTIVE_MAX_RUNS
+        })
         .max(MIN_RUNS);
     let (min_runs, check_interval, stable_checkpoints) = if options.quick {
         (MIN_RUNS.min(max_runs), 10, 2)
@@ -390,12 +398,16 @@ pub fn measure_contended<W: Workload>(
         options.lanes,
     );
     let (result, adaptive) = if options.adaptive {
-        let adaptive = campaign.run_contended_adaptive(&sources, &convergence_criterion(options))?;
+        let adaptive =
+            campaign.run_contended_adaptive(&sources, &convergence_criterion(options))?;
         let summary = AdaptiveSummary::from_contended(&adaptive);
         (adaptive.result().clone(), Some(summary))
     } else if let Some(dir) = options.store.as_deref() {
-        let fingerprint =
-            campaign.contended_sharded_fingerprint(&sources, &campaign.seed_schedule(), STORE_SHARDS);
+        let fingerprint = campaign.contended_sharded_fingerprint(
+            &sources,
+            &campaign.seed_schedule(),
+            STORE_SHARDS,
+        );
         let result = run_stored(dir, fingerprint, |store| {
             campaign.run_contended_sharded_checkpointed(&sources, STORE_SHARDS, store)
         })?;
@@ -424,8 +436,7 @@ mod tests {
 
     /// A fresh, empty store directory for one test.
     fn store_dir(tag: &str) -> String {
-        let dir = std::env::temp_dir()
-            .join(format!("randmod-runner-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("randmod-runner-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir.to_str().unwrap().to_string()
     }
@@ -441,7 +452,10 @@ mod tests {
     fn thread_override_does_not_change_the_sample() {
         let options = ExperimentOptions::default().with_runs(10);
         let default_threads = measure_small(options.clone(), 2);
-        assert_eq!(default_threads, measure_small(options.clone().with_threads(1), 2));
+        assert_eq!(
+            default_threads,
+            measure_small(options.clone().with_threads(1), 2)
+        );
         assert_eq!(default_threads, measure_small(options.with_threads(4), 2));
     }
 
@@ -451,7 +465,10 @@ mod tests {
         // sequential escape hatch) reproduces the same sample.
         let options = ExperimentOptions::default().with_runs(10);
         let default_lanes = measure_small(options.clone(), 2);
-        assert_eq!(default_lanes, measure_small(options.clone().with_lanes(1), 2));
+        assert_eq!(
+            default_lanes,
+            measure_small(options.clone().with_lanes(1), 2)
+        );
         assert_eq!(default_lanes, measure_small(options.with_lanes(5), 2));
     }
 
@@ -512,10 +529,19 @@ mod tests {
         // The victim sample is bit-identical to the solo protocol on the
         // same platform; the idle opponent contributes all-zero cycles.
         let trace = kernel.packed_trace(&MemoryLayout::default());
-        let solo = campaign(contention_platform(PlacementKind::RandomModulo), MIN_RUNS, 5, None, None)
-            .run(&trace)
-            .unwrap();
-        assert_eq!(measurement.victim(), &ExecutionSample::from_cycles_iter(solo.cycles_iter()));
+        let solo = campaign(
+            contention_platform(PlacementKind::RandomModulo),
+            MIN_RUNS,
+            5,
+            None,
+            None,
+        )
+        .run(&trace)
+        .unwrap();
+        assert_eq!(
+            measurement.victim(),
+            &ExecutionSample::from_cycles_iter(solo.cycles_iter())
+        );
         assert!(measurement.per_task[1].values().iter().all(|&v| v == 0.0));
     }
 
@@ -570,7 +596,11 @@ mod tests {
         for runs in [12, STORE_SHARDS, 40] {
             let options = ExperimentOptions::default().with_runs(runs);
             let reference = measure_small(options.clone(), 5);
-            assert_eq!(measure_small(options.with_store(dir.clone()), 5), reference, "runs={runs}");
+            assert_eq!(
+                measure_small(options.with_store(dir.clone()), 5),
+                reference,
+                "runs={runs}"
+            );
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -581,7 +611,8 @@ mod tests {
         let dir = store_dir("ckpt");
         let options = ExperimentOptions::default().with_runs(12);
         let stored = options.clone().with_store(dir.clone());
-        let reference = measure_campaign(&kernel, PlacementKind::RandomModulo, &options, 7).unwrap();
+        let reference =
+            measure_campaign(&kernel, PlacementKind::RandomModulo, &options, 7).unwrap();
         // The first run fills the store entry, the second restores every
         // shard from it: both match the unstored result.
         for pass in ["fresh", "restored"] {
@@ -612,10 +643,8 @@ mod tests {
     fn an_uncreatable_checkpoint_directory_is_a_contextual_error() {
         let kernel = SyntheticKernel::with_traversals(4 * 1024, 2);
         // A path under a regular *file* cannot be created as a directory.
-        let blocker = std::env::temp_dir().join(format!(
-            "randmod-runner-blocker-{}",
-            std::process::id()
-        ));
+        let blocker =
+            std::env::temp_dir().join(format!("randmod-runner-blocker-{}", std::process::id()));
         std::fs::write(&blocker, b"not a directory").unwrap();
         let dir = blocker.join("nested");
         let options = ExperimentOptions::default()

@@ -7,8 +7,8 @@
 //! average-performance cost.
 
 use crate::cli::ExperimentOptions;
-use crate::runner;
 use crate::error::ExperimentError;
+use crate::runner;
 use randmod_core::{PlacementKind, ReplacementKind};
 use randmod_sim::PlatformConfig;
 use randmod_workloads::{EembcBenchmark, MemoryLayout, Workload};
@@ -65,7 +65,10 @@ pub fn summarize(rows: &[AvgPerformanceRow]) -> AvgPerformanceSummary {
     let degradations: Vec<f64> = rows.iter().map(AvgPerformanceRow::degradation).collect();
     AvgPerformanceSummary {
         mean_degradation: degradations.iter().sum::<f64>() / degradations.len().max(1) as f64,
-        max_degradation: degradations.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+        max_degradation: degradations
+            .iter()
+            .cloned()
+            .fold(f64::NEG_INFINITY, f64::max),
     }
 }
 
@@ -125,7 +128,9 @@ mod tests {
 
     #[test]
     fn rm_average_performance_is_close_to_modulo_for_a_small_kernel() {
-        let options = ExperimentOptions::default().with_runs(60).with_campaign_seed(4);
+        let options = ExperimentOptions::default()
+            .with_runs(60)
+            .with_campaign_seed(4);
         let row = row_for(EembcBenchmark::Rspeed, &options).unwrap();
         assert_eq!(row.rm_runs, 60);
         assert_eq!(row.rm_converged, None);

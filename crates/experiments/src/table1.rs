@@ -55,10 +55,17 @@ mod tests {
     fn reproduction_matches_the_papers_shape() {
         let reproduced = generate();
         // Who wins and by roughly what factor.
-        assert!(reproduced.area_ratio() > 5.0, "area ratio {}", reproduced.area_ratio());
+        assert!(
+            reproduced.area_ratio() > 5.0,
+            "area ratio {}",
+            reproduced.area_ratio()
+        );
         assert!(reproduced.delay_reduction() > 0.10);
         // FPGA: RM keeps the baseline frequency, hRP loses it.
-        assert_eq!(reproduced.fpga_rm.frequency_mhz, PAPER_TABLE1.rm_frequency_mhz);
+        assert_eq!(
+            reproduced.fpga_rm.frequency_mhz,
+            PAPER_TABLE1.rm_frequency_mhz
+        );
         assert!(reproduced.fpga_hrp.frequency_mhz < 95.0);
         assert!(reproduced.fpga_rm.occupancy_percent < reproduced.fpga_hrp.occupancy_percent);
     }

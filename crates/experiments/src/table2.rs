@@ -9,8 +9,8 @@
 //! reports the ET (Gumbel convergence) test the paper mentions in the text.
 
 use crate::cli::ExperimentOptions;
-use crate::runner;
 use crate::error::ExperimentError;
+use crate::runner;
 use randmod_core::PlacementKind;
 use randmod_workloads::EembcBenchmark;
 use std::fmt;
@@ -100,7 +100,9 @@ mod tests {
     fn a_single_benchmark_row_passes_the_iid_tests() {
         // A reduced-run sanity check on one benchmark; the full table is
         // exercised by the integration tests and the experiment binary.
-        let options = ExperimentOptions::default().with_runs(150).with_campaign_seed(3);
+        let options = ExperimentOptions::default()
+            .with_runs(150)
+            .with_campaign_seed(3);
         let row = row_for(EembcBenchmark::A2time, &options).unwrap();
         assert_eq!(row.runs, 150);
         assert_eq!(row.converged, None);

@@ -98,7 +98,10 @@ fn table2_cacheb_row_matches_the_recorded_values() {
         "cacheb ET p-value drifted: {}",
         row.et_p_value
     );
-    assert!(!row.passed, "cacheb unexpectedly passed (D1 resolved?): {row}");
+    assert!(
+        !row.passed,
+        "cacheb unexpectedly passed (D1 resolved?): {row}"
+    );
 }
 
 /// The recorded deterministic half of Figure 4(b): the high-water mark of
@@ -188,7 +191,10 @@ fn fig5_twenty_kb_pwcets_match_the_recorded_values() {
     let result = fig5::generate(&ExperimentOptions::default()).unwrap();
     assert_eq!(result.rm_sample.len(), 300);
     assert_eq!(
-        (result.rm_pwcet.round() as u64, result.hrp_pwcet.round() as u64),
+        (
+            result.rm_pwcet.round() as u64,
+            result.hrp_pwcet.round() as u64
+        ),
         (174_218, 242_993),
         "fig5 20KB (RM, hRP) pWCETs drifted from the EXPERIMENTS.md record"
     );

@@ -13,7 +13,9 @@ use randmod_core::PlacementKind;
 use randmod_experiments::cli::ExperimentOptions;
 use randmod_experiments::{fig1, runner};
 use randmod_mbpta::ExecutionSample;
-use randmod_server::{encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode};
+use randmod_server::{
+    encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode,
+};
 use randmod_sim::{decode_solo_runs, encode_solo_runs, Campaign};
 use randmod_workloads::{MemoryLayout, SyntheticKernel, Workload};
 
@@ -49,7 +51,10 @@ fn fig1_through_the_server_reproduces_the_golden_pwcet() {
     );
     // Exactly the local pipeline's number, not just the same rounding.
     let local = fig1::generate(&ExperimentOptions::default()).unwrap();
-    assert_eq!(pwcet, local.pwcet_at_cutoff, "the server must be invisible to the result");
+    assert_eq!(
+        pwcet, local.pwcet_at_cutoff,
+        "the server must be invisible to the result"
+    );
 
     // Warm resubmission of the same spec: a cache hit whose body is
     // byte-identical to the direct engine path.
@@ -61,7 +66,10 @@ fn fig1_through_the_server_reproduces_the_golden_pwcet() {
         "the fig1 campaign must already be in the store"
     );
     let direct = encode_solo_runs(campaign.run_seeds(&trace, &seeds).unwrap().runs());
-    assert_eq!(warm.body, direct, "cached bytes must match the direct engine");
+    assert_eq!(
+        warm.body, direct,
+        "cached bytes must match the direct engine"
+    );
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

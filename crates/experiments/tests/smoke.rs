@@ -55,7 +55,11 @@ fn assert_warm_store_reruns_nothing(exe: &str, tag: &str, campaigns: usize) {
     let store_args = ["--quick", "--store", dir.to_str().unwrap()];
     let (cold, cold_stderr) = run_full(exe, &store_args);
     assert_eq!(cold, golden, "a cold store changed the experiment output");
-    assert_eq!(store_progress(&cold_stderr).len(), campaigns, "{cold_stderr}");
+    assert_eq!(
+        store_progress(&cold_stderr).len(),
+        campaigns,
+        "{cold_stderr}"
+    );
     let (warm, warm_stderr) = run_full(exe, &store_args);
     assert_eq!(warm, golden, "a warm store changed the experiment output");
     let progress = store_progress(&warm_stderr);
@@ -134,14 +138,20 @@ fn table2_iid_tests_quick() {
 fn table2_adaptive_quick() {
     // The convergence-driven protocol must cover all 11 benchmarks and
     // report the per-benchmark runs-to-convergence summary.
-    let stdout = run(env!("CARGO_BIN_EXE_table2_iid_tests"), &["--adaptive", "--quick"]);
+    let stdout = run(
+        env!("CARGO_BIN_EXE_table2_iid_tests"),
+        &["--adaptive", "--quick"],
+    );
     assert_csv_rows(
         &stdout,
         "benchmark,ww_statistic,ks_p_value,et_p_value,passed,runs",
         6,
         11,
     );
-    assert!(stdout.contains("# adaptive:"), "missing adaptive summary:\n{stdout}");
+    assert!(
+        stdout.contains("# adaptive:"),
+        "missing adaptive summary:\n{stdout}"
+    );
 }
 
 #[test]
@@ -160,7 +170,10 @@ fn fig4a_rm_vs_hrp_quick() {
 fn fig4a_adaptive_quick() {
     // fig4a honours --adaptive like the other MBPTA binaries: the same
     // CSV, from one adaptive campaign per benchmark and policy.
-    let stdout = run(env!("CARGO_BIN_EXE_fig4a_rm_vs_hrp"), &["--quick", "--adaptive"]);
+    let stdout = run(
+        env!("CARGO_BIN_EXE_fig4a_rm_vs_hrp"),
+        &["--quick", "--adaptive"],
+    );
     assert_csv_rows(
         &stdout,
         "benchmark,pwcet_rm,pwcet_hrp,rm_over_hrp,tightening_percent",
@@ -178,7 +191,12 @@ fn fig4a_warm_store_reruns_nothing() {
 #[test]
 fn fig4b_rm_vs_det_quick() {
     let stdout = run(env!("CARGO_BIN_EXE_fig4b_rm_vs_det"), &["--quick"]);
-    assert_csv_rows(&stdout, "benchmark,pwcet_rm,deterministic_hwm,rm_over_hwm", 4, 11);
+    assert_csv_rows(
+        &stdout,
+        "benchmark,pwcet_rm,deterministic_hwm,rm_over_hwm",
+        4,
+        11,
+    );
 }
 
 #[test]
@@ -197,7 +215,10 @@ fn fig5_synthetic_quick() {
 
 #[test]
 fn fig5_adaptive_quick() {
-    let stdout = run(env!("CARGO_BIN_EXE_fig5_synthetic"), &["--quick", "--adaptive"]);
+    let stdout = run(
+        env!("CARGO_BIN_EXE_fig5_synthetic"),
+        &["--quick", "--adaptive"],
+    );
     assert_csv_rows(
         &stdout,
         "## Figure 5(c): pWCET curves (probability, RM bound, hRP bound)",
@@ -211,7 +232,10 @@ fn fig5_large_footprint_quick() {
     // The multi-MB scenario the packed streaming pipeline enables: the 1MB
     // and 4MB synthetic sweeps plus the L2-sized EEMBC-like stress kernel
     // must run to completion under --quick.
-    let stdout = run(env!("CARGO_BIN_EXE_fig5_synthetic"), &["--quick", "--large"]);
+    let stdout = run(
+        env!("CARGO_BIN_EXE_fig5_synthetic"),
+        &["--quick", "--large"],
+    );
     assert!(
         stdout.contains("1024KB footprint"),
         "missing 1MB sweep:\n{stdout}"
@@ -224,7 +248,10 @@ fn fig5_large_footprint_quick() {
         stdout.contains("eembc-stress-128kb"),
         "missing L2-sized stress kernel:\n{stdout}"
     );
-    assert!(stdout.contains("spread ratio"), "missing comparison:\n{stdout}");
+    assert!(
+        stdout.contains("spread ratio"),
+        "missing comparison:\n{stdout}"
+    );
 }
 
 #[test]
@@ -301,9 +328,15 @@ fn run_all_quick() {
         "sec44_avg_performance",
         "fig6_contention",
     ] {
-        assert!(stdout.contains(artefact), "missing {artefact} in:\n{stdout}");
+        assert!(
+            stdout.contains(artefact),
+            "missing {artefact} in:\n{stdout}"
+        );
     }
-    assert!(!stdout.contains("FAILED"), "an experiment failed:\n{stdout}");
+    assert!(
+        !stdout.contains("FAILED"),
+        "an experiment failed:\n{stdout}"
+    );
     assert!(stdout.contains("# all experiments completed"));
 }
 
@@ -383,8 +416,14 @@ fn sharded_kill_and_resume_reproduces_the_uninterrupted_output() {
         "resumed 16 shard(s), executed 0 of 16",
     ] {
         let (stdout, stderr) = run_full(exe, &store_args);
-        assert_eq!(stdout, golden, "the stored run diverged from the uninterrupted output");
-        assert!(stderr.contains(expected), "expected {expected:?} on stderr:\n{stderr}");
+        assert_eq!(
+            stdout, golden,
+            "the stored run diverged from the uninterrupted output"
+        );
+        assert!(
+            stderr.contains(expected),
+            "expected {expected:?} on stderr:\n{stderr}"
+        );
     }
 
     // A different campaign (different seed) fingerprints to a *different*
@@ -402,6 +441,9 @@ fn sharded_kill_and_resume_reproduces_the_uninterrupted_output() {
 fn quick_runs_override_is_clamped_not_fatal() {
     // `--runs 1` used to panic deep in the ET test; it must now clamp to
     // the pipeline minimum and complete.
-    let stdout = run(env!("CARGO_BIN_EXE_fig1_pwcet_curve"), &["--quick", "--runs", "1"]);
+    let stdout = run(
+        env!("CARGO_BIN_EXE_fig1_pwcet_curve"),
+        &["--quick", "--runs", "1"],
+    );
     assert!(stdout.contains("runs = 20"), "runs not clamped:\n{stdout}");
 }

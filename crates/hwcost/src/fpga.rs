@@ -124,7 +124,10 @@ mod tests {
         let lib = CellLibrary::generic_45nm();
         let hrp = model.integrate_hrp(&HrpModule::paper_config(7), &lib);
         let rm = model.integrate_rm(&RmModule::paper_config(7), &lib);
-        assert!(hrp.frequency_mhz < 100.0, "hRP should not close timing at 100 MHz");
+        assert!(
+            hrp.frequency_mhz < 100.0,
+            "hRP should not close timing at 100 MHz"
+        );
         assert!(hrp.frequency_mhz > 60.0);
         assert!(hrp.occupancy_percent > rm.occupancy_percent + 4.0);
         assert!(hrp.occupancy_percent <= 100.0);

@@ -30,7 +30,10 @@ impl HrpModule {
     /// Panics if any parameter is zero.
     pub fn new(index_bits: u32, hashed_address_bits: u32, seed_bits: u32) -> Self {
         assert!(index_bits > 0, "index width must be non-zero");
-        assert!(hashed_address_bits > 0, "hashed address width must be non-zero");
+        assert!(
+            hashed_address_bits > 0,
+            "hashed address width must be non-zero"
+        );
         assert!(seed_bits > 0, "seed width must be non-zero");
         HrpModule {
             index_bits,

@@ -50,12 +50,21 @@ impl Table1Report {
 impl fmt::Display for Table1Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Table 1: ASIC & FPGA implementation results")?;
-        writeln!(f, "                       Area                    Delay/Frequency")?;
-        writeln!(f, "                RM           hRP           RM        hRP")?;
+        writeln!(
+            f,
+            "                       Area                    Delay/Frequency"
+        )?;
+        writeln!(
+            f,
+            "                RM           hRP           RM        hRP"
+        )?;
         writeln!(
             f,
             "  ASIC 45nm     {:>8.1}um2  {:>8.1}um2   {:>6.2}ns  {:>6.2}ns",
-            self.asic_rm.area_um2, self.asic_hrp.area_um2, self.asic_rm.delay_ns, self.asic_hrp.delay_ns
+            self.asic_rm.area_um2,
+            self.asic_hrp.area_um2,
+            self.asic_rm.delay_ns,
+            self.asic_hrp.delay_ns
         )?;
         writeln!(
             f,

@@ -81,7 +81,9 @@ impl RmModule {
         // The index traverses 2*ceil(log2 N) - 1 switch stages of pass
         // gates; the control word costs one XOR plus the register overhead,
         // in parallel with (and typically dominating) the first stages.
-        let stages = (2 * crate::hrp::ceil_log2(self.index_bits).max(1)).saturating_sub(1).max(1);
+        let stages = (2 * crate::hrp::ceil_log2(self.index_bits).max(1))
+            .saturating_sub(1)
+            .max(1);
         let delay = stages as f64 * library.passgate_delay_ns
             + library.xor2_delay_ns
             + library.dff_overhead_ns;

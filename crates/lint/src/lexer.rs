@@ -93,7 +93,9 @@ fn is_ident_continue(c: char) -> bool {
 
 impl Cursor<'_> {
     fn peek(&self) -> Option<char> {
-        self.src.get(self.pos..).and_then(|rest| rest.chars().next())
+        self.src
+            .get(self.pos..)
+            .and_then(|rest| rest.chars().next())
     }
 
     fn peek_at(&self, chars_ahead: usize) -> Option<char> {
@@ -342,7 +344,10 @@ mod tests {
             .filter(|t| t.kind == TokenKind::Str)
             .map(|t| t.text)
             .collect();
-        assert_eq!(strs, [r###"r#"quote " inside"#"###, r####"r##"a "# b"##"####]);
+        assert_eq!(
+            strs,
+            [r###"r#"quote " inside"#"###, r####"r##"a "# b"##"####]
+        );
     }
 
     #[test]
@@ -370,7 +375,10 @@ mod tests {
             kinds(&toks),
             [
                 (TokenKind::Ident, "a"),
-                (TokenKind::BlockComment, "/* outer /* inner */ still outer */"),
+                (
+                    TokenKind::BlockComment,
+                    "/* outer /* inner */ still outer */"
+                ),
                 (TokenKind::Ident, "b"),
             ]
         );
@@ -378,7 +386,8 @@ mod tests {
 
     #[test]
     fn lifetimes_vs_char_literals() {
-        let toks = round_trip("fn f<'a>(x: &'a str) -> char { 'a' } // 'static too: &'static '\\n'");
+        let toks =
+            round_trip("fn f<'a>(x: &'a str) -> char { 'a' } // 'static too: &'static '\\n'");
         let interesting: Vec<(TokenKind, &str)> = toks
             .iter()
             .filter(|t| matches!(t.kind, TokenKind::Lifetime | TokenKind::Char))
@@ -420,7 +429,10 @@ mod tests {
             .filter(|t| t.kind == TokenKind::Num)
             .map(|t| t.text)
             .collect();
-        assert_eq!(nums, ["1.0e-9", "0xff_u8", "1_000u64", "0", "0", "10", "1", "2"]);
+        assert_eq!(
+            nums,
+            ["1.0e-9", "0xff_u8", "1_000u64", "0", "0", "10", "1", "2"]
+        );
     }
 
     #[test]

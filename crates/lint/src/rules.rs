@@ -158,14 +158,20 @@ const CODEC_FILES: [&str; 4] = ["checkpoint.rs", "packed.rs", "shard.rs", "wire.
 /// treatment of the engine's hot path (a malformed request must decode
 /// to a refusal, never a panic) but not the determinism rules — a
 /// server legitimately reads clocks and sockets.
-const SERVER_GUARDED_FILES: [&str; 2] =
-    ["crates/server/src/http.rs", "crates/server/src/body.rs"];
+const SERVER_GUARDED_FILES: [&str; 2] = ["crates/server/src/http.rs", "crates/server/src/body.rs"];
 
 /// Classifies a workspace-relative path (forward slashes).  Returns
 /// `None` for files the checker skips entirely: test trees, benches,
 /// examples, build output and the vendored dependency stand-ins.
 pub fn classify(rel_path: &str) -> Option<FileScope> {
-    let skip_dirs = ["tests/", "benches/", "examples/", "target/", "vendor/", ".git/"];
+    let skip_dirs = [
+        "tests/",
+        "benches/",
+        "examples/",
+        "target/",
+        "vendor/",
+        ".git/",
+    ];
     for dir in skip_dirs {
         if rel_path.starts_with(dir) || rel_path.contains(&format!("/{dir}")) {
             return None;
@@ -482,8 +488,8 @@ impl<'a> Scanner<'a> {
         // `#[cfg(test)]` (and cfg(all/any(test, …))) gates the next item,
         // as does a bare `#[test]`.  `#[cfg(not(test))]` stays checked,
         // and `#[cfg_attr(test, …)]` does not gate compilation at all.
-        let gates_test = (has("cfg") && has("test") && !has("not") && !has("cfg_attr"))
-            || idents == ["test"];
+        let gates_test =
+            (has("cfg") && has("test") && !has("not") && !has("cfg_attr")) || idents == ["test"];
         if gates_test {
             self.pendings.push(Pending {
                 waiver: None,
@@ -568,7 +574,8 @@ impl<'a> Scanner<'a> {
                             tok.col,
                             &snippet,
                             "`thread::current()` exposes scheduler-dependent identity; engine \
-                             results must be invariant across thread counts".to_string(),
+                             results must be invariant across thread counts"
+                                .to_string(),
                         );
                     }
                     if tok.text == "HashMap" || tok.text == "HashSet" {

@@ -106,7 +106,11 @@ mod tests {
 
     #[test]
     fn well_formed_waiver_parses() {
-        let parsed = parse_comment("// randmod: allow(P1, index bounded by lane count)", 7, true);
+        let parsed = parse_comment(
+            "// randmod: allow(P1, index bounded by lane count)",
+            7,
+            true,
+        );
         match parsed {
             ParsedComment::Waiver(w) => {
                 assert_eq!(w.rule, RuleId::P1);

@@ -40,8 +40,15 @@ fn d1_flags_every_nondeterminism_source() {
         }
     "#;
     let outcome = scan(ENGINE, src);
-    let d1 = outcome.violations.iter().filter(|v| v.rule == RuleId::D1).count();
-    assert!(d1 >= 5, "expected all five D1 sources flagged, got {outcome:?}");
+    let d1 = outcome
+        .violations
+        .iter()
+        .filter(|v| v.rule == RuleId::D1)
+        .count();
+    assert!(
+        d1 >= 5,
+        "expected all five D1 sources flagged, got {outcome:?}"
+    );
 }
 
 #[test]
@@ -94,8 +101,7 @@ fn d2_flags_hash_collections() {
     "#;
     let outcome = scan(ENGINE, src);
     assert!(
-        outcome.violations.iter().all(|v| v.rule == RuleId::D2)
-            && outcome.violations.len() >= 2,
+        outcome.violations.iter().all(|v| v.rule == RuleId::D2) && outcome.violations.len() >= 2,
         "{outcome:?}"
     );
 }
@@ -126,8 +132,14 @@ fn d2_waiver_missing_reason_is_a_w1_violation_and_does_not_suppress() {
     let src = "use std::collections::HashMap; // randmod: allow(D2)";
     let outcome = scan(ENGINE, src);
     let ids = rule_ids(&outcome);
-    assert!(ids.contains(&RuleId::W1), "missing reason must be W1: {outcome:?}");
-    assert!(ids.contains(&RuleId::D2), "a malformed waiver must not suppress: {outcome:?}");
+    assert!(
+        ids.contains(&RuleId::W1),
+        "missing reason must be W1: {outcome:?}"
+    );
+    assert!(
+        ids.contains(&RuleId::D2),
+        "a malformed waiver must not suppress: {outcome:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -146,7 +158,11 @@ fn p1_flags_the_whole_panic_family() {
         }
     "#;
     let outcome = scan(HOT, src);
-    let p1 = outcome.violations.iter().filter(|v| v.rule == RuleId::P1).count();
+    let p1 = outcome
+        .violations
+        .iter()
+        .filter(|v| v.rule == RuleId::P1)
+        .count();
     assert_eq!(p1, 5, "{outcome:?}");
 }
 
@@ -186,7 +202,10 @@ fn p1_item_scoped_waiver_covers_the_whole_function() {
     "#;
     let outcome = scan(HOT, src);
     assert_eq!(rule_ids(&outcome), vec![RuleId::P1], "{outcome:?}");
-    assert_eq!(outcome.violations[0].snippet, "fn unwaived(v: &[u32], i: usize) -> u32 { v[i] }");
+    assert_eq!(
+        outcome.violations[0].snippet,
+        "fn unwaived(v: &[u32], i: usize) -> u32 { v[i] }"
+    );
     assert!(outcome.waivers[0].used);
 }
 
@@ -246,7 +265,8 @@ fn c1_does_not_apply_outside_codec_files() {
 
 #[test]
 fn c1_waived_with_reason_is_suppressed() {
-    let src = "fn f(x: u64) -> u32 { x as u32 } // randmod: allow(C1, x is a CRC-32, provably < 2^32)";
+    let src =
+        "fn f(x: u64) -> u32 { x as u32 } // randmod: allow(C1, x is a CRC-32, provably < 2^32)";
     let outcome = scan(HOT, src);
     assert!(outcome.violations.is_empty(), "{outcome:?}");
     assert!(outcome.waivers[0].used);
@@ -286,7 +306,10 @@ fn unused_waivers_are_reported_not_silently_dropped() {
     let outcome = scan(ENGINE, src);
     assert!(outcome.violations.is_empty(), "{outcome:?}");
     assert_eq!(outcome.waivers.len(), 1);
-    assert!(!outcome.waivers[0].used, "nothing suppressed, must stay unused");
+    assert!(
+        !outcome.waivers[0].used,
+        "nothing suppressed, must stay unused"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -304,11 +327,17 @@ fn classification_matches_the_documented_scopes() {
         "crates/core/src/replacement.rs",
     ] {
         let hot = classify(hot_path).unwrap();
-        assert!(hot.engine && hot.hot_path, "{hot_path} must be panic-free: {hot:?}");
+        assert!(
+            hot.engine && hot.hot_path,
+            "{hot_path} must be panic-free: {hot:?}"
+        );
     }
 
     let run = classify("crates/sim/src/run/engine.rs").unwrap();
-    assert!(run.engine && run.hot_path, "everything under run/ is hot-path");
+    assert!(
+        run.engine && run.hot_path,
+        "everything under run/ is hot-path"
+    );
 
     let codec = classify("crates/sim/src/packed.rs").unwrap();
     assert!(codec.codec && codec.hot_path);
@@ -316,13 +345,22 @@ fn classification_matches_the_documented_scopes() {
     let wire = classify("crates/sim/src/wire.rs").unwrap();
     assert!(wire.codec && wire.hot_path);
 
-    assert!(classify("crates/sim/tests/shards.rs").is_none(), "test trees are skipped");
+    assert!(
+        classify("crates/sim/tests/shards.rs").is_none(),
+        "test trees are skipped"
+    );
     assert!(classify("crates/core/benches/probe.rs").is_none());
     assert!(classify("vendor/proptest-stub/src/lib.rs").is_none());
-    assert!(classify("crates/core/src/notes.md").is_none(), "non-Rust files are skipped");
+    assert!(
+        classify("crates/core/src/notes.md").is_none(),
+        "non-Rust files are skipped"
+    );
 
     let tool = classify("crates/cli/src/main.rs").unwrap();
-    assert!(!tool.engine && !tool.hot_path && !tool.codec, "W1-only scope");
+    assert!(
+        !tool.engine && !tool.hot_path && !tool.codec,
+        "W1-only scope"
+    );
 
     // The server's hostile-byte surfaces get P1 + C1 but not the
     // determinism rules (a server legitimately reads clocks/sockets).

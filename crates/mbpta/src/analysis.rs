@@ -196,7 +196,6 @@ impl MbptaAnalysis {
             runs: sample.len(),
         }
     }
-
 }
 
 #[cfg(test)]
@@ -212,8 +211,8 @@ mod tests {
                 state ^= state >> 12;
                 state ^= state << 25;
                 state ^= state >> 27;
-                let u = (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64
-                    / (1u64 << 53) as f64;
+                let u =
+                    (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64;
                 base + (spread as f64 * 0.2 * -(1.0 - u).ln()) as u64
             })
             .collect();
@@ -244,7 +243,8 @@ mod tests {
     fn nearly_degenerate_sample_does_not_panic() {
         // Two distinct values only: block maxima may all coincide.
         let values: Vec<u64> = (0..300).map(|i| 1000 + (i % 2)).collect();
-        let report = MbptaAnalysis::new(MbptaConfig::default()).analyze(&ExecutionSample::from_cycles(&values));
+        let report = MbptaAnalysis::new(MbptaConfig::default())
+            .analyze(&ExecutionSample::from_cycles(&values));
         assert!(report.pwcet_at(1e-15) >= 1001.0);
     }
 
@@ -255,8 +255,8 @@ mod tests {
         // must take the trivial-independence branch.
         let mut values = vec![50_000u64; 200];
         values[137] = 50_001;
-        let report =
-            MbptaAnalysis::new(MbptaConfig::default()).analyze(&ExecutionSample::from_cycles(&values));
+        let report = MbptaAnalysis::new(MbptaConfig::default())
+            .analyze(&ExecutionSample::from_cycles(&values));
         assert!(report.ww.passed());
         assert!(report.pwcet_at(1e-15) >= 50_001.0);
     }

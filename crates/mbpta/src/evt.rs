@@ -125,7 +125,11 @@ impl Gumbel {
 
 impl fmt::Display for Gumbel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Gumbel(mu = {:.1}, beta = {:.1})", self.location, self.scale)
+        write!(
+            f,
+            "Gumbel(mu = {:.1}, beta = {:.1})",
+            self.location, self.scale
+        )
     }
 }
 
@@ -247,7 +251,10 @@ impl PwcetCurve {
     ///
     /// Panics if `p` is not strictly between 0 and 1.
     pub fn pwcet(&self, p: f64) -> f64 {
-        assert!(p > 0.0 && p < 1.0, "exceedance probability must be in (0, 1)");
+        assert!(
+            p > 0.0 && p < 1.0,
+            "exceedance probability must be in (0, 1)"
+        );
         // F_block(x) = (1 - p)^B  =>  ln F_block = B * ln(1 - p).
         let ln_p_block = self.block_size as f64 * (-p).ln_1p();
         let projected = self.gumbel.quantile_from_ln_p(ln_p_block);

@@ -53,7 +53,10 @@ impl Histogram {
     ///
     /// Panics if the sample is empty or `bins` is zero.
     pub fn from_sample(sample: &ExecutionSample, bins: usize) -> Self {
-        assert!(!sample.is_empty(), "cannot build a histogram of an empty sample");
+        assert!(
+            !sample.is_empty(),
+            "cannot build a histogram of an empty sample"
+        );
         assert!(bins > 0, "a histogram needs at least one bin");
         let min = sample.min() as f64;
         let max = sample.max() as f64;
@@ -132,7 +135,11 @@ impl fmt::Display for Histogram {
         let max_count = self.bins.iter().map(|b| b.count).max().unwrap_or(1).max(1);
         for bin in &self.bins {
             let bar = "#".repeat(((bin.count * 50) / max_count) as usize);
-            writeln!(f, "  [{:>12.0}, {:>12.0})  {:>7}  {bar}", bin.lower, bin.upper, bin.count)?;
+            writeln!(
+                f,
+                "  [{:>12.0}, {:>12.0})  {:>7}  {bar}",
+                bin.lower, bin.upper, bin.count
+            )?;
         }
         Ok(())
     }

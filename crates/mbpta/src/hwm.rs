@@ -99,7 +99,10 @@ impl HighWaterMark {
     ///
     /// Panics if the high-water mark is zero.
     pub fn ratio_of(&self, pwcet: f64) -> f64 {
-        assert!(self.value > 0, "cannot normalise against a zero high-water mark");
+        assert!(
+            self.value > 0,
+            "cannot normalise against a zero high-water mark"
+        );
         pwcet / self.value as f64
     }
 }
@@ -155,7 +158,10 @@ mod tests {
         // the old `value as f64 * (1 + m)` returned a bound below the
         // observed high-water mark for margin 0.
         let value = (1u64 << 53) + 1;
-        assert!(((value as f64) as u64) < value, "test premise: conversion rounds down");
+        assert!(
+            ((value as f64) as u64) < value,
+            "test premise: conversion rounds down"
+        );
         for margin in [0.0, 0.1, 0.2, 1.0] {
             let bound = HighWaterMark::new(value, 1).with_margin(margin);
             assert!(
@@ -164,7 +170,10 @@ mod tests {
             );
         }
         // Exactly representable values stay exact.
-        assert_eq!(HighWaterMark::new(1u64 << 53, 1).with_margin(0.0), (1u64 << 53) as f64);
+        assert_eq!(
+            HighWaterMark::new(1u64 << 53, 1).with_margin(0.0),
+            (1u64 << 53) as f64
+        );
     }
 
     #[test]

@@ -49,7 +49,11 @@ impl fmt::Display for WwTest {
             "WW statistic {:.2} ({} runs) -> {}",
             self.statistic,
             self.runs,
-            if self.passed() { "independent" } else { "dependent" }
+            if self.passed() {
+                "independent"
+            } else {
+                "dependent"
+            }
         )
     }
 }
@@ -158,7 +162,10 @@ fn kolmogorov_q(lambda: f64) -> f64 {
 ///
 /// Panics if either sample is empty.
 pub fn kolmogorov_smirnov(a: &ExecutionSample, b: &ExecutionSample) -> KsTest {
-    assert!(!a.is_empty() && !b.is_empty(), "KS test needs non-empty samples");
+    assert!(
+        !a.is_empty() && !b.is_empty(),
+        "KS test needs non-empty samples"
+    );
     let xs = a.sorted();
     let ys = b.sorted();
     let (n, m) = (xs.len(), ys.len());
@@ -194,7 +201,10 @@ pub fn kolmogorov_smirnov(a: &ExecutionSample, b: &ExecutionSample) -> KsTest {
 ///
 /// Panics if the sample has fewer than 4 observations.
 pub fn kolmogorov_smirnov_split(sample: &ExecutionSample) -> KsTest {
-    assert!(sample.len() >= 4, "split KS test needs at least 4 observations");
+    assert!(
+        sample.len() >= 4,
+        "split KS test needs at least 4 observations"
+    );
     let (a, b) = sample.halves();
     kolmogorov_smirnov(&a, &b)
 }
@@ -229,7 +239,11 @@ impl fmt::Display for EtTest {
             self.statistic,
             self.p_value,
             self.tail_size,
-            if self.passed() { "Gumbel tail plausible" } else { "tail not exponential" }
+            if self.passed() {
+                "Gumbel tail plausible"
+            } else {
+                "tail not exponential"
+            }
         )
     }
 }
@@ -386,7 +400,10 @@ mod tests {
     fn ks_split_matches_manual_split() {
         let sample = iid_sample(5, 600);
         let (a, b) = sample.halves();
-        assert_eq!(kolmogorov_smirnov_split(&sample), kolmogorov_smirnov(&a, &b));
+        assert_eq!(
+            kolmogorov_smirnov_split(&sample),
+            kolmogorov_smirnov(&a, &b)
+        );
     }
 
     #[test]

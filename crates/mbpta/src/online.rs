@@ -372,8 +372,14 @@ impl ConvergenceTracker {
             criterion.relative_tolerance > 0.0 && criterion.relative_tolerance.is_finite(),
             "relative tolerance must be positive and finite"
         );
-        assert!(criterion.stable_checkpoints > 0, "stable checkpoint count must be non-zero");
-        assert!(criterion.check_interval > 0, "checkpoint interval must be non-zero");
+        assert!(
+            criterion.stable_checkpoints > 0,
+            "stable checkpoint count must be non-zero"
+        );
+        assert!(
+            criterion.check_interval > 0,
+            "checkpoint interval must be non-zero"
+        );
         assert!(criterion.block_size > 0, "block size must be non-zero");
         ConvergenceTracker {
             criterion,
@@ -457,7 +463,8 @@ impl ConvergenceTracker {
             // A constant sample's pWCET is the observed value, exactly.
             return self.sample.max() as f64;
         }
-        self.current_curve().pwcet(self.criterion.target_probability)
+        self.current_curve()
+            .pwcet(self.criterion.target_probability)
     }
 
     /// The pWCET curve behind [`Self::current_estimate`].
@@ -525,8 +532,8 @@ mod tests {
                 state ^= state >> 12;
                 state ^= state << 25;
                 state ^= state >> 27;
-                let u = (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64
-                    / (1u64 << 53) as f64;
+                let u =
+                    (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64;
                 base + (spread as f64 * 0.2 * -(1.0 - u).ln()) as u64
             })
             .collect()
@@ -657,7 +664,11 @@ mod tests {
             }
             tracker.push(c);
         }
-        assert!(tracker.is_converged(), "trajectory: {:?}", tracker.trajectory());
+        assert!(
+            tracker.is_converged(),
+            "trajectory: {:?}",
+            tracker.trajectory()
+        );
         assert!(tracker.runs() < criterion.max_runs);
         // The estimate is a plausible pWCET: above the observed maximum.
         assert!(tracker.current_estimate() >= tracker.sample().max() as f64);

@@ -62,7 +62,10 @@ impl ExecutionSample {
             next, 0,
             "interleaved stream length is not a multiple of the task count"
         );
-        samples.into_iter().map(|values| ExecutionSample { values }).collect()
+        samples
+            .into_iter()
+            .map(|values| ExecutionSample { values })
+            .collect()
     }
 
     /// Creates a sample from floating-point observations.
@@ -134,7 +137,10 @@ impl ExecutionSample {
         if self.values.is_empty() {
             0
         } else {
-            self.values.iter().cloned().fold(f64::NEG_INFINITY, f64::max) as u64
+            self.values
+                .iter()
+                .cloned()
+                .fold(f64::NEG_INFINITY, f64::max) as u64
         }
     }
 
@@ -310,7 +316,9 @@ mod tests {
             vec![ExecutionSample::from_cycles(&[5, 6, 7])]
         );
         // An empty stream yields empty per-task samples.
-        assert!(ExecutionSample::split_interleaved([], 2).iter().all(|s| s.is_empty()));
+        assert!(ExecutionSample::split_interleaved([], 2)
+            .iter()
+            .all(|s| s.is_empty()));
     }
 
     #[test]

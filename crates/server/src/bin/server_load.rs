@@ -14,7 +14,9 @@
 //! nonzero if the warm phase saw no cache hit.
 
 use randmod_core::{Address, PlacementKind};
-use randmod_server::{encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode};
+use randmod_server::{
+    encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode,
+};
 use randmod_sim::config::PlatformConfig;
 use randmod_sim::trace::{MemEvent, Trace};
 use randmod_sim::PackedTrace;
@@ -46,7 +48,9 @@ fn synthetic_trace() -> PackedTrace {
         for i in 0..200u64 {
             trace.push(MemEvent::InstrFetch(Address::new(0x4000 + (i % 64) * 4)));
             if i % 3 == 0 {
-                trace.push(MemEvent::Load(Address::new(0x2_0000 + ((i * 7 + rep) % 96) * 256)));
+                trace.push(MemEvent::Load(Address::new(
+                    0x2_0000 + ((i * 7 + rep) % 96) * 256,
+                )));
             }
             if i % 11 == 0 {
                 trace.push(MemEvent::Store(Address::new(0x8_0000 + (i % 16) * 32)));
@@ -88,8 +92,8 @@ fn main() {
     let target = match addr {
         Some(addr) => addr,
         None => {
-            let dir = std::env::temp_dir()
-                .join(format!("randmod_server_load_{}", std::process::id()));
+            let dir =
+                std::env::temp_dir().join(format!("randmod_server_load_{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let store = ResultStore::in_dir(&dir).expect("create temp store");
             let handle = start(

@@ -89,7 +89,10 @@ impl fmt::Display for SpecError {
                 write!(f, "invalid campaign spec: {field}: {detail}")
             }
             SpecError::TrailingBytes { extra } => {
-                write!(f, "malformed campaign spec: {extra} trailing byte(s) after the trace")
+                write!(
+                    f,
+                    "malformed campaign spec: {extra} trailing byte(s) after the trace"
+                )
             }
         }
     }
@@ -203,7 +206,12 @@ fn take_cache_config(
     let placement = placement_from_tag(take_u64(bytes, pos, field)?, field)?;
     let replacement = replacement_from_tag(take_u64(bytes, pos, field)?, field)?;
     let write_policy = write_policy_from_tag(take_u64(bytes, pos, field)?, field)?;
-    Ok(CacheConfig::new(geometry, placement, replacement, write_policy))
+    Ok(CacheConfig::new(
+        geometry,
+        placement,
+        replacement,
+        write_policy,
+    ))
 }
 
 /// Mode tag of a fixed-schedule campaign.
@@ -464,7 +472,9 @@ mod tests {
     #[test]
     fn adaptive_spec_round_trips() {
         let spec = sample_spec(SpecMode::Adaptive(
-            ConvergenceCriterion::default().with_min_runs(30).with_max_runs(200),
+            ConvergenceCriterion::default()
+                .with_min_runs(30)
+                .with_max_runs(200),
         ));
         let decoded = decode_spec(&encode_spec(&spec)).unwrap();
         assert_eq!(decoded, spec);
@@ -478,11 +488,17 @@ mod tests {
         let spec = sample_spec(SpecMode::Fixed(vec![1, 2]));
         let bytes = encode_spec(&spec);
         let truncated = decode_spec(&bytes[..bytes.len() - 3]).unwrap_err();
-        assert!(truncated.to_string().contains("packed trace"), "{truncated}");
+        assert!(
+            truncated.to_string().contains("packed trace"),
+            "{truncated}"
+        );
 
         let mut trailing = bytes.clone();
         trailing.push(0xAA);
-        assert_eq!(decode_spec(&trailing), Err(SpecError::TrailingBytes { extra: 1 }));
+        assert_eq!(
+            decode_spec(&trailing),
+            Err(SpecError::TrailingBytes { extra: 1 })
+        );
 
         // A hostile seed count cannot trigger an absurd allocation.
         let mut hostile = bytes;

@@ -122,19 +122,18 @@ impl Client {
                 .find(|(n, _)| n.eq_ignore_ascii_case(name))
                 .map(|(_, v)| v.as_str())
         };
-        let body = if header("Transfer-Encoding")
-            .is_some_and(|te| te.eq_ignore_ascii_case("chunked"))
-        {
-            self.read_chunked()?
-        } else {
-            let length: usize = header("Content-Length")
-                .unwrap_or("0")
-                .parse()
-                .map_err(|_| invalid("unparseable Content-Length"))?;
-            let mut body = vec![0u8; length];
-            self.reader.read_exact(&mut body)?;
-            body
-        };
+        let body =
+            if header("Transfer-Encoding").is_some_and(|te| te.eq_ignore_ascii_case("chunked")) {
+                self.read_chunked()?
+            } else {
+                let length: usize = header("Content-Length")
+                    .unwrap_or("0")
+                    .parse()
+                    .map_err(|_| invalid("unparseable Content-Length"))?;
+                let mut body = vec![0u8; length];
+                self.reader.read_exact(&mut body)?;
+                body
+            };
         Ok(ClientResponse {
             status,
             headers,

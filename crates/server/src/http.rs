@@ -255,9 +255,9 @@ pub fn read_request<R: Read>(
     let content_length = match header("content-length") {
         None => 0usize,
         Some(raw) => {
-            let declared: u64 = raw.parse().map_err(|_| {
-                HttpError::Malformed(format!("unparsable Content-Length {raw:?}"))
-            })?;
+            let declared: u64 = raw
+                .parse()
+                .map_err(|_| HttpError::Malformed(format!("unparsable Content-Length {raw:?}")))?;
             if declared > limits.max_body as u64 {
                 return Err(HttpError::BodyTooLarge {
                     limit: limits.max_body,
@@ -420,7 +420,10 @@ mod tests {
         assert!(matches!(err, HttpError::BodyTooLarge { limit: 8 }), "{err}");
         let raw = [b'A'; 128];
         let err = read_request(&mut &raw[..], &limits).unwrap_err();
-        assert!(matches!(err, HttpError::HeadTooLarge { limit: 64 }), "{err}");
+        assert!(
+            matches!(err, HttpError::HeadTooLarge { limit: 64 }),
+            "{err}"
+        );
     }
 
     #[test]
@@ -436,11 +439,15 @@ mod tests {
     fn connection_close_semantics() {
         let keep = parse(b"GET / HTTP/1.1\r\n\r\n").unwrap().unwrap();
         assert!(!keep.close);
-        let close = parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap().unwrap();
+        let close = parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap()
+            .unwrap();
         assert!(close.close);
         let old = parse(b"GET / HTTP/1.0\r\n\r\n").unwrap().unwrap();
         assert!(old.close);
-        let old_keep = parse(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap().unwrap();
+        let old_keep = parse(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+            .unwrap()
+            .unwrap();
         assert!(!old_keep.close);
     }
 
@@ -459,19 +466,27 @@ mod tests {
         write_chunk(&mut out, b"").unwrap();
         finish_chunks(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("Transfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n"), "{text}");
+        assert!(
+            text.contains("Transfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n"),
+            "{text}"
+        );
     }
 
     #[test]
     fn pipelined_requests_leave_the_next_one_in_the_stream() {
-        let raw: &[u8] =
-            b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nxyGET /b HTTP/1.1\r\n\r\n";
+        let raw: &[u8] = b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nxyGET /b HTTP/1.1\r\n\r\n";
         let mut cursor = raw;
-        let first = read_request(&mut cursor, &Limits::default()).unwrap().unwrap();
+        let first = read_request(&mut cursor, &Limits::default())
+            .unwrap()
+            .unwrap();
         assert_eq!(first.target, "/a");
         assert_eq!(first.body, b"xy");
-        let second = read_request(&mut cursor, &Limits::default()).unwrap().unwrap();
+        let second = read_request(&mut cursor, &Limits::default())
+            .unwrap()
+            .unwrap();
         assert_eq!(second.target, "/b");
-        assert!(read_request(&mut cursor, &Limits::default()).unwrap().is_none());
+        assert!(read_request(&mut cursor, &Limits::default())
+            .unwrap()
+            .is_none());
     }
 }

@@ -16,8 +16,8 @@
 //! completion, its result is persisted and its response delivered,
 //! before `shutdown` returns.
 
-use crate::http::{read_request, status_reason, write_chunk, write_chunked_head, write_response};
 use crate::http::{finish_chunks, HttpError, Limits};
+use crate::http::{read_request, status_reason, write_chunk, write_chunked_head, write_response};
 use crate::service::{Action, Service};
 use crate::store::ResultStore;
 use std::io::{self, BufReader, Write};
@@ -212,14 +212,22 @@ fn respond_error(writer: &mut TcpStream, err: &HttpError) {
 
 fn write_action(writer: &mut TcpStream, action: &Action) -> io::Result<()> {
     match action {
-        Action::Simple { status, headers, body } => {
+        Action::Simple {
+            status,
+            headers,
+            body,
+        } => {
             let rendered: Vec<(&str, String)> = headers
                 .iter()
                 .map(|(name, value)| (*name, value.clone()))
                 .collect();
             write_response(writer, *status, &rendered, body)
         }
-        Action::Stream { status, headers, chunks } => {
+        Action::Stream {
+            status,
+            headers,
+            chunks,
+        } => {
             let rendered: Vec<(&str, String)> = headers
                 .iter()
                 .map(|(name, value)| (*name, value.clone()))

@@ -136,7 +136,11 @@ impl Service {
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             ) {
-                Ok(_) => return Some(Permit { pool: &self.permits }),
+                Ok(_) => {
+                    return Some(Permit {
+                        pool: &self.permits,
+                    })
+                }
                 Err(now) => current = now,
             }
         }
@@ -184,8 +188,7 @@ impl Service {
     }
 
     fn build_campaign(&self, spec: &CampaignSpec, runs: usize) -> Campaign {
-        let mut campaign =
-            Campaign::new(spec.config, runs).with_campaign_seed(spec.campaign_seed);
+        let mut campaign = Campaign::new(spec.config, runs).with_campaign_seed(spec.campaign_seed);
         if let Some(threads) = self.campaign_threads {
             campaign = campaign.with_threads(threads);
         } else {
@@ -199,7 +202,10 @@ impl Service {
 
     fn fixed_campaign(&self, spec: &CampaignSpec, seeds: Vec<u64>) -> Action {
         if seeds.is_empty() {
-            return refuse(400, "seed schedule: a fixed campaign needs at least one seed");
+            return refuse(
+                400,
+                "seed schedule: a fixed campaign needs at least one seed",
+            );
         }
         if seeds.len() > MAX_RUNS_PER_CAMPAIGN {
             return refuse(
@@ -535,11 +541,17 @@ mod tests {
             ConvergenceCriterion::default().with_check_interval(0),
             ConvergenceCriterion::default().with_stable_checkpoints(0),
             ConvergenceCriterion::default().with_max_runs(MAX_RUNS_PER_CAMPAIGN + 1),
-            ConvergenceCriterion::default().with_min_runs(10).with_max_runs(5),
+            ConvergenceCriterion::default()
+                .with_min_runs(10)
+                .with_max_runs(5),
         ] {
             let spec = sample_spec(SpecMode::Adaptive(criterion));
             let action = service.handle(&post(encode_spec(&spec)));
-            assert_eq!(action.status(), 400, "criterion {criterion:?} must be refused");
+            assert_eq!(
+                action.status(),
+                400,
+                "criterion {criterion:?} must be refused"
+            );
         }
     }
 
@@ -552,7 +564,11 @@ mod tests {
 
     fn unpack(action: Action) -> (Vec<u8>, String) {
         match action {
-            Action::Simple { status, headers, body } => {
+            Action::Simple {
+                status,
+                headers,
+                body,
+            } => {
                 assert_eq!(status, 200);
                 let cache = headers
                     .iter()

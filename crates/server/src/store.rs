@@ -10,7 +10,9 @@
 //! treated as a miss: the service recomputes and overwrites rather than
 //! ever serving bad bytes.
 
-use randmod_sim::checkpoint::{decode_checkpoint, encode_checkpoint, CheckpointHeader, ShardRecord};
+use randmod_sim::checkpoint::{
+    decode_checkpoint, encode_checkpoint, CheckpointHeader, ShardRecord,
+};
 use randmod_sim::{CheckpointStore, FileCheckpointStore};
 use std::path::PathBuf;
 
@@ -41,7 +43,9 @@ impl ResultStore {
         let description = dir.display().to_string();
         Ok(ResultStore {
             entries: Box::new(move |key| {
-                Box::new(FileCheckpointStore::new(dir.join(format!("res_{key:016x}.ckpt"))))
+                Box::new(FileCheckpointStore::new(
+                    dir.join(format!("res_{key:016x}.ckpt")),
+                ))
             }),
             description,
         })
@@ -119,10 +123,7 @@ mod tests {
     use super::*;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "randmod_store_{tag}_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("randmod_store_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

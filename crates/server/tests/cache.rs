@@ -11,7 +11,9 @@
 //! of defence between the disk and the response body.
 
 use randmod_core::{Address, PlacementKind, ReplacementKind};
-use randmod_server::{encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode};
+use randmod_server::{
+    encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode,
+};
 use randmod_sim::checkpoint::{FaultPlan, FaultyStore, FileCheckpointStore};
 use randmod_sim::config::PlatformConfig;
 use randmod_sim::trace::{MemEvent, Trace};
@@ -61,7 +63,12 @@ fn direct_cold_and_warm_agree_bit_for_bit_across_a_grid() {
     let mut client = Client::connect(handle.addr()).unwrap();
 
     let grid = [
-        (PlacementKind::RandomModulo, ReplacementKind::Random, 256u64, 64u64),
+        (
+            PlacementKind::RandomModulo,
+            ReplacementKind::Random,
+            256u64,
+            64u64,
+        ),
         (PlacementKind::RandomModulo, ReplacementKind::Lru, 512, 96),
         (PlacementKind::HashRandom, ReplacementKind::Random, 256, 64),
         (PlacementKind::Modulo, ReplacementKind::RoundRobin, 128, 48),
@@ -84,10 +91,24 @@ fn direct_cold_and_warm_agree_bit_for_bit_across_a_grid() {
         let warm = client.post("/campaign", &body).unwrap();
         assert_eq!(cold.status, 200);
         assert_eq!(warm.status, 200);
-        assert_eq!(cold.header("X-Randmod-Cache"), Some("miss"), "grid point {index}");
-        assert_eq!(warm.header("X-Randmod-Cache"), Some("hit"), "grid point {index}");
-        assert_eq!(cold.body, direct, "cold response differs from run_seeds at {index}");
-        assert_eq!(warm.body, direct, "warm response differs from run_seeds at {index}");
+        assert_eq!(
+            cold.header("X-Randmod-Cache"),
+            Some("miss"),
+            "grid point {index}"
+        );
+        assert_eq!(
+            warm.header("X-Randmod-Cache"),
+            Some("hit"),
+            "grid point {index}"
+        );
+        assert_eq!(
+            cold.body, direct,
+            "cold response differs from run_seeds at {index}"
+        );
+        assert_eq!(
+            warm.body, direct,
+            "warm response differs from run_seeds at {index}"
+        );
     }
 
     handle.shutdown();
@@ -200,7 +221,10 @@ fn a_corrupted_entry_is_recomputed_not_served() {
             Some("miss"),
             "round {round}: a corrupted entry must read as a miss"
         );
-        assert_eq!(response.body, direct, "round {round}: served bytes must be correct");
+        assert_eq!(
+            response.body, direct,
+            "round {round}: served bytes must be correct"
+        );
     }
 
     handle.shutdown();
@@ -230,7 +254,11 @@ fn a_truncated_entry_on_disk_is_recomputed() {
 
     let after = client.post("/campaign", &body).unwrap();
     assert_eq!(after.status, 200);
-    assert_eq!(after.header("X-Randmod-Cache"), Some("miss"), "torn entry must recompute");
+    assert_eq!(
+        after.header("X-Randmod-Cache"),
+        Some("miss"),
+        "torn entry must recompute"
+    );
     assert_eq!(after.body, cold.body);
 
     // The recompute healed the entry: the next submission hits.

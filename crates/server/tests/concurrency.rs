@@ -10,7 +10,9 @@
 //! afterwards.
 
 use randmod_core::{Address, PlacementKind};
-use randmod_server::{encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode};
+use randmod_server::{
+    encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode,
+};
 use randmod_sim::checkpoint::decode_checkpoint;
 use randmod_sim::config::PlatformConfig;
 use randmod_sim::trace::{MemEvent, Trace};
@@ -201,7 +203,10 @@ fn parallel_identical_submissions_converge_on_one_entry() {
         .collect();
     let bodies: Vec<Vec<u8>> = threads.into_iter().map(|t| t.join().unwrap()).collect();
     for body in &bodies[1..] {
-        assert_eq!(body, &bodies[0], "racing clients must all see the same bytes");
+        assert_eq!(
+            body, &bodies[0],
+            "racing clients must all see the same bytes"
+        );
     }
 
     handle.shutdown();

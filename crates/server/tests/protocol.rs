@@ -42,7 +42,10 @@ fn valid_request_bytes() -> Vec<u8> {
 
 /// Parses from an in-memory stream; the return value only matters in
 /// that producing it must not panic.
-fn parse(bytes: &[u8], limits: &Limits) -> Result<Option<randmod_server::http::Request>, HttpError> {
+fn parse(
+    bytes: &[u8],
+    limits: &Limits,
+) -> Result<Option<randmod_server::http::Request>, HttpError> {
     read_request(&mut Cursor::new(bytes), limits)
 }
 
@@ -167,7 +170,10 @@ fn pipelined_requests_each_get_a_response() {
     stream.read_to_end(&mut response).unwrap();
     let text = String::from_utf8_lossy(&response);
     let ok_count = text.matches("HTTP/1.1 200 OK").count();
-    assert_eq!(ok_count, 2, "both pipelined requests must be answered: {text}");
+    assert_eq!(
+        ok_count, 2,
+        "both pipelined requests must be answered: {text}"
+    );
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -4,7 +4,9 @@
 
 use randmod_core::{Address, PlacementKind};
 use randmod_mbpta::online::ConvergenceCriterion;
-use randmod_server::{encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode};
+use randmod_server::{
+    encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode,
+};
 use randmod_sim::config::PlatformConfig;
 use randmod_sim::trace::{MemEvent, Trace};
 use randmod_sim::{Campaign, PackedTrace};
@@ -71,7 +73,8 @@ fn streamed_trajectory_matches_run_adaptive_and_replays_identically() {
     assert_eq!(cold.status, 200);
     assert_eq!(cold.header("X-Randmod-Cache"), Some("miss"));
     assert_eq!(
-        cold.header("Transfer-Encoding").map(str::to_ascii_lowercase),
+        cold.header("Transfer-Encoding")
+            .map(str::to_ascii_lowercase),
         Some("chunked".to_string())
     );
 
@@ -98,7 +101,10 @@ fn streamed_trajectory_matches_run_adaptive_and_replays_identically() {
         assert_eq!(*line, expected);
     }
     let first = lines.first().unwrap();
-    assert!(first.contains("\"delta\":null"), "first checkpoint has no predecessor: {first}");
+    assert!(
+        first.contains("\"delta\":null"),
+        "first checkpoint has no predecessor: {first}"
+    );
 
     // Summary line carries the verdict and the final estimate.
     let summary = lines.last().unwrap();
@@ -142,7 +148,11 @@ fn adaptive_criterion_changes_rekey_the_cache() {
     };
 
     let base = key_of(quick_criterion(), 1);
-    assert_eq!(key_of(quick_criterion(), 1), base, "identical spec, identical key");
+    assert_eq!(
+        key_of(quick_criterion(), 1),
+        base,
+        "identical spec, identical key"
+    );
     let variants = [
         key_of(quick_criterion().with_relative_tolerance(0.04), 1),
         key_of(quick_criterion().with_max_runs(299), 1),

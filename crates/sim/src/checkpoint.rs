@@ -147,7 +147,11 @@ impl CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Io { location, op, source } => {
+            CheckpointError::Io {
+                location,
+                op,
+                source,
+            } => {
                 write!(f, "checkpoint {location}: {op} failed: {source}")
             }
             CheckpointError::Corrupt { location, detail } => {
@@ -306,11 +310,9 @@ pub fn decode_checkpoint(
     let mut pos = 8;
     let mut header_words = [0u64; 5];
     for word in &mut header_words {
-        *word =
-            read_u64(bytes, &mut pos).ok_or_else(|| corrupt("header truncated".to_string()))?;
+        *word = read_u64(bytes, &mut pos).ok_or_else(|| corrupt("header truncated".to_string()))?;
     }
-    let [fingerprint, total_runs, shard_count, record_count, stored_header_checksum] =
-        header_words;
+    let [fingerprint, total_runs, shard_count, record_count, stored_header_checksum] = header_words;
     let checksummed = bytes
         .get(..HEADER_LEN - 8)
         .ok_or_else(|| corrupt("header truncated".to_string()))?;
@@ -822,7 +824,11 @@ mod tests {
         let decoded = decode_checkpoint(&damaged, "<test>").unwrap();
         assert_eq!(decoded.records, records[1..]);
         assert_eq!(decoded.diagnostics.len(), 1);
-        assert!(decoded.diagnostics[0].contains("checksum"), "{:?}", decoded.diagnostics);
+        assert!(
+            decoded.diagnostics[0].contains("checksum"),
+            "{:?}",
+            decoded.diagnostics
+        );
     }
 
     #[test]
@@ -834,7 +840,11 @@ mod tests {
         let decoded = decode_checkpoint(damaged, "<test>").unwrap();
         assert_eq!(decoded.records, records[..2]);
         assert_eq!(decoded.diagnostics.len(), 1);
-        assert!(decoded.diagnostics[0].contains("truncated"), "{:?}", decoded.diagnostics);
+        assert!(
+            decoded.diagnostics[0].contains("truncated"),
+            "{:?}",
+            decoded.diagnostics
+        );
     }
 
     #[test]
@@ -844,8 +854,7 @@ mod tests {
             shard_index: 9,
             payload: vec![1],
         }];
-        let decoded =
-            decode_checkpoint(&encode_checkpoint(&header, &records), "<test>").unwrap();
+        let decoded = decode_checkpoint(&encode_checkpoint(&header, &records), "<test>").unwrap();
         assert!(decoded.records.is_empty());
         assert_eq!(decoded.diagnostics.len(), 1);
     }
@@ -937,8 +946,10 @@ mod tests {
 
     #[test]
     fn faulty_store_kill_after_save_persists_first() {
-        let mut store =
-            FaultyStore::new(MemoryCheckpointStore::new(), FaultPlan::new().kill_after_save(0));
+        let mut store = FaultyStore::new(
+            MemoryCheckpointStore::new(),
+            FaultPlan::new().kill_after_save(0),
+        );
         let err = store.save(&[5, 6]).unwrap_err();
         assert!(matches!(err, CheckpointError::Interrupted { .. }), "{err}");
         assert_eq!(store.into_inner().load().unwrap(), Some(vec![5, 6]));
@@ -948,7 +959,9 @@ mod tests {
     fn faulty_store_corrupts_after_save() {
         let mut store = FaultyStore::new(
             MemoryCheckpointStore::new(),
-            FaultPlan::new().truncate_after_save(0, 2).bit_flip_after_save(1, 0),
+            FaultPlan::new()
+                .truncate_after_save(0, 2)
+                .bit_flip_after_save(1, 0),
         );
         store.save(&[1, 2, 3, 4]).unwrap();
         assert_eq!(store.inner.load().unwrap(), Some(vec![1, 2]));

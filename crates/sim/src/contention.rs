@@ -245,7 +245,10 @@ mod tests {
             let parsed: Arbitration = arbitration.to_string().parse().unwrap();
             assert_eq!(parsed, arbitration);
         }
-        assert_eq!("rr".parse::<Arbitration>().unwrap(), Arbitration::RoundRobin);
+        assert_eq!(
+            "rr".parse::<Arbitration>().unwrap(),
+            Arbitration::RoundRobin
+        );
         assert!("fcfs".parse::<Arbitration>().is_err());
         assert_eq!(Arbitration::default(), Arbitration::RoundRobin);
     }
@@ -297,7 +300,9 @@ mod tests {
         let results = run_once(&config(), 3, Arbitration::SeededRandom, &traces, 21);
         let aggregate = results
             .iter()
-            .fold(HierarchyStats::default(), |acc, (_, stats)| acc.merged(*stats));
+            .fold(HierarchyStats::default(), |acc, (_, stats)| {
+                acc.merged(*stats)
+            });
         assert_eq!(
             aggregate.l2.accesses,
             results.iter().map(|(_, s)| s.l2.accesses).sum::<u64>()
@@ -377,7 +382,10 @@ mod tests {
             let batched = batch.execute_schedule(&schedule, &seeds);
             for (&seed, runs) in seeds.iter().zip(&batched) {
                 let reference = run_once(&config, 3, Arbitration::RoundRobin, &traces, seed);
-                assert_eq!(runs, &reference, "lane diverged for seed {seed} under {placement}");
+                assert_eq!(
+                    runs, &reference,
+                    "lane diverged for seed {seed} under {placement}"
+                );
             }
         }
     }
@@ -404,8 +412,7 @@ mod tests {
     #[should_panic(expected = "exceed the")]
     fn batched_contended_too_many_seeds_panic() {
         let config = config();
-        let schedule =
-            ContendedSchedule::round_robin(&config, 2, vec![victim_trace().into_iter()]);
+        let schedule = ContendedSchedule::round_robin(&config, 2, vec![victim_trace().into_iter()]);
         let mut batch = BatchCore::new(&config, 2, 2).unwrap();
         batch.execute_schedule(&schedule, &[1, 2, 3]);
     }
@@ -414,8 +421,7 @@ mod tests {
     #[should_panic(expected = "different task count")]
     fn batched_contended_task_count_mismatch_panics() {
         let config = config();
-        let schedule =
-            ContendedSchedule::round_robin(&config, 3, vec![victim_trace().into_iter()]);
+        let schedule = ContendedSchedule::round_robin(&config, 3, vec![victim_trace().into_iter()]);
         let mut batch = BatchCore::new(&config, 2, 2).unwrap();
         batch.execute_schedule(&schedule, &[1]);
     }

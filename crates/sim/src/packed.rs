@@ -491,7 +491,10 @@ mod tests {
         let bytes = PackedTrace::from_iter(sample_events()).to_bytes();
         for len in [0, 10, bytes.len() - 8, bytes.len() - 1] {
             let err = PackedTrace::from_bytes(&bytes[..len]).unwrap_err();
-            assert!(matches!(err, TraceFileError::Corrupt { .. }), "{len}: {err}");
+            assert!(
+                matches!(err, TraceFileError::Corrupt { .. }),
+                "{len}: {err}"
+            );
         }
     }
 
@@ -518,8 +521,8 @@ mod tests {
 
     #[test]
     fn file_round_trip_and_io_errors() {
-        let path = std::env::temp_dir()
-            .join(format!("randmod-trace-test-{}.bin", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("randmod-trace-test-{}.bin", std::process::id()));
         let packed: PackedTrace = sample_events().into_iter().collect();
         packed.write_file(&path).unwrap();
         assert_eq!(PackedTrace::read_file(&path).unwrap(), packed);

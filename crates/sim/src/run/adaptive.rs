@@ -103,7 +103,11 @@ impl fmt::Display for AdaptiveResult {
         write!(
             f,
             "{} after {} runs ({} checkpoints): pWCET estimate {:.0} cycles",
-            if self.converged { "converged" } else { "run cap reached" },
+            if self.converged {
+                "converged"
+            } else {
+                "run cap reached"
+            },
             self.runs_used(),
             self.trajectory.len(),
             self.pwcet_estimate

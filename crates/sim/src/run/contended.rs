@@ -56,7 +56,9 @@ impl ContendedRun {
     pub fn aggregate_stats(&self) -> HierarchyStats {
         self.tasks
             .iter()
-            .fold(HierarchyStats::default(), |acc, task| acc.merged(task.stats))
+            .fold(HierarchyStats::default(), |acc, task| {
+                acc.merged(task.stats)
+            })
     }
 }
 
@@ -114,7 +116,9 @@ impl ContendedResult {
     /// (`run0·task0, run0·task1, …, run1·task0, …`) — the flat layout
     /// `randmod_mbpta`'s per-task sample extraction splits back apart.
     pub fn flat_cycles_iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.runs.iter().flat_map(|run| run.tasks.iter().map(|t| t.cycles))
+        self.runs
+            .iter()
+            .flat_map(|run| run.tasks.iter().map(|t| t.cycles))
     }
 
     /// The victim's (task 0's) runs as a single-task [`CampaignResult`],

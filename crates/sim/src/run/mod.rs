@@ -330,8 +330,14 @@ mod tests {
     fn deterministic_layout_sweep_records_layout_indices() {
         let campaign = Campaign::new(PlatformConfig::leon3_deterministic(), 0).with_threads(2);
         let base = stress_trace();
-        let layouts: Vec<Trace> = (0..5u64).map(|i| base.with_offsets(i * 64, i * 4096)).collect();
-        let sweep = || campaign.run_layout_sweep_with(layouts.len(), |i| &layouts[i]).unwrap();
+        let layouts: Vec<Trace> = (0..5u64)
+            .map(|i| base.with_offsets(i * 64, i * 4096))
+            .collect();
+        let sweep = || {
+            campaign
+                .run_layout_sweep_with(layouts.len(), |i| &layouts[i])
+                .unwrap()
+        };
         let result = sweep();
         assert_eq!(result.len(), 5);
         let indices: Vec<u64> = result.runs().iter().map(|r| r.seed).collect();
@@ -353,8 +359,12 @@ mod tests {
     fn streamed_layout_sweep_matches_collected_sweep() {
         let campaign = Campaign::new(PlatformConfig::leon3_deterministic(), 0).with_threads(3);
         let base = stress_trace();
-        let layouts: Vec<Trace> = (0..7u64).map(|i| base.with_offsets(i * 64, i * 4096)).collect();
-        let collected = campaign.run_layout_sweep_with(layouts.len(), |i| &layouts[i]).unwrap();
+        let layouts: Vec<Trace> = (0..7u64)
+            .map(|i| base.with_offsets(i * 64, i * 4096))
+            .collect();
+        let collected = campaign
+            .run_layout_sweep_with(layouts.len(), |i| &layouts[i])
+            .unwrap();
         let streamed = campaign
             .run_layout_sweep_with(7, |i| base.with_offsets(i as u64 * 64, i as u64 * 4096))
             .unwrap();
@@ -371,7 +381,10 @@ mod tests {
         .with_threads(2);
         let trace = stress_trace();
         let packed = crate::packed::PackedTrace::from(&trace);
-        assert_eq!(campaign.run(&trace).unwrap(), campaign.run(&packed).unwrap());
+        assert_eq!(
+            campaign.run(&trace).unwrap(),
+            campaign.run(&packed).unwrap()
+        );
     }
 
     #[test]
@@ -530,7 +543,13 @@ mod tests {
             .unwrap();
         assert_eq!(contended.victim_result(), solo);
         for run in contended.runs() {
-            assert_eq!(run.tasks[1], TaskRun { cycles: 0, stats: HierarchyStats::default() });
+            assert_eq!(
+                run.tasks[1],
+                TaskRun {
+                    cycles: 0,
+                    stats: HierarchyStats::default()
+                }
+            );
         }
     }
 
@@ -566,14 +585,22 @@ mod tests {
             .is_empty());
         assert_eq!(ContendedResult::default().task_count(), 0);
         assert_eq!(
-            campaign.with_arbitration(crate::contention::Arbitration::SeededRandom).arbitration(),
+            campaign
+                .with_arbitration(crate::contention::Arbitration::SeededRandom)
+                .arbitration(),
             crate::contention::Arbitration::SeededRandom
         );
         let flat: Vec<u64> = ContendedResult::from_runs(vec![ContendedRun {
             seed: 1,
             tasks: vec![
-                TaskRun { cycles: 10, stats: HierarchyStats::default() },
-                TaskRun { cycles: 20, stats: HierarchyStats::default() },
+                TaskRun {
+                    cycles: 10,
+                    stats: HierarchyStats::default(),
+                },
+                TaskRun {
+                    cycles: 20,
+                    stats: HierarchyStats::default(),
+                },
             ],
         }])
         .flat_cycles_iter()
@@ -596,7 +623,9 @@ mod tests {
             .with_check_interval(5)
             .with_max_runs(25)
             .with_block_size(5);
-        let adaptive = campaign.run_contended_adaptive(&sources, &criterion).unwrap();
+        let adaptive = campaign
+            .run_contended_adaptive(&sources, &criterion)
+            .unwrap();
         assert!(adaptive.runs_used() >= 10 && adaptive.runs_used() <= 25);
         assert!(!adaptive.trajectory().is_empty());
         assert!(adaptive.pwcet_estimate() > 0.0);

@@ -58,6 +58,8 @@ impl Campaign {
     /// runner's checkpoint file naming, for one) can compute the schedule
     /// a campaign will use without running it.
     pub fn seed_schedule(&self) -> Vec<u64> {
-        SeedSequence::new(self.campaign_seed).take(self.runs).collect()
+        SeedSequence::new(self.campaign_seed)
+            .take(self.runs)
+            .collect()
     }
 }

@@ -250,7 +250,11 @@ pub fn decode_solo_runs(payload: &[u8], expected_seeds: &[u64]) -> Option<Vec<Ru
         }
         let cycles = read_u64(payload, &mut pos)?;
         let stats = read_hierarchy_stats(payload, &mut pos)?;
-        runs.push(RunResult { seed, cycles, stats });
+        runs.push(RunResult {
+            seed,
+            cycles,
+            stats,
+        });
     }
     (pos == payload.len()).then_some(runs)
 }
@@ -368,7 +372,12 @@ impl Campaign {
     /// The resume-safety fingerprint of a sharded contended campaign:
     /// additionally covers the arbitration policy, the task count and
     /// every task's trace.
-    pub fn contended_sharded_fingerprint<S>(&self, sources: &[S], seeds: &[u64], shards: usize) -> u64
+    pub fn contended_sharded_fingerprint<S>(
+        &self,
+        sources: &[S],
+        seeds: &[u64],
+        shards: usize,
+    ) -> u64
     where
         S: EventSource,
     {
@@ -430,8 +439,9 @@ where
             Err(CheckpointError::Corrupt { detail, .. }) => {
                 // Header-level damage: nothing in the file is trustworthy,
                 // so restart from run 0 — but say so, loudly.
-                diagnostics
-                    .push(format!("existing checkpoint unusable ({detail}); starting fresh"));
+                diagnostics.push(format!(
+                    "existing checkpoint unusable ({detail}); starting fresh"
+                ));
             }
             Err(other) => return Err(other.into()),
             Ok(decoded) => {
@@ -588,7 +598,11 @@ impl Campaign {
             shards,
             self.contended_sharded_fingerprint(sources, &seeds, shards),
             store,
-            |shard_seeds| Ok(self.run_contended_validated(sources, shard_seeds)?.into_runs()),
+            |shard_seeds| {
+                Ok(self
+                    .run_contended_validated(sources, shard_seeds)?
+                    .into_runs())
+            },
             encode_contended_runs,
             |payload, shard_seeds| decode_contended_runs(payload, shard_seeds, tasks),
         )?;
@@ -665,7 +679,9 @@ mod tests {
         let reference = campaign.run(&trace).unwrap();
         for shards in [1, 2, 3, 5, 13, 40] {
             let mut store = MemoryCheckpointStore::new();
-            let report = campaign.run_sharded_checkpointed(&trace, shards, &mut store).unwrap();
+            let report = campaign
+                .run_sharded_checkpointed(&trace, shards, &mut store)
+                .unwrap();
             assert_eq!(report.result, reference, "{shards}");
         }
     }
@@ -708,14 +724,18 @@ mod tests {
         let campaign = campaign(10);
         let reference = campaign.run(&trace).unwrap();
         let mut store = MemoryCheckpointStore::new();
-        let report = campaign.run_sharded_checkpointed(&trace, 4, &mut store).unwrap();
+        let report = campaign
+            .run_sharded_checkpointed(&trace, 4, &mut store)
+            .unwrap();
         assert_eq!(report.result, reference);
         assert_eq!(report.shard_count, 4);
         assert_eq!(report.resumed, 0);
         assert_eq!(report.executed, 4);
         assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
         // A second invocation restores everything.
-        let resumed = campaign.run_sharded_checkpointed(&trace, 4, &mut store).unwrap();
+        let resumed = campaign
+            .run_sharded_checkpointed(&trace, 4, &mut store)
+            .unwrap();
         assert_eq!(resumed.result, reference);
         assert_eq!(resumed.resumed, 4);
         assert_eq!(resumed.executed, 0);
@@ -743,7 +763,10 @@ mod tests {
         // Threads and lanes do not (they are bit-invariant).
         assert_eq!(
             base,
-            a.clone().with_threads(7).with_lanes(1).sharded_fingerprint(&trace, &seeds, 4)
+            a.clone()
+                .with_threads(7)
+                .with_lanes(1)
+                .sharded_fingerprint(&trace, &seeds, 4)
         );
     }
 
@@ -755,11 +778,16 @@ mod tests {
         a.run_sharded_checkpointed(&trace, 2, &mut store).unwrap();
         // Different campaign seed → different fingerprint → refusal.
         let b = a.clone().with_campaign_seed(999);
-        let err = b.run_sharded_checkpointed(&trace, 2, &mut store).unwrap_err();
-        assert!(matches!(
-            err,
-            CampaignError::Checkpoint(CheckpointError::Mismatch { .. })
-        ), "{err}");
+        let err = b
+            .run_sharded_checkpointed(&trace, 2, &mut store)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CampaignError::Checkpoint(CheckpointError::Mismatch { .. })
+            ),
+            "{err}"
+        );
         assert!(err.to_string().contains("different campaign"), "{err}");
     }
 

@@ -401,10 +401,7 @@ mod tests {
         let t = sample_trace();
         assert_eq!(t.len(), 5);
         assert!(!t.is_empty());
-        assert_eq!(
-            t.events()[0],
-            MemEvent::InstrFetch(Address::new(0x1000))
-        );
+        assert_eq!(t.events()[0], MemEvent::InstrFetch(Address::new(0x1000)));
         assert_eq!(t.events()[3], MemEvent::Store(Address::new(0x8020)));
         assert_eq!(t.events()[4], MemEvent::Compute(3));
     }

@@ -72,7 +72,11 @@ fn adaptive_prefix_is_bit_identical_to_run_seeds() {
         // cycles, per-level statistics) must match bit-for-bit.
         let seeds: Vec<u64> = SeedSequence::new(0xADA7).take(n).collect();
         let fixed = campaign.run_seeds(&trace, &seeds).unwrap();
-        assert_eq!(adaptive.result(), &fixed, "adaptive prefix diverged under {placement}");
+        assert_eq!(
+            adaptive.result(),
+            &fixed,
+            "adaptive prefix diverged under {placement}"
+        );
     }
 }
 
@@ -142,5 +146,8 @@ fn converged_estimate_tracks_the_sample_high_water_mark() {
     // Checkpoints are ordered and non-empty.
     let runs: Vec<usize> = adaptive.trajectory().iter().map(|c| c.runs).collect();
     assert!(!runs.is_empty());
-    assert!(runs.windows(2).all(|w| w[0] < w[1]), "checkpoints out of order: {runs:?}");
+    assert!(
+        runs.windows(2).all(|w| w[0] < w[1]),
+        "checkpoints out of order: {runs:?}"
+    );
 }

@@ -30,7 +30,11 @@ fn stress_trace() -> Trace {
 }
 
 /// The sequential single-thread single-lane reference for `runs` runs.
-fn sequential_reference(config: PlatformConfig, runs: usize, seed: u64) -> randmod_sim::CampaignResult {
+fn sequential_reference(
+    config: PlatformConfig,
+    runs: usize,
+    seed: u64,
+) -> randmod_sim::CampaignResult {
     Campaign::new(config, runs)
         .with_campaign_seed(seed)
         .with_threads(1)

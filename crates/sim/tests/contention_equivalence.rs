@@ -173,7 +173,11 @@ fn contended_schedule_is_a_pure_function_of_the_seed() {
         let campaign = Campaign::new(config, 0).with_arbitration(arbitration);
         let result = campaign.run_contended(&sources, &[5, 5, 9]).unwrap();
         // Identical seeds → identical task outcomes within one campaign.
-        assert_eq!(result.runs()[0].tasks, result.runs()[1].tasks, "{arbitration}");
+        assert_eq!(
+            result.runs()[0].tasks,
+            result.runs()[1].tasks,
+            "{arbitration}"
+        );
         // A different seed changes the layout (and generally the outcome),
         // but re-running the campaign reproduces everything.
         let again = campaign.run_contended(&sources, &[5, 5, 9]).unwrap();

@@ -71,7 +71,11 @@ fn resume_and_check(
     let report = campaign()
         .run_sharded_checkpointed(&victim_trace(), SHARDS, store)
         .unwrap();
-    assert_eq!(report.result, reference(), "resume diverged from the uninterrupted campaign");
+    assert_eq!(
+        report.result,
+        reference(),
+        "resume diverged from the uninterrupted campaign"
+    );
     assert_eq!(report.resumed + report.executed, SHARDS);
     report
 }
@@ -83,7 +87,10 @@ fn kill_before_each_save_resumes_bit_identical() {
     for boundary in 0..SHARDS {
         let (mut store, err) = interrupted_run(FaultPlan::new().kill_before_save(boundary));
         assert!(
-            matches!(err, CampaignError::Checkpoint(CheckpointError::Interrupted { .. })),
+            matches!(
+                err,
+                CampaignError::Checkpoint(CheckpointError::Interrupted { .. })
+            ),
             "boundary {boundary}: {err}"
         );
         let report = resume_and_check(&mut store);
@@ -99,12 +106,19 @@ fn kill_after_each_save_resumes_bit_identical() {
     for boundary in 0..SHARDS {
         let (mut store, err) = interrupted_run(FaultPlan::new().kill_after_save(boundary));
         assert!(
-            matches!(err, CampaignError::Checkpoint(CheckpointError::Interrupted { .. })),
+            matches!(
+                err,
+                CampaignError::Checkpoint(CheckpointError::Interrupted { .. })
+            ),
             "boundary {boundary}: {err}"
         );
         let report = resume_and_check(&mut store);
         assert_eq!(report.resumed, boundary + 1, "boundary {boundary}");
-        assert_eq!(report.executed, SHARDS - boundary - 1, "boundary {boundary}");
+        assert_eq!(
+            report.executed,
+            SHARDS - boundary - 1,
+            "boundary {boundary}"
+        );
     }
 }
 
@@ -126,7 +140,10 @@ fn io_error_on_load_is_contextual_not_a_fresh_start() {
     // An unreadable checkpoint must NOT silently restart the campaign
     // (that would clobber recoverable progress): it surfaces as an IO
     // error naming the store.
-    let mut store = FaultyStore::new(MemoryCheckpointStore::new(), FaultPlan::new().error_on_load());
+    let mut store = FaultyStore::new(
+        MemoryCheckpointStore::new(),
+        FaultPlan::new().error_on_load(),
+    );
     let err = campaign()
         .run_sharded_checkpointed(&victim_trace(), SHARDS, &mut store)
         .unwrap_err();
@@ -144,10 +161,15 @@ fn truncated_checkpoint_reruns_lost_shards_only() {
     // broken record framing drops everything damaged, and resume re-runs
     // what was lost, converging bit-identically.
     let (mut store, _) = interrupted_run(
-        FaultPlan::new().truncate_after_save(1, 100).kill_after_save(1),
+        FaultPlan::new()
+            .truncate_after_save(1, 100)
+            .kill_after_save(1),
     );
     let report = resume_and_check(&mut store);
-    assert!(report.executed >= SHARDS - 1, "truncation must cost the damaged records");
+    assert!(
+        report.executed >= SHARDS - 1,
+        "truncation must cost the damaged records"
+    );
     assert!(
         !report.diagnostics.is_empty(),
         "dropped records must be reported, not silent"
@@ -159,13 +181,18 @@ fn truncated_header_restarts_fresh_with_a_diagnostic() {
     // Torn down to 10 bytes: not even the header survives.  The file is
     // unusable; the driver restarts from shard 0 and says so.
     let (mut store, _) = interrupted_run(
-        FaultPlan::new().truncate_after_save(2, 10).kill_after_save(2),
+        FaultPlan::new()
+            .truncate_after_save(2, 10)
+            .kill_after_save(2),
     );
     let report = resume_and_check(&mut store);
     assert_eq!(report.resumed, 0);
     assert_eq!(report.executed, SHARDS);
     assert!(
-        report.diagnostics.iter().any(|d| d.contains("starting fresh")),
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.contains("starting fresh")),
         "{:?}",
         report.diagnostics
     );
@@ -184,12 +211,18 @@ fn bit_flips_are_detected_never_silently_merged() {
     // Sample byte offsets across the whole file, including the header.
     for byte_index in (0..probe).step_by(probe / 23 + 1) {
         let (mut store, _) = interrupted_run(
-            FaultPlan::new().bit_flip_after_save(2, byte_index).kill_after_save(2),
+            FaultPlan::new()
+                .bit_flip_after_save(2, byte_index)
+                .kill_after_save(2),
         );
         let report = resume_and_check(&mut store);
         // Three shards were recorded; at most those three resume, and the
         // flip may cost some of them (or all, if it hit the header).
-        assert!(report.resumed <= 3, "byte {byte_index}: resumed {}", report.resumed);
+        assert!(
+            report.resumed <= 3,
+            "byte {byte_index}: resumed {}",
+            report.resumed
+        );
     }
 }
 
@@ -205,7 +238,10 @@ fn checkpoint_from_a_different_campaign_is_refused() {
         .run_sharded_checkpointed(&opponent_trace(), SHARDS, &mut store)
         .unwrap_err();
     assert!(
-        matches!(err, CampaignError::Checkpoint(CheckpointError::Mismatch { .. })),
+        matches!(
+            err,
+            CampaignError::Checkpoint(CheckpointError::Mismatch { .. })
+        ),
         "{err}"
     );
     // The original campaign still resumes untouched.
@@ -231,7 +267,10 @@ fn contended_faults_resume_bit_identical_too() {
             .run_contended_sharded_checkpointed(&sources, SHARDS, &mut store)
             .unwrap_err();
         assert!(
-            matches!(err, CampaignError::Checkpoint(CheckpointError::Interrupted { .. })),
+            matches!(
+                err,
+                CampaignError::Checkpoint(CheckpointError::Interrupted { .. })
+            ),
             "{err}"
         );
         let mut inner = store.into_inner();
@@ -249,10 +288,7 @@ fn file_store_survives_a_kill_between_processes() {
     // The file store is what real campaigns use: run with a kill plan,
     // then resume through a *fresh* FileCheckpointStore (as a restarted
     // process would), and converge bit-identically.
-    let path = std::env::temp_dir().join(format!(
-        "randmod-fault-test-{}.ckpt",
-        std::process::id()
-    ));
+    let path = std::env::temp_dir().join(format!("randmod-fault-test-{}.ckpt", std::process::id()));
     let mut first = FaultyStore::new(
         FileCheckpointStore::new(&path),
         FaultPlan::new().kill_after_save(1),

@@ -162,7 +162,9 @@ impl RefCache {
     /// One access and everything it did.
     fn access(&mut self, addr: Address, is_write: bool) -> RefOutcome {
         let line = self.geometry.line_addr(addr).raw();
-        let set = self.placement.set_index_of_line(self.geometry.line_addr(addr)) as usize;
+        let set = self
+            .placement
+            .set_index_of_line(self.geometry.line_addr(addr)) as usize;
         self.stats.accesses += 1;
         if is_write {
             self.stats.stores += 1;
@@ -366,7 +368,9 @@ impl RefSharedL2 {
         };
         RefSharedL2 {
             config,
-            tasks: (0..tasks).map(|_| (build(&config.il1), build(&config.dl1))).collect(),
+            tasks: (0..tasks)
+                .map(|_| (build(&config.il1), build(&config.dl1)))
+                .collect(),
             l2: build(&config.l2),
             l2_views: vec![CacheStats::default(); tasks],
             memory_accesses: vec![0; tasks],
@@ -438,7 +442,8 @@ impl RefSharedL2 {
                 self.tasks[task].1.access(addr, true);
                 let before = self.l2.stats;
                 let hit = self.l2.access(addr, true).hit;
-                self.l2_views[task] = self.l2_views[task].merged(stats_delta(self.l2.stats, before));
+                self.l2_views[task] =
+                    self.l2_views[task].merged(stats_delta(self.l2.stats, before));
                 if !hit {
                     self.memory_accesses[task] += 1;
                 }
@@ -488,8 +493,11 @@ impl RefContentionCore {
         let tasks = self.hierarchy.task_count();
         self.hierarchy.reseed(seed);
         self.hierarchy.reset_stats();
-        let mut queues: Vec<std::collections::VecDeque<MemEvent>> =
-            traces.iter().take(tasks).map(|t| t.iter().copied().collect()).collect();
+        let mut queues: Vec<std::collections::VecDeque<MemEvent>> = traces
+            .iter()
+            .take(tasks)
+            .map(|t| t.iter().copied().collect())
+            .collect();
         queues.resize_with(tasks, std::collections::VecDeque::new);
         let mut cycles = vec![0u64; tasks];
         let mut rng = SplitMix64::new(seed ^ ARBITRATION_SALT);
@@ -526,7 +534,9 @@ impl RefContentionCore {
             let event = queues[task].pop_front().expect("picked a ready task");
             cycles[task] += self.hierarchy.access(task, event);
         }
-        (0..tasks).map(|task| (cycles[task], self.hierarchy.stats(task))).collect()
+        (0..tasks)
+            .map(|task| (cycles[task], self.hierarchy.stats(task)))
+            .collect()
     }
 }
 
@@ -554,7 +564,9 @@ fn assert_lane_bank_matches_reference(
     let mut bank =
         SetAssocCacheLanes::with_kinds(geometry, placement, replacement, write_policy, capacity)
             .unwrap();
-    let seeds: Vec<u64> = (0..active as u64).map(|i| i * 0x9E37_79B9 + 0xFEED).collect();
+    let seeds: Vec<u64> = (0..active as u64)
+        .map(|i| i * 0x9E37_79B9 + 0xFEED)
+        .collect();
     bank.reseed_wave(&seeds);
     assert_eq!(bank.active_lanes(), active);
     let mut references: Vec<RefCache> = seeds
@@ -584,7 +596,11 @@ fn assert_lane_bank_matches_reference(
             }
         }
         let r = sm.next_u64();
-        let line_number = if r & 1 == 0 { (r >> 1) % hot_lines } else { (r >> 1) & 0xFFFF };
+        let line_number = if r & 1 == 0 {
+            (r >> 1) % hot_lines
+        } else {
+            (r >> 1) & 0xFFFF
+        };
         let addr = Address::new(line_number * u64::from(geometry.line_size()));
         let kind = match step % 5 {
             0 | 1 => AccessKind::Load,

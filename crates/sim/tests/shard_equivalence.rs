@@ -165,7 +165,9 @@ fn default_schedule_sharded_drivers_match_run() {
         .with_campaign_seed(77)
         .with_threads(2);
     let mut store = MemoryCheckpointStore::new();
-    let report = campaign.run_sharded_checkpointed(&victim, 4, &mut store).unwrap();
+    let report = campaign
+        .run_sharded_checkpointed(&victim, 4, &mut store)
+        .unwrap();
     assert_eq!(report.result, campaign.run(&victim).unwrap());
     assert_eq!(report.executed, 4);
     let sources = [victim, opponent];
@@ -173,7 +175,10 @@ fn default_schedule_sharded_drivers_match_run() {
     let report = campaign
         .run_contended_sharded_checkpointed(&sources, 4, &mut store)
         .unwrap();
-    assert_eq!(report.result, campaign.run_contended_campaign(&sources).unwrap());
+    assert_eq!(
+        report.result,
+        campaign.run_contended_campaign(&sources).unwrap()
+    );
     assert_eq!(report.executed, 4);
     let restored = campaign
         .run_contended_sharded_checkpointed(&sources, 4, &mut store)

@@ -347,9 +347,17 @@ mod tests {
             });
         };
         let mut boxed = Trace::new();
-        emit(&mut KernelBuilder::new(MemoryLayout::default(), 5, &mut boxed));
+        emit(&mut KernelBuilder::new(
+            MemoryLayout::default(),
+            5,
+            &mut boxed,
+        ));
         let mut packed = randmod_sim::PackedTrace::new();
-        emit(&mut KernelBuilder::new(MemoryLayout::default(), 5, &mut packed));
+        emit(&mut KernelBuilder::new(
+            MemoryLayout::default(),
+            5,
+            &mut packed,
+        ));
         assert_eq!(packed.to_trace(), boxed);
     }
 

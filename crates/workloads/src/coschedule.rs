@@ -163,10 +163,14 @@ impl<W: Workload> CoSchedule<W> {
         match level {
             0 => schedule = schedule.with_opponent(Opponent::Idle),
             1 => {
-                schedule = schedule
-                    .with_opponent(Opponent::Synthetic(SyntheticKernel::with_traversals(20 * 1024, 25)));
+                schedule = schedule.with_opponent(Opponent::Synthetic(
+                    SyntheticKernel::with_traversals(20 * 1024, 25),
+                ));
             }
-            2 => schedule = schedule.with_opponent(Opponent::Stress(EembcStress::with_passes(128 * 1024, 32))),
+            2 => {
+                schedule = schedule
+                    .with_opponent(Opponent::Stress(EembcStress::with_passes(128 * 1024, 32)))
+            }
             3 => {
                 for _ in 0..3 {
                     schedule = schedule
@@ -200,13 +204,23 @@ mod tests {
     #[test]
     fn opponents_live_in_disjoint_regions() {
         let schedule = CoSchedule::new(SyntheticKernel::with_traversals(4 * 1024, 1))
-            .with_opponent(Opponent::Synthetic(SyntheticKernel::with_traversals(4 * 1024, 1)))
-            .with_opponent(Opponent::Synthetic(SyntheticKernel::with_traversals(4 * 1024, 1)));
+            .with_opponent(Opponent::Synthetic(SyntheticKernel::with_traversals(
+                4 * 1024,
+                1,
+            )))
+            .with_opponent(Opponent::Synthetic(SyntheticKernel::with_traversals(
+                4 * 1024,
+                1,
+            )));
         let traces = schedule.packed_traces(&MemoryLayout::default());
         let footprints: Vec<(u64, u64)> = traces
             .iter()
             .map(|t| {
-                let events: Vec<_> = t.iter().filter_map(|e| e.address()).map(|a| a.raw()).collect();
+                let events: Vec<_> = t
+                    .iter()
+                    .filter_map(|e| e.address())
+                    .map(|a| a.raw())
+                    .collect();
                 (
                     events.iter().copied().min().unwrap(),
                     events.iter().copied().max().unwrap(),
@@ -226,7 +240,10 @@ mod tests {
         let contended = CoSchedule::new(SyntheticKernel::fits_l2())
             .with_opponent(Opponent::Stress(EembcStress::l2_sized()))
             .with_opponent(Opponent::Idle);
-        assert_eq!(contended.label(), "synthetic-20kb vs eembc-stress-128kb+idle");
+        assert_eq!(
+            contended.label(),
+            "synthetic-20kb vs eembc-stress-128kb+idle"
+        );
         assert!(!contended.is_solo());
         assert_eq!(contended.task_count(), 3);
         assert_eq!(Opponent::Idle.to_string(), "idle");

@@ -375,7 +375,10 @@ mod tests {
     #[test]
     fn labels_are_unique_and_parseable() {
         for benchmark in EembcBenchmark::ALL {
-            assert_eq!(benchmark.label().parse::<EembcBenchmark>().unwrap(), benchmark);
+            assert_eq!(
+                benchmark.label().parse::<EembcBenchmark>().unwrap(),
+                benchmark
+            );
             assert_eq!(
                 benchmark.initials().parse::<EembcBenchmark>().unwrap(),
                 benchmark
@@ -427,8 +430,7 @@ mod tests {
     #[test]
     fn moving_the_program_preserves_the_trace_shape() {
         let base = EembcBenchmark::Tblook.trace(&MemoryLayout::default());
-        let moved =
-            EembcBenchmark::Tblook.trace(&MemoryLayout::default().with_offsets(4096, 8192));
+        let moved = EembcBenchmark::Tblook.trace(&MemoryLayout::default().with_offsets(4096, 8192));
         assert_eq!(base.len(), moved.len());
         assert_ne!(base, moved);
         assert_eq!(
@@ -457,7 +459,10 @@ mod tests {
     fn stress_variant_streams_identically_into_packed_and_boxed_sinks() {
         let stress = EembcStress::with_passes(8 * 1024, 6);
         let layout = MemoryLayout::default();
-        assert_eq!(stress.packed_trace(&layout).to_trace(), stress.trace(&layout));
+        assert_eq!(
+            stress.packed_trace(&layout).to_trace(),
+            stress.trace(&layout)
+        );
     }
 
     #[test]

@@ -50,8 +50,14 @@ impl SyntheticKernel {
     /// Panics if the footprint is smaller than one cache line or the
     /// traversal count is zero.
     pub fn with_traversals(footprint_bytes: u64, traversals: u32) -> Self {
-        assert!(footprint_bytes >= 32, "footprint must cover at least one cache line");
-        assert!(traversals > 0, "the kernel must traverse the vector at least once");
+        assert!(
+            footprint_bytes >= 32,
+            "footprint must cover at least one cache line"
+        );
+        assert!(
+            traversals > 0,
+            "the kernel must traverse the vector at least once"
+        );
         SyntheticKernel {
             footprint_bytes,
             traversals,
@@ -175,7 +181,10 @@ mod tests {
     fn name_and_display_include_footprint() {
         let kernel = SyntheticKernel::fits_l2();
         assert_eq!(kernel.name(), "synthetic-20kb");
-        assert_eq!(kernel.to_string(), "synthetic kernel: 20KB footprint, 50 traversals");
+        assert_eq!(
+            kernel.to_string(),
+            "synthetic kernel: 20KB footprint, 50 traversals"
+        );
     }
 
     #[test]

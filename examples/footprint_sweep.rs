@@ -34,7 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let platform = PlatformConfig::leon3()
                 .with_l1_placement(placement)
                 .with_l2_placement(PlacementKind::HashRandom);
-            let result = Campaign::new(platform, runs).with_campaign_seed(7).run(&trace)?;
+            let result = Campaign::new(platform, runs)
+                .with_campaign_seed(7)
+                .run(&trace)?;
             let sample = ExecutionSample::from_cycles_iter(result.cycles_iter());
             println!(
                 "{:<22} {:<14} {:>14} {:>14.0} {:>14}",

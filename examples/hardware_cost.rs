@@ -20,8 +20,14 @@ fn main() {
     );
     for (name, geometry) in [
         ("LEON3 L1 (16KB, 4-way)", CacheGeometry::leon3_l1()),
-        ("256-set cache (paper sizing)", CacheGeometry::eight_index_bits()),
-        ("LEON3 L2 partition (128KB)", CacheGeometry::leon3_l2_partition()),
+        (
+            "256-set cache (paper sizing)",
+            CacheGeometry::eight_index_bits(),
+        ),
+        (
+            "LEON3 L2 partition (128KB)",
+            CacheGeometry::leon3_l2_partition(),
+        ),
     ] {
         let rm = RmModule::paper_config(geometry.index_bits()).area_delay(&library);
         let hrp = HrpModule::paper_config(geometry.index_bits()).area_delay(&library);

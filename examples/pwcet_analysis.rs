@@ -22,7 +22,9 @@ fn measure(
     let platform = PlatformConfig::leon3()
         .with_l1_placement(placement)
         .with_l2_placement(PlacementKind::HashRandom);
-    let result = Campaign::new(platform, runs).with_campaign_seed(0xFEED).run(&trace)?;
+    let result = Campaign::new(platform, runs)
+        .with_campaign_seed(0xFEED)
+        .run(&trace)?;
     Ok(ExecutionSample::from_cycles_iter(result.cycles_iter()))
 }
 

@@ -17,7 +17,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    packed 8-byte-per-event replay representation.
     let benchmark = EembcBenchmark::A2time;
     let trace = benchmark.packed_trace(&MemoryLayout::default());
-    println!("workload: {} ({} trace events, {})", benchmark, trace.len(), trace);
+    println!(
+        "workload: {} ({} trace events, {})",
+        benchmark,
+        trace.len(),
+        trace
+    );
 
     // 2. Describe the platform: a LEON3-like core with Random Modulo in the
     //    first-level caches and hash-based random placement in the L2.

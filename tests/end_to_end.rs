@@ -24,7 +24,9 @@ where
 fn rm_execution_times_pass_the_iid_tests_for_an_eembc_kernel() {
     let trace = EembcBenchmark::Canrdr.packed_trace(&MemoryLayout::default());
     let sample = measure(&trace, PlacementKind::RandomModulo, 200, 0xAB);
-    let config = MbptaConfig::default().with_block_size(10).with_minimum_runs(100);
+    let config = MbptaConfig::default()
+        .with_block_size(10)
+        .with_minimum_runs(100);
     let report = MbptaAnalysis::new(config).analyze(&sample);
     assert!(report.ww.passed(), "WW statistic {}", report.ww.statistic);
     assert!(report.ks.passed(), "KS p-value {}", report.ks.p_value);
@@ -40,7 +42,9 @@ fn rm_pwcet_is_tighter_than_hrp_for_the_synthetic_20kb_kernel() {
     let rm = measure(&trace, PlacementKind::RandomModulo, 150, 0x20);
     let hrp = measure(&trace, PlacementKind::HashRandom, 150, 0x20);
     let config = MbptaConfig::default().with_minimum_runs(100);
-    let rm_pwcet = MbptaAnalysis::new(config.clone()).analyze(&rm).pwcet_at(1e-15);
+    let rm_pwcet = MbptaAnalysis::new(config.clone())
+        .analyze(&rm)
+        .pwcet_at(1e-15);
     let hrp_pwcet = MbptaAnalysis::new(config).analyze(&hrp).pwcet_at(1e-15);
     assert!(
         rm_pwcet < hrp_pwcet,
@@ -57,7 +61,8 @@ fn rm_average_performance_is_close_to_modulo_for_a_fitting_workload() {
     let trace = kernel.trace(&MemoryLayout::default());
     let rm = measure(&trace, PlacementKind::RandomModulo, 100, 0x44);
 
-    let deterministic = PlatformConfig::leon3_deterministic().with_replacement(ReplacementKind::Lru);
+    let deterministic =
+        PlatformConfig::leon3_deterministic().with_replacement(ReplacementKind::Lru);
     let modulo = Campaign::new(deterministic, 0)
         .run_seeds(&trace, &[0])
         .expect("valid platform");
@@ -142,7 +147,9 @@ fn reducing_cache_pressure_reduces_execution_time() {
         SyntheticKernel::with_traversals(160 * 1024, 5),
     ] {
         let trace = kernel.trace(&MemoryLayout::default());
-        let result = Campaign::new(platform, 20).run(&trace).expect("valid platform");
+        let result = Campaign::new(platform, 20)
+            .run(&trace)
+            .expect("valid platform");
         // Normalise per accessed line so footprints are comparable.
         let lines = kernel.footprint_bytes() / 32;
         means.push(result.mean_cycles() / lines as f64);

@@ -2,7 +2,7 @@
 //! measurement campaigns.
 
 use randmod::core::PlacementKind;
-use randmod::mbpta::{ExecutionSample, Histogram, HighWaterMark, MbptaAnalysis, MbptaConfig};
+use randmod::mbpta::{ExecutionSample, HighWaterMark, Histogram, MbptaAnalysis, MbptaConfig};
 use randmod::sim::{Campaign, PlatformConfig};
 use randmod::workloads::{MemoryLayout, SyntheticKernel, Workload};
 
@@ -23,7 +23,8 @@ fn sample_for(placement: PlacementKind, runs: usize) -> ExecutionSample {
 fn pwcet_estimates_upper_bound_every_observation() {
     for placement in [PlacementKind::RandomModulo, PlacementKind::HashRandom] {
         let sample = sample_for(placement, 150);
-        let report = MbptaAnalysis::new(MbptaConfig::default().with_minimum_runs(100)).analyze(&sample);
+        let report =
+            MbptaAnalysis::new(MbptaConfig::default().with_minimum_runs(100)).analyze(&sample);
         let pwcet = report.pwcet_at(1e-12);
         assert!(
             pwcet >= sample.max() as f64,
@@ -66,7 +67,9 @@ fn block_size_choice_does_not_change_the_qualitative_ranking() {
         let config = MbptaConfig::default()
             .with_block_size(block_size)
             .with_minimum_runs(100);
-        let rm_pwcet = MbptaAnalysis::new(config.clone()).analyze(&rm).pwcet_at(1e-15);
+        let rm_pwcet = MbptaAnalysis::new(config.clone())
+            .analyze(&rm)
+            .pwcet_at(1e-15);
         let hrp_pwcet = MbptaAnalysis::new(config).analyze(&hrp).pwcet_at(1e-15);
         assert!(
             rm_pwcet <= hrp_pwcet,

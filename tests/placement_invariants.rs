@@ -8,11 +8,14 @@ use randmod::core::{Address, CacheGeometry, LineAddr, PlacementKind, Replacement
 
 /// Strategy: a valid cache geometry (sets 8..=1024, ways 1..=8, lines 16/32/64).
 fn geometry_strategy() -> impl Strategy<Value = CacheGeometry> {
-    (3u32..=10, 1u32..=8, prop_oneof![Just(16u32), Just(32u32), Just(64u32)]).prop_map(
-        |(set_bits, ways, line)| {
-            CacheGeometry::new(1 << set_bits, ways, line).expect("generated geometry is valid")
-        },
+    (
+        3u32..=10,
+        1u32..=8,
+        prop_oneof![Just(16u32), Just(32u32), Just(64u32)],
     )
+        .prop_map(|(set_bits, ways, line)| {
+            CacheGeometry::new(1 << set_bits, ways, line).expect("generated geometry is valid")
+        })
 }
 
 proptest! {
