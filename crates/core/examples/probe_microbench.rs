@@ -1,69 +1,88 @@
-//! Micro-benchmark of the wavefront probe.
+//! Micro-benchmark of the lane cache's one access entry point.
 //!
-//! Times `SetAssocCacheLanes::access_lean_lanes` on one synthetic L1-like
-//! access stream, per placement kind, at K lanes — the per-wave probe cost
-//! at the core of every campaign, without trace decode or hierarchy
-//! booking.  End-to-end campaign cost is measured by `perfbench/`.
+//! Times `SetAssocCacheLanes::access` over every active lane, per
+//! placement kind, at K = 1, 2, 4 and 8 lanes, on two access streams of the
+//! 16KB 4-way LEON3-like L1 geometry:
+//!
+//! * `hot`: a small hot code/data footprint with a cold streaming
+//!   component, similar in hit ratio to the collapsed campaign replay;
+//! * `sweep`: the fig6 victim's sweep — 640 consecutive lines (20KB) read
+//!   in order, over and over, so 40–50% of the accesses miss under the
+//!   randomised placements.
+//!
+//! It prints the time per lane-access in ns: the probe cost at the core of
+//! every campaign, without trace decode or hierarchy booking.  End-to-end
+//! campaign cost is measured by `perfbench/`.
 //!
 //! Run with `cargo run --release -p randmod-core --example probe_microbench`.
 
 use randmod_core::cache::{AccessKind, SetAssocCacheLanes, WritePolicy};
-use randmod_core::{CacheGeometry, LineAddr, PlacementKind, ReplacementKind};
+use randmod_core::{AccessFlags, CacheGeometry, LineAddr, PlacementKind, ReplacementKind};
 use std::hint::black_box;
 use std::time::Instant;
 
-const LANES: usize = 8;
-const STEPS: usize = 2_000_000;
+/// Lane widths timed.
+const WIDTHS: [usize; 4] = [1, 2, 4, 8];
+/// Accesses per timed cell.
+const STEPS: usize = 1_000_000;
 
 /// A synthetic L1-like access stream: a small hot code/data footprint with
-/// a cold streaming component, similar in hit ratio to the collapsed
-/// campaign replay.
-fn access_stream() -> Vec<(u64, AccessKind)> {
-    let mut stream = Vec::with_capacity(STEPS);
-    for i in 0..STEPS as u64 {
-        let (line, kind) = match i % 4 {
-            0 => (0x40 + (i % 24), AccessKind::InstructionFetch),
+/// a cold streaming component.
+fn hot_stream() -> Vec<(u64, AccessKind)> {
+    (0..STEPS as u64)
+        .map(|i| match i % 4 {
+            0 | 2 => (0x40 + (i % 24), AccessKind::InstructionFetch),
             1 => (0x8000 + (i % 4096), AccessKind::Load),
-            2 => (0x40 + (i % 24), AccessKind::InstructionFetch),
-            _ => {
-                if i % 20 == 3 {
-                    (0x10_000 + (i % 128), AccessKind::Store)
-                } else {
-                    (0x8000 + ((i * 7) % 4096), AccessKind::Load)
-                }
-            }
-        };
-        stream.push((line, kind));
+            _ if i % 20 == 3 => (0x10_000 + (i % 128), AccessKind::Store),
+            _ => (0x8000 + ((i * 7) % 4096), AccessKind::Load),
+        })
+        .collect()
+}
+
+/// The fig6 victim's sweep: 640 consecutive 32-byte lines (20KB), loaded
+/// in order, round after round.
+fn sweep_stream() -> Vec<(u64, AccessKind)> {
+    (0..STEPS as u64)
+        .map(|i| (0x2_0000 + i % 640, AccessKind::Load))
+        .collect()
+}
+
+/// Nanoseconds per lane-access of `stream` on a fresh `lanes`-lane bank.
+fn time(kind: PlacementKind, lanes: usize, stream: &[(u64, AccessKind)]) -> f64 {
+    let geometry = CacheGeometry::new(128, 4, 32).unwrap();
+    let mut bank = SetAssocCacheLanes::with_kinds(
+        geometry,
+        kind,
+        ReplacementKind::Random,
+        WritePolicy::WriteThrough,
+        lanes,
+    )
+    .unwrap();
+    let seeds: Vec<u64> = (0..lanes as u64).map(|l| 0xBEEF ^ (l * 0x9E37)).collect();
+    bank.reseed_wave(&seeds);
+    let mut flags = vec![AccessFlags::default(); lanes];
+    let start = Instant::now();
+    for &(line, access) in stream {
+        bank.access(LineAddr::new(line), access, u64::MAX, &mut flags);
+        black_box(&flags);
     }
-    stream
+    start.elapsed().as_secs_f64() / (stream.len() * lanes) as f64 * 1e9
 }
 
 fn main() {
-    let geometry = CacheGeometry::new(128, 4, 32).unwrap();
-    let stream = access_stream();
-    let seeds: Vec<u64> = (0..LANES as u64).map(|l| 0xBEEF ^ (l * 0x9E37)).collect();
-
-    for kind in PlacementKind::ALL {
-        let mut bank = SetAssocCacheLanes::with_kinds(
-            geometry,
-            kind,
-            ReplacementKind::Random,
-            WritePolicy::WriteThrough,
-            LANES,
-        )
-        .unwrap();
-        bank.reseed_wave(&seeds);
-        let mut flags = [Default::default(); LANES];
-        let start = Instant::now();
-        for &(line, access) in &stream {
-            bank.access_lean_lanes(LineAddr::new(line), access, &mut flags);
-            black_box(&flags);
+    println!("# ns per lane-access, {STEPS} accesses per cell");
+    print!("{:<6}{:>14}", "stream", "placement");
+    for lanes in WIDTHS {
+        print!("{:>9}", format!("K={lanes}"));
+    }
+    println!();
+    for (name, stream) in [("hot", hot_stream()), ("sweep", sweep_stream())] {
+        for kind in PlacementKind::ALL {
+            print!("{name:<6}{kind:>14}");
+            for lanes in WIDTHS {
+                print!("{:>9.1}", time(kind, lanes, &stream));
+            }
+            println!();
         }
-        let wave = start.elapsed().as_secs_f64();
-        let per_wave = wave / STEPS as f64 * 1e9;
-        println!(
-            "{kind:>14}: wave {per_wave:7.1} ns/op  ({:.1} ns per lane-access at K = {LANES})",
-            per_wave / LANES as f64
-        );
     }
 }

@@ -178,23 +178,31 @@ impl AccessFlags {
 /// never be a real line.
 const INVALID_TAG: u64 = u64::MAX;
 
+/// Bit `index` of a packed bitmap (the dirty bitmap covers every tag
+/// cell, so an index past its end never occurs and reads as clear).
 #[inline]
 fn bit_get(words: &[u64], index: usize) -> bool {
-    (words[index >> 6] >> (index & 63)) & 1 == 1
+    words
+        .get(index >> 6)
+        .is_some_and(|word| (word >> (index & 63)) & 1 == 1)
 }
 
 #[inline]
 fn bit_set(words: &mut [u64], index: usize) {
-    words[index >> 6] |= 1 << (index & 63);
+    if let Some(word) = words.get_mut(index >> 6) {
+        *word |= 1 << (index & 63);
+    }
 }
 
 #[inline]
 fn bit_clear(words: &mut [u64], index: usize) {
-    words[index >> 6] &= !(1 << (index & 63));
+    if let Some(word) = words.get_mut(index >> 6) {
+        *word &= !(1 << (index & 63));
+    }
 }
 
-/// `u32::MAX` as a way sentinel in the wavefront probe's select chains
-/// ("no hit way found yet" / "no invalid way found yet").
+/// `u32::MAX` as a way sentinel of the probe ("no hit way found yet" /
+/// "no invalid way found yet").
 const NO_WAY: u32 = u32::MAX;
 
 /// Slot count of the wave residency filter (direct-mapped on the low line
@@ -212,50 +220,55 @@ fn mask_of(n: usize) -> u64 {
     }
 }
 
-/// K per-seed caches probed as one wavefront.
+/// K per-seed caches behind one masked access.
 ///
 /// The lane-batched replay engine applies each decoded trace op to K
-/// independent per-seed cache hierarchies.  `SetAssocCacheLanes` stores
-/// those K caches' tags *lane-major* — `tags[(set * ways + way) * K + lane]`
-/// — so the K tags a probe must compare for one way sit in one contiguous
-/// block, and processes one op across all lanes as fixed-width chunks:
+/// independent per-seed cache hierarchies.  `SetAssocCacheLanes` holds
+/// those K caches in one bank, tags stored *lane-major* —
+/// `tags[(set * ways + way) * K + lane]` — and [`Self::access`] applies
+/// one access to the lanes a *lane mask* selects (bit `i` = lane `i`), in
+/// three steps:
 ///
-/// * **Uniform placement** (Modulo/XOR — the set index is seed-independent):
-///   every lane probes the same set, so the probe sweeps `ways` contiguous
-///   K-wide rows with a branch-free select chain the compiler
-///   autovectorizes (compare a row against the broadcast line address, blend
-///   the way number into the per-lane hit/invalid accumulators).
-/// * **Per-lane placement** (hRP/RM): [`PlacementLanes::index_lanes`]
-///   produces K set indices in one sweep, then the same select chain runs
-///   with per-lane strides.
-/// * **Replacement draws are batched**: a miss wave collects the lanes that
-///   need a victim (full set, Random replacement) and draws all of them
-///   with one [`CombinedLfsrLanes::next_below_lanes`] sweep.
+/// 1. **The wave residency filter** (below): when every selected lane
+///    provably holds the line and the access would change nothing, the
+///    call books all-hit without placement or probe.
+/// 2. **One placement sweep**: [`PlacementLanes::index_lanes`] maps the
+///    line to a set for every active lane — one index for the
+///    seed-independent Modulo/XOR, a memoised row copy for hRP and RM.
+/// 3. **A per-lane probe**: each selected lane the filter does not already
+///    place scans its set way by way, stops at the first match (or
+///    remembers the first invalid way), and resolves its own outcome — LRU
+///    touch, dirty bit, victim pick, eviction.  A lane whose Random victim
+///    is due draws it from its own PRNG stream at the point of its miss.
 ///
-/// The probe keeps the **lowest** matching way — exactly what a way-by-way
-/// early-exit probe finds (at most one way can match a line, and the first
-/// invalid way seen is the one a fill takes).  Each lane's
-/// hit/miss/eviction sequence — and therefore its cycles and statistics —
-/// is that of one independent cache reseeded with the same value: the
-/// reference model's lane-bank oracle (`crates/sim/tests/reference_model.rs`)
-/// pins this access by access against naive per-lane caches, and its
-/// engine-level proptests pin the hierarchies built on the bank.
+/// A wave of L1s selects every active lane; the L2 behind it the lanes
+/// whose L1 missed.  Lanes outside the mask are neither probed nor
+/// written, and each lane draws only on its own full-set allocating
+/// misses, so each lane's hit/miss/eviction sequence — and therefore its
+/// cycles and statistics — is that of one independent cache reseeded with
+/// the same value, whichever subsets of the access stream it takes part
+/// in.  The reference model's lane-bank oracle
+/// (`crates/sim/tests/reference_model.rs`) pins this access by access
+/// against naive per-lane caches, on full and on random lane masks, and
+/// its engine-level proptests pin the hierarchies built on the bank.
 ///
 /// Repeat reads short-circuit through a *wave residency filter*: a small
-/// direct-mapped table of recently read lines and their K per-lane cell
-/// indices.  Every lane replays the same
-/// line stream, so one table serves the whole wave: a repeat read whose
-/// line is still resident in *every* lane short-circuits placement and
-/// probe entirely, which is what makes hot-loop instruction fetch and
-/// in-cache data reuse nearly free per lane.  It is armed only under
-/// Random replacement, where a read hit mutates no
-/// state, so taking or missing the fast path changes no outcome.  The
-/// per-lane valid bits are *authoritative*: every fill that evicts a line
-/// also clears the victim's bit in the victim's filter slot, so a set bit
-/// proves residency and the fast path needs no tag re-check (fills are
-/// rare; filter hits are the steady state).  Idempotent repeat stores
-/// short-circuit too — a write-through store hit mutates nothing, and a
-/// write-back store hit whose dirty bits are already set mutates nothing.
+/// direct-mapped table of recently accessed lines and their K per-lane
+/// cell indices.  Every lane replays the same line stream, so one table
+/// serves the whole bank: a repeat read whose line is resident in *every*
+/// selected lane skips placement and probe entirely, which is what makes
+/// hot-loop instruction fetch and in-cache data reuse nearly free per
+/// lane, and in a mixed access only the lanes not known to hold the line
+/// are probed.  It is armed only under Random replacement, where a read
+/// hit mutates no state, so taking or missing the fast path changes no
+/// outcome.  The per-lane valid bits are *authoritative*: every access
+/// that leaves the line resident arms its lane's bit, and every fill that
+/// evicts a line clears the victim's bit in the victim's filter slot, so
+/// a set bit proves residency and the fast path needs no tag re-check
+/// (fills are rare; filter hits are the steady state).  Idempotent repeat
+/// stores short-circuit too — a write-through store hit mutates nothing,
+/// and a write-back store hit whose dirty bits are already set mutates
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct SetAssocCacheLanes {
     geometry: CacheGeometry,
@@ -267,8 +280,6 @@ pub struct SetAssocCacheLanes {
     lanes: usize,
     /// Lanes in use (`reseed_wave` seeds a prefix of the capacity).
     active: usize,
-    /// Whether every lane maps a line to the same set (Modulo/XOR).
-    uniform: bool,
     /// Lane-major tag array; see the struct docs for the layout.
     tags: Vec<u64>,
     /// Packed dirty bits, one per (line, lane) in the same linear order.
@@ -277,42 +288,35 @@ pub struct SetAssocCacheLanes {
     replacement: Vec<ReplacementState>,
     /// Per-lane PRNG bank for victim draws.
     rng: CombinedLfsrLanes,
-    /// Per-lane set index of the current wave.
+    /// Per-lane set index of the current access (the placement sweep's
+    /// output, `active` wide).
     set_scratch: Vec<u32>,
-    /// Per-lane linear index of `(set, way 0, lane)` for the current wave.
-    lane_base: Vec<usize>,
-    /// Per-lane lowest hitting way ([`NO_WAY`] = miss).
-    hit_way: Vec<u32>,
-    /// Per-lane lowest invalid way ([`NO_WAY`] = set full).
-    inv_way: Vec<u32>,
-    /// Lanes whose miss needs a random victim draw this wave.
-    draw_lanes: Vec<u32>,
-    /// The batched draws for `draw_lanes`.
-    draws: Vec<u32>,
     /// Wave residency filter: line address per slot ([`FILTER_SLOTS`]
     /// direct-mapped entries, [`INVALID_TAG`] = empty).  Armed only under
     /// Random replacement, where a read hit mutates no per-lane state.
     filter_tags: Vec<u64>,
     /// Per-slot bitmask of lanes in which the slot's line is resident (bit
-    /// `lane` set).  Authoritative: set when a wave or sparse access
-    /// leaves the line resident, cleared when a fill evicts it, so the
-    /// fast paths trust it without a tag re-check.
+    /// `lane` set).  Authoritative: set when an access leaves the line
+    /// resident in the lane, cleared when a fill evicts it, so the fast
+    /// path trusts it without a tag re-check.
     filter_valid: Vec<u64>,
     /// Per-slot, per-lane flat tag index of the filtered line
     /// (`filter_index[slot * K + lane]`; only consulted by the write-back
     /// repeat-store fast path to test dirty bits).  Stored as `u32` to
     /// halve the table's cache footprint.
     filter_index: Vec<u32>,
-    /// Whether the residency filter may be armed (replacement is Random,
-    /// the lane count fits the per-slot valid bitmask, and every tag index
-    /// fits `u32`).
+    /// Whether the residency filter may be armed (replacement is Random
+    /// and every tag index fits `u32`).
     filter_enabled: bool,
-    /// Bitmask of the active lanes (`(1 << active) - 1`), the full-wave
-    /// residency requirement.
+    /// Bitmask of the active lanes (`(1 << active) - 1`); access masks are
+    /// clipped to it.
     active_mask: u64,
 }
 
 impl SetAssocCacheLanes {
+    /// Widest bank: an access selects its lanes with one `u64` mask.
+    pub const MAX_LANES: usize = 64;
+
     /// Creates a K-lane cache bank from policy identifiers.
     ///
     /// # Errors
@@ -322,7 +326,7 @@ impl SetAssocCacheLanes {
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is zero.
+    /// Panics if `lanes` is zero or above [`Self::MAX_LANES`].
     pub fn with_kinds(
         geometry: CacheGeometry,
         placement: PlacementKind,
@@ -330,10 +334,14 @@ impl SetAssocCacheLanes {
         write_policy: WritePolicy,
         lanes: usize,
     ) -> Result<Self, ConfigError> {
+        assert!(
+            lanes <= Self::MAX_LANES,
+            "{lanes} lanes exceed the {}-lane mask",
+            Self::MAX_LANES
+        );
         let placement = PlacementLanes::new(placement, geometry, lanes)?;
         let ways = geometry.ways() as usize;
         let cells = geometry.sets() as usize * ways * lanes;
-        let uniform = placement.is_uniform();
         Ok(SetAssocCacheLanes {
             geometry,
             placement,
@@ -342,7 +350,6 @@ impl SetAssocCacheLanes {
             ways,
             lanes,
             active: lanes,
-            uniform,
             tags: vec![INVALID_TAG; cells],
             dirty: vec![0; cells.div_ceil(64)],
             replacement: (0..lanes)
@@ -350,18 +357,11 @@ impl SetAssocCacheLanes {
                 .collect(),
             rng: CombinedLfsrLanes::new(lanes),
             set_scratch: vec![0; lanes],
-            lane_base: vec![0; lanes],
-            hit_way: vec![NO_WAY; lanes],
-            inv_way: vec![NO_WAY; lanes],
-            draw_lanes: Vec::with_capacity(lanes),
-            draws: vec![0; lanes],
             filter_tags: vec![INVALID_TAG; FILTER_SLOTS],
             filter_valid: vec![0; FILTER_SLOTS],
             filter_index: vec![0; FILTER_SLOTS * lanes],
-            filter_enabled: replacement == ReplacementKind::Random
-                && lanes <= 64
-                && cells <= u32::MAX as usize,
-            active_mask: mask_of(lanes.min(64)),
+            filter_enabled: replacement == ReplacementKind::Random && cells <= u32::MAX as usize,
+            active_mask: mask_of(lanes),
         })
     }
 
@@ -382,7 +382,7 @@ impl SetAssocCacheLanes {
 
     /// Reseeds lanes `0..seeds.len()` (one layout per seed) and flushes
     /// every lane's contents, as the hardware does on a seed change.
-    /// Subsequent waves step `seeds.len()` active lanes.
+    /// Subsequent accesses step at most `seeds.len()` active lanes.
     ///
     /// # Panics
     ///
@@ -397,7 +397,7 @@ impl SetAssocCacheLanes {
         self.active = seeds.len();
         self.filter_tags.fill(INVALID_TAG);
         self.filter_valid.fill(0);
-        self.active_mask = mask_of(self.active.min(64));
+        self.active_mask = mask_of(self.active);
         self.tags.fill(INVALID_TAG);
         self.dirty.fill(0);
         for state in &mut self.replacement {
@@ -409,17 +409,22 @@ impl SetAssocCacheLanes {
         }
     }
 
-    /// Applies one access to every active lane, writing lane `i`'s
-    /// [`AccessFlags`] into `flags[i]`.
+    /// Applies one access to every active lane selected by `mask` (bit `i`
+    /// = lane `i`), writing lane `i`'s [`AccessFlags`] into `flags[i]`.
+    /// Lanes outside the mask are not accessed and their flags are left
+    /// as they were; mask bits at or above the active lane count are
+    /// ignored, so `u64::MAX` selects every active lane.
     ///
     /// # Panics
     ///
     /// Panics (debug) if `flags.len()` differs from the active lane count.
+    // randmod: allow(P1, every index is in bounds by construction: slot < FILTER_SLOTS by the power-of-two mask and filter_tags/filter_valid hold FILTER_SLOTS entries, filter_index holds FILTER_SLOTS * lanes; lane is a set bit of a mask clipped to active_mask, so lane < active <= lanes = set_scratch.len() = replacement.len() = rng lanes, and flags.len() == active is the documented contract; set < sets comes from the placement bank and way < ways from the probe or the victim pick, so base + way * lanes < sets * ways * lanes = tags.len() and the dirty bitmap covers every tag cell; an evicted tag is a real line, so its slot is masked like the accessed one)
     #[inline]
-    pub fn access_lean_lanes(
+    pub fn access(
         &mut self,
         line: LineAddr,
         kind: AccessKind,
+        mask: u64,
         flags: &mut [AccessFlags],
     ) {
         debug_assert_eq!(flags.len(), self.active, "one flags slot per active lane");
@@ -430,271 +435,106 @@ impl SetAssocCacheLanes {
         );
         let raw = line.raw();
         let is_write = kind.is_write();
-        let a = self.active;
+        let wb = self.write_policy == WritePolicy::WriteBack;
+        let mask = mask & self.active_mask;
         let k = self.lanes;
-        let row = self.ways * k;
 
-        // Residency-filter fast path: a repeat access to a recently seen
-        // line, still resident in every lane, needs no placement indices
-        // and no probe (armed only under Random replacement).  A read hit
+        // Residency filter: a repeat access to a recently seen line, still
+        // resident in every selected lane, needs no placement indices and
+        // no probe (armed only under Random replacement).  A read hit
         // mutates no state; a write-through store hit mutates none either;
         // a write-back store hit only sets the dirty bit, so it may
-        // short-circuit when every lane's dirty bit is *already* set (the
-        // common repeat store).  The valid bits are authoritative: every
-        // fill that evicts a line clears the victim's bit in its filter
-        // slot, so a set bit *proves* residency and no tag re-check is
-        // needed.  Every lane replays the same line stream, so one table
-        // serves the whole wave.
-        let wb = self.write_policy == WritePolicy::WriteBack;
+        // short-circuit when every selected lane's dirty bit is *already*
+        // set (the common repeat store).  The valid bits are
+        // authoritative, so a set bit *proves* residency.
         let slot = (raw as usize) & (FILTER_SLOTS - 1);
-        if self.filter_tags[slot] == raw
-            && self.filter_valid[slot] & self.active_mask == self.active_mask
-        {
-            if !(is_write && wb) {
-                flags.fill(AccessFlags(AccessFlags::HIT));
+        let resident = if self.filter_tags[slot] == raw {
+            self.filter_valid[slot] & mask
+        } else {
+            0
+        };
+        if resident == mask {
+            let mut idle = true;
+            if is_write && wb {
+                let mut bits = mask;
+                while bits != 0 {
+                    let lane = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    idle &= bit_get(&self.dirty, self.filter_index[slot * k + lane] as usize);
+                }
+            }
+            if idle {
+                for (lane, flag) in flags.iter_mut().enumerate() {
+                    if mask >> lane & 1 != 0 {
+                        *flag = AccessFlags(AccessFlags::HIT);
+                    }
+                }
                 return;
             }
-            let indices = &self.filter_index[slot * k..slot * k + a];
-            let mut dirty = true;
-            for &index in indices {
-                dirty &= bit_get(&self.dirty, index as usize);
-            }
-            if dirty {
-                flags.fill(AccessFlags(AccessFlags::HIT));
-                return;
-            }
         }
 
-        // Placement stage: one index for a uniform wave, K for a scattered
-        // one, plus each lane's base cell in the lane-major tag array.
-        if self.uniform {
-            let set = self.placement.index_uniform(line);
-            let base = set as usize * row;
-            if self.replacement_kind != ReplacementKind::Random {
-                // Only LRU touches and FIFO victim picks read the per-lane
-                // set scratch; Random resolution never does.
-                self.set_scratch[..a].fill(set);
-            }
-            for (lane, slot) in self.lane_base[..a].iter_mut().enumerate() {
-                *slot = base + lane;
-            }
-        } else {
-            self.placement.index_lanes(line, &mut self.set_scratch[..a]);
-            for (lane, slot) in self.lane_base[..a].iter_mut().enumerate() {
-                *slot = self.set_scratch[lane] as usize * row + lane;
+        // Placement: one sweep maps the line for every active lane.
+        self.placement
+            .index_lanes(line, &mut self.set_scratch[..self.active]);
+
+        // Per-lane probe and resolution.  The filter's resident lanes of a
+        // read or write-through store hit without a probe, as on the fast
+        // path above.  `touch` only mutates LRU state and the dirty bitmap
+        // only matters under write-back, so both are skipped when the
+        // policy makes them no-ops.  Every lane the access leaves resident
+        // — hits and fills, but not a write-through store miss, which
+        // allocates nothing — arms its filter bit.
+        let skip = if is_write && wb { 0 } else { resident };
+        for (lane, flag) in flags.iter_mut().enumerate() {
+            if skip >> lane & 1 != 0 {
+                *flag = AccessFlags(AccessFlags::HIT);
             }
         }
-
-        // Probe stage: accumulate per-lane hit/invalid *way bitmasks* in a
-        // branch-free forward sweep (bit `w` set when way `w` matches),
-        // then convert each mask's lowest set bit to a way number — the
-        // lowest matching way is exactly what a way-by-way early-exit probe
-        // finds (at most one way can hit a line, and the first invalid way
-        // seen is the one a fill takes).  The uniform sweep
-        // reads contiguous K-wide rows the compiler vectorizes; banks
-        // wider than 32 ways (none in practice) fall back to select
-        // chains.
-        let hit_way = &mut self.hit_way[..a];
-        let inv_way = &mut self.inv_way[..a];
-        if self.ways <= 32 {
-            hit_way.fill(0);
-            inv_way.fill(0);
-            if self.uniform {
-                let base = self.lane_base[0];
-                for w in 0..self.ways {
-                    let tag_row = &self.tags[base + w * k..base + w * k + a];
-                    let bit = 1u32 << w;
-                    for (lane, &tag) in tag_row.iter().enumerate() {
-                        hit_way[lane] |= if tag == raw { bit } else { 0 };
-                        inv_way[lane] |= if tag == INVALID_TAG { bit } else { 0 };
-                    }
-                }
-            } else {
-                for w in 0..self.ways {
-                    let offset = w * k;
-                    let bit = 1u32 << w;
-                    for lane in 0..a {
-                        let tag = self.tags[self.lane_base[lane] + offset];
-                        hit_way[lane] |= if tag == raw { bit } else { 0 };
-                        inv_way[lane] |= if tag == INVALID_TAG { bit } else { 0 };
-                    }
-                }
-            }
-            for lane in 0..a {
-                let hit_mask = hit_way[lane];
-                hit_way[lane] = if hit_mask == 0 {
-                    NO_WAY
-                } else {
-                    hit_mask.trailing_zeros()
-                };
-                let inv_mask = inv_way[lane];
-                inv_way[lane] = if inv_mask == 0 {
-                    NO_WAY
-                } else {
-                    inv_mask.trailing_zeros()
-                };
-            }
-        } else {
-            hit_way.fill(NO_WAY);
-            inv_way.fill(NO_WAY);
-            for w in (0..self.ways).rev() {
-                let offset = w * k;
-                let way = w as u32;
-                for lane in 0..a {
-                    let tag = self.tags[self.lane_base[lane] + offset];
-                    hit_way[lane] = if tag == raw { way } else { hit_way[lane] };
-                    inv_way[lane] = if tag == INVALID_TAG {
-                        way
-                    } else {
-                        inv_way[lane]
-                    };
-                }
-            }
-        }
-
-        // One pass over the converted ways: detect the all-hit wave and
-        // collect the lanes whose miss needs a random victim draw (full
-        // set, Random replacement, and never a write-through store miss —
-        // those allocate nothing and must not advance the lane's PRNG).
-        let wt_store = is_write && !wb;
-        let collect = self.replacement_kind == ReplacementKind::Random && !wt_store;
-        self.draw_lanes.clear();
-        let mut all_hit = true;
-        for lane in 0..a {
-            let hw = hit_way[lane];
-            all_hit &= hw != NO_WAY;
-            if collect && hw == NO_WAY && inv_way[lane] == NO_WAY {
-                self.draw_lanes.push(lane as u32);
-            }
-        }
-
-        // All-lanes-hit fast path: under Random replacement (the only mode
-        // that arms the filter) a read hit mutates nothing, and a
-        // write-through store hit mutates nothing either, so those waves
-        // resolve to all-HIT without per-lane work.  Write-back store hits
-        // still need their dirty bits set and take the resolution loop.
-        if all_hit && self.filter_enabled && !(is_write && wb) {
-            for (lane, &hw) in hit_way.iter().enumerate() {
-                self.filter_index[slot * k + lane] =
-                    (self.lane_base[lane] + hw as usize * k) as u32;
-            }
-            self.filter_tags[slot] = raw;
-            self.filter_valid[slot] = self.active_mask;
-            flags.fill(AccessFlags(AccessFlags::HIT));
-            return;
-        }
-
-        // Miss wave: batch the victim draws in one PRNG sweep instead of
-        // one call per lane (each lane draws from its own generator, once
-        // per victim pick, as a lone cache would).
-        if !self.draw_lanes.is_empty() {
-            self.rng
-                .next_below_lanes(self.geometry.ways(), &self.draw_lanes, &mut self.draws);
-        }
-
-        // Hot read-wave resolution (Random replacement with the filter
-        // armed): hits mutate nothing but their filter booking, so the
-        // first pass books every lane branch-free — predicated flag and
-        // filter-index writes plus a branch-free compaction of the lanes
-        // that missed — and a second, short loop fills only those lanes.
-        // The data-dependent hit/miss branch of the generic loop
-        // mispredicts roughly once per mixed wave on a ~50% miss-rate
-        // workload; compaction moves that cost to a predictable loop
-        // bound.  The set scratch doubles as the miss list: under Random
-        // replacement nothing reads it as a set index (LRU touches are
-        // skipped and `victim_with` is unreachable).  After a read wave
-        // every lane holds the line, so the filter slot is retagged with
-        // the full active mask unconditionally.
-        if !is_write && self.filter_enabled {
-            let mut misses = 0usize;
-            for (lane, (&hw, flag)) in hit_way.iter().zip(flags.iter_mut()).enumerate() {
-                let hit = hw != NO_WAY;
-                *flag = AccessFlags(if hit { AccessFlags::HIT } else { 0 });
-                let way = if hit { hw as usize } else { 0 };
-                self.filter_index[slot * k + lane] = (self.lane_base[lane] + way * k) as u32;
-                self.set_scratch[misses] = lane as u32;
-                misses += usize::from(!hit);
-            }
-            let mut draw_cursor = 0;
-            for i in 0..misses {
-                let lane = self.set_scratch[i] as usize;
-                let way = if inv_way[lane] != NO_WAY {
-                    inv_way[lane]
-                } else {
-                    let draw = self.draws[draw_cursor];
-                    draw_cursor += 1;
-                    draw
-                };
-                let index = self.lane_base[lane] + way as usize * k;
-                let old_tag = self.tags[index];
-                let mut fl = AccessFlags::FILLED;
-                if old_tag != INVALID_TAG {
-                    fl |= AccessFlags::EVICTED;
-                    if wb && bit_get(&self.dirty, index) {
-                        fl |= AccessFlags::WRITEBACK;
-                    }
-                    // Keep the valid bits authoritative: the victim is no
-                    // longer resident in this lane.
-                    let old_slot = (old_tag as usize) & (FILTER_SLOTS - 1);
-                    if self.filter_tags[old_slot] == old_tag {
-                        self.filter_valid[old_slot] &= !(1u64 << lane);
-                    }
-                }
-                self.tags[index] = raw;
-                if wb {
-                    bit_clear(&mut self.dirty, index);
-                }
-                self.filter_index[slot * k + lane] = index as u32;
-                flags[lane] = AccessFlags(fl);
-            }
-            self.filter_tags[slot] = raw;
-            self.filter_valid[slot] = self.active_mask;
-            return;
-        }
-
-        // Resolution stage: book each lane's outcome.  Every lane the wave
-        // leaves resident — read hits and fills, write-back store hits and
-        // fills, write-through store hits — arms its residency-filter bit
-        // on the way out, so repeat reads *and* idempotent repeat stores
-        // can short-circuit; a write-through store miss allocates nothing
-        // and arms nothing.  `touch` only mutates LRU state, and the dirty
-        // bitmap only matters under write-back, so both are skipped
-        // wholesale when the policy makes them no-ops.
-        let wb_write = is_write && wb;
+        let ways = self.ways;
+        let row = ways * k;
         let do_touch = self.replacement_kind == ReplacementKind::Lru;
         let arm = self.filter_enabled;
-        let mut armed_bits = 0u64;
-        let mut draw_cursor = 0;
-        for lane in 0..a {
+        let mut armed = 0u64;
+        let mut bits = mask & !skip;
+        while bits != 0 {
+            let lane = bits.trailing_zeros() as usize;
+            let lane_bit = 1u64 << lane;
+            bits &= bits - 1;
             let set = self.set_scratch[lane];
-            let base = self.lane_base[lane];
-            let hw = hit_way[lane];
-            flags[lane] = if hw != NO_WAY {
+            let base = set as usize * row + lane;
+            let mut hit_way = NO_WAY;
+            let mut inv_way = NO_WAY;
+            for w in 0..ways {
+                let tag = self.tags[base + w * k];
+                if tag == raw {
+                    hit_way = w as u32;
+                    break;
+                }
+                if tag == INVALID_TAG && inv_way == NO_WAY {
+                    inv_way = w as u32;
+                }
+            }
+            let index = if hit_way != NO_WAY {
+                let index = base + hit_way as usize * k;
                 if do_touch {
-                    self.replacement[lane].touch(set, hw);
+                    self.replacement[lane].touch(set, hit_way);
                 }
-                if wb_write {
-                    bit_set(&mut self.dirty, base + hw as usize * k);
+                if is_write && wb {
+                    bit_set(&mut self.dirty, index);
                 }
-                if arm {
-                    self.filter_index[slot * k + lane] = (base + hw as usize * k) as u32;
-                    armed_bits |= 1u64 << lane;
-                }
-                AccessFlags(AccessFlags::HIT)
-            } else if wt_store {
+                flags[lane] = AccessFlags(AccessFlags::HIT);
+                index
+            } else if is_write && !wb {
                 // Write-through store miss: goes straight to the next
-                // level, no allocation.
-                AccessFlags(0)
+                // level, no allocation, no victim draw.
+                flags[lane] = AccessFlags(0);
+                continue;
             } else {
-                let way = if inv_way[lane] != NO_WAY {
-                    inv_way[lane]
-                } else if self.replacement_kind == ReplacementKind::Random {
-                    let draw = self.draws[draw_cursor];
-                    draw_cursor += 1;
-                    draw
+                let way = if inv_way != NO_WAY {
+                    inv_way
                 } else {
-                    self.replacement[lane]
-                        .victim_with(set, |_| unreachable!("non-random replacement never draws"))
+                    let rng = &mut self.rng;
+                    self.replacement[lane].victim_with(set, |ways| rng.next_below_lane(lane, ways))
                 };
                 let index = base + way as usize * k;
                 let old_tag = self.tags[index];
@@ -709,12 +549,12 @@ impl SetAssocCacheLanes {
                         // no longer resident in this lane.
                         let old_slot = (old_tag as usize) & (FILTER_SLOTS - 1);
                         if self.filter_tags[old_slot] == old_tag {
-                            self.filter_valid[old_slot] &= !(1u64 << lane);
+                            self.filter_valid[old_slot] &= !lane_bit;
                         }
                     }
                 }
                 self.tags[index] = raw;
-                if wb_write {
+                if is_write {
                     bit_set(&mut self.dirty, index);
                 } else if wb {
                     bit_clear(&mut self.dirty, index);
@@ -722,138 +562,22 @@ impl SetAssocCacheLanes {
                 if do_touch {
                     self.replacement[lane].touch(set, way);
                 }
-                if arm {
-                    self.filter_index[slot * k + lane] = index as u32;
-                    armed_bits |= 1u64 << lane;
-                }
-                AccessFlags(fl)
+                flags[lane] = AccessFlags(fl);
+                index
             };
+            if arm {
+                self.filter_index[slot * k + lane] = index as u32;
+                armed |= lane_bit;
+            }
         }
-        if armed_bits != 0 {
+        if armed != 0 {
             if self.filter_tags[slot] == raw {
-                self.filter_valid[slot] |= armed_bits;
+                self.filter_valid[slot] |= armed;
             } else {
                 self.filter_tags[slot] = raw;
-                self.filter_valid[slot] = armed_bits;
+                self.filter_valid[slot] = armed;
             }
         }
-    }
-
-    /// Applies one access to a single lane (the sparse path: an L2 read
-    /// wave only probes the lanes whose L1 missed).  The lane stays one
-    /// independent cache whichever path touches it: the outcome and state
-    /// change are those of the same access in a dense wave.
-    #[inline]
-    pub fn access_lean_lane(
-        &mut self,
-        lane: usize,
-        line: LineAddr,
-        kind: AccessKind,
-    ) -> AccessFlags {
-        debug_assert!(lane < self.active, "lane {lane} not active");
-        debug_assert_ne!(
-            line.raw(),
-            INVALID_TAG,
-            "line address collides with the invalid-tag sentinel"
-        );
-        let raw = line.raw();
-        let is_write = kind.is_write();
-        let k = self.lanes;
-        // Residency-filter fast path, per lane: the slot's valid bitmask
-        // lets a single lane trust (and arm) its own index without
-        // touching the other lanes' entries.  Reads only, Random
-        // replacement only — the same no-mutation argument as the wave
-        // fast path.
-        let slot = (raw as usize) & (FILTER_SLOTS - 1);
-        let lane_bit = 1u64 << (lane & 63);
-        if !is_write && self.filter_tags[slot] == raw && self.filter_valid[slot] & lane_bit != 0 {
-            return AccessFlags(AccessFlags::HIT);
-        }
-
-        let set = self.placement.index_lane(lane, line);
-        let base = set as usize * self.ways * k + lane;
-
-        // Scalar-style probe over this lane's strided cells.
-        let mut invalid_way = NO_WAY;
-        let mut hit_way = NO_WAY;
-        for w in 0..self.ways {
-            let tag = self.tags[base + w * k];
-            if tag == raw {
-                hit_way = w as u32;
-                break;
-            }
-            if tag == INVALID_TAG && invalid_way == NO_WAY {
-                invalid_way = w as u32;
-            }
-        }
-
-        let wb = self.write_policy == WritePolicy::WriteBack;
-        let do_touch = self.replacement_kind == ReplacementKind::Lru;
-        if hit_way != NO_WAY {
-            if do_touch {
-                self.replacement[lane].touch(set, hit_way);
-            }
-            if is_write && wb {
-                bit_set(&mut self.dirty, base + hit_way as usize * k);
-            } else if self.filter_enabled && !is_write {
-                self.arm_filter_lane(slot, lane, lane_bit, raw, base + hit_way as usize * k);
-            }
-            return AccessFlags(AccessFlags::HIT);
-        }
-        if is_write && !wb {
-            return AccessFlags(0);
-        }
-        let way = if invalid_way != NO_WAY {
-            invalid_way
-        } else {
-            let rng = &mut self.rng;
-            self.replacement[lane].victim_with(set, |ways| rng.next_below_lane(lane, ways))
-        };
-        let index = base + way as usize * k;
-        let old_tag = self.tags[index];
-        let mut fl = AccessFlags::FILLED;
-        if old_tag != INVALID_TAG {
-            fl |= AccessFlags::EVICTED;
-            if wb && bit_get(&self.dirty, index) {
-                fl |= AccessFlags::WRITEBACK;
-            }
-            if self.filter_enabled {
-                // Keep the valid bits authoritative: the victim is no
-                // longer resident in this lane.
-                let old_slot = (old_tag as usize) & (FILTER_SLOTS - 1);
-                if self.filter_tags[old_slot] == old_tag {
-                    self.filter_valid[old_slot] &= !lane_bit;
-                }
-            }
-        }
-        self.tags[index] = raw;
-        if is_write && wb {
-            bit_set(&mut self.dirty, index);
-        } else if wb {
-            bit_clear(&mut self.dirty, index);
-        }
-        if do_touch {
-            self.replacement[lane].touch(set, way);
-        }
-        if self.filter_enabled && !is_write {
-            self.arm_filter_lane(slot, lane, lane_bit, raw, index);
-        }
-        AccessFlags(fl)
-    }
-
-    /// Arms one lane's residency-filter entry for `raw` at `slot` after a
-    /// sparse read left the line resident at flat tag index `index`.  A
-    /// slot holding a different line is retagged and its other lanes'
-    /// valid bits dropped (they described the old line's residency).
-    #[inline]
-    fn arm_filter_lane(&mut self, slot: usize, lane: usize, lane_bit: u64, raw: u64, index: usize) {
-        if self.filter_tags[slot] == raw {
-            self.filter_valid[slot] |= lane_bit;
-        } else {
-            self.filter_tags[slot] = raw;
-            self.filter_valid[slot] = lane_bit;
-        }
-        self.filter_index[slot * self.lanes + lane] = index as u32;
     }
 }
 
@@ -883,11 +607,11 @@ mod tests {
         bank
     }
 
-    /// One access of the byte address `addr` as a one-lane dense wave.
+    /// One access of the byte address `addr` on a one-lane bank.
     fn access(bank: &mut SetAssocCacheLanes, addr: u64, kind: AccessKind) -> AccessFlags {
         let mut flags = [AccessFlags::default()];
         let line = bank.geometry().line_addr(Address::new(addr));
-        bank.access_lean_lanes(line, kind, &mut flags);
+        bank.access(line, kind, 1, &mut flags);
         flags[0]
     }
 
@@ -1000,20 +724,24 @@ mod tests {
             .unwrap();
             let mut flags = vec![AccessFlags::default(); 3];
             bank.reseed_wave(&[1, 2, 3]);
-            bank.access_lean_lanes(line, AccessKind::Load, &mut flags);
-            bank.access_lean_lanes(line, AccessKind::Load, &mut flags);
+            bank.access(line, AccessKind::Load, 0b111, &mut flags);
+            bank.access(line, AccessKind::Load, 0b111, &mut flags);
             assert!(
                 flags.iter().all(|f| f.is_hit()),
                 "filter not armed under {placement}"
             );
             bank.reseed_wave(&[0xFEED_F00D, 5, 6]);
-            bank.access_lean_lanes(line, AccessKind::Load, &mut flags);
+            bank.access(line, AccessKind::Load, 0b111, &mut flags);
             assert!(
                 flags.iter().all(|f| f.is_miss()),
                 "phantom filter hit after reseed under {placement}"
             );
-            // The miss wave refilled (and re-armed) the line in every lane.
-            assert!(bank.access_lean_lane(0, line, AccessKind::Load).is_hit());
+            // The miss refilled (and re-armed) the line in every lane:
+            // a one-lane access hits and leaves the other lanes' flags be.
+            let mut one = vec![AccessFlags::default(); 3];
+            bank.access(line, AccessKind::Load, 0b001, &mut one);
+            assert!(one[0].is_hit());
+            assert_eq!(one[1..], [AccessFlags::default(); 2]);
         }
     }
 
@@ -1173,14 +901,14 @@ mod tests {
         bank.reseed_wave(&[1, 2, 3, 4]);
         let mut flags = vec![AccessFlags::default(); 4];
         let line = geometry.line_addr(Address::new(0x40));
-        bank.access_lean_lanes(line, AccessKind::Load, &mut flags);
+        bank.access(line, AccessKind::Load, u64::MAX, &mut flags);
         assert!(flags.iter().all(|f| f.is_miss()));
-        bank.access_lean_lanes(line, AccessKind::Load, &mut flags);
+        bank.access(line, AccessKind::Load, u64::MAX, &mut flags);
         assert!(flags.iter().all(|f| f.is_hit()));
         // Reseeding flushes: the same line must miss again on every lane,
         // even with identical seeds (contents are gone).
         bank.reseed_wave(&[1, 2, 3, 4]);
-        bank.access_lean_lanes(line, AccessKind::Load, &mut flags);
+        bank.access(line, AccessKind::Load, u64::MAX, &mut flags);
         assert!(
             flags.iter().all(|f| f.is_miss()),
             "phantom hit after reseed_wave"

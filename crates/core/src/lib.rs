@@ -18,7 +18,7 @@
 //!   placement (hRP) and Random Modulo (RM).
 //! * [`replacement`] — random / LRU / round-robin replacement.
 //! * [`cache`] — the set-associative cache model: a bank of K per-seed
-//!   caches probed as one wavefront, with pluggable placement and
+//!   caches accessed through one lane mask, with pluggable placement and
 //!   replacement, per-lane outcome flags and statistics.
 //! * [`layout`] — cache-layout census utilities (conflict counting,
 //!   per-set occupancy) used by the test-suite.
@@ -43,9 +43,10 @@
 //! cache.reseed_wave(&[0xDEAD_BEEF_CAFE_F00D, 7]);
 //! let line = geometry.line_addr(Address::new(0x4000_1040));
 //! let mut flags = [AccessFlags::default(); 2];
-//! cache.access_lean_lanes(line, AccessKind::Load, &mut flags);
+//! // One access to both lanes (bit `i` of the mask selects lane `i`).
+//! cache.access(line, AccessKind::Load, 0b11, &mut flags);
 //! assert!(flags.iter().all(|f| f.is_miss()));
-//! cache.access_lean_lanes(line, AccessKind::Load, &mut flags);
+//! cache.access(line, AccessKind::Load, 0b11, &mut flags);
 //! assert!(flags.iter().all(|f| f.is_hit()));
 //! # Ok(())
 //! # }
@@ -56,6 +57,7 @@
 
 pub mod address;
 pub mod benes;
+#[warn(clippy::unwrap_used, clippy::expect_used)]
 pub mod cache;
 pub mod error;
 pub mod layout;

@@ -155,7 +155,7 @@ impl fmt::Display for PlacementKind {
             PlacementKind::HashRandom => "hrp",
             PlacementKind::RandomModulo => "random-modulo",
         };
-        f.write_str(name)
+        f.pad(name)
     }
 }
 
@@ -176,19 +176,19 @@ impl FromStr for PlacementKind {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-batched placement (wavefront engine)
+// Lane-batched placement (the lane cache's placement sweep)
 // ---------------------------------------------------------------------------
 
 /// Placement across K independent seed lanes, slice-in/slice-out.
 ///
 /// The lane-batched replay engine simulates K per-seed cache hierarchies in
 /// lock-step: one decoded trace op is applied to all lanes before the next
-/// op is decoded.  `PlacementLanes` is the placement stage of that
-/// wavefront — one line address in, K set indices out:
+/// op is decoded.  `PlacementLanes` is the placement stage of each access
+/// of the lane cache — one line address in, one set index per active lane
+/// out, in one [`Self::index_lanes`] sweep:
 ///
-/// * **Modulo / XOR** are seed-independent, so every lane maps the line to
-///   the *same* set.  [`Self::is_uniform`] reports this, and the cache
-///   probes one contiguous K-wide row per way instead of K scattered sets.
+/// * **Modulo / XOR** are seed-independent, so the sweep computes one
+///   index and copies it to every lane.
 /// * **hRP** keeps per-lane round keys; [`Self::index_lanes`] runs K
 ///   independent hash chains in one fixed-trip sweep, which the CPU
 ///   overlaps (one hash at a time serialises the ~20-operation dependency
@@ -261,13 +261,6 @@ impl PlacementLanes {
         }
     }
 
-    /// Whether every lane maps any line to the same set (true for the
-    /// seed-independent Modulo and XOR policies).  The lane cache uses this
-    /// to pick the contiguous-row probe over the scattered probe.
-    pub fn is_uniform(&self) -> bool {
-        matches!(self.backend, LaneBackend::Modulo(_) | LaneBackend::Xor(_))
-    }
-
     /// Installs a new seed on lane `lane` (selects that lane's layout).
     pub fn reseed_lane(&mut self, lane: usize, seed: u64) {
         assert!(lane < self.lanes, "lane {lane} out of {} lanes", self.lanes);
@@ -278,21 +271,6 @@ impl PlacementLanes {
             LaneBackend::Xor(p) => PlacementPolicy::reseed(p, seed),
             LaneBackend::HashRandom(p) => p.reseed_lane(lane, seed),
             LaneBackend::RandomModulo(p) => p.reseed_lane(lane, seed),
-        }
-    }
-
-    /// Maps `line` to the single set index shared by every lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bank is not [`Self::is_uniform`].
-    #[inline]
-    pub fn index_uniform(&mut self, line: LineAddr) -> u32 {
-        match &self.backend {
-            LaneBackend::Modulo(p) => p.set_index_of_line(line),
-            LaneBackend::Xor(p) => p.set_index_of_line(line),
-            // randmod: allow(P1, the documented Panics contract: callers gate on is_uniform() before taking this path, and the guard is unit-tested)
-            _ => panic!("index_uniform called on a per-lane placement bank"),
         }
     }
 
@@ -315,19 +293,6 @@ impl PlacementLanes {
             LaneBackend::Xor(p) => out.fill(p.set_index_of_line(line)),
             LaneBackend::HashRandom(p) => p.index_lanes(line, out),
             LaneBackend::RandomModulo(p) => p.index_lanes(line, out),
-        }
-    }
-
-    /// Maps `line` to lane `lane`'s set index (the sparse path: L2 read
-    /// waves probe only the lanes that missed in L1).
-    #[inline]
-    pub fn index_lane(&mut self, lane: usize, line: LineAddr) -> u32 {
-        debug_assert!(lane < self.lanes);
-        match &mut self.backend {
-            LaneBackend::Modulo(p) => p.set_index_of_line(line),
-            LaneBackend::Xor(p) => p.set_index_of_line(line),
-            LaneBackend::HashRandom(p) => p.index_lane(lane, line),
-            LaneBackend::RandomModulo(p) => p.index_lane(lane, line),
         }
     }
 }
@@ -401,30 +366,6 @@ impl HashRandomLanes {
             self.memo_tags[slot] = raw;
         }
         out.copy_from_slice(&memo[..out.len()]);
-    }
-
-    // randmod: allow(P1, same bounds as index_lanes, plus lane < lanes guaranteed by the PlacementLanes facade (debug_assert at the dispatch site))
-    #[inline]
-    fn index_lane(&mut self, lane: usize, line: LineAddr) -> u32 {
-        let n = self.geometry.index_bits();
-        if n == 0 {
-            return 0;
-        }
-        let raw = line.raw();
-        let lanes = self.round_keys.len();
-        let slot = (raw as usize) & (HRP_MEMO_SLOTS - 1);
-        // A sparse miss fills the whole entry: L1 miss waves ask several
-        // lanes for the same L2 line back-to-back, so the other lanes'
-        // hashes are about to be needed anyway.
-        if self.memo_tags[slot] != raw {
-            let mask = (self.geometry.sets() - 1) as u64;
-            let memo = &mut self.memo_index[slot * lanes..slot * lanes + lanes];
-            for (cell, keys) in memo.iter_mut().zip(self.round_keys.iter()) {
-                *cell = hrp_fold_index(hrp_parametric_hash(*keys, raw), n, mask);
-            }
-            self.memo_tags[slot] = raw;
-        }
-        self.memo_index[slot * lanes + lane]
     }
 }
 
@@ -611,24 +552,6 @@ impl RandomModuloLanes {
         for (slot, &permuted) in out.iter_mut().zip(self.luts[base..].iter()) {
             *slot = permuted as u32;
         }
-    }
-
-    // randmod: allow(P1, lane < lanes is guaranteed by the PlacementLanes facade (debug_assert at the dispatch site) and base + lanes <= luts.len() by fill_entry's row layout)
-    #[inline]
-    fn index_lane(&mut self, lane: usize, line: LineAddr) -> u32 {
-        let modulo_index = self.geometry.modulo_index_of_line(line);
-        let segment = self.geometry.segment_of_line(line);
-        if self.slots == 0 {
-            let controls = rm_control_word(
-                self.network.control_bits(),
-                self.seed_controls[lane],
-                self.seed_top_bit[lane],
-                segment,
-            );
-            return self.network.permute_bits(modulo_index, controls);
-        }
-        let base = self.fill_entry(segment, modulo_index);
-        self.luts[base + lane] as u32
     }
 }
 
@@ -821,8 +744,8 @@ fn hrp_parametric_hash(round_keys: [u64; 4], line: u64) -> u64 {
 /// hRP's final XOR-folding cascade down to the index width.  The trip
 /// count depends only on the index width, not on the hash value (folding
 /// in the zero chunks above the topmost set bit is a no-op), which keeps
-/// this per-access loop branch-predictable and fixed-trip — exactly the
-/// shape the lane bank's chunked sweep relies on.
+/// this per-access loop branch-predictable and fixed-trip, so the lane
+/// bank's K hash chains overlap in the out-of-order window.
 #[inline]
 fn hrp_fold_index(hashed: u64, n: u32, mask: u64) -> u32 {
     let mut folded = 0u64;
@@ -1037,6 +960,15 @@ mod tests {
             assert_eq!(parsed, kind);
         }
         assert!("nonsense".parse::<PlacementKind>().is_err());
+    }
+
+    #[test]
+    fn kind_display_honours_width_and_alignment() {
+        use crate::replacement::ReplacementKind;
+        assert_eq!(
+            format!("{:>14}|{:<8}|", PlacementKind::Modulo, ReplacementKind::Lru),
+            "        modulo|lru     |"
+        );
     }
 
     #[test]
@@ -1394,7 +1326,9 @@ mod tests {
             for line in lines {
                 bank.index_lanes(line, &mut out);
                 assert_eq!(out, [0, 0], "{kind} line {line}");
-                assert_eq!(bank.index_lane(1, line), 0, "{kind} line {line}");
+                let mut first = [u32::MAX];
+                bank.index_lanes(line, &mut first);
+                assert_eq!(first, [0], "{kind} line {line}");
                 for policy in &pure {
                     assert_eq!(policy.set_index_of_line(line), 0, "{kind} line {line}");
                 }
@@ -1404,9 +1338,9 @@ mod tests {
 
     #[test]
     fn lane_bank_matches_scalar_placements_per_lane() {
-        // Every lane of the wavefront bank must be bit-identical to the
-        // pure policy reseeded with the same value — for all four
-        // policies, partial waves, and the single-lane sparse path.  The
+        // Every lane of the bank must be bit-identical to the pure policy
+        // reseeded with the same value — for all four policies, partial
+        // sweeps, and a full sweep right after a partial one.  The
         // 8,192-set geometry is above the RM memo cutoff, so it covers the
         // bank's unmemoized network walk.
         for geometry in [
@@ -1419,7 +1353,6 @@ mod tests {
                     let mut bank = PlacementLanes::new(kind, geometry, lanes).unwrap();
                     assert_eq!(bank.lane_count(), lanes);
                     assert_eq!(bank.geometry(), geometry);
-                    assert_eq!(bank.is_uniform(), !kind.is_randomized());
                     let seeds: Vec<u64> = (0..lanes as u64)
                         .map(|lane| lane * 0x9E37_79B9 + 0xC0FFEE)
                         .collect();
@@ -1437,16 +1370,16 @@ mod tests {
                                 "{kind} lane {lane} of {lanes}"
                             );
                         }
-                        let lone = step % lanes;
-                        assert_eq!(
-                            bank.index_lane(lone, line),
-                            pure[lone].set_index_of_line(line),
-                            "{kind} sparse lane {lone}"
-                        );
-                        if kind.is_randomized() {
-                            assert!(!bank.is_uniform());
-                        } else {
-                            assert_eq!(bank.index_uniform(line), out[0]);
+                        bank.index_lanes(line, &mut out);
+                        for (lane, policy) in pure.iter().enumerate() {
+                            assert_eq!(
+                                out[lane],
+                                policy.set_index_of_line(line),
+                                "{kind} lane {lane} of {lanes}, full sweep"
+                            );
+                        }
+                        if !kind.is_randomized() {
+                            assert!(out.iter().all(|&set| set == out[0]), "{kind}");
                         }
                     }
                 }
@@ -1483,13 +1416,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "index_uniform called on a per-lane placement bank")]
-    fn index_uniform_panics_on_randomized_banks() {
-        let mut bank = PlacementLanes::new(PlacementKind::HashRandom, l1(), 2).unwrap();
-        bank.index_uniform(LineAddr::new(0));
     }
 
     #[test]

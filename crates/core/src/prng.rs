@@ -172,11 +172,10 @@ impl CombinedLfsr {
 /// lane.
 ///
 /// The lane-batched replay engine steps K independent cache hierarchies per
-/// decoded trace op.  Keeping the three Tausworthe component states in three
-/// contiguous arrays (instead of K scattered `CombinedLfsr` structs) lets a
-/// miss wave draw its next-victim words for all missing lanes in one sweep
-/// over adjacent memory, with the power-of-two fast path hoisted out of the
-/// per-lane loop.
+/// decoded trace op.  The lane cache keeps one bank for all its lanes, the
+/// three Tausworthe component states in three contiguous arrays (instead
+/// of K scattered `CombinedLfsr` structs), and a lane draws its victim
+/// with [`Self::next_below_lane`] at the point of its own miss.
 ///
 /// Each lane's stream is bit-identical to a standalone `CombinedLfsr` seeded
 /// with the same value — the lane bank must consume random words in exactly
@@ -240,7 +239,7 @@ impl CombinedLfsrLanes {
     /// # Panics
     ///
     /// Panics if `lane` is not below [`Self::lane_count`].
-    // randmod: allow(P1, lane < lane_count is the documented Panics contract and s1, s2, s3 each hold lane_count states; the lane cache sizes this bank to its lane width and draws only for active lanes: next_below_lanes for the miss wave's draw list, built from the active prefix that reseed_wave asserts fits the width, and next_below_lane for the one lane that access_lean_lane debug-asserts is active)
+    // randmod: allow(P1, lane < lane_count is the documented Panics contract and s1, s2, s3 each hold lane_count states; the lane cache sizes this bank to its lane width and draws only through next_below_lane for a lane of its access mask, which it clips to the active prefix that reseed_wave asserts fits the width)
     #[inline]
     pub fn next_u32_lane(&mut self, lane: usize) -> u32 {
         let s1 = CombinedLfsr::taus_step(self.s1[lane], 13, 19, 12, 0xFFFF_FFFE);
@@ -269,32 +268,6 @@ impl CombinedLfsrLanes {
             let v = self.next_u32_lane(lane);
             if v <= zone {
                 return v % bound;
-            }
-        }
-    }
-
-    /// Draws one value in `0..bound` for each lane listed in `lanes`,
-    /// writing the draw for `lanes[i]` into `out[i]`.
-    ///
-    /// This is the miss-wave entry point: the bound check and the
-    /// power-of-two test are hoisted out of the loop, so the common case
-    /// (power-of-two associativity) is a branch-free sweep of Tausworthe
-    /// steps over adjacent lane states.  Lanes not listed do not advance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero or `out` is shorter than `lanes`.
-    pub fn next_below_lanes(&mut self, bound: u32, lanes: &[u32], out: &mut [u32]) {
-        assert!(bound > 0, "bound must be non-zero");
-        assert!(out.len() >= lanes.len(), "output buffer too short");
-        if bound.is_power_of_two() {
-            let mask = bound - 1;
-            for (slot, &lane) in out.iter_mut().zip(lanes.iter()) {
-                *slot = self.next_u32_lane(lane as usize) & mask;
-            }
-        } else {
-            for (slot, &lane) in out.iter_mut().zip(lanes.iter()) {
-                *slot = self.next_below_lane(lane as usize, bound);
             }
         }
     }
@@ -532,18 +505,23 @@ mod tests {
             bank.reseed_lane(lane, lane as u64 * 17 + 3);
         }
         let idle = bank.clone();
-        let mut out = [0u32; 2];
-        bank.next_below_lanes(8, &[1, 3], &mut out);
+        // A draw on lanes 1 and 3, one lane at a time as the lane cache
+        // draws at each lane's miss, must match standalone streams.
+        let drawn = [bank.next_below_lane(1, 8), bank.next_below_lane(3, 8)];
         let mut expect = idle.clone();
-        assert_eq!(out[0], expect.next_below_lane(1, 8));
-        assert_eq!(out[1], expect.next_below_lane(3, 8));
+        assert_eq!(
+            drawn,
+            [expect.next_below_lane(1, 8), expect.next_below_lane(3, 8)]
+        );
         // Lanes 0 and 2 must not have advanced.
         assert_eq!(bank.next_u32_lane(0), expect.next_u32_lane(0));
         assert_eq!(bank.next_u32_lane(2), expect.next_u32_lane(2));
-        // Non-power-of-two bound routes through rejection sampling.
-        let mut odd = [0u32; 1];
-        bank.next_below_lanes(3, &[2], &mut odd);
-        assert!(odd[0] < 3);
+        // Non-power-of-two bound routes through rejection sampling, still
+        // advancing only its own lane.
+        let odd = bank.next_below_lane(2, 3);
+        assert!(odd < 3);
+        assert_eq!(odd, expect.next_below_lane(2, 3));
+        assert_eq!(bank.next_u32_lane(1), expect.next_u32_lane(1));
     }
 
     #[test]

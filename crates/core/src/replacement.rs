@@ -56,7 +56,7 @@ impl fmt::Display for ReplacementKind {
             ReplacementKind::Lru => "lru",
             ReplacementKind::RoundRobin => "round-robin",
         };
-        f.write_str(name)
+        f.pad(name)
     }
 }
 

@@ -140,7 +140,9 @@ const ENGINE_CRATES: [&str; 4] = [
 ];
 
 /// Hot-path modules: P1 (panic-freedom) applies, by file name.
-const HOT_PATH_FILES: [&str; 7] = [
+const HOT_PATH_FILES: [&str; 9] = [
+    "cache.rs",
+    "hierarchy.rs",
     "placement.rs",
     "prng.rs",
     "replacement.rs",

@@ -8,9 +8,10 @@
 //! `K` separate hierarchies but one `LaneHierarchy` (crate-private, in
 //! `crate::hierarchy`) of lane-banked caches
 //! ([`randmod_core::cache::SetAssocCacheLanes`]): each operation is
-//! pushed through all `K` lanes as one probe wave over lane-major tag
-//! storage, with the per-lane placement indices, tag compares, victim
-//! draws and statistics updates evaluated in chunked cross-lane sweeps.
+//! pushed through all `K` lanes as one masked access per cache level —
+//! one placement sweep, then a per-lane probe over lane-major tag storage
+//! — and the L2 behind an L1 wave is accessed once, with the mask of the
+//! lanes whose L1 missed.
 //!
 //! The platform has `T` tasks, each with its own core and private L1
 //! pair, in front of one L2.  A solo program is the one-task case, where
@@ -96,7 +97,9 @@ pub struct BatchCore {
 
 impl BatchCore {
     /// Builds a core with `lanes` seed lanes for `tasks` tasks (both
-    /// clamped to at least one) on the given platform.
+    /// clamped to at least one, and `lanes` to at most
+    /// [`SetAssocCacheLanes::MAX_LANES`](randmod_core::SetAssocCacheLanes::MAX_LANES))
+    /// on the given platform.
     ///
     /// # Errors
     ///

@@ -137,20 +137,17 @@ impl RunCounters {
     }
 }
 
-/// The L1→L2→memory read path: one decoded read is pushed through all
-/// active placement lanes of the fronting L1 in one
-/// [`SetAssocCacheLanes::access_lean_lanes`] sweep, then the lanes that
-/// missed fill from the L2 — as a second full wave when every lane missed
-/// (the common cold-stream case), or lane by lane through the sparse
-/// [`SetAssocCacheLanes::access_lean_lane`] path otherwise.  Each lane
-/// books its level counters, memory accesses and latency, and the
-/// `repeats` collapsed same-line re-reads (each a guaranteed L1 hit) are
-/// folded in here.
+/// The L1→L2→memory read path: one decoded read is applied to every
+/// active lane of the fronting L1 with one [`SetAssocCacheLanes::access`],
+/// then the lanes that missed fill from the L2 with one more `access` over
+/// the L1-miss mask.  Each lane books its level counters, memory accesses
+/// and latency, and the `repeats` collapsed same-line re-reads (each a
+/// guaranteed L1 hit) are folded in here.
 ///
 /// `flags`, `cycles` and `counters` are per-lane slices of the same
-/// length (the active lane count).  Each bank and slice is a `&mut`
-/// parameter of its own, rather than a field reached through the
-/// hierarchy, so the compiler knows that none of them alias.
+/// length (the active lane count).  Each bank and slice is a `&mut` parameter of its own, rather than a
+/// field reached through the hierarchy, so the compiler knows that none
+/// of them alias.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn read_lean_wave(
@@ -165,11 +162,12 @@ fn read_lean_wave(
     cycles: &mut [u64],
     counters: &mut [RunCounters],
 ) {
-    l1.access_lean_lanes(l1_line, kind, flags);
+    // The bank clips the mask to its active lanes: all-ones selects them all.
+    l1.access(l1_line, kind, u64::MAX, flags);
     let l1_hit = latencies.l1_hit as u64;
     let repeat_cycles = repeats * l1_hit;
-    let mut misses = 0usize;
-    for (flags, counters) in flags.iter().zip(counters.iter_mut()) {
+    let mut misses = 0u64;
+    for (lane, (flags, counters)) in flags.iter().zip(counters.iter_mut()).enumerate() {
         let level = match kind {
             AccessKind::InstructionFetch => &mut counters.il1,
             _ => &mut counters.dl1,
@@ -178,7 +176,7 @@ fn read_lean_wave(
         if repeats != 0 {
             level.record_read_hits(repeats);
         }
-        misses += flags.is_miss() as usize;
+        misses |= u64::from(flags.is_miss()) << lane;
     }
     if misses == 0 {
         for cycles in cycles.iter_mut() {
@@ -189,35 +187,31 @@ fn read_lean_wave(
     let l2_line = LineAddr::new(addr.raw() >> l2.geometry().offset_bits());
     let l2_hit = l1_hit + latencies.l2_hit as u64;
     let memory = l2_hit + latencies.memory as u64;
-    if misses == flags.len() {
-        // Every lane missed: refill as one L2 wave (the L1 outcomes are no
-        // longer needed, so the flags scratch is reused for the L2 sweep).
-        l2.access_lean_lanes(l2_line, kind, flags);
-        for lane in 0..flags.len() {
-            let l2_flags = flags[lane];
-            counters[lane].l2.record(l2_flags, false);
-            counters[lane].memory_accesses += l2_flags.is_miss() as u64;
-            cycles[lane] += if l2_flags.is_hit() { l2_hit } else { memory } + repeat_cycles;
-        }
-    } else {
-        for lane in 0..flags.len() {
-            if flags[lane].is_hit() {
-                cycles[lane] += l1_hit + repeat_cycles;
+    // The L1 outcomes are booked, so the flags scratch takes the L2's: the
+    // lanes that missed write theirs, the others keep their L1 hit.
+    l2.access(l2_line, kind, misses, flags);
+    let lanes = flags.iter().zip(cycles.iter_mut()).zip(counters.iter_mut());
+    for (lane, ((flags, cycles), counters)) in lanes.enumerate() {
+        *cycles += repeat_cycles
+            + if misses >> lane & 1 == 0 {
+                l1_hit
             } else {
-                let l2_flags = l2.access_lean_lane(lane, l2_line, kind);
-                counters[lane].l2.record(l2_flags, false);
-                counters[lane].memory_accesses += l2_flags.is_miss() as u64;
-                cycles[lane] += if l2_flags.is_hit() { l2_hit } else { memory } + repeat_cycles;
-            }
-        }
+                counters.l2.record(*flags, false);
+                counters.memory_accesses += u64::from(flags.is_miss());
+                if flags.is_hit() {
+                    l2_hit
+                } else {
+                    memory
+                }
+            };
     }
 }
 
 /// The store path: the write-through DL1 is updated without allocation,
-/// and every store is forwarded to the L2 — one full-lane sweep each, with
-/// no miss filtering — where a missing line is fetched from memory in the
-/// background.  A store costs the store latency whatever the outcome.
-/// The slices are as for [`read_lean_wave`].
+/// and every store is forwarded to the L2 — one `access` over the same
+/// lanes, with no miss filtering — where a missing line is fetched from
+/// memory in the background.  A store costs the store latency whatever
+/// the outcome.  The slices are as for [`read_lean_wave`].
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn store_lean_wave(
@@ -230,18 +224,18 @@ fn store_lean_wave(
     cycles: &mut [u64],
     counters: &mut [RunCounters],
 ) {
-    dl1.access_lean_lanes(dl1_line, AccessKind::Store, flags);
+    dl1.access(dl1_line, AccessKind::Store, u64::MAX, flags);
     for (flags, counters) in flags.iter().zip(counters.iter_mut()) {
         counters.dl1.record(*flags, true);
     }
     let l2_line = LineAddr::new(addr.raw() >> l2.geometry().offset_bits());
-    l2.access_lean_lanes(l2_line, AccessKind::Store, flags);
+    l2.access(l2_line, AccessKind::Store, u64::MAX, flags);
     let store = latencies.store as u64;
-    for lane in 0..flags.len() {
-        let l2_flags = flags[lane];
-        counters[lane].l2.record(l2_flags, true);
-        counters[lane].memory_accesses += l2_flags.is_miss() as u64;
-        cycles[lane] += store;
+    let lanes = flags.iter().zip(cycles.iter_mut()).zip(counters.iter_mut());
+    for ((flags, cycles), counters) in lanes {
+        counters.l2.record(*flags, true);
+        counters.memory_accesses += u64::from(flags.is_miss());
+        *cycles += store;
     }
 }
 
@@ -254,8 +248,8 @@ struct TaskL1Lanes {
 
 /// The lane-banked hierarchy: per-task IL1/DL1 [`SetAssocCacheLanes`]
 /// pairs in front of one lane-banked L2, stepping up to `K` placement
-/// seeds per collapsed operation — the wavefront engine behind
-/// [`crate::batch::BatchCore`].  It also holds every task's per-lane
+/// seeds per collapsed operation with one masked access per cache level —
+/// the lane engine behind [`crate::batch::BatchCore`].  It also holds every task's per-lane
 /// cycle counters and statistics blocks, so it is the engine's
 /// [`LaneStepper`].  Lanes never interact: lane `i` holds the whole
 /// platform's state under placement seed `seeds[i]`.
@@ -277,15 +271,16 @@ pub(crate) struct LaneHierarchy {
 
 impl LaneHierarchy {
     /// Builds a lane-banked hierarchy for `tasks` tasks with capacity for
-    /// `lanes` placement seeds (both clamped to at least one) on the given
-    /// platform.
+    /// `lanes` placement seeds on the given platform.  Both are clamped to
+    /// at least one, and `lanes` to at most
+    /// [`SetAssocCacheLanes::MAX_LANES`].
     pub(crate) fn new(
         config: &PlatformConfig,
         tasks: usize,
         lanes: usize,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
-        let lanes = lanes.max(1);
+        let lanes = lanes.clamp(1, SetAssocCacheLanes::MAX_LANES);
         let build = |c: &CacheConfig| -> Result<SetAssocCacheLanes, ConfigError> {
             SetAssocCacheLanes::with_kinds(
                 c.geometry,
@@ -357,6 +352,7 @@ impl LaneHierarchy {
     }
 
     /// `task`'s cycles and statistics in `lane` since the last reseed.
+    // randmod: allow(P1, the engine asks only for task < task_count and lane < the seeds it reseeded with, at most lane_count by reseed_wave's assert, so slot < task_count * lane_count = cycles.len() = counters.len())
     pub(crate) fn outcome(&self, task: usize, lane: usize) -> (u64, HierarchyStats) {
         let slot = task * self.lane_count() + lane;
         (self.cycles[slot], self.counters[slot].into_stats())
@@ -372,6 +368,7 @@ impl LaneHierarchy {
     /// One read of `task` — an instruction fetch through its IL1 or a data
     /// load through its DL1, plus `repeats` collapsed same-line re-reads —
     /// across all active lanes; see [`read_lean_wave`].
+    // randmod: allow(P1, task < task_count: the replay loops emit task 0 or the tasks of a schedule, which execute_schedule asserts was interleaved for this task count; slots(task) then lies inside cycles and counters (task_count * lane_count each), and active <= lane_count = flags.len() by reseed_wave's assert)
     #[inline]
     fn read_wave(
         &mut self,
@@ -418,6 +415,7 @@ impl LaneStepper for LaneHierarchy {
         self.read_wave(task, AccessKind::Load, addr, line, repeats);
     }
 
+    // randmod: allow(P1, the bounds argument of read_wave: task < task_count, so slots(task) lies inside cycles and counters, and active <= lane_count = flags.len())
     #[inline]
     fn store(&mut self, task: usize, addr: Address, line: LineAddr) {
         let slots = self.slots(task);
@@ -433,6 +431,7 @@ impl LaneStepper for LaneHierarchy {
         );
     }
 
+    // randmod: allow(P1, the bounds argument of read_wave: task < task_count, so slots(task) lies inside cycles)
     #[inline]
     fn compute(&mut self, task: usize, cycles: u64) {
         let slots = self.slots(task);

@@ -18,9 +18,10 @@
 //!   loops emit each collapsed operation exactly once, and the lane
 //!   hierarchy (`crate::hierarchy::LaneHierarchy`) implements the
 //!   per-lane stepping (K lanes of caches, per-task cycle counters and
-//!   [`crate::hierarchy::RunCounters`]) behind the trait.  The line
-//!   address of the fronting L1 is computed once per operation and shared
-//!   across all lanes.
+//!   [`crate::hierarchy::RunCounters`]) behind the trait, as one masked
+//!   access per cache level: every active lane at the L1, the lanes whose
+//!   L1 missed at the L2.  The line address of the fronting L1 is computed
+//!   once per operation and shared across all lanes.
 //!
 //! A campaign decodes and interleaves **before** replay: the interleaved
 //! event stream is decided by the arbitration policy alone — the

@@ -72,6 +72,7 @@ pub mod batch;
 pub mod checkpoint;
 pub mod config;
 pub mod contention;
+#[warn(clippy::unwrap_used, clippy::expect_used)]
 pub mod hierarchy;
 #[warn(clippy::unwrap_used, clippy::expect_used)]
 mod lanes;

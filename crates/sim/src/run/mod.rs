@@ -66,6 +66,7 @@ pub use shard::{decode_solo_runs, encode_solo_runs, CampaignError, ShardSpec, Sh
 
 use crate::config::PlatformConfig;
 use crate::contention::Arbitration;
+use randmod_core::SetAssocCacheLanes;
 
 /// A measurement campaign: a platform configuration plus a run count.
 ///
@@ -103,13 +104,14 @@ impl Campaign {
     ///
     /// Measured on `fig4a_rm_vs_hrp --threads 1 --lanes K`, which runs the
     /// seeded placements (RM and hRP) that MBPTA campaigns sweep: over 5
-    /// alternating rounds the median was 7.77 s at K = 1, 4.82 s at
-    /// K = 2, 4.52 s at K = 4, 4.49 s at K = 8 and 5.34 s at K = 16, with
+    /// alternating rounds the median was 5.31 s at K = 1, 4.13 s at
+    /// K = 2, 3.16 s at K = 4, 2.81 s at K = 8 and 2.58 s at K = 16, with
     /// byte-identical output at every width (EXPERIMENTS.md records the
-    /// sweep).  No width beats four by more than the run-to-run noise.
-    /// Wider waves amortise the per-wave decode further, but the
-    /// lane-major tag arrays and per-lane placement state grow linearly
-    /// with K and eventually outgrow the host's fast cache levels.
+    /// sweep).  Wider waves amortise the per-operation decode and
+    /// dispatch over more lanes, while the lane-major tag arrays and
+    /// per-lane placement state grow linearly with K.  Sixteen lanes ran
+    /// faster than four in every round; the value stays 4 until a wider
+    /// default has its own end-to-end A/B.
     pub const DEFAULT_LANES: usize = 4;
 
     /// Widest lane group a campaign of several active tasks steps per
@@ -152,7 +154,8 @@ impl Campaign {
     }
 
     /// Overrides the number of seed lanes each worker steps per trace
-    /// decode (minimum 1; the default is [`Self::DEFAULT_LANES`]).
+    /// decode (clamped to 1..=[`SetAssocCacheLanes::MAX_LANES`], the width
+    /// of a lane mask; the default is [`Self::DEFAULT_LANES`]).
     ///
     /// Lanes compose with threads: a campaign of `N` runs on `T` threads
     /// replays its schedule `N / (T * lanes)` times per thread.  Results
@@ -168,7 +171,7 @@ impl Campaign {
     /// reference every width must reproduce bit for bit, not a different
     /// engine.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes.max(1);
+        self.lanes = lanes.clamp(1, SetAssocCacheLanes::MAX_LANES);
         self
     }
 
@@ -302,6 +305,7 @@ mod tests {
         let campaign = Campaign::new(PlatformConfig::leon3(), 4);
         assert_eq!(campaign.lanes(), Campaign::DEFAULT_LANES);
         assert_eq!(campaign.clone().with_lanes(0).lanes(), 1);
+        assert_eq!(campaign.clone().with_lanes(1000).lanes(), 64);
         assert_eq!(campaign.with_lanes(3).lanes(), 3);
     }
 

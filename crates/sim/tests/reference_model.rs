@@ -14,9 +14,10 @@
 //! mathematics, the same seed→layout derivation, the same replacement and
 //! write-policy semantics, the same latency charging.
 //!
-//! The lane-bank oracle drives `SetAssocCacheLanes` — dense waves and
-//! sparse single-lane accesses — against one `RefCache` per lane and
-//! compares every access's outcome (hit, fill, eviction, write-back) for
+//! The lane-bank oracle drives `SetAssocCacheLanes` — full waves and
+//! random lane masks, single lanes included — against one `RefCache` per
+//! lane and compares every access's outcome (hit, fill, eviction,
+//! write-back; lanes outside the mask must be left alone) for
 //! every placement × replacement × write policy, at partial lane widths
 //! and at the geometry extremes a platform may configure (banks wider
 //! than 32 ways, one set, more sets than the RM memo covers).
@@ -550,9 +551,11 @@ fn cases() -> u32 {
 }
 
 /// Drives a lane bank and one `RefCache` per active lane through the same
-/// access stream — dense waves with sparse single-lane accesses mixed in,
-/// and a reseed of every lane halfway through — and asserts the same
-/// outcome on every lane of every access.
+/// access stream — full waves with random lane masks mixed in, and a
+/// reseed of every lane halfway through — and asserts the same outcome on
+/// every lane of every access.  A lane outside an access's mask takes no
+/// part in it: its flag is left as it was and its reference is not
+/// accessed, so it must keep matching on the accesses that follow.
 fn assert_lane_bank_matches_reference(
     geometry: CacheGeometry,
     placement: PlacementKind,
@@ -583,6 +586,7 @@ fn assert_lane_bank_matches_reference(
     let hot_lines = 2 * u64::from(geometry.sets() * geometry.ways());
     let mut sm = SplitMix64::new(0x1234);
     let mut flags = vec![AccessFlags::default(); active];
+    let full = u64::MAX >> (64 - active);
     let context =
         format!("{geometry:?} {placement}/{replacement}/{write_policy:?} {active}/{capacity}");
     for step in 0..4_000u64 {
@@ -608,21 +612,34 @@ fn assert_lane_bank_matches_reference(
             _ => AccessKind::InstructionFetch,
         };
         let line = geometry.line_addr(addr);
-        if step % 7 == 3 {
-            // Sparse single-lane access (the L2 read-wave path).
-            let lane = (step % active as u64) as usize;
-            assert_eq!(
-                RefOutcome::from(bank.access_lean_lane(lane, line, kind)),
-                references[lane].access(addr, kind.is_write()),
-                "{context} sparse lane {lane} step {step}"
-            );
+        // Every seventh access goes to a random non-empty subset of the
+        // lanes, a single lane one time in three (an L2 sees the lanes
+        // whose L1 missed); the others go to every lane.
+        let mask = if step % 7 == 3 {
+            let pick = sm.next_u64();
+            let lone = 1u64 << ((pick >> 2) % active as u64);
+            let subset = (pick >> 8) & full;
+            if pick % 3 == 0 || subset == 0 {
+                lone
+            } else {
+                subset
+            }
         } else {
-            bank.access_lean_lanes(line, kind, &mut flags);
-            for (lane, reference) in references.iter_mut().enumerate() {
+            full
+        };
+        let before = flags.clone();
+        bank.access(line, kind, mask, &mut flags);
+        for (lane, reference) in references.iter_mut().enumerate() {
+            if mask >> lane & 1 == 0 {
+                assert_eq!(
+                    flags[lane], before[lane],
+                    "{context} lane {lane} outside mask {mask:#b} step {step}"
+                );
+            } else {
                 assert_eq!(
                     RefOutcome::from(flags[lane]),
                     reference.access(addr, kind.is_write()),
-                    "{context} lane {lane} step {step}"
+                    "{context} lane {lane} mask {mask:#b} step {step}"
                 );
             }
         }
@@ -670,9 +687,9 @@ fn lane_bank_partial_waves_match_reference_caches() {
 #[test]
 fn lane_bank_matches_reference_caches_at_geometry_extremes() {
     // Geometries a platform or server spec may configure but the other
-    // suites never reach: banks wider than 32 ways (the select-chain
-    // probe), a single fully associative set (no index bits), and more
-    // sets than the RM memo covers (the unmemoized network walk).
+    // suites never reach: banks wider than 32 ways, a single fully
+    // associative set (no index bits), and more sets than the RM memo
+    // covers (the unmemoized network walk).
     for (sets, ways) in [(2, 48), (4, 33), (1, 40), (8192, 2)] {
         let geometry = CacheGeometry::new(sets, ways, 32).unwrap();
         for_every_policy_mix(|placement, replacement, write_policy| {

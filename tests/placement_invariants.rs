@@ -134,9 +134,9 @@ proptest! {
                 ).unwrap();
                 cache.reseed_wave(&[seed]);
                 let mut flags = [AccessFlags::default()];
-                cache.access_lean_lanes(line, AccessKind::Load, &mut flags);
+                cache.access(line, AccessKind::Load, 1, &mut flags);
                 prop_assert!(flags[0].is_miss() && flags[0].filled());
-                cache.access_lean_lanes(line, AccessKind::Load, &mut flags);
+                cache.access(line, AccessKind::Load, 1, &mut flags);
                 prop_assert!(flags[0].is_hit());
             }
         }
