@@ -1,14 +1,18 @@
 //! Micro-benchmark of the lane cache's one access entry point.
 //!
 //! Times `SetAssocCacheLanes::access` over every active lane, per
-//! placement kind, at K = 1, 2, 4 and 8 lanes, on two access streams of the
-//! 16KB 4-way LEON3-like L1 geometry:
+//! placement kind, at K = 1, 2, 4 and 8 lanes, on three access streams:
 //!
-//! * `hot`: a small hot code/data footprint with a cold streaming
-//!   component, similar in hit ratio to the collapsed campaign replay;
-//! * `sweep`: the fig6 victim's sweep — 640 consecutive lines (20KB) read
-//!   in order, over and over, so 40–50% of the accesses miss under the
-//!   randomised placements.
+//! * `hot` (16KB 4-way LEON3-like L1): a small hot code/data footprint with
+//!   a cold streaming component, similar in hit ratio to the collapsed
+//!   campaign replay;
+//! * `sweep` (same L1): the fig6 victim's sweep — 640 consecutive lines
+//!   (20KB) read in order, over and over, so 40–50% of the accesses miss
+//!   under the randomised placements;
+//! * `corun` (1,024-set 4-way L2 partition): the victim's sweep
+//!   interleaved access by access with three 4,096-line (128KB) sweeps at
+//!   the 64 MiB opponent offsets — the shape of fig6 P3's shared-L2
+//!   traffic, where the co-runners alternate cache segments every access.
 //!
 //! It prints the time per lane-access in ns: the probe cost at the core of
 //! every campaign, without trace decode or hierarchy booking.  End-to-end
@@ -47,14 +51,35 @@ fn sweep_stream() -> Vec<(u64, AccessKind)> {
         .collect()
 }
 
+/// fig6 P3's shared-L2 stream: the victim's 640-line sweep and three
+/// 4,096-line opponent sweeps, each opponent offset by a further 64 MiB
+/// (2^21 lines), one access from each task in turn.
+fn corun_stream() -> Vec<(u64, AccessKind)> {
+    const REGION_LINES: u64 = (64 << 20) / 32;
+    (0..STEPS as u64)
+        .map(|i| {
+            let (task, round) = (i % 4, i / 4);
+            let line = match task {
+                0 => 0x2_0000 + round % 640,
+                _ => 0x2_0000 + task * REGION_LINES + round % 4096,
+            };
+            (line, AccessKind::Load)
+        })
+        .collect()
+}
+
 /// Nanoseconds per lane-access of `stream` on a fresh `lanes`-lane bank.
-fn time(kind: PlacementKind, lanes: usize, stream: &[(u64, AccessKind)]) -> f64 {
-    let geometry = CacheGeometry::new(128, 4, 32).unwrap();
+fn time(
+    kind: PlacementKind,
+    (geometry, write_policy): (CacheGeometry, WritePolicy),
+    lanes: usize,
+    stream: &[(u64, AccessKind)],
+) -> f64 {
     let mut bank = SetAssocCacheLanes::with_kinds(
         geometry,
         kind,
         ReplacementKind::Random,
-        WritePolicy::WriteThrough,
+        write_policy,
         lanes,
     )
     .unwrap();
@@ -76,11 +101,17 @@ fn main() {
         print!("{:>9}", format!("K={lanes}"));
     }
     println!();
-    for (name, stream) in [("hot", hot_stream()), ("sweep", sweep_stream())] {
+    let l1 = (CacheGeometry::leon3_l1(), WritePolicy::WriteThrough);
+    let l2 = (CacheGeometry::leon3_l2_partition(), WritePolicy::WriteBack);
+    for (name, cache, stream) in [
+        ("hot", l1, hot_stream()),
+        ("sweep", l1, sweep_stream()),
+        ("corun", l2, corun_stream()),
+    ] {
         for kind in PlacementKind::ALL {
             print!("{name:<6}{kind:>14}");
             for lanes in WIDTHS {
-                print!("{:>9.1}", time(kind, lanes, &stream));
+                print!("{:>9.1}", time(kind, cache, lanes, &stream));
             }
             println!();
         }

@@ -76,43 +76,33 @@ impl BenesNetwork {
     }
 
     fn build(wires: &[usize], gates: &mut Vec<Gate>) {
-        let m = wires.len();
-        if m <= 1 {
+        // One switch per adjacent wire pair; on an odd wire count the
+        // unpaired last wire bypasses the outer switch stages.
+        let pairs = wires.chunks_exact(2);
+        let unpaired = pairs.remainder();
+        let stage: Vec<Gate> = pairs
+            .filter_map(|pair| match *pair {
+                [a, b] => Some(Gate { a, b }),
+                _ => None,
+            })
+            .collect();
+        if wires.len() <= 2 {
+            // One wire needs no switch, two wires exactly one.
+            gates.extend_from_slice(&stage);
             return;
         }
-        if m == 2 {
-            gates.push(Gate {
-                a: wires[0],
-                b: wires[1],
-            });
-            return;
-        }
-        let half = m / 2;
         // Input switch stage.
-        for i in 0..half {
-            gates.push(Gate {
-                a: wires[2 * i],
-                b: wires[2 * i + 1],
-            });
-        }
+        gates.extend_from_slice(&stage);
         // Recursive sub-networks: the first output of every input switch
-        // feeds the upper sub-network, the second output the lower one.  For
-        // odd m the unpaired wire bypasses the outer stages and joins the
-        // upper sub-network.
-        let mut upper: Vec<usize> = (0..half).map(|i| wires[2 * i]).collect();
-        let lower: Vec<usize> = (0..half).map(|i| wires[2 * i + 1]).collect();
-        if m % 2 == 1 {
-            upper.push(wires[m - 1]);
-        }
+        // feeds the upper sub-network, the second output the lower one.
+        // The unpaired wire joins the upper sub-network.
+        let mut upper: Vec<usize> = stage.iter().map(|gate| gate.a).collect();
+        upper.extend_from_slice(unpaired);
+        let lower: Vec<usize> = stage.iter().map(|gate| gate.b).collect();
         Self::build(&upper, gates);
         Self::build(&lower, gates);
         // Output switch stage.
-        for i in 0..half {
-            gates.push(Gate {
-                a: wires[2 * i],
-                b: wires[2 * i + 1],
-            });
-        }
+        gates.extend_from_slice(&stage);
     }
 
     /// Number of wires.
@@ -161,7 +151,7 @@ impl BenesNetwork {
     /// Because the network realises a permutation of bit positions, this is
     /// a bijection on `0..2^n` for every control word — the property Random
     /// Modulo relies on.
-    /// This runs once per Random-Modulo cache access, so it is written to
+    /// The pure RM policy runs this once per access, so it is written to
     /// be allocation-free and branchless: each switch is a conditional
     /// exchange of two bit positions, applied with the XOR-swap identity
     /// masked by the control bit.  Bits at positions `n` and above are
@@ -182,42 +172,25 @@ impl BenesNetwork {
         v
     }
 
-    /// Permutes the low `n` bits of `value` once per lane, lane `i` using
-    /// `controls[i]`, writing lane `i`'s result into `out[i]`.
+    /// The image of each input bit under `controls`, for bits `0..n` in
+    /// order: item `i` is `permute_bits(1 << i, controls)`.
     ///
-    /// This is the wavefront form of [`Self::permute_bits`] used when the
-    /// lane-batched Random-Modulo memo fills one LUT entry across all seed
-    /// lanes: the same modulo index enters every lane, each lane applies its
-    /// own seed-derived control word.  The walk is gate-outer / lane-inner —
-    /// a fixed-trip, branch-free inner sweep over adjacent lane values that
-    /// the compiler can vectorize — and each lane's result is bit-identical
-    /// to the scalar `permute_bits(value, controls[i])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than `controls`.
-    pub fn permute_bits_lanes(&self, value: u32, controls: &[u128], out: &mut [u32]) {
-        assert!(
-            out.len() >= controls.len(),
-            "output buffer holds {} lanes, control words for {}",
-            out.len(),
-            controls.len()
-        );
-        let masked = if self.n >= u32::BITS as usize {
-            value
-        } else {
-            value & ((1u32 << self.n) - 1)
-        };
-        let out = &mut out[..controls.len()];
-        out.fill(masked);
-        for (k, gate) in self.gates.iter().enumerate() {
-            let (a, b) = (gate.a, gate.b);
-            for (v, &word) in out.iter_mut().zip(controls.iter()) {
-                let control = ((word >> k) & 1) as u32;
-                let diff = ((*v >> a) ^ (*v >> b)) & control;
-                *v ^= (diff << a) | (diff << b);
+    /// A switch only exchanges two bit positions, so `permute_bits(x,
+    /// controls)` is the OR of the images of `x`'s set bits; Random
+    /// Modulo's lane bank builds its per-segment tables from them.  One
+    /// pass of the network over the wire labels, walked backwards, yields
+    /// them all: run in reverse, the network realises the inverse
+    /// permutation, so entry `i` ends holding the wire bit `i` reaches.
+    pub(crate) fn bit_images(&self, controls: u128) -> impl Iterator<Item = u32> {
+        // `new` caps the network at 128 switches, which limits it to 30
+        // wires, so every gate wire indexes inside the 32 labels.
+        let mut labels: [u32; u32::BITS as usize] = std::array::from_fn(|wire| wire as u32);
+        for (k, gate) in self.gates.iter().enumerate().rev() {
+            if (controls >> k) & 1 == 1 {
+                labels.swap(gate.a, gate.b);
             }
         }
+        labels.into_iter().take(self.n).map(|wire| 1 << wire)
     }
 
     /// Masks a control word to the bits the network actually uses.
@@ -395,34 +368,30 @@ mod tests {
     }
 
     #[test]
-    fn lane_wave_matches_scalar_permute_bits() {
-        // The gate-outer/lane-inner wave must reproduce the scalar walk for
-        // every lane, for even/odd wire counts and partial lane waves.
-        for n in [1usize, 2, 7, 8, 10] {
+    fn bit_images_combine_into_permute_bits() {
+        // The OR of the images of a value's set bits must be the network
+        // walk of that value, for every value below 2^n.
+        for n in [1usize, 7, 10, 13] {
             let net = BenesNetwork::new(n);
-            let mut sm = crate::prng::SplitMix64::new(0xFACE);
-            for lanes in [1usize, 3, 8] {
-                let controls: Vec<u128> = (0..lanes)
-                    .map(|_| ((sm.next_u64() as u128) << 64) | sm.next_u64() as u128)
-                    .collect();
-                let mut out = vec![0u32; lanes + 2];
-                for _ in 0..20 {
-                    let value = sm.next_u64() as u32;
-                    net.permute_bits_lanes(value, &controls, &mut out);
-                    for (lane, &control) in controls.iter().enumerate() {
-                        assert_eq!(out[lane], net.permute_bits(value, control));
-                    }
+            let mut sm = crate::prng::SplitMix64::new(0x1A6E);
+            for round in 0..6 {
+                let controls = match round {
+                    0 => 0,
+                    1 => u128::MAX,
+                    _ => ((sm.next_u64() as u128) << 64) | sm.next_u64() as u128,
+                };
+                let images: Vec<u32> = net.bit_images(controls).collect();
+                assert_eq!(images.len(), n);
+                for value in 0..1u32 << n {
+                    let combined = images
+                        .iter()
+                        .enumerate()
+                        .filter(|&(bit, _)| (value >> bit) & 1 == 1)
+                        .fold(0, |acc, (_, &image)| acc | image);
+                    assert_eq!(combined, net.permute_bits(value, controls), "n = {n}");
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "output buffer holds")]
-    fn lane_wave_with_short_output_panics() {
-        let net = BenesNetwork::new(4);
-        let mut out = [0u32; 1];
-        net.permute_bits_lanes(3, &[0, 1], &mut out);
     }
 
     #[test]

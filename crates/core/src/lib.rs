@@ -56,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod address;
+#[warn(clippy::unwrap_used, clippy::expect_used)]
 pub mod benes;
 #[warn(clippy::unwrap_used, clippy::expect_used)]
 pub mod cache;

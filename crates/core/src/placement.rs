@@ -193,9 +193,10 @@ impl FromStr for PlacementKind {
 ///   independent hash chains in one fixed-trip sweep, which the CPU
 ///   overlaps (one hash at a time serialises the ~20-operation dependency
 ///   chain per access — the main reason hRP trailed MOD by ~2x).
-/// * **RM** shares one Benes network and keeps a lane-major per-segment
-///   LUT memo; a memo miss fills the entry for *all* lanes with one
-///   gate-outer/lane-inner network wave ([`BenesNetwork::permute_bits_lanes`]).
+/// * **RM** shares one Benes network and memoizes each segment as two
+///   half-index tables per lane (a lookup ORs one entry of each), built for
+///   *all* lanes on a memo miss: 6 KiB per lane at the 128-set LEON3 L1,
+///   16 KiB at the 1,024-set L2.
 ///
 /// Every lane's mapping is bit-identical to the pure policy that
 /// [`PlacementKind::build`] returns, reseeded with the same value; the
@@ -369,97 +370,69 @@ impl HashRandomLanes {
     }
 }
 
-/// Upper bound on sets for which the RM memo pays off (one segment's LUT
-/// must stay small enough to be cache-resident, and index values must fit
-/// the `u16` entries).  Larger geometries walk the network on every access.
-const RM_MEMO_MAX_SETS: u32 = 4096;
-
-/// Approximate per-lane RM memo budget in LUT entries (~16KB of `u16`s).
-const RM_MEMO_BUDGET_ENTRIES: usize = 8192;
+/// Slot count of the RM segment memo (a power of two).  A slot holds one
+/// segment's half-index tables for every lane.
+const RM_MEMO_SLOTS: usize = 64;
 
 /// RM across lanes: one shared Benes network, per-lane seed material, and a
-/// lane-major per-segment LUT memo.
+/// lane-major per-segment memo of half-index tables.
 ///
-/// Under a fixed seed, RM's mapping within one cache segment is a fixed
-/// permutation of the modulo indices (that is its defining property), and a
-/// program touches only a handful of segments — its footprint divided by
-/// the way size.  Walking the Benes network on every access would recompute
-/// the same few permutations millions of times, so the bank caches each
-/// segment's permutation as a look-up table.  Entries are pure functions of
-/// `(segment, seed)`, so memoized results are bit-identical to the network
-/// walk; reseeding a lane invalidates every slot.
+/// Under a fixed seed, RM maps each cache segment through one fixed
+/// permutation of the index bits, and a program touches only a handful of
+/// segments, so the bank memoizes each segment's permutation per lane
+/// instead of walking the network on every access.  A switch only
+/// exchanges two bit positions, so `perm(x)` is the OR of the images of
+/// `x`'s set bits: per lane, a slot holds `lo`, every OR-combination of the
+/// images of the `⌈n/2⌉` low index bits, and `hi`, the same for the
+/// `⌊n/2⌋` high bits.  A lookup is `lo[x & lo_mask] | hi[x >> lo_bits]`,
+/// bit-identical to the walk at every index width.  A slot miss builds both
+/// tables from one network pass per lane, ~`2^(n/2+1)` entries, so
+/// co-runners that keep swapping slots stay cheap.  Slots are picked by a
+/// multiplicative hash of the segment id, so co-runners at power-of-two
+/// offsets spread out; reseeding a lane drops every slot.
 ///
-/// Two design points keep the memo robust when *several* working sets
-/// interleave (the shared-L2 contention campaigns, where co-runner tasks
-/// alternate segments every few accesses):
-///
-/// * **Hashed slot placement.**  Slots are selected by a multiplicative
-///   hash of the segment id, not its low bits — co-runners laid out at
-///   large power-of-two offsets land in distinct slots instead of all
-///   aliasing slot 0.
-/// * **Lazy per-entry fill.**  A slot swap only retags the slot and clears
-///   a per-entry valid bitmap (a few words); each LUT entry is computed on
-///   first use.  Eagerly filling a whole LUT per swap turns slot aliasing
-///   into ~`sets` network walks *per access* — a 100x+ slowdown observed
-///   the moment two alternating tasks shared a slot.
-///
-/// Every lane sees the *same* line stream, so slot tags and entry valid
-/// bits are shared across lanes and an entry miss fills all K lanes at once
-/// with one [`BenesNetwork::permute_bits_lanes`] wave.  `luts[(slot * sets +
-/// index) * lanes + lane]` keeps each entry's K permuted indices adjacent,
-/// so the per-access gather is one short contiguous read.
+/// Memory per lane is `RM_MEMO_SLOTS` × (`2^⌈n/2⌉ + 2^⌊n/2⌋`) × 4 bytes: 6
+/// KiB at the 128-set LEON3 L1 and 16 KiB at the 1,024-set L2.  Slot tags
+/// are shared (every lane sees the same line stream), and each table row
+/// keeps its K lanes adjacent (`tables[(slot * rows_per_slot + row) *
+/// lanes + lane]`, `lo` rows first), so a lookup is two contiguous reads.
 #[derive(Debug, Clone)]
 struct RandomModuloLanes {
     geometry: CacheGeometry,
     network: BenesNetwork,
     lanes: usize,
-    seed_controls: Vec<u128>,
-    seed_top_bit: Vec<u128>,
-    /// Number of direct-mapped memo slots (zero disables memoization; see
-    /// `RM_MEMO_MAX_SETS`).
-    slots: usize,
-    sets: usize,
-    words_per_slot: usize,
+    /// Per-lane control material and top bit (see [`rm_seed_material`]).
+    seed_material: Vec<(u128, u128)>,
+    /// Index bits the `lo` table resolves (`⌈n/2⌉`); `hi` takes the rest.
+    lo_bits: u32,
+    /// Rows per slot: `2^lo_bits` rows of `lo`, then `2^(n - lo_bits)`
+    /// rows of `hi`.
+    rows_per_slot: usize,
     /// Segment id resident in each slot (`u64::MAX` = empty).
     tags: Vec<u64>,
-    /// Per-slot, per-lane control words, refreshed on slot retag.
-    slot_controls: Vec<u128>,
-    /// Lane-major permuted indices; see the struct docs for the layout.
-    luts: Vec<u16>,
-    /// One valid bit per (slot, index) entry — an entry is valid for all
-    /// lanes or none.
-    valid: Vec<u64>,
-    /// Wave output scratch (`lanes` wide).
-    scratch: Vec<u32>,
+    /// Lane-major half-index tables; see the struct docs for the layout.
+    tables: Vec<u32>,
+    /// Slot-fill scratch: the bit images of the segment being filled,
+    /// `images[bit * lanes + lane]`.
+    images: Vec<u32>,
 }
 
 impl RandomModuloLanes {
     fn new(geometry: CacheGeometry, lanes: usize) -> Self {
         let network = BenesNetwork::new(geometry.index_bits().max(1) as usize);
-        let sets = geometry.sets() as usize;
-        // The budget is per lane, so the memo simply scales by K.
-        let slots = if geometry.sets() <= RM_MEMO_MAX_SETS {
-            (RM_MEMO_BUDGET_ENTRIES / sets)
-                .clamp(4, 64)
-                .next_power_of_two()
-        } else {
-            0
-        };
-        let words_per_slot = sets.div_ceil(64);
+        let n = geometry.index_bits();
+        let lo_bits = n.div_ceil(2);
+        let rows_per_slot = (1 << lo_bits) + (1 << (n - lo_bits));
         let mut bank = RandomModuloLanes {
             geometry,
             network,
             lanes,
-            seed_controls: vec![0; lanes],
-            seed_top_bit: vec![0; lanes],
-            slots,
-            sets,
-            words_per_slot,
-            tags: vec![u64::MAX; slots],
-            slot_controls: vec![0; slots * lanes],
-            luts: vec![0; slots * sets * lanes],
-            valid: vec![0; slots * words_per_slot],
-            scratch: vec![0; lanes],
+            seed_material: vec![(0, 0); lanes],
+            lo_bits,
+            rows_per_slot,
+            tags: vec![u64::MAX; RM_MEMO_SLOTS],
+            tables: vec![0; RM_MEMO_SLOTS * rows_per_slot * lanes],
+            images: vec![0; n as usize * lanes],
         };
         for lane in 0..lanes {
             bank.reseed_lane(lane, 0);
@@ -468,90 +441,82 @@ impl RandomModuloLanes {
     }
 
     fn reseed_lane(&mut self, lane: usize, seed: u64) {
-        // randmod: allow(P1, PlacementLanes::reseed_lane asserts lane < lane_count before dispatching here, and the constructor sizes both seed vectors to exactly `lanes`)
-        (self.seed_controls[lane], self.seed_top_bit[lane]) = rm_seed_material(seed);
+        // randmod: allow(P1, PlacementLanes::reseed_lane asserts lane < lane_count before dispatching here, and the constructor sizes seed_material to exactly `lanes`)
+        self.seed_material[lane] = rm_seed_material(seed);
         // A new seed on any lane selects new permutations for that lane;
-        // tags and valid bits are shared, so drop every slot.
+        // tags are shared, so drop every slot.
         self.tags.fill(u64::MAX);
-        self.valid.fill(0);
     }
 
     /// The slot a segment maps to (Fibonacci hashing on the high product
     /// bits, so segments at regular power-of-two strides spread out).
     #[inline]
-    fn slot_of(&self, segment: u64) -> usize {
+    fn slot_of(segment: u64) -> usize {
         let hashed = segment.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (hashed >> (u64::BITS - self.slots.trailing_zeros())) as usize
+        (hashed >> (u64::BITS - RM_MEMO_SLOTS.trailing_zeros())) as usize
     }
 
-    /// Ensures the memo entry for `(segment, modulo_index)` is filled for
-    /// every lane and returns the base of its lane-major row.
-    // randmod: allow(P1, every offset is in-bounds by the constructor's sizing: slot < slots via slot_of's top-bits shift, tags/valid/slot_controls/luts hold slots, slots*words_per_slot, slots*lanes and slots*sets*lanes entries, and modulo_index < sets by geometry; the memo is pinned against the pure network walk by the lane-placement unit tests)
-    #[inline]
-    fn fill_entry(&mut self, segment: u64, modulo_index: u32) -> usize {
-        let slot = self.slot_of(segment);
-        let control_base = slot * self.lanes;
-        if self.tags[slot] != segment {
-            // Slot swap: retag, refresh the per-lane control words, clear
-            // the valid bitmap.  Entries refill lazily on first use.
-            self.tags[slot] = segment;
-            let needed = self.network.control_bits();
-            for lane in 0..self.lanes {
-                self.slot_controls[control_base + lane] = rm_control_word(
-                    needed,
-                    self.seed_controls[lane],
-                    self.seed_top_bit[lane],
-                    segment,
-                );
+    /// Retags `slot` to `segment` and builds its half-index tables for
+    /// every lane.
+    // randmod: allow(P1, slot < RM_MEMO_SLOTS via slot_of's top-bits shift and tags holds RM_MEMO_SLOTS entries; tables holds RM_MEMO_SLOTS * rows_per_slot * lanes entries, so the slot's row block is in bounds)
+    fn fill_slot(&mut self, slot: usize, segment: u64) {
+        self.tags[slot] = segment;
+        let lanes = self.lanes;
+        let needed = self.network.control_bits();
+        for (lane, &(seed_controls, seed_top_bit)) in self.seed_material.iter().enumerate() {
+            let controls = rm_control_word(needed, seed_controls, seed_top_bit, segment);
+            // `images` holds n rows and the network yields at least n
+            // images (one per wire, with a single wire at n = 0).
+            let column = self.images.iter_mut().skip(lane).step_by(lanes);
+            for (cell, image) in column.zip(self.network.bit_images(controls)) {
+                *cell = image;
             }
-            let word_base = slot * self.words_per_slot;
-            self.valid[word_base..word_base + self.words_per_slot].fill(0);
         }
-        let entry = slot * self.sets + modulo_index as usize;
-        let base = entry * self.lanes;
-        let word = slot * self.words_per_slot + (modulo_index as usize >> 6);
-        let bit = 1u64 << (modulo_index & 63);
-        if self.valid[word] & bit == 0 {
-            self.network.permute_bits_lanes(
-                modulo_index,
-                &self.slot_controls[control_base..control_base + self.lanes],
-                &mut self.scratch,
-            );
-            for (slot_entry, &permuted) in self.luts[base..base + self.lanes]
-                .iter_mut()
-                .zip(self.scratch.iter())
-            {
-                *slot_entry = permuted as u16;
-            }
-            self.valid[word] |= bit;
-        }
-        base
+        let block = self.rows_per_slot * lanes;
+        let rows = &mut self.tables[slot * block..(slot + 1) * block];
+        let (lo, hi) = rows.split_at_mut((1 << self.lo_bits) * lanes);
+        let (lo_images, hi_images) = self.images.split_at(self.lo_bits as usize * lanes);
+        or_combinations(lo, lo_images, lanes);
+        or_combinations(hi, hi_images, lanes);
     }
 
-    // randmod: allow(P1, out.len() <= lanes is asserted by the PlacementLanes facade and fill_entry returns a base with a full lane-major row behind it, so luts[base..] holds at least `lanes` entries)
+    // randmod: allow(P1, out.len() <= lanes is asserted by the PlacementLanes facade; slot < RM_MEMO_SLOTS, and modulo_index < 2^n splits into a lo row < 2^lo_bits and a hi row < 2^(n - lo_bits), so both row starts lie inside the slot's block of rows_per_slot lane-major rows)
     #[inline]
     fn index_lanes(&mut self, line: LineAddr, out: &mut [u32]) {
-        let modulo_index = self.geometry.modulo_index_of_line(line);
+        let modulo_index = self.geometry.modulo_index_of_line(line) as usize;
         let segment = self.geometry.segment_of_line(line);
-        if self.slots == 0 {
-            // Memoization disabled (giant geometry): wave-walk the network
-            // directly with per-lane control words.
-            let needed = self.network.control_bits();
-            for (lane, slot) in out.iter_mut().enumerate() {
-                let controls = rm_control_word(
-                    needed,
-                    self.seed_controls[lane],
-                    self.seed_top_bit[lane],
-                    segment,
-                );
-                *slot = self.network.permute_bits(modulo_index, controls);
+        let slot = Self::slot_of(segment);
+        if self.tags[slot] != segment {
+            self.fill_slot(slot, segment);
+        }
+        let slot_row = slot * self.rows_per_slot;
+        let lo_row = slot_row + (modulo_index & ((1 << self.lo_bits) - 1));
+        let hi_row = slot_row + (1 << self.lo_bits) + (modulo_index >> self.lo_bits);
+        let lo = &self.tables[lo_row * self.lanes..];
+        let hi = &self.tables[hi_row * self.lanes..];
+        for ((index, &low), &high) in out.iter_mut().zip(lo).zip(hi) {
+            *index = low | high;
+        }
+    }
+}
+
+/// Fills `table` with every OR-combination of `images`, both lane-major
+/// with `lanes` entries per row: row `r` of `table` ORs the image rows of
+/// `r`'s set bits.  `table` holds `2^b` rows for the `b` image rows.
+fn or_combinations(table: &mut [u32], images: &[u32], lanes: usize) {
+    // Row 0, the empty combination, is zero from construction and never
+    // written.  After image row `bit`, the first 2^(bit+1) rows hold every
+    // combination of bits 0..=bit: the upper half is the lower half with
+    // that image OR-ed in.
+    let mut done = lanes;
+    for image in images.chunks_exact(lanes) {
+        let (lower, upper) = table.split_at_mut(done);
+        for (upper_row, lower_row) in upper.chunks_exact_mut(lanes).zip(lower.chunks_exact(lanes)) {
+            for ((cell, &low), &bit) in upper_row.iter_mut().zip(lower_row).zip(image) {
+                *cell = low | bit;
             }
-            return;
         }
-        let base = self.fill_entry(segment, modulo_index);
-        for (slot, &permuted) in out.iter_mut().zip(self.luts[base..].iter()) {
-            *slot = permuted as u32;
-        }
+        done *= 2;
     }
 }
 
@@ -1279,8 +1244,8 @@ mod tests {
 
     #[test]
     fn rm_memoized_index_matches_the_pure_network_walk() {
-        // The lane bank's per-segment LUT memo must be invisible: for any
-        // mix of lines (far more segments than memo slots, so slots are
+        // The lane bank's per-segment memo must be invisible: for any mix
+        // of lines (far more segments than memo slots, so slots are
         // evicted and refilled constantly) and across reseeds (which must
         // invalidate every slot), every lane returns exactly what the pure
         // Benes walk returns.
@@ -1304,6 +1269,61 @@ mod tests {
                             out[lane],
                             policy.set_index_of_line(line),
                             "memo diverged for line {line} under seed {seed:#x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rm_memo_matches_the_pure_walk_under_interleaved_co_runners() {
+        // fig6's co-runner pattern: a victim region and three opponents at
+        // the 64 MiB region offsets, interleaved access by access.  Each
+        // region strides through 40 segments, so the stream touches more
+        // segments than the memo has slots and live segments collide; a
+        // quarter-way stride crosses segments every few accesses even at
+        // the widest geometry.
+        // Every lane must match the pure policy throughout, including after
+        // one lane is reseeded mid-stream.
+        const REGION_LINES: u64 = (64 << 20) / 32;
+        const STEPS: u64 = 1_200;
+        for index_bits in [0u32, 1, 7, 10, 13] {
+            let geometry = CacheGeometry::new(1 << index_bits, 4, 32).unwrap();
+            let span = 40 << index_bits;
+            let stride = geometry.sets() as u64 / 4 + 97;
+            let stream: Vec<LineAddr> = (0..STEPS)
+                .flat_map(|step| {
+                    (0..4u64).map(move |region| {
+                        LineAddr::new(region * REGION_LINES + (step * stride + region * 13) % span)
+                    })
+                })
+                .collect();
+            let segments: HashSet<u64> = stream
+                .iter()
+                .map(|&line| geometry.segment_of_line(line))
+                .collect();
+            assert!(segments.len() > RM_MEMO_SLOTS, "{index_bits} bits");
+            for lanes in [1usize, 3, 64] {
+                let mut bank =
+                    PlacementLanes::new(PlacementKind::RandomModulo, geometry, lanes).unwrap();
+                let seeds: Vec<u64> = (0..lanes as u64)
+                    .map(|lane| lane.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0xC0FFEE)
+                    .collect();
+                let mut pure = pure_lanes(&mut bank, PlacementKind::RandomModulo, &seeds);
+                let mut out = vec![0u32; lanes];
+                for (access, &line) in stream.iter().enumerate() {
+                    if access == stream.len() / 2 {
+                        let lane = lanes / 2;
+                        bank.reseed_lane(lane, u64::MAX - 5);
+                        pure[lane].reseed(u64::MAX - 5);
+                    }
+                    bank.index_lanes(line, &mut out);
+                    for (lane, policy) in pure.iter().enumerate() {
+                        assert_eq!(
+                            out[lane],
+                            policy.set_index_of_line(line),
+                            "{index_bits} bits, lane {lane} of {lanes}, access {access}"
                         );
                     }
                 }
@@ -1341,8 +1361,8 @@ mod tests {
         // Every lane of the bank must be bit-identical to the pure policy
         // reseeded with the same value — for all four policies, partial
         // sweeps, and a full sweep right after a partial one.  The
-        // 8,192-set geometry is above the RM memo cutoff, so it covers the
-        // bank's unmemoized network walk.
+        // 8,192-set geometry has an odd index width (13 bits), so RM's
+        // low and high half tables differ in size.
         for geometry in [
             CacheGeometry::leon3_l1(),
             CacheGeometry::leon3_l2_partition(),

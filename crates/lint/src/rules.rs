@@ -140,7 +140,8 @@ const ENGINE_CRATES: [&str; 4] = [
 ];
 
 /// Hot-path modules: P1 (panic-freedom) applies, by file name.
-const HOT_PATH_FILES: [&str; 9] = [
+const HOT_PATH_FILES: [&str; 10] = [
+    "benes.rs",
     "cache.rs",
     "hierarchy.rs",
     "placement.rs",

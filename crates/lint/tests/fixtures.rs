@@ -322,6 +322,7 @@ fn classification_matches_the_documented_scopes() {
     assert!(engine.engine && !engine.hot_path && !engine.codec);
 
     for hot_path in [
+        "crates/core/src/benes.rs",
         "crates/core/src/cache.rs",
         "crates/sim/src/hierarchy.rs",
         "crates/core/src/placement.rs",

@@ -8,7 +8,7 @@
 //! vectors, per-set round-robin pointers of its own instead of
 //! `ReplacementState`, the pure boxed `dyn PlacementPolicy` from
 //! `PlacementKind::build` instead of the lane bank's placement memos (the
-//! hRP hash memo and RM's per-segment permutation LUTs), no residency
+//! hRP hash memo and RM's per-segment half-index tables), no residency
 //! filter, no run collapsing, no lane batching, no lean counter blocks.
 //! What they *do* share is the specification: the same placement
 //! mathematics, the same seed→layout derivation, the same replacement and
@@ -20,7 +20,8 @@
 //! write-back; lanes outside the mask must be left alone) for
 //! every placement × replacement × write policy, at partial lane widths
 //! and at the geometry extremes a platform may configure (banks wider
-//! than 32 ways, one set, more sets than the RM memo covers).
+//! than 32 ways, one set, and 8,192 sets, whose odd 13-bit index gives RM
+//! unequal half tables).
 //!
 //! The proptests assert cycle- and stats-equality of the reference against
 //! the engine at one task — `BatchCore` streaming waves, the campaign seed
@@ -688,8 +689,8 @@ fn lane_bank_partial_waves_match_reference_caches() {
 fn lane_bank_matches_reference_caches_at_geometry_extremes() {
     // Geometries a platform or server spec may configure but the other
     // suites never reach: banks wider than 32 ways, a single fully
-    // associative set (no index bits), and more sets than the RM memo
-    // covers (the unmemoized network walk).
+    // associative set (no index bits), and 8,192 sets (an odd 13-bit
+    // index, so RM's low and high half tables differ in size).
     for (sets, ways) in [(2, 48), (4, 33), (1, 40), (8192, 2)] {
         let geometry = CacheGeometry::new(sets, ways, 32).unwrap();
         for_every_policy_mix(|placement, replacement, write_policy| {
