@@ -5,7 +5,9 @@
 //! configuration, and either a fixed placement-seed schedule or a
 //! convergence criterion — executes them on the `randmod-sim`
 //! lane-batched campaign engine, and content-addresses finished results
-//! by the campaign fingerprint into a checksummed on-disk store.
+//! by the campaign fingerprint into a checksummed on-disk store.  Keys and
+//! checksums both come from the simulator's one content hash,
+//! [`randmod_sim::checkpoint::Fingerprint`].
 //! Re-submitting a finished campaign is a cache hit: the byte-identical
 //! payload comes back without touching the simulator.
 //!
@@ -21,8 +23,9 @@
 //! * [`body`] — the `RMSPEC01` campaign-spec codec and the adaptive
 //!   convergence-record codec.
 //! * [`store`] — the content-addressed result cache over
-//!   [`randmod_sim::checkpoint`] containers: damaged entries fail
-//!   checksum validation and are recomputed, never served.
+//!   [`randmod_sim::checkpoint`] containers (`RMCKPT02`): damaged entries,
+//!   and entries of another container version, fail validation and are
+//!   recomputed, never served.
 //! * [`service`] — routing, validation with contextual refusals,
 //!   campaign execution, worker-pool backpressure (`429` +
 //!   `Retry-After`).

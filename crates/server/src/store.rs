@@ -2,13 +2,14 @@
 //!
 //! Finished campaigns are keyed by their fingerprint (the same
 //! resume-safety hash the crash-safe sharded drivers use — platform
-//! config, seed schedule, run count and trace bodies, bit for bit) and
-//! persisted through the checksummed [`randmod_sim::checkpoint`]
-//! container.  A warm hit therefore returns the byte-identical payload
-//! the cold run produced, and a damaged entry — truncated file, flipped
-//! bit, wrong fingerprint — fails checksum or header validation and is
-//! treated as a miss: the service recomputes and overwrites rather than
-//! ever serving bad bytes.
+//! config, seed schedule, run count and trace bodies, bit for bit,
+//! through [`randmod_sim::checkpoint::Fingerprint`]) and persisted through
+//! the checksummed [`randmod_sim::checkpoint`] container.  A warm hit
+//! therefore returns the byte-identical payload the cold run produced,
+//! and a damaged entry — truncated file, flipped bit, wrong fingerprint,
+//! a container version other than `RMCKPT02` — fails checksum or header
+//! validation and is treated as a miss: the service recomputes and
+//! overwrites rather than ever serving bad bytes.
 
 use randmod_sim::checkpoint::{
     decode_checkpoint, encode_checkpoint, CheckpointHeader, ShardRecord,

@@ -14,7 +14,7 @@ use randmod_core::{Address, PlacementKind, ReplacementKind};
 use randmod_server::{
     encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode,
 };
-use randmod_sim::checkpoint::{FaultPlan, FaultyStore, FileCheckpointStore};
+use randmod_sim::checkpoint::{FaultPlan, FaultyStore, FileCheckpointStore, CHECKPOINT_MAGIC};
 use randmod_sim::config::PlatformConfig;
 use randmod_sim::trace::{MemEvent, Trace};
 use randmod_sim::{encode_solo_runs, Campaign, PackedTrace};
@@ -247,24 +247,32 @@ fn a_truncated_entry_on_disk_is_recomputed() {
     assert_eq!(cold.header("X-Randmod-Cache"), Some("miss"));
     let key = cold.header("X-Randmod-Key").unwrap().to_string();
 
-    // Tear the entry in half behind the server's back.
+    // Damage the entry behind the server's back: tear it in half, or
+    // stamp it `RMCKPT01`, the container version before the current
+    // checksums.
     let path = dir.join(format!("res_{key}.ckpt"));
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+    let tear = |bytes: &mut Vec<u8>| bytes.truncate(bytes.len() / 2);
+    let old_version = |bytes: &mut Vec<u8>| bytes[..8].copy_from_slice(b"RMCKPT01");
+    for damage in [tear, old_version] {
+        let mut bytes = std::fs::read(&path).unwrap();
+        damage(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
 
-    let after = client.post("/campaign", &body).unwrap();
-    assert_eq!(after.status, 200);
-    assert_eq!(
-        after.header("X-Randmod-Cache"),
-        Some("miss"),
-        "torn entry must recompute"
-    );
-    assert_eq!(after.body, cold.body);
+        let after = client.post("/campaign", &body).unwrap();
+        assert_eq!(after.status, 200);
+        assert_eq!(
+            after.header("X-Randmod-Cache"),
+            Some("miss"),
+            "damaged entry must recompute"
+        );
+        assert_eq!(after.body, cold.body);
 
-    // The recompute healed the entry: the next submission hits.
-    let healed = client.post("/campaign", &body).unwrap();
-    assert_eq!(healed.header("X-Randmod-Cache"), Some("hit"));
-    assert_eq!(healed.body, cold.body);
+        // The recompute healed the entry: the next submission hits.
+        let healed = client.post("/campaign", &body).unwrap();
+        assert_eq!(healed.header("X-Randmod-Cache"), Some("hit"));
+        assert_eq!(healed.body, cold.body);
+        assert_eq!(&std::fs::read(&path).unwrap()[..8], CHECKPOINT_MAGIC);
+    }
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -10,15 +10,20 @@
 //!
 //! The design leans on the repo's strongest asset — every run is a pure
 //! function of its seed — so a checkpoint never needs to capture engine
-//! state, only *results*.  Three layers:
+//! state, only *results*.  Four layers:
 //!
+//! * **Content hash** ([`Fingerprint`]): the one hash behind every key and
+//!   checksum the simulator and the server persist, specified byte for
+//!   byte on the type.  It runs independent multiply–rotate lanes over
+//!   little-endian words, so a resume hashes its traces at word speed,
+//!   not one dependent multiply per byte.
 //! * **Container format** ([`encode_checkpoint`] / [`decode_checkpoint`]):
-//!   a fixed header (magic + version, campaign fingerprint, seed-schedule
-//!   shape, header checksum) followed by one length-prefixed, individually
-//!   checksummed record per completed shard.  A corrupt record is detected
-//!   and *dropped* — never silently merged — while the records before it
-//!   stay usable; corruption that reaches the header condemns the whole
-//!   file.
+//!   a fixed header (magic + version `RMCKPT02`, campaign fingerprint,
+//!   seed-schedule shape, header checksum) followed by one length-prefixed,
+//!   individually checksummed record per completed shard.  A corrupt record
+//!   is detected and *dropped* — never silently merged — while the records
+//!   before it stay usable; corruption that reaches the header, or a header
+//!   of another format version, condemns the whole file.
 //! * **Stores** ([`CheckpointStore`]): where the bytes live.
 //!   [`FileCheckpointStore`] persists via the classic temp-file + rename
 //!   dance, so a crash mid-save leaves the previous complete checkpoint in
@@ -36,35 +41,119 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The five 64-bit multipliers of the content hash (XXH64's primes).
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
 
-/// Incremental FNV-1a 64-bit hasher: the checksum of the checkpoint and
-/// trace-file formats and the campaign fingerprint.  Chosen over a generic
-/// `Hasher` because its output is specified byte-for-byte — checkpoint
-/// files must stay readable across Rust versions.
-#[derive(Debug, Clone, Copy)]
-pub struct Fingerprint(u64);
+/// Independent accumulator lanes of the content hash.
+const LANES: usize = 4;
+/// Bytes one stripe feeds the lanes: one little-endian word per lane.
+const STRIPE: usize = LANES * 8;
+
+/// One multiply–rotate step of a lane.
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// A stripe's eight-byte windows as little-endian words.
+fn stripe_words(stripe: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    stripe
+        .chunks_exact(8)
+        .map(|word| u64::from_le_bytes(word.try_into().unwrap_or_default()))
+}
+
+/// The streaming content hash behind every key and checksum the
+/// simulator persists: campaign fingerprints, checkpoint header and record
+/// checksums, trace-file checksums and the server's cache keys.
+///
+/// It is specified here byte for byte, independent of `std::hash` and of
+/// the host's byte order, so stored files stay readable across Rust
+/// versions and machines.  The input is read as a byte string `m` of
+/// length `n`:
+///
+/// 1. Four lanes start at `P1 + P2`, `P2`, `0` and `0 − P1` (wrapping).
+/// 2. Every complete 32-byte stripe of `m` is four little-endian words;
+///    word `i` updates lane `i` as `acc = rotl(acc + word·P2, 31)·P1`.
+///    The lanes carry no dependency on each other, so a stripe costs
+///    four independent multiply chains, not one per byte.
+/// 3. The lanes merge: `h = rotl(l0, 1) + rotl(l1, 7) + rotl(l2, 12) +
+///    rotl(l3, 18)`, then for each lane `h = (h ^ round(0, l))·P1 + P4`.
+/// 4. `h += n`, so inputs that differ only by trailing zero bytes differ.
+/// 5. The `n mod 32` bytes after the last stripe: each whole word gives
+///    `h = rotl(h ^ round(0, word), 27)·P1 + P4`; the last 1–7 bytes,
+///    zero-extended to a little-endian word `w`, give
+///    `h = rotl(h ^ w·P5, 23)·P2 + P3`.
+/// 6. Avalanche: `h ^= h >> 33; h *= P2; h ^= h >> 29; h *= P3;
+///    h ^= h >> 32`.
+///
+/// All arithmetic wraps modulo 2⁶⁴; `P1`–`P5` are XXH64's primes.  A
+/// partial stripe is buffered between calls, so any split of `m` into
+/// [`write`](Self::write) calls gives the same value.
+#[derive(Debug, Clone)]
+pub struct Fingerprint {
+    lanes: [u64; LANES],
+    /// The bytes after the last complete stripe (`pending` of them).
+    partial: [u8; STRIPE],
+    pending: usize,
+    /// Bytes written so far.
+    len: u64,
+}
 
 impl Default for Fingerprint {
     fn default() -> Self {
-        Fingerprint(FNV_OFFSET)
+        Fingerprint {
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            partial: [0; STRIPE],
+            pending: 0,
+            len: 0,
+        }
     }
 }
 
 impl Fingerprint {
-    /// Creates a hasher at the FNV offset basis.
+    /// Creates a hasher over the empty input.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Folds a byte slice into the hash.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
+    fn stripe(&mut self, words: impl Iterator<Item = u64>) {
+        for (acc, word) in self.lanes.iter_mut().zip(words) {
+            *acc = round(*acc, word);
         }
+    }
+
+    /// Folds a byte slice into the hash.
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        self.len = self.len.wrapping_add(bytes.len() as u64);
+        if self.pending > 0 {
+            let take = bytes.len().min(STRIPE - self.pending);
+            let (head, rest) = bytes.split_at(take);
+            if let Some(slot) = self.partial.get_mut(self.pending..self.pending + take) {
+                slot.copy_from_slice(head);
+            }
+            self.pending += take;
+            bytes = rest;
+            if self.pending < STRIPE {
+                return;
+            }
+            let partial = self.partial;
+            self.stripe(stripe_words(&partial));
+            self.pending = 0;
+        }
+        let mut stripes = bytes.chunks_exact(STRIPE);
+        for stripe in &mut stripes {
+            self.stripe(stripe_words(stripe));
+        }
+        let rest = stripes.remainder();
+        if let Some(slot) = self.partial.get_mut(..rest.len()) {
+            slot.copy_from_slice(rest);
+        }
+        self.pending = rest.len();
     }
 
     /// Folds one little-endian `u64` into the hash.
@@ -72,15 +161,76 @@ impl Fingerprint {
         self.write(&value.to_le_bytes());
     }
 
-    /// The accumulated hash.
+    /// Folds words into the hash as their little-endian bytes, the same
+    /// value [`write`](Self::write) gives for those bytes.  When no
+    /// partial stripe is pending the words feed the lanes directly, with
+    /// no byte round trip.
+    pub(crate) fn write_words(&mut self, mut words: &[u64]) {
+        while self.pending > 0 {
+            let Some((word, rest)) = words.split_first() else {
+                return;
+            };
+            self.write_u64(*word);
+            words = rest;
+        }
+        let mut stripes = words.chunks_exact(LANES);
+        for stripe in &mut stripes {
+            self.stripe(stripe.iter().copied());
+        }
+        self.len = self
+            .len
+            .wrapping_add((words.len() - stripes.remainder().len()) as u64 * 8);
+        for &word in stripes.remainder() {
+            self.write_u64(word);
+        }
+    }
+
+    /// The hash of everything written so far.
     pub fn finish(&self) -> u64 {
-        self.0
+        let [l0, l1, l2, l3] = self.lanes;
+        let mut h = l0
+            .rotate_left(1)
+            .wrapping_add(l1.rotate_left(7))
+            .wrapping_add(l2.rotate_left(12))
+            .wrapping_add(l3.rotate_left(18));
+        for lane in self.lanes {
+            h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h = h.wrapping_add(self.len);
+        let mut words = self
+            .partial
+            .get(..self.pending)
+            .unwrap_or_default()
+            .chunks_exact(8);
+        for word in &mut words {
+            let word = u64::from_le_bytes(word.try_into().unwrap_or_default());
+            h = (h ^ round(0, word))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            if let Some(slot) = last.get_mut(..tail.len()) {
+                slot.copy_from_slice(tail);
+            }
+            h = (h ^ u64::from_le_bytes(last).wrapping_mul(P5))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
     }
 }
 
-/// FNV-1a 64-bit hash of a byte slice (the one-shot form of
-/// [`Fingerprint`]).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+/// The content hash of one byte string (the one-shot form of
+/// [`Fingerprint`]): the checksum of checkpoint headers and trace files.
+pub(crate) fn checksum(bytes: &[u8]) -> u64 {
     let mut hash = Fingerprint::new();
     hash.write(bytes);
     hash.finish()
@@ -185,9 +335,28 @@ impl std::error::Error for CheckpointError {
 // ---------------------------------------------------------------------------
 
 /// Magic + version prefix of a checkpoint file.  Bump the trailing digit on
-/// any layout change: the loader rejects unknown versions outright instead
-/// of misreading them.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"RMCKPT01";
+/// any layout or checksum change: the loader rejects unknown versions
+/// outright instead of misreading them, so a campaign finding an entry of
+/// another version starts it afresh.
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"RMCKPT02";
+
+/// Describes an 8-byte magic + version prefix that is not `expected`.
+/// A prefix that differs only in its version digits is named as an
+/// unsupported version, so a file written before a format change reads
+/// as out of date, not as foreign bytes.
+pub(crate) fn magic_mismatch(found: &[u8], expected: &[u8; 8]) -> String {
+    let name = expected.iter().take_while(|b| !b.is_ascii_digit()).count();
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    if found.len() == expected.len() && found.get(..name) == expected.get(..name) {
+        format!(
+            "magic {} is an unsupported version; this build reads {}",
+            text(found),
+            text(expected)
+        )
+    } else {
+        format!("bad magic {found:02x?} (expected {})", text(expected))
+    }
+}
 
 /// Byte length of the fixed checkpoint header.
 const HEADER_LEN: usize = 8 + 8 * 5;
@@ -258,7 +427,7 @@ pub fn encode_checkpoint(header: &CheckpointHeader, records: &[ShardRecord]) -> 
     out.extend_from_slice(&header.total_runs.to_le_bytes());
     out.extend_from_slice(&header.shard_count.to_le_bytes());
     out.extend_from_slice(&(records.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&out).to_le_bytes());
+    out.extend_from_slice(&checksum(&out).to_le_bytes());
     debug_assert_eq!(out.len(), HEADER_LEN);
     for record in records {
         out.extend_from_slice(&record.shard_index.to_le_bytes());
@@ -301,9 +470,7 @@ pub fn decode_checkpoint(
     }
     let magic = bytes.get(..8).unwrap_or_default();
     if magic != CHECKPOINT_MAGIC.as_slice() {
-        return Err(corrupt(format!(
-            "bad magic {magic:?} (expected {CHECKPOINT_MAGIC:?})"
-        )));
+        return Err(corrupt(magic_mismatch(magic, CHECKPOINT_MAGIC)));
     }
     // The length was checked above, but a miscounted HEADER_LEN must
     // surface as a Corrupt error, not a panic inside a resume path.
@@ -316,7 +483,7 @@ pub fn decode_checkpoint(
     let checksummed = bytes
         .get(..HEADER_LEN - 8)
         .ok_or_else(|| corrupt("header truncated".to_string()))?;
-    if fnv1a(checksummed) != stored_header_checksum {
+    if checksum(checksummed) != stored_header_checksum {
         return Err(corrupt("header checksum mismatch".to_string()));
     }
     let header = CheckpointHeader {
@@ -745,6 +912,7 @@ impl<S: CheckpointStore> CheckpointStore for FaultyStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_header() -> CheckpointHeader {
         CheckpointHeader {
@@ -859,13 +1027,68 @@ mod tests {
         assert_eq!(decoded.diagnostics.len(), 1);
     }
 
+    /// Byte `i` of a known-answer message is `31·i + 7` (mod 256).
+    fn known_answer_message(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
+            .collect()
+    }
+
     #[test]
-    fn fnv_is_stable() {
-        // Published FNV-1a test vectors: the format must hash identically
-        // forever, or old checkpoints stop validating.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    fn content_hash_known_answers() {
+        // The stored formats must hash identically forever, or their
+        // entries stop validating.  The lengths straddle the 32-byte
+        // stripe: empty, one byte, a stripe minus one byte, one stripe, one
+        // stripe plus one byte, and 1 KiB.
+        for (len, expected) in [
+            (0, 0x3fdf_455f_9dcf_1e62),
+            (1, 0x0673_663e_3580_0d4c),
+            (31, 0x87ed_c5c2_4aa3_0af4),
+            (32, 0x8d57_d6a4_671c_c43d),
+            (33, 0xba64_3df1_5e77_8f44),
+            (1024, 0x149a_a449_72cd_ae00),
+        ] {
+            assert_eq!(
+                checksum(&known_answer_message(len)),
+                expected,
+                "{len}-byte message"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Any split of a byte string into `write` calls gives the value
+        /// of one `write`, and `write_words` gives the value of `write`
+        /// over the words' little-endian bytes, whatever partial stripe is
+        /// pending when the words arrive.
+        #[test]
+        fn content_hash_is_independent_of_how_input_arrives(
+            bytes in prop::collection::vec(any::<u8>(), 0..160),
+            cuts in prop::collection::vec(0usize..160, 0..6),
+            words in prop::collection::vec(any::<u64>(), 0..40),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut split = Fingerprint::new();
+            let mut start = 0;
+            for end in cuts.into_iter().chain([bytes.len()]) {
+                split.write(&bytes[start..end]);
+                start = end;
+            }
+            prop_assert_eq!(split.finish(), checksum(&bytes));
+
+            let word_bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            let mut fresh = Fingerprint::new();
+            fresh.write_words(&words);
+            prop_assert_eq!(fresh.finish(), checksum(&word_bytes));
+            let mut as_words = split.clone();
+            as_words.write_words(&words);
+            let mut as_bytes = split;
+            as_bytes.write(&word_bytes);
+            prop_assert_eq!(as_words.finish(), as_bytes.finish());
+        }
     }
 
     #[test]

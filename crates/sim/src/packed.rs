@@ -20,8 +20,14 @@
 //! round-trip too) and the cycle count for compute intervals.  Decoding is
 //! a shift and a 4-way match, done on the fly by [`PackedEvents`]; no
 //! intermediate `Vec<MemEvent>` is ever materialised during replay.
+//!
+//! The stored words are also what identifies a trace: a campaign
+//! fingerprint hashes them in place through
+//! [`EventSource::packed_words`], with the word-parallel
+//! [`crate::checkpoint::Fingerprint`], and [`PackedTrace::to_bytes`] writes
+//! them in a file format (magic `RMTRACE2`) checksummed by the same hash.
 
-use crate::checkpoint::{atomic_write, fnv1a};
+use crate::checkpoint::{atomic_write, checksum, magic_mismatch};
 use crate::trace::{EventSink, EventSource, MemEvent, Trace};
 use crate::wire::le_u64;
 use randmod_core::Address;
@@ -165,6 +171,10 @@ impl EventSource for PackedTrace {
     fn events(&self) -> impl Iterator<Item = MemEvent> + '_ {
         self.iter()
     }
+
+    fn packed_words(&self) -> Option<&[u64]> {
+        Some(&self.words)
+    }
 }
 
 impl Extend<MemEvent> for PackedTrace {
@@ -207,8 +217,9 @@ impl fmt::Display for PackedTrace {
 // ---------------------------------------------------------------------------
 
 /// Magic + version prefix of a packed-trace file (bump the digit when the
-/// word encoding changes).
-pub const TRACE_FILE_MAGIC: &[u8; 8] = b"RMTRACE1";
+/// word encoding or the checksum changes; a file of another version is
+/// refused with an error naming its version).
+pub const TRACE_FILE_MAGIC: &[u8; 8] = b"RMTRACE2";
 
 /// Error produced while reading or writing a packed-trace file.
 #[derive(Debug)]
@@ -253,8 +264,8 @@ impl std::error::Error for TraceFileError {
 
 impl PackedTrace {
     /// Serializes the trace into its self-validating file format: magic +
-    /// version, event count, the packed words, and a trailing FNV-1a
-    /// checksum over everything before it.  [`Self::from_bytes`] rejects
+    /// version, event count, the packed words, and a trailing checksum
+    /// ([`crate::checkpoint::Fingerprint`]) over everything before it.  [`Self::from_bytes`] rejects
     /// any truncation or bit-flip of the result.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut bytes = Vec::with_capacity(24 + self.words.len() * 8);
@@ -263,8 +274,8 @@ impl PackedTrace {
         for &word in &self.words {
             bytes.extend_from_slice(&word.to_le_bytes());
         }
-        let checksum = fnv1a(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
+        let sum = checksum(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
         bytes
     }
 
@@ -289,10 +300,7 @@ impl PackedTrace {
         }
         let magic = bytes.get(..8).ok_or_else(truncated)?;
         if magic != TRACE_FILE_MAGIC.as_slice() {
-            return Err(corrupt(format!(
-                "bad magic {magic:02x?} (expected {TRACE_FILE_MAGIC:02x?}) — not a packed-trace \
-                 file, or an unsupported version"
-            )));
+            return Err(corrupt(magic_mismatch(magic, TRACE_FILE_MAGIC)));
         }
         let count = le_u64(bytes.get(8..16).ok_or_else(truncated)?);
         let body_len = bytes.len() - 8;
@@ -306,7 +314,7 @@ impl PackedTrace {
         }
         let stored = le_u64(bytes.get(body_len..).ok_or_else(truncated)?);
         let body = bytes.get(..body_len).ok_or_else(truncated)?;
-        let computed = fnv1a(body);
+        let computed = checksum(body);
         if stored != computed {
             return Err(corrupt(format!(
                 "checksum mismatch: stored {stored:#018x}, computed {computed:#018x} \
@@ -513,10 +521,24 @@ mod tests {
 
     #[test]
     fn wrong_magic_is_reported_as_such() {
-        let mut bytes = PackedTrace::from_iter(sample_events()).to_bytes();
-        bytes[7] = b'9';
-        let err = PackedTrace::from_bytes(&bytes).unwrap_err();
-        assert!(err.to_string().contains("magic"), "{err}");
+        // A foreign prefix, a future version and the previous version
+        // (`RMTRACE1`, checksummed before the word-parallel hash): each is
+        // refused, and a version of this format is named.
+        for (byte, value, named) in [
+            (0, b'X', None),
+            (7, b'9', Some("RMTRACE9")),
+            (7, b'1', Some("RMTRACE1")),
+        ] {
+            let mut bytes = PackedTrace::from_iter(sample_events()).to_bytes();
+            bytes[byte] = value;
+            let err = PackedTrace::from_bytes(&bytes).unwrap_err();
+            assert!(matches!(err, TraceFileError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains("magic"), "{err}");
+            if let Some(version) = named {
+                assert!(err.to_string().contains(version), "{err}");
+                assert!(err.to_string().contains("unsupported version"), "{err}");
+            }
+        }
     }
 
     #[test]

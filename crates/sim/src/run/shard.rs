@@ -328,26 +328,45 @@ impl Campaign {
         });
         hash.write_u64(spec.total_runs() as u64);
         hash.write_u64(spec.shard_count() as u64);
-        for &seed in seeds {
-            hash.write_u64(seed);
-        }
+        hash.write_words(seeds);
         hash
     }
 
     /// Folds one trace into the fingerprint via its packed 8-byte words
     /// (the same encoding [`crate::packed::PackedTrace`] stores), preceded
-    /// by its event count so trace boundaries cannot alias.
+    /// by its event count so trace boundaries cannot alias.  A packed
+    /// source's stored words are hashed in place; any other source is
+    /// encoded a fixed-size block at a time, so hashing it takes constant
+    /// memory.  Both give one trace the same value.
     fn fold_trace<S>(hash: &mut Fingerprint, source: &S)
     where
         S: EventSource + ?Sized,
     {
-        let mut count = 0u64;
         let mut body = Fingerprint::new();
-        for event in source.events() {
-            body.write_u64(packed::encode(event));
-            count += 1;
-        }
-        hash.write_u64(count);
+        let count = match source.packed_words() {
+            Some(words) => {
+                body.write_words(words);
+                words.len()
+            }
+            None => {
+                let mut words = source.events().map(packed::encode);
+                let mut block = [0u64; 256];
+                let mut count = 0;
+                loop {
+                    let mut filled = 0;
+                    for (slot, word) in block.iter_mut().zip(&mut words) {
+                        *slot = word;
+                        filled += 1;
+                    }
+                    body.write_words(block.get(..filled).unwrap_or_default());
+                    count += filled;
+                    if filled < block.len() {
+                        break count;
+                    }
+                }
+            }
+        };
+        hash.write_u64(count as u64);
         hash.write_u64(body.finish());
     }
 
@@ -615,7 +634,8 @@ mod tests {
     use super::*;
     use crate::checkpoint::MemoryCheckpointStore;
     use crate::config::PlatformConfig;
-    use crate::trace::Trace;
+    use crate::packed::PackedTrace;
+    use crate::trace::{MemEvent, Trace};
     use randmod_core::{Address, PlacementKind};
 
     #[test]
@@ -768,6 +788,63 @@ mod tests {
                 .with_lanes(1)
                 .sharded_fingerprint(&trace, &seeds, 4)
         );
+    }
+
+    /// `n` events cycling through the kinds that carry an address.
+    fn addressed_events(n: u64) -> Vec<MemEvent> {
+        (0..n)
+            .map(|i| {
+                let addr = Address::new(0x4000 + i * 36);
+                match i % 3 {
+                    0 => MemEvent::InstrFetch(addr),
+                    1 => MemEvent::Load(addr),
+                    _ => MemEvent::Store(addr),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_trace_fingerprints_the_same_whatever_holds_it() {
+        let a = campaign(10);
+        let seeds: Vec<u64> = (0..10).collect();
+        for n in [0, 1, 3, 4, 5, 31, 32, 33, 1_000] {
+            let events = addressed_events(n);
+            let trace: Trace = events.iter().copied().collect();
+            let packed = PackedTrace::from(&trace);
+            let slice: &[MemEvent] = &events;
+            let solo = a.sharded_fingerprint(&packed, &seeds, 4);
+            assert_eq!(solo, a.sharded_fingerprint(&trace, &seeds, 4), "{n}");
+            assert_eq!(solo, a.sharded_fingerprint(&slice, &seeds, 4), "{n}");
+            assert_eq!(solo, a.sharded_fingerprint(&events, &seeds, 4), "{n}");
+            let contended =
+                a.contended_sharded_fingerprint(&[packed.clone(), packed.clone()], &seeds, 4);
+            for other in [
+                a.contended_sharded_fingerprint(&[trace.clone(), trace.clone()], &seeds, 4),
+                a.contended_sharded_fingerprint(&[slice, slice], &seeds, 4),
+                a.contended_sharded_fingerprint(&[events.clone(), events.clone()], &seeds, 4),
+            ] {
+                assert_eq!(contended, other, "{n}");
+            }
+            // One flipped address bit in any single event changes both.
+            for (i, event) in events.iter().enumerate() {
+                let flip = |addr: Address| Address::new(addr.raw() ^ (1 << (i % 32)));
+                let mut flipped = events.clone();
+                flipped[i] = match *event {
+                    MemEvent::InstrFetch(addr) => MemEvent::InstrFetch(flip(addr)),
+                    MemEvent::Load(addr) => MemEvent::Load(flip(addr)),
+                    MemEvent::Store(addr) => MemEvent::Store(flip(addr)),
+                    MemEvent::Compute(cycles) => MemEvent::Compute(cycles),
+                };
+                let flipped_packed: PackedTrace = flipped.iter().copied().collect();
+                assert_ne!(solo, a.sharded_fingerprint(&flipped_packed, &seeds, 4));
+                assert_ne!(solo, a.sharded_fingerprint(&flipped, &seeds, 4));
+                assert_ne!(
+                    contended,
+                    a.contended_sharded_fingerprint(&[packed.clone(), flipped_packed], &seeds, 4)
+                );
+            }
+        }
     }
 
     #[test]

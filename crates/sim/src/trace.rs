@@ -127,11 +127,23 @@ impl<F: FnMut(MemEvent)> EventSink for SinkFn<F> {
 pub trait EventSource: Sync {
     /// Iterates one full replay of the trace.
     fn events(&self) -> impl Iterator<Item = MemEvent> + '_;
+
+    /// The trace as the packed words of [`crate::packed`], when the source
+    /// already stores them (`None` otherwise).  A campaign fingerprint
+    /// hashes these words in one pass instead of re-encoding every event;
+    /// either way a trace gets the same fingerprint.
+    fn packed_words(&self) -> Option<&[u64]> {
+        None
+    }
 }
 
 impl<S: EventSource + ?Sized> EventSource for &S {
     fn events(&self) -> impl Iterator<Item = MemEvent> + '_ {
         (**self).events()
+    }
+
+    fn packed_words(&self) -> Option<&[u64]> {
+        (**self).packed_words()
     }
 }
 

@@ -12,7 +12,7 @@
 //! "save `n`" names the boundary after the `n`-th shard precisely.
 
 use randmod_core::{Address, PlacementKind};
-use randmod_sim::checkpoint::{CheckpointError, CheckpointStore};
+use randmod_sim::checkpoint::{CheckpointError, CheckpointStore, CHECKPOINT_MAGIC};
 use randmod_sim::{
     Campaign, CampaignError, CampaignResult, ContendedResult, FaultPlan, FaultyStore,
     FileCheckpointStore, MemoryCheckpointStore, PlatformConfig, Trace,
@@ -178,24 +178,29 @@ fn truncated_checkpoint_reruns_lost_shards_only() {
 
 #[test]
 fn truncated_header_restarts_fresh_with_a_diagnostic() {
-    // Torn down to 10 bytes: not even the header survives.  The file is
-    // unusable; the driver restarts from shard 0 and says so.
-    let (mut store, _) = interrupted_run(
+    // Two unusable headers: torn down to 10 bytes, so not even the header
+    // survives; and intact but stamped `RMCKPT01`, the format version
+    // before the current checksums.  Either way the campaign restarts from
+    // shard 0, says so once, and rewrites the entry in the current format.
+    let (torn, _) = interrupted_run(
         FaultPlan::new()
             .truncate_after_save(2, 10)
             .kill_after_save(2),
     );
-    let report = resume_and_check(&mut store);
-    assert_eq!(report.resumed, 0);
-    assert_eq!(report.executed, SHARDS);
-    assert!(
-        report
-            .diagnostics
-            .iter()
-            .any(|d| d.contains("starting fresh")),
-        "{:?}",
-        report.diagnostics
-    );
+    let (mut old_version, _) = interrupted_run(FaultPlan::new().kill_after_save(2));
+    old_version.mutate(|bytes| bytes[..8].copy_from_slice(b"RMCKPT01"));
+    for (mut store, cause) in [(torn, "shorter"), (old_version, "RMCKPT01")] {
+        let report = resume_and_check(&mut store);
+        assert_eq!(report.resumed, 0);
+        assert_eq!(report.executed, SHARDS);
+        let [diagnostic] = report.diagnostics.as_slice() else {
+            panic!("one diagnostic expected: {:?}", report.diagnostics);
+        };
+        for needle in ["unusable", cause, "starting fresh"] {
+            assert!(diagnostic.contains(needle), "{needle}: {diagnostic}");
+        }
+        assert_eq!(&store.bytes().unwrap()[..8], CHECKPOINT_MAGIC);
+    }
 }
 
 #[test]
