@@ -21,7 +21,7 @@
 //! Run with `cargo run --release -p randmod-core --example probe_microbench`.
 
 use randmod_core::cache::{AccessKind, SetAssocCacheLanes, WritePolicy};
-use randmod_core::{AccessFlags, CacheGeometry, LineAddr, PlacementKind, ReplacementKind};
+use randmod_core::{CacheGeometry, LineAddr, PlacementKind, ReplacementKind};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -85,11 +85,9 @@ fn time(
     .unwrap();
     let seeds: Vec<u64> = (0..lanes as u64).map(|l| 0xBEEF ^ (l * 0x9E37)).collect();
     bank.reseed_wave(&seeds);
-    let mut flags = vec![AccessFlags::default(); lanes];
     let start = Instant::now();
     for &(line, access) in stream {
-        bank.access(LineAddr::new(line), access, u64::MAX, &mut flags);
-        black_box(&flags);
+        black_box(bank.access(LineAddr::new(line), access, u64::MAX));
     }
     start.elapsed().as_secs_f64() / (stream.len() * lanes) as f64 * 1e9
 }

@@ -129,47 +129,23 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// Outcome of one lane of a [`SetAssocCacheLanes`] access — hit, fill,
-/// eviction, write-back — packed into one byte so batched replay lanes can
-/// accumulate statistics with branch-free adds.
+/// Outcome of one [`SetAssocCacheLanes::access`] as four lane masks: bit
+/// `i` of each is lane `i`'s outcome, and every bit outside the selected
+/// active lanes is clear.  A selected lane missed exactly when its `hits`
+/// bit is clear, and the masks nest: `fills` ⊆ ¬`hits` (write-through
+/// store misses do not allocate), `evictions` ⊆ `fills` and `writebacks` ⊆
+/// `evictions`.  A caller books what every lane shares once and walks only
+/// the set bits of the miss side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AccessFlags(u8);
-
-impl AccessFlags {
-    const HIT: u8 = 1 << 0;
-    const FILLED: u8 = 1 << 1;
-    const EVICTED: u8 = 1 << 2;
-    const WRITEBACK: u8 = 1 << 3;
-
-    /// Whether the access hit.
-    #[inline]
-    pub const fn is_hit(self) -> bool {
-        self.0 & Self::HIT != 0
-    }
-
-    /// Whether the access missed.
-    #[inline]
-    pub const fn is_miss(self) -> bool {
-        !self.is_hit()
-    }
-
-    /// Whether the miss allocated a line.
-    #[inline]
-    pub const fn filled(self) -> bool {
-        self.0 & Self::FILLED != 0
-    }
-
-    /// Whether the fill displaced a valid line.
-    #[inline]
-    pub const fn evicted(self) -> bool {
-        self.0 & Self::EVICTED != 0
-    }
-
-    /// Whether the displaced line was dirty (a write-back).
-    #[inline]
-    pub const fn wrote_back(self) -> bool {
-        self.0 & Self::WRITEBACK != 0
-    }
+pub struct AccessMasks {
+    /// Lanes whose access hit.
+    pub hits: u64,
+    /// Lanes whose miss allocated a line.
+    pub fills: u64,
+    /// Lanes whose fill displaced a valid line.
+    pub evictions: u64,
+    /// Lanes whose displaced line was dirty (a write-back).
+    pub writebacks: u64,
 }
 
 /// Sentinel stored in the flat tag array for an invalid way.  Line
@@ -226,12 +202,13 @@ fn mask_of(n: usize) -> u64 {
 /// independent per-seed cache hierarchies.  `SetAssocCacheLanes` holds
 /// those K caches in one bank, tags stored *lane-major* —
 /// `tags[(set * ways + way) * K + lane]` — and [`Self::access`] applies
-/// one access to the lanes a *lane mask* selects (bit `i` = lane `i`), in
-/// three steps:
+/// one access to the lanes a *lane mask* selects (bit `i` = lane `i`) and
+/// returns their outcomes as [`AccessMasks`], in three steps:
 ///
 /// 1. **The wave residency filter** (below): when every selected lane
 ///    provably holds the line and the access would change nothing, the
-///    call books all-hit without placement or probe.
+///    call returns all-hit without placement, probe or any per-lane
+///    write.
 /// 2. **One placement sweep**: [`PlacementLanes::index_lanes`] maps the
 ///    line to a set for every active lane — one index for the
 ///    seed-independent Modulo/XOR, a memoised row copy for hRP and RM.
@@ -410,24 +387,13 @@ impl SetAssocCacheLanes {
     }
 
     /// Applies one access to every active lane selected by `mask` (bit `i`
-    /// = lane `i`), writing lane `i`'s [`AccessFlags`] into `flags[i]`.
-    /// Lanes outside the mask are not accessed and their flags are left
-    /// as they were; mask bits at or above the active lane count are
-    /// ignored, so `u64::MAX` selects every active lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `flags.len()` differs from the active lane count.
-    // randmod: allow(P1, every index is in bounds by construction: slot < FILTER_SLOTS by the power-of-two mask and filter_tags/filter_valid hold FILTER_SLOTS entries, filter_index holds FILTER_SLOTS * lanes; lane is a set bit of a mask clipped to active_mask, so lane < active <= lanes = set_scratch.len() = replacement.len() = rng lanes, and flags.len() == active is the documented contract; set < sets comes from the placement bank and way < ways from the probe or the victim pick, so base + way * lanes < sets * ways * lanes = tags.len() and the dirty bitmap covers every tag cell; an evicted tag is a real line, so its slot is masked like the accessed one)
+    /// = lane `i`) and returns the lanes' outcomes.  Mask bits at or above
+    /// the active lane count are ignored, so `u64::MAX` selects every
+    /// active lane; lanes outside the mask are not accessed, and their
+    /// bits are clear in every returned mask.
+    // randmod: allow(P1, every index is in bounds by construction: slot < FILTER_SLOTS by the power-of-two mask and filter_tags/filter_valid hold FILTER_SLOTS entries, filter_index holds FILTER_SLOTS * lanes; lane is a set bit of a mask clipped to active_mask, so lane < active <= lanes = set_scratch.len() = replacement.len() = rng lanes; set < sets comes from the placement bank and way < ways from the probe or the victim pick, so base + way * lanes < sets * ways * lanes = tags.len() and the dirty bitmap covers every tag cell; an evicted tag is a real line, so its slot is masked like the accessed one)
     #[inline]
-    pub fn access(
-        &mut self,
-        line: LineAddr,
-        kind: AccessKind,
-        mask: u64,
-        flags: &mut [AccessFlags],
-    ) {
-        debug_assert_eq!(flags.len(), self.active, "one flags slot per active lane");
+    pub fn access(&mut self, line: LineAddr, kind: AccessKind, mask: u64) -> AccessMasks {
         debug_assert_ne!(
             line.raw(),
             INVALID_TAG,
@@ -464,12 +430,10 @@ impl SetAssocCacheLanes {
                 }
             }
             if idle {
-                for (lane, flag) in flags.iter_mut().enumerate() {
-                    if mask >> lane & 1 != 0 {
-                        *flag = AccessFlags(AccessFlags::HIT);
-                    }
-                }
-                return;
+                return AccessMasks {
+                    hits: mask,
+                    ..AccessMasks::default()
+                };
             }
         }
 
@@ -485,11 +449,10 @@ impl SetAssocCacheLanes {
         // — hits and fills, but not a write-through store miss, which
         // allocates nothing — arms its filter bit.
         let skip = if is_write && wb { 0 } else { resident };
-        for (lane, flag) in flags.iter_mut().enumerate() {
-            if skip >> lane & 1 != 0 {
-                *flag = AccessFlags(AccessFlags::HIT);
-            }
-        }
+        let mut out = AccessMasks {
+            hits: skip,
+            ..AccessMasks::default()
+        };
         let ways = self.ways;
         let row = ways * k;
         let do_touch = self.replacement_kind == ReplacementKind::Lru;
@@ -522,12 +485,11 @@ impl SetAssocCacheLanes {
                 if is_write && wb {
                     bit_set(&mut self.dirty, index);
                 }
-                flags[lane] = AccessFlags(AccessFlags::HIT);
+                out.hits |= lane_bit;
                 index
             } else if is_write && !wb {
                 // Write-through store miss: goes straight to the next
                 // level, no allocation, no victim draw.
-                flags[lane] = AccessFlags(0);
                 continue;
             } else {
                 let way = if inv_way != NO_WAY {
@@ -538,11 +500,11 @@ impl SetAssocCacheLanes {
                 };
                 let index = base + way as usize * k;
                 let old_tag = self.tags[index];
-                let mut fl = AccessFlags::FILLED;
+                out.fills |= lane_bit;
                 if old_tag != INVALID_TAG {
-                    fl |= AccessFlags::EVICTED;
+                    out.evictions |= lane_bit;
                     if wb && bit_get(&self.dirty, index) {
-                        fl |= AccessFlags::WRITEBACK;
+                        out.writebacks |= lane_bit;
                     }
                     if arm {
                         // Keep the valid bits authoritative: the victim is
@@ -562,7 +524,6 @@ impl SetAssocCacheLanes {
                 if do_touch {
                     self.replacement[lane].touch(set, way);
                 }
-                flags[lane] = AccessFlags(fl);
                 index
             };
             if arm {
@@ -578,6 +539,7 @@ impl SetAssocCacheLanes {
                 self.filter_valid[slot] = armed;
             }
         }
+        out
     }
 }
 
@@ -608,27 +570,39 @@ mod tests {
     }
 
     /// One access of the byte address `addr` on a one-lane bank.
-    fn access(bank: &mut SetAssocCacheLanes, addr: u64, kind: AccessKind) -> AccessFlags {
-        let mut flags = [AccessFlags::default()];
+    fn access(bank: &mut SetAssocCacheLanes, addr: u64, kind: AccessKind) -> AccessMasks {
         let line = bank.geometry().line_addr(Address::new(addr));
-        bank.access(line, kind, 1, &mut flags);
-        flags[0]
+        bank.access(line, kind, 1)
+    }
+
+    /// Lane-0 outcomes of a one-lane bank: a hit, a fill into an invalid
+    /// way, a fill that evicts a clean line and one that writes back.
+    const HIT: AccessMasks = outcome(1, 0, 0, 0);
+    const FILL: AccessMasks = outcome(0, 1, 0, 0);
+    const EVICT: AccessMasks = outcome(0, 1, 1, 0);
+    const WRITEBACK: AccessMasks = outcome(0, 1, 1, 1);
+
+    const fn outcome(hits: u64, fills: u64, evictions: u64, writebacks: u64) -> AccessMasks {
+        AccessMasks {
+            hits,
+            fills,
+            evictions,
+            writebacks,
+        }
     }
 
     #[test]
     fn miss_then_hit() {
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
-        let first = access(&mut cache, 0x40, AccessKind::Load);
-        assert!(first.is_miss() && first.filled() && !first.evicted());
-        let second = access(&mut cache, 0x40, AccessKind::Load);
-        assert!(second.is_hit() && !second.filled());
+        assert_eq!(access(&mut cache, 0x40, AccessKind::Load), FILL);
+        assert_eq!(access(&mut cache, 0x40, AccessKind::Load), HIT);
     }
 
     #[test]
     fn same_line_different_bytes_hit() {
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
-        assert!(access(&mut cache, 0x100, AccessKind::Load).is_miss());
-        assert!(access(&mut cache, 0x11F, AccessKind::Load).is_hit());
+        assert_eq!(access(&mut cache, 0x100, AccessKind::Load), FILL);
+        assert_eq!(access(&mut cache, 0x11F, AccessKind::Load), HIT);
     }
 
     #[test]
@@ -638,39 +612,39 @@ mod tests {
         let (a, b, c) = (0, 256, 512);
         access(&mut cache, a, AccessKind::Load);
         access(&mut cache, b, AccessKind::Load);
-        let outcome = access(&mut cache, c, AccessKind::Load);
-        assert!(outcome.is_miss() && outcome.evicted());
+        assert_eq!(access(&mut cache, c, AccessKind::Load), EVICT);
         // `a` was the LRU line, so it must be gone while `b` and `c`
         // survived.
-        assert!(access(&mut cache, b, AccessKind::Load).is_hit());
-        assert!(access(&mut cache, c, AccessKind::Load).is_hit());
-        assert!(access(&mut cache, a, AccessKind::Load).is_miss());
+        assert_eq!(access(&mut cache, b, AccessKind::Load), HIT);
+        assert_eq!(access(&mut cache, c, AccessKind::Load), HIT);
+        assert_eq!(access(&mut cache, a, AccessKind::Load), EVICT);
     }
 
     #[test]
     fn write_through_store_miss_does_not_allocate() {
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
-        let outcome = access(&mut cache, 0x80, AccessKind::Store);
-        assert!(outcome.is_miss() && !outcome.filled() && !outcome.evicted());
-        assert!(access(&mut cache, 0x80, AccessKind::Load).is_miss());
+        assert_eq!(
+            access(&mut cache, 0x80, AccessKind::Store),
+            AccessMasks::default()
+        );
+        assert_eq!(access(&mut cache, 0x80, AccessKind::Load), FILL);
     }
 
     #[test]
     fn write_back_store_miss_allocates_and_dirties() {
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteBack);
-        let stored = access(&mut cache, 0, AccessKind::Store);
-        assert!(stored.is_miss() && stored.filled());
+        assert_eq!(access(&mut cache, 0, AccessKind::Store), FILL);
         access(&mut cache, 256, AccessKind::Load);
         // Evicting the dirty line must produce a write-back.
-        assert!(access(&mut cache, 512, AccessKind::Load).wrote_back());
+        assert_eq!(access(&mut cache, 512, AccessKind::Load), WRITEBACK);
     }
 
     #[test]
     fn write_through_never_writes_back() {
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
         for i in 0..64u64 {
-            assert!(!access(&mut cache, i * 32, AccessKind::Store).wrote_back());
-            assert!(!access(&mut cache, i * 32, AccessKind::Load).wrote_back());
+            assert_eq!(access(&mut cache, i * 32, AccessKind::Store).writebacks, 0);
+            assert_eq!(access(&mut cache, i * 32, AccessKind::Load).writebacks, 0);
         }
     }
 
@@ -678,9 +652,9 @@ mod tests {
     fn reseed_flushes_contents() {
         let mut cache = small_cache(PlacementKind::RandomModulo, WritePolicy::WriteThrough);
         access(&mut cache, 0x40, AccessKind::Load);
-        assert!(access(&mut cache, 0x40, AccessKind::Load).is_hit());
+        assert_eq!(access(&mut cache, 0x40, AccessKind::Load), HIT);
         cache.reseed_wave(&[99]);
-        assert!(access(&mut cache, 0x40, AccessKind::Load).is_miss());
+        assert_eq!(access(&mut cache, 0x40, AccessKind::Load), FILL);
     }
 
     #[test]
@@ -693,12 +667,13 @@ mod tests {
             access(&mut cache, i * 32, AccessKind::Load);
         }
         for i in 0..16u64 {
-            assert!(access(&mut cache, i * 32, AccessKind::Load).is_hit());
+            assert_eq!(access(&mut cache, i * 32, AccessKind::Load), HIT);
         }
         cache.reseed_wave(&[0]);
         for i in 0..16u64 {
-            assert!(
-                access(&mut cache, i * 32, AccessKind::Load).is_miss(),
+            assert_eq!(
+                access(&mut cache, i * 32, AccessKind::Load),
+                FILL,
                 "line {i}"
             );
         }
@@ -722,46 +697,42 @@ mod tests {
                 3,
             )
             .unwrap();
-            let mut flags = vec![AccessFlags::default(); 3];
             bank.reseed_wave(&[1, 2, 3]);
-            bank.access(line, AccessKind::Load, 0b111, &mut flags);
-            bank.access(line, AccessKind::Load, 0b111, &mut flags);
-            assert!(
-                flags.iter().all(|f| f.is_hit()),
+            bank.access(line, AccessKind::Load, 0b111);
+            assert_eq!(
+                bank.access(line, AccessKind::Load, 0b111),
+                outcome(0b111, 0, 0, 0),
                 "filter not armed under {placement}"
             );
             bank.reseed_wave(&[0xFEED_F00D, 5, 6]);
-            bank.access(line, AccessKind::Load, 0b111, &mut flags);
-            assert!(
-                flags.iter().all(|f| f.is_miss()),
+            assert_eq!(
+                bank.access(line, AccessKind::Load, 0b111),
+                outcome(0, 0b111, 0, 0),
                 "phantom filter hit after reseed under {placement}"
             );
             // The miss refilled (and re-armed) the line in every lane:
-            // a one-lane access hits and leaves the other lanes' flags be.
-            let mut one = vec![AccessFlags::default(); 3];
-            bank.access(line, AccessKind::Load, 0b001, &mut one);
-            assert!(one[0].is_hit());
-            assert_eq!(one[1..], [AccessFlags::default(); 2]);
+            // a one-lane access hits, and reports nothing for the others.
+            assert_eq!(
+                bank.access(line, AccessKind::Load, 0b001),
+                outcome(0b001, 0, 0, 0)
+            );
         }
     }
 
     #[test]
-    fn access_flags_pack_every_outcome_field() {
+    fn access_masks_report_every_outcome_field() {
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteBack);
-        let cold = access(&mut cache, 0, AccessKind::Load);
-        assert!(cold.is_miss() && cold.filled() && !cold.evicted() && !cold.wrote_back());
-        let hit = access(&mut cache, 0, AccessKind::Load);
-        assert!(hit.is_hit() && !hit.filled() && !hit.evicted() && !hit.wrote_back());
+        assert_eq!(access(&mut cache, 0, AccessKind::Load), FILL);
+        assert_eq!(access(&mut cache, 0, AccessKind::Load), HIT);
         // Set 0 now holds the clean line 0 and the dirty line 256.
         access(&mut cache, 256, AccessKind::Store);
-        let clean = access(&mut cache, 512, AccessKind::Load);
-        assert!(clean.is_miss() && clean.filled() && clean.evicted() && !clean.wrote_back());
-        let dirty = access(&mut cache, 768, AccessKind::Load);
-        assert!(dirty.is_miss() && dirty.filled() && dirty.evicted() && dirty.wrote_back());
+        assert_eq!(access(&mut cache, 512, AccessKind::Load), EVICT);
+        assert_eq!(access(&mut cache, 768, AccessKind::Load), WRITEBACK);
         let mut through = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
-        let bypass = access(&mut through, 0, AccessKind::Store);
-        assert!(bypass.is_miss() && !bypass.filled() && !bypass.evicted() && !bypass.wrote_back());
-        assert_eq!(AccessFlags::default(), bypass);
+        assert_eq!(
+            access(&mut through, 0, AccessKind::Store),
+            AccessMasks::default()
+        );
     }
 
     #[test]
@@ -774,7 +745,7 @@ mod tests {
         }
         for _ in 0..10 {
             for i in 0..16u64 {
-                assert!(access(&mut cache, i * 32, AccessKind::Load).is_hit());
+                assert_eq!(access(&mut cache, i * 32, AccessKind::Load), HIT);
             }
         }
     }
@@ -795,8 +766,9 @@ mod tests {
             }
             for _ in 0..5 {
                 for i in 0..16u64 {
-                    assert!(
-                        access(&mut cache, i * 32, AccessKind::Load).is_hit(),
+                    assert_eq!(
+                        access(&mut cache, i * 32, AccessKind::Load),
+                        HIT,
                         "seed {seed}"
                     );
                 }
@@ -873,15 +845,20 @@ mod tests {
             );
             // Two lines of set 0 fill its two ways without evicting.
             for addr in [0, 256] {
-                let outcome = access(&mut cache, addr, AccessKind::Load);
-                assert!(outcome.filled() && !outcome.evicted(), "{replacement}");
+                assert_eq!(
+                    access(&mut cache, addr, AccessKind::Load),
+                    FILL,
+                    "{replacement}"
+                );
             }
-            assert!(
-                access(&mut cache, 0, AccessKind::Load).is_hit(),
+            assert_eq!(
+                access(&mut cache, 0, AccessKind::Load),
+                HIT,
                 "{replacement}"
             );
-            assert!(
-                access(&mut cache, 256, AccessKind::Load).is_hit(),
+            assert_eq!(
+                access(&mut cache, 256, AccessKind::Load),
+                HIT,
                 "{replacement}"
             );
         }
@@ -899,18 +876,21 @@ mod tests {
         )
         .unwrap();
         bank.reseed_wave(&[1, 2, 3, 4]);
-        let mut flags = vec![AccessFlags::default(); 4];
         let line = geometry.line_addr(Address::new(0x40));
-        bank.access(line, AccessKind::Load, u64::MAX, &mut flags);
-        assert!(flags.iter().all(|f| f.is_miss()));
-        bank.access(line, AccessKind::Load, u64::MAX, &mut flags);
-        assert!(flags.iter().all(|f| f.is_hit()));
+        assert_eq!(
+            bank.access(line, AccessKind::Load, u64::MAX),
+            outcome(0, 0b1111, 0, 0)
+        );
+        assert_eq!(
+            bank.access(line, AccessKind::Load, u64::MAX),
+            outcome(0b1111, 0, 0, 0)
+        );
         // Reseeding flushes: the same line must miss again on every lane,
         // even with identical seeds (contents are gone).
         bank.reseed_wave(&[1, 2, 3, 4]);
-        bank.access(line, AccessKind::Load, u64::MAX, &mut flags);
-        assert!(
-            flags.iter().all(|f| f.is_miss()),
+        assert_eq!(
+            bank.access(line, AccessKind::Load, u64::MAX),
+            outcome(0, 0b1111, 0, 0),
             "phantom hit after reseed_wave"
         );
     }
@@ -942,7 +922,7 @@ mod tests {
             let mut hits = 0;
             for i in 0..2000u64 {
                 let addr = (i * 7919) % 4096 * 32;
-                hits += access(&mut cache, addr, AccessKind::Load).is_hit() as u64;
+                hits += access(&mut cache, addr, AccessKind::Load).hits;
             }
             (hits, 2000 - hits)
         };

@@ -19,14 +19,14 @@
 //! * [`replacement`] — random / LRU / round-robin replacement.
 //! * [`cache`] — the set-associative cache model: a bank of K per-seed
 //!   caches accessed through one lane mask, with pluggable placement and
-//!   replacement, per-lane outcome flags and statistics.
+//!   replacement, outcomes returned as lane masks, and statistics.
 //! * [`layout`] — cache-layout census utilities (conflict counting,
 //!   per-set occupancy) used by the test-suite.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use randmod_core::{AccessFlags, CacheGeometry, Address, PlacementKind, ReplacementKind};
+//! use randmod_core::{AccessMasks, CacheGeometry, Address, PlacementKind, ReplacementKind};
 //! use randmod_core::cache::{SetAssocCacheLanes, AccessKind, WritePolicy};
 //!
 //! # fn main() -> Result<(), randmod_core::ConfigError> {
@@ -42,12 +42,13 @@
 //! )?;
 //! cache.reseed_wave(&[0xDEAD_BEEF_CAFE_F00D, 7]);
 //! let line = geometry.line_addr(Address::new(0x4000_1040));
-//! let mut flags = [AccessFlags::default(); 2];
-//! // One access to both lanes (bit `i` of the mask selects lane `i`).
-//! cache.access(line, AccessKind::Load, 0b11, &mut flags);
-//! assert!(flags.iter().all(|f| f.is_miss()));
-//! cache.access(line, AccessKind::Load, 0b11, &mut flags);
-//! assert!(flags.iter().all(|f| f.is_hit()));
+//! // One access to both lanes (bit `i` of the mask selects lane `i`, and
+//! // of each returned mask reports lane `i`): both miss and fill cold...
+//! let cold = cache.access(line, AccessKind::Load, 0b11);
+//! assert_eq!((cold.hits, cold.fills, cold.evictions), (0, 0b11, 0));
+//! // ...then both hit.
+//! let warm = cache.access(line, AccessKind::Load, 0b11);
+//! assert_eq!(warm, AccessMasks { hits: 0b11, ..AccessMasks::default() });
 //! # Ok(())
 //! # }
 //! ```
@@ -70,7 +71,7 @@ pub mod prng;
 pub mod replacement;
 
 pub use address::{Address, CacheGeometry, LineAddr};
-pub use cache::{AccessFlags, AccessKind, CacheStats, SetAssocCacheLanes, WritePolicy};
+pub use cache::{AccessKind, AccessMasks, CacheStats, SetAssocCacheLanes, WritePolicy};
 pub use error::ConfigError;
 pub use placement::{
     HashRandomPlacement, ModuloPlacement, PlacementKind, PlacementLanes, PlacementPolicy,

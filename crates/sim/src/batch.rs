@@ -25,10 +25,10 @@
 //! would feed it, so batched results are bit-identical to running the
 //! lanes one at a time (pinned by the `batch_equivalence` proptest suite
 //! and the campaign tests) and to the naive reference model (the
-//! `reference_model` suite).  Per-run statistics are accumulated in each
-//! lane's compact counter block and expanded to [`HierarchyStats`] once
-//! per run, instead of read-modify-writing the per-cache statistics
-//! structs on every event.
+//! `reference_model` suite).  Each cache level returns its outcome as lane
+//! masks, so what every lane shares — the L1 accesses, stores and hit
+//! cycles — is counted once per task, and only the lanes that missed are
+//! visited; the two are assembled into [`HierarchyStats`] once per run.
 //!
 //! Two entry points feed the lanes.  [`BatchCore::execute_schedule`]
 //! replays a precollapsed [`ContendedSchedule`] of any task count: every

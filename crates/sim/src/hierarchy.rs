@@ -15,15 +15,22 @@
 //! whole platform for K placement lanes: an IL1/DL1 pair of lane-banked
 //! caches per task in front of one lane-banked L2 — the paper's private
 //! partition at one task, a shared L2 beyond.  Its access paths push one
-//! access of one task through all K lanes and book it against that
-//! task's per-lane cycles and counters.  [`HierarchyStats`] is the
-//! per-run, per-level statistics block the engine reports per task.
+//! access of one task through all K lanes, each cache returning its
+//! outcome as lane masks, and book it in two places: what every active
+//! lane shares — the L1 accesses (collapsed repeats included), the
+//! stores and the L1-hit, store and compute cycles — once per task, and
+//! per (task, lane) only the miss side, walking the set bits of the miss
+//! masks: misses, fills, evictions and write-backs per level, L2 reads
+//! and the latency a miss adds.  An all-hit wave thus books nothing per
+//! lane.  [`HierarchyStats`] is the per-run, per-level statistics block
+//! the engine reports per task, assembled from the two with hits =
+//! accesses − misses.
 
 use crate::config::{CacheConfig, LatencyConfig, PlatformConfig};
 use crate::lanes::LaneStepper;
 use randmod_core::cache::{AccessKind, SetAssocCacheLanes};
 use randmod_core::prng::SplitMix64;
-use randmod_core::{AccessFlags, Address, CacheStats, ConfigError, LineAddr};
+use randmod_core::{AccessMasks, Address, CacheStats, ConfigError, LineAddr};
 use std::fmt;
 use std::ops::Range;
 
@@ -62,77 +69,82 @@ impl HierarchyStats {
     }
 }
 
-/// Compact per-level counter block of one batched replay lane.
-///
-/// Rather than read-modify-write an eight-field [`CacheStats`] on every
-/// access, a lane accumulates these few registers-worth of counters
-/// (updated with branch-free adds from the [`AccessFlags`]) and flushes
-/// them into a full [`HierarchyStats`] once per run.  Misses are derived
-/// (`accesses - hits`), and per-run flush counts are always zero because
-/// a run's statistics start after its reseed flush.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct LevelCounters {
-    accesses: u64,
-    hits: u64,
-    stores: u64,
+/// Miss-side counts of one cache level in one (task, lane): the outcomes
+/// that differ between lanes.  The level's accesses and stores are the
+/// same in every lane and are booked once per task, in [`TaskTotals`].
+#[derive(Debug, Clone, Copy, Default)]
+struct MissCounts {
+    misses: u64,
     fills: u64,
     evictions: u64,
     writebacks: u64,
 }
 
-impl LevelCounters {
-    /// Accumulates one access (branch-free).
+impl MissCounts {
+    /// Books one missed access: lane `lane`'s bits of `out`.
     #[inline]
-    pub(crate) fn record(&mut self, flags: AccessFlags, is_write: bool) {
-        self.accesses += 1;
-        self.stores += is_write as u64;
-        self.hits += flags.is_hit() as u64;
-        self.fills += flags.filled() as u64;
-        self.evictions += flags.evicted() as u64;
-        self.writebacks += flags.wrote_back() as u64;
+    fn book(&mut self, out: AccessMasks, lane: u32) {
+        self.misses += 1;
+        self.fills += out.fills >> lane & 1;
+        self.evictions += out.evictions >> lane & 1;
+        self.writebacks += out.writebacks >> lane & 1;
     }
 
-    /// Accumulates `n` read hits at once (the run-collapsed repeat accesses
-    /// of the batched engine).
-    #[inline]
-    pub(crate) fn record_read_hits(&mut self, n: u64) {
-        self.accesses += n;
-        self.hits += n;
-    }
-
-    /// Expands the counters into the full per-cache statistics block.
-    fn into_stats(self) -> CacheStats {
+    /// The level's statistics block, given the accesses and stores every
+    /// lane shares.  A run's flush count is zero: its statistics start
+    /// after its reseed flush.
+    fn into_stats(self, accesses: u64, stores: u64) -> CacheStats {
         CacheStats {
-            accesses: self.accesses,
-            hits: self.hits,
-            misses: self.accesses - self.hits,
+            accesses,
+            hits: accesses - self.misses,
+            misses: self.misses,
             fills: self.fills,
             evictions: self.evictions,
             writebacks: self.writebacks,
-            stores: self.stores,
+            stores,
             flushes: 0,
         }
     }
 }
 
-/// Per-run counters of one batched replay lane (all three levels plus the
-/// memory-access count).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct RunCounters {
-    pub(crate) il1: LevelCounters,
-    pub(crate) dl1: LevelCounters,
-    pub(crate) l2: LevelCounters,
-    pub(crate) memory_accesses: u64,
+/// What one task's operations book in every active lane alike, once per
+/// wave: every access reaches its L1 in every lane, hit or miss, and
+/// every store the L2.
+#[derive(Debug, Clone, Copy, Default)]
+struct TaskTotals {
+    /// IL1 accesses, collapsed repeats included.
+    il1_accesses: u64,
+    /// DL1 accesses: loads with their collapsed repeats, and stores.
+    dl1_accesses: u64,
+    /// Stores, each one DL1 and one L2 access.
+    stores: u64,
+    /// The cycles every lane pays: the L1-hit latency of each read, the
+    /// store latency and compute.
+    cycles: u64,
 }
 
-impl RunCounters {
-    /// Expands the counters into the run's [`HierarchyStats`].
-    pub(crate) fn into_stats(self) -> HierarchyStats {
-        HierarchyStats {
-            il1: self.il1.into_stats(),
-            dl1: self.dl1.into_stats(),
-            l2: self.l2.into_stats(),
-            memory_accesses: self.memory_accesses,
+/// The miss-side counts of one (task, lane).
+#[derive(Debug, Clone, Copy, Default)]
+struct LaneMisses {
+    il1: MissCounts,
+    dl1: MissCounts,
+    l2: MissCounts,
+    /// L1 read misses, each one L2 read.
+    l2_reads: u64,
+    /// The L2 and memory latency the lane's misses add.
+    cycles: u64,
+}
+
+/// Runs `book` on the counts of each lane set in `mask`, with the lane's
+/// bit position.
+#[inline]
+fn for_each_lane(lanes: &mut [LaneMisses], mask: u64, mut book: impl FnMut(&mut LaneMisses, u32)) {
+    let mut bits = mask;
+    while bits != 0 {
+        let lane = bits.trailing_zeros();
+        bits &= bits - 1;
+        if let Some(counts) = lanes.get_mut(lane as usize) {
+            book(counts, lane);
         }
     }
 }
@@ -140,14 +152,15 @@ impl RunCounters {
 /// The L1→L2→memory read path: one decoded read is applied to every
 /// active lane of the fronting L1 with one [`SetAssocCacheLanes::access`],
 /// then the lanes that missed fill from the L2 with one more `access` over
-/// the L1-miss mask.  Each lane books its level counters, memory accesses
-/// and latency, and the `repeats` collapsed same-line re-reads (each a
-/// guaranteed L1 hit) are folded in here.
+/// the L1-miss mask.  The read and its `repeats` collapsed same-line
+/// re-reads (each a guaranteed L1 hit) cost every lane the same accesses
+/// and L1-hit cycles, booked once in `totals`; each lane that missed books
+/// its misses and the L2 and memory latency they add in `lanes`.
 ///
-/// `flags`, `cycles` and `counters` are per-lane slices of the same
-/// length (the active lane count).  Each bank and slice is a `&mut` parameter of its own, rather than a
-/// field reached through the hierarchy, so the compiler knows that none
-/// of them alias.
+/// `active` is the mask of the active lanes and `lanes` the task's
+/// per-lane counts.
+/// Each bank is a `&mut` parameter of its own, rather than a field reached
+/// through the hierarchy, so the compiler knows that they do not alias.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn read_lean_wave(
@@ -158,60 +171,46 @@ fn read_lean_wave(
     l1_line: LineAddr,
     kind: AccessKind,
     repeats: u64,
-    flags: &mut [AccessFlags],
-    cycles: &mut [u64],
-    counters: &mut [RunCounters],
+    active: u64,
+    totals: &mut TaskTotals,
+    lanes: &mut [LaneMisses],
 ) {
     // The bank clips the mask to its active lanes: all-ones selects them all.
-    l1.access(l1_line, kind, u64::MAX, flags);
-    let l1_hit = latencies.l1_hit as u64;
-    let repeat_cycles = repeats * l1_hit;
-    let mut misses = 0u64;
-    for (lane, (flags, counters)) in flags.iter().zip(counters.iter_mut()).enumerate() {
-        let level = match kind {
-            AccessKind::InstructionFetch => &mut counters.il1,
-            _ => &mut counters.dl1,
-        };
-        level.record(*flags, false);
-        if repeats != 0 {
-            level.record_read_hits(repeats);
-        }
-        misses |= u64::from(flags.is_miss()) << lane;
+    let out = l1.access(l1_line, kind, u64::MAX);
+    let reads = 1 + repeats;
+    match kind {
+        AccessKind::InstructionFetch => totals.il1_accesses += reads,
+        _ => totals.dl1_accesses += reads,
     }
+    totals.cycles += reads * latencies.l1_hit as u64;
+    let misses = active & !out.hits;
     if misses == 0 {
-        for cycles in cycles.iter_mut() {
-            *cycles += l1_hit + repeat_cycles;
-        }
         return;
     }
+    let l2_hit = latencies.l2_hit as u64;
+    for_each_lane(lanes, misses, |counts, lane| {
+        match kind {
+            AccessKind::InstructionFetch => counts.il1.book(out, lane),
+            _ => counts.dl1.book(out, lane),
+        }
+        counts.l2_reads += 1;
+        counts.cycles += l2_hit;
+    });
     let l2_line = LineAddr::new(addr.raw() >> l2.geometry().offset_bits());
-    let l2_hit = l1_hit + latencies.l2_hit as u64;
-    let memory = l2_hit + latencies.memory as u64;
-    // The L1 outcomes are booked, so the flags scratch takes the L2's: the
-    // lanes that missed write theirs, the others keep their L1 hit.
-    l2.access(l2_line, kind, misses, flags);
-    let lanes = flags.iter().zip(cycles.iter_mut()).zip(counters.iter_mut());
-    for (lane, ((flags, cycles), counters)) in lanes.enumerate() {
-        *cycles += repeat_cycles
-            + if misses >> lane & 1 == 0 {
-                l1_hit
-            } else {
-                counters.l2.record(*flags, false);
-                counters.memory_accesses += u64::from(flags.is_miss());
-                if flags.is_hit() {
-                    l2_hit
-                } else {
-                    memory
-                }
-            };
-    }
+    let out = l2.access(l2_line, kind, misses);
+    let memory = latencies.memory as u64;
+    for_each_lane(lanes, misses & !out.hits, |counts, lane| {
+        counts.l2.book(out, lane);
+        counts.cycles += memory;
+    });
 }
 
 /// The store path: the write-through DL1 is updated without allocation,
 /// and every store is forwarded to the L2 — one `access` over the same
 /// lanes, with no miss filtering — where a missing line is fetched from
-/// memory in the background.  A store costs the store latency whatever
-/// the outcome.  The slices are as for [`read_lean_wave`].
+/// memory in the background.  A store costs every lane one DL1 and one L2
+/// access and the store latency, whatever the outcome; only the misses
+/// are booked per lane.  The parameters are as for [`read_lean_wave`].
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn store_lean_wave(
@@ -220,23 +219,22 @@ fn store_lean_wave(
     latencies: &LatencyConfig,
     addr: Address,
     dl1_line: LineAddr,
-    flags: &mut [AccessFlags],
-    cycles: &mut [u64],
-    counters: &mut [RunCounters],
+    active: u64,
+    totals: &mut TaskTotals,
+    lanes: &mut [LaneMisses],
 ) {
-    dl1.access(dl1_line, AccessKind::Store, u64::MAX, flags);
-    for (flags, counters) in flags.iter().zip(counters.iter_mut()) {
-        counters.dl1.record(*flags, true);
-    }
+    let out = dl1.access(dl1_line, AccessKind::Store, u64::MAX);
+    totals.dl1_accesses += 1;
+    totals.stores += 1;
+    totals.cycles += latencies.store as u64;
+    for_each_lane(lanes, active & !out.hits, |counts, lane| {
+        counts.dl1.book(out, lane);
+    });
     let l2_line = LineAddr::new(addr.raw() >> l2.geometry().offset_bits());
-    l2.access(l2_line, AccessKind::Store, u64::MAX, flags);
-    let store = latencies.store as u64;
-    let lanes = flags.iter().zip(cycles.iter_mut()).zip(counters.iter_mut());
-    for ((flags, cycles), counters) in lanes {
-        counters.l2.record(*flags, true);
-        counters.memory_accesses += u64::from(flags.is_miss());
-        *cycles += store;
-    }
+    let out = l2.access(l2_line, AccessKind::Store, u64::MAX);
+    for_each_lane(lanes, active & !out.hits, |counts, lane| {
+        counts.l2.book(out, lane);
+    });
 }
 
 /// One task's private lane-banked first-level caches.
@@ -249,10 +247,12 @@ struct TaskL1Lanes {
 /// The lane-banked hierarchy: per-task IL1/DL1 [`SetAssocCacheLanes`]
 /// pairs in front of one lane-banked L2, stepping up to `K` placement
 /// seeds per collapsed operation with one masked access per cache level —
-/// the lane engine behind [`crate::batch::BatchCore`].  It also holds every task's per-lane
-/// cycle counters and statistics blocks, so it is the engine's
-/// [`LaneStepper`].  Lanes never interact: lane `i` holds the whole
-/// platform's state under placement seed `seeds[i]`.
+/// the lane engine behind [`crate::batch::BatchCore`].  It also holds every
+/// task's counters, so it is the engine's [`LaneStepper`]: one
+/// [`TaskTotals`] per task for what every lane shares, and one
+/// [`LaneMisses`] per (task, lane) for the misses.  Lanes never interact:
+/// lane `i` holds the whole platform's state under placement seed
+/// `seeds[i]`.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneHierarchy {
     latencies: LatencyConfig,
@@ -260,13 +260,15 @@ pub(crate) struct LaneHierarchy {
     tasks: Vec<TaskL1Lanes>,
     /// The L2 behind every task's L1 pair.
     l2: SetAssocCacheLanes,
-    /// Per-wave outcome scratch, truncated to the active lane count.
-    flags: Vec<AccessFlags>,
-    /// Per-task, per-lane cycle counters and statistics blocks, laid out
-    /// task-major: slot `task * lane_count + lane`.
-    cycles: Vec<u64>,
-    counters: Vec<RunCounters>,
-    active: usize,
+    /// Per-task shared counts, task 0 first.
+    totals: Vec<TaskTotals>,
+    /// Per-task, per-lane miss-side counts, laid out task-major: slot
+    /// `task * lanes + lane`.
+    misses: Vec<LaneMisses>,
+    /// Lane capacity K.
+    lanes: usize,
+    /// Mask of the lanes seeded by the last reseed.
+    active_mask: u64,
 }
 
 impl LaneHierarchy {
@@ -298,15 +300,14 @@ impl LaneHierarchy {
                 })
             })
             .collect::<Result<Vec<_>, ConfigError>>()?;
-        let slots = tasks.len() * lanes;
         Ok(LaneHierarchy {
             latencies: config.latencies,
-            tasks,
             l2: build(&config.l2)?,
-            flags: vec![AccessFlags::default(); lanes],
-            cycles: vec![0; slots],
-            counters: vec![RunCounters::default(); slots],
-            active: 0,
+            totals: vec![TaskTotals::default(); tasks.len()],
+            misses: vec![LaneMisses::default(); tasks.len() * lanes],
+            tasks,
+            lanes,
+            active_mask: 0,
         })
     }
 
@@ -317,29 +318,29 @@ impl LaneHierarchy {
 
     /// Lane capacity K.
     pub(crate) fn lane_count(&self) -> usize {
-        self.flags.len()
+        self.lanes
     }
 
     /// Reseeds lanes `0..seeds.len()`, flushes every lane's contents and
-    /// zeroes every task's cycles and counters.  Per lane, the per-cache
-    /// seeds are drawn from `SplitMix64(seed)` in the order task 0's IL1,
-    /// task 0's DL1, the L2, then the remaining tasks' L1 pairs — so task
-    /// 0's three layouts are the same for every task count, which is what
-    /// makes a task next to idle tasks bit-identical to the task alone.
+    /// zeroes every task's counters.  Per lane, the per-cache seeds are
+    /// drawn from `SplitMix64(seed)` in the order task 0's IL1, task 0's
+    /// DL1, the L2, then the remaining tasks' L1 pairs — so task 0's three
+    /// layouts are the same for every task count, which is what makes a
+    /// task next to idle tasks bit-identical to the task alone.
     ///
     /// # Panics
     ///
     /// Panics if `seeds` is longer than the lane capacity.
     pub(crate) fn reseed_wave(&mut self, seeds: &[u64]) {
         assert!(
-            seeds.len() <= self.lane_count(),
+            seeds.len() <= self.lanes,
             "{} seeds exceed the {} configured lanes",
             seeds.len(),
-            self.lane_count()
+            self.lanes
         );
-        self.active = seeds.len();
-        self.cycles.fill(0);
-        self.counters.fill(RunCounters::default());
+        self.active_mask = u64::MAX.checked_shr(64 - seeds.len() as u32).unwrap_or(0);
+        self.totals.fill(TaskTotals::default());
+        self.misses.fill(LaneMisses::default());
         let mut streams: Vec<SplitMix64> = seeds.iter().map(|&s| SplitMix64::new(s)).collect();
         let mut draw = || -> Vec<u64> { streams.iter_mut().map(SplitMix64::next_u64).collect() };
         for (index, task) in self.tasks.iter_mut().enumerate() {
@@ -352,23 +353,33 @@ impl LaneHierarchy {
     }
 
     /// `task`'s cycles and statistics in `lane` since the last reseed.
-    // randmod: allow(P1, the engine asks only for task < task_count and lane < the seeds it reseeded with, at most lane_count by reseed_wave's assert, so slot < task_count * lane_count = cycles.len() = counters.len())
+    // randmod: allow(P1, the engine asks only for task < task_count and lane < the seeds it reseeded with, at most lane_count by reseed_wave's assert, so task < totals.len() and slot < task_count * lane_count = misses.len())
     pub(crate) fn outcome(&self, task: usize, lane: usize) -> (u64, HierarchyStats) {
-        let slot = task * self.lane_count() + lane;
-        (self.cycles[slot], self.counters[slot].into_stats())
+        let totals = self.totals[task];
+        let misses = self.misses[task * self.lanes + lane];
+        let stats = HierarchyStats {
+            il1: misses.il1.into_stats(totals.il1_accesses, 0),
+            dl1: misses.dl1.into_stats(totals.dl1_accesses, totals.stores),
+            l2: misses
+                .l2
+                .into_stats(misses.l2_reads + totals.stores, totals.stores),
+            // Every L2 miss, read or store, goes to memory.
+            memory_accesses: misses.l2.misses,
+        };
+        (totals.cycles + misses.cycles, stats)
     }
 
-    /// The counter slots of `task`'s active lanes.
+    /// The miss-count slots of `task`'s lanes.
     #[inline]
     fn slots(&self, task: usize) -> Range<usize> {
-        let first = task * self.lane_count();
-        first..first + self.active
+        let first = task * self.lanes;
+        first..first + self.lanes
     }
 
     /// One read of `task` — an instruction fetch through its IL1 or a data
     /// load through its DL1, plus `repeats` collapsed same-line re-reads —
     /// across all active lanes; see [`read_lean_wave`].
-    // randmod: allow(P1, task < task_count: the replay loops emit task 0 or the tasks of a schedule, which execute_schedule asserts was interleaved for this task count; slots(task) then lies inside cycles and counters (task_count * lane_count each), and active <= lane_count = flags.len() by reseed_wave's assert)
+    // randmod: allow(P1, task < task_count: the replay loops emit task 0 or the tasks of a schedule, which execute_schedule asserts was interleaved for this task count; so task < tasks.len() = totals.len(), and slots(task) lies inside misses (task_count * lane_count slots))
     #[inline]
     fn read_wave(
         &mut self,
@@ -392,18 +403,18 @@ impl LaneHierarchy {
             line,
             kind,
             repeats,
-            &mut self.flags[..self.active],
-            &mut self.cycles[slots.clone()],
-            &mut self.counters[slots],
+            self.active_mask,
+            &mut self.totals[task],
+            &mut self.misses[slots],
         );
     }
 }
 
 /// The engine's lane fan-out: every collapsed operation becomes one wave
 /// through the issuing task's L1 pair (and the L2 behind it), booked
-/// against that task's per-lane slots.  Collapsed repeats — each a
-/// guaranteed private-L1 hit (another task can never evict the line a
-/// task's repeat read is about to hit) — are booked inside the read wave.
+/// against that task's counters.  Collapsed repeats — each a guaranteed
+/// private-L1 hit (another task can never evict the line a task's repeat
+/// read is about to hit) — are booked inside the read wave.
 impl LaneStepper for LaneHierarchy {
     #[inline]
     fn fetch(&mut self, task: usize, addr: Address, line: LineAddr, repeats: u64) {
@@ -415,7 +426,7 @@ impl LaneStepper for LaneHierarchy {
         self.read_wave(task, AccessKind::Load, addr, line, repeats);
     }
 
-    // randmod: allow(P1, the bounds argument of read_wave: task < task_count, so slots(task) lies inside cycles and counters, and active <= lane_count = flags.len())
+    // randmod: allow(P1, the bounds argument of read_wave: task < task_count = tasks.len() = totals.len(), so slots(task) lies inside misses)
     #[inline]
     fn store(&mut self, task: usize, addr: Address, line: LineAddr) {
         let slots = self.slots(task);
@@ -425,19 +436,16 @@ impl LaneStepper for LaneHierarchy {
             &self.latencies,
             addr,
             line,
-            &mut self.flags[..self.active],
-            &mut self.cycles[slots.clone()],
-            &mut self.counters[slots],
+            self.active_mask,
+            &mut self.totals[task],
+            &mut self.misses[slots],
         );
     }
 
-    // randmod: allow(P1, the bounds argument of read_wave: task < task_count, so slots(task) lies inside cycles)
+    // randmod: allow(P1, the bounds argument of read_wave: task < task_count = totals.len())
     #[inline]
     fn compute(&mut self, task: usize, cycles: u64) {
-        let slots = self.slots(task);
-        for lane in &mut self.cycles[slots] {
-            *lane += cycles;
-        }
+        self.totals[task].cycles += cycles;
     }
 }
 

@@ -12,16 +12,16 @@
 //!   lane; every repeat is then a guaranteed L1 hit in every lane (the
 //!   first access left the line resident, and a repeat read hit mutates no
 //!   cache state: `touch` of the just-touched way is idempotent for LRU
-//!   and a no-op otherwise, and reads never dirty a line), so each lane
-//!   just books `repeats` hits and cycles.
+//!   and a no-op otherwise, and reads never dirty a line), so the repeats
+//!   add the same hits and cycles to every lane, booked once per task.
 //! * **Lane fan-out through one interface** ([`LaneStepper`]): the decode
 //!   loops emit each collapsed operation exactly once, and the lane
 //!   hierarchy (`crate::hierarchy::LaneHierarchy`) implements the
-//!   per-lane stepping (K lanes of caches, per-task cycle counters and
-//!   [`crate::hierarchy::RunCounters`]) behind the trait, as one masked
-//!   access per cache level: every active lane at the L1, the lanes whose
-//!   L1 missed at the L2.  The line address of the fronting L1 is computed
-//!   once per operation and shared across all lanes.
+//!   per-lane stepping (K lanes of caches, per-task shared counts and
+//!   per-lane miss counts) behind the trait, as one masked access per
+//!   cache level: every active lane at the L1, the lanes whose L1 missed
+//!   at the L2.  The line address of the fronting L1 is computed once per
+//!   operation and shared across all lanes.
 //!
 //! A campaign decodes and interleaves **before** replay: the interleaved
 //! event stream is decided by the arbitration policy alone — the

@@ -266,8 +266,8 @@ impl Campaign {
         let schedule = &schedule;
         // The lane knob is an upper bound on several tasks: such a lane
         // holds a full co-schedule's cache state (per-task L1 pairs plus a
-        // shared L2), so groups wider than `CONTENDED_LANE_GROUP` buy no
-        // measurable speed (see `Campaign::CONTENDED_LANE_GROUP`).
+        // shared L2), so the group is capped at `CONTENDED_LANE_GROUP`
+        // (its docs give the measurements behind the cap).
         let width = if tasks == 1 {
             self.lanes
         } else {

@@ -103,27 +103,31 @@ impl Campaign {
     /// [`Self::with_lanes`]).
     ///
     /// Measured on `fig4a_rm_vs_hrp --threads 1 --lanes K`, which runs the
-    /// seeded placements (RM and hRP) that MBPTA campaigns sweep: over 5
-    /// alternating rounds the median was 5.31 s at K = 1, 4.13 s at
-    /// K = 2, 3.16 s at K = 4, 2.81 s at K = 8 and 2.58 s at K = 16, with
-    /// byte-identical output at every width (EXPERIMENTS.md records the
-    /// sweep).  Wider waves amortise the per-operation decode and
-    /// dispatch over more lanes, while the lane-major tag arrays and
-    /// per-lane placement state grow linearly with K.  Sixteen lanes ran
-    /// faster than four in every round; the value stays 4 until a wider
-    /// default has its own end-to-end A/B.
+    /// seeded placements (RM and hRP) that MBPTA campaigns sweep: with
+    /// lane outcomes booked as masks, over 5 alternating rounds the median
+    /// was 4.82 s at K = 1, 2.97 s at K = 2, 1.99 s at K = 4, 1.67 s at
+    /// K = 8 and 1.31 s at K = 16, with byte-identical output at every
+    /// width (EXPERIMENTS.md records this sweep and the one before it).
+    /// Wider waves amortise the per-operation decode, dispatch and shared
+    /// booking over more lanes, while the lane-major tag arrays and
+    /// per-lane placement state grow linearly with K.  Every 16-lane run
+    /// beat every 4-lane run; the value stays 4 until a wider default has
+    /// its own end-to-end A/B.
     pub const DEFAULT_LANES: usize = 4;
 
     /// Widest lane group a campaign of several active tasks steps per
     /// schedule pass.  A one-task lane is one L1 pair and its L2 (~20KB
     /// of L1 metadata for the LEON3 L1s); a lane of several tasks is a
     /// whole co-schedule — per-task L1 pairs *plus* a shared L2, ~70KB for
-    /// a three-task LEON3 platform.  On `fig6_contention --runs 300
-    /// --threads 1`, with this cap lifted, two lanes ran in 17.8–19.5 s
-    /// against 24.0 s for one lane, and neither four (17.6–19.5 s) nor
-    /// eight (19.1–20.0 s) beat two by more than the run-to-run noise
-    /// (EXPERIMENTS.md records the sweep).  One-task campaigns step the
-    /// full [`Self::lanes`] width.
+    /// a three-task LEON3 platform.  The cap of two was set when neither
+    /// four nor eight lanes beat two on `fig6_contention --runs 300
+    /// --threads 1` by more than the run-to-run noise.  With lane outcomes
+    /// booked as masks that no longer holds: scratch builds at `--lanes
+    /// 8` ran in a median 9.09 s with this cap, 6.06 s with a cap of four
+    /// and 5.08 s with a cap of eight, every wider run faster than every
+    /// run at two (EXPERIMENTS.md records both sweeps).  The value stays 2
+    /// until a wider cap has its own end-to-end A/B.  One-task campaigns
+    /// step the full [`Self::lanes`] width.
     pub const CONTENDED_LANE_GROUP: usize = 2;
 
     /// Creates a campaign of `runs` runs on the given platform.

@@ -9,7 +9,8 @@
 //! `ReplacementState`, the pure boxed `dyn PlacementPolicy` from
 //! `PlacementKind::build` instead of the lane bank's placement memos (the
 //! hRP hash memo and RM's per-segment half-index tables), no residency
-//! filter, no run collapsing, no lane batching, no lean counter blocks.
+//! filter, no run collapsing, no lane batching, no outcome masks or
+//! shared-versus-per-lane booking: every access books its own counters.
 //! What they *do* share is the specification: the same placement
 //! mathematics, the same seed→layout derivation, the same replacement and
 //! write-policy semantics, the same latency charging.
@@ -50,7 +51,7 @@ use proptest::prelude::*;
 use randmod_core::placement::PlacementPolicy;
 use randmod_core::prng::{CombinedLfsr, SplitMix64};
 use randmod_core::{
-    AccessFlags, AccessKind, Address, CacheGeometry, CacheStats, PlacementKind, ReplacementKind,
+    AccessKind, AccessMasks, Address, CacheGeometry, CacheStats, PlacementKind, ReplacementKind,
     SetAssocCacheLanes, WritePolicy,
 };
 use randmod_sim::contention::Arbitration;
@@ -82,13 +83,15 @@ struct RefOutcome {
     wrote_back: bool,
 }
 
-impl From<AccessFlags> for RefOutcome {
-    fn from(flags: AccessFlags) -> Self {
+impl RefOutcome {
+    /// Lane `lane`'s outcome in the masks a lane bank returned.
+    fn of_lane(masks: AccessMasks, lane: usize) -> Self {
+        let bit = |mask: u64| mask >> lane & 1 == 1;
         RefOutcome {
-            hit: flags.is_hit(),
-            filled: flags.filled(),
-            evicted: flags.evicted(),
-            wrote_back: flags.wrote_back(),
+            hit: bit(masks.hits),
+            filled: bit(masks.fills),
+            evicted: bit(masks.evictions),
+            wrote_back: bit(masks.writebacks),
         }
     }
 }
@@ -555,8 +558,10 @@ fn cases() -> u32 {
 /// access stream — full waves with random lane masks mixed in, and a
 /// reseed of every lane halfway through — and asserts the same outcome on
 /// every lane of every access.  A lane outside an access's mask takes no
-/// part in it: its flag is left as it was and its reference is not
-/// accessed, so it must keep matching on the accesses that follow.
+/// part in it: its bits are clear in every returned mask and its reference
+/// is not accessed, so it must keep matching on the accesses that follow.
+/// Every returned outcome must also nest as documented: fills miss,
+/// evictions fill and write-backs evict.
 fn assert_lane_bank_matches_reference(
     geometry: CacheGeometry,
     placement: PlacementKind,
@@ -586,7 +591,6 @@ fn assert_lane_bank_matches_reference(
     // 2^16 lines.
     let hot_lines = 2 * u64::from(geometry.sets() * geometry.ways());
     let mut sm = SplitMix64::new(0x1234);
-    let mut flags = vec![AccessFlags::default(); active];
     let full = u64::MAX >> (64 - active);
     let context =
         format!("{geometry:?} {placement}/{replacement}/{write_policy:?} {active}/{capacity}");
@@ -615,30 +619,42 @@ fn assert_lane_bank_matches_reference(
         let line = geometry.line_addr(addr);
         // Every seventh access goes to a random non-empty subset of the
         // lanes, a single lane one time in three (an L2 sees the lanes
-        // whose L1 missed); the others go to every lane.
+        // whose L1 missed), with random bits above the active lanes that
+        // the bank must ignore; the others go to every lane, as all-ones
+        // (an L1 wave's mask) or as exactly the active lanes.
+        let pick = sm.next_u64();
         let mask = if step % 7 == 3 {
-            let pick = sm.next_u64();
             let lone = 1u64 << ((pick >> 2) % active as u64);
             let subset = (pick >> 8) & full;
-            if pick % 3 == 0 || subset == 0 {
-                lone
-            } else {
-                subset
-            }
+            let inactive = pick.rotate_left(17) & !full;
+            inactive
+                | if pick % 3 == 0 || subset == 0 {
+                    lone
+                } else {
+                    subset
+                }
+        } else if pick & 1 == 0 {
+            u64::MAX
         } else {
             full
         };
-        let before = flags.clone();
-        bank.access(line, kind, mask, &mut flags);
+        let selected = mask & full;
+        let out = bank.access(line, kind, mask);
+        let masks = [out.hits, out.fills, out.evictions, out.writebacks];
+        assert!(
+            masks.iter().all(|m| m & !selected == 0),
+            "{context} outcome {out:?} outside lanes {selected:#b} step {step}"
+        );
+        assert!(
+            out.fills & out.hits == 0
+                && out.evictions & !out.fills == 0
+                && out.writebacks & !out.evictions == 0,
+            "{context} outcome {out:?} does not nest, step {step}"
+        );
         for (lane, reference) in references.iter_mut().enumerate() {
-            if mask >> lane & 1 == 0 {
+            if selected >> lane & 1 == 1 {
                 assert_eq!(
-                    flags[lane], before[lane],
-                    "{context} lane {lane} outside mask {mask:#b} step {step}"
-                );
-            } else {
-                assert_eq!(
-                    RefOutcome::from(flags[lane]),
+                    RefOutcome::of_lane(out, lane),
                     reference.access(addr, kind.is_write()),
                     "{context} lane {lane} mask {mask:#b} step {step}"
                 );

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use randmod::core::benes::BenesNetwork;
-use randmod::core::cache::{AccessFlags, AccessKind, SetAssocCacheLanes, WritePolicy};
+use randmod::core::cache::{AccessKind, SetAssocCacheLanes, WritePolicy};
 use randmod::core::layout::intra_segment_conflicts;
 use randmod::core::{Address, CacheGeometry, LineAddr, PlacementKind, ReplacementKind};
 
@@ -133,11 +133,9 @@ proptest! {
                     1,
                 ).unwrap();
                 cache.reseed_wave(&[seed]);
-                let mut flags = [AccessFlags::default()];
-                cache.access(line, AccessKind::Load, 1, &mut flags);
-                prop_assert!(flags[0].is_miss() && flags[0].filled());
-                cache.access(line, AccessKind::Load, 1, &mut flags);
-                prop_assert!(flags[0].is_hit());
+                let cold = cache.access(line, AccessKind::Load, 1);
+                prop_assert_eq!((cold.hits, cold.fills), (0, 1));
+                prop_assert_eq!(cache.access(line, AccessKind::Load, 1).hits, 1);
             }
         }
     }
