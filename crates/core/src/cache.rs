@@ -230,8 +230,9 @@ fn mask_of(n: usize) -> u64 {
 /// its engine-level proptests pin the hierarchies built on the bank.
 ///
 /// Repeat reads short-circuit through a *wave residency filter*: a small
-/// direct-mapped table of recently accessed lines and their K per-lane
-/// cell indices.  Every lane replays the same line stream, so one table
+/// direct-mapped table of recently accessed lines, their per-lane
+/// residency bits and, under write-back, their K per-lane cell indices.
+/// Every lane replays the same line stream, so one table
 /// serves the whole bank: a repeat read whose line is resident in *every*
 /// selected lane skips placement and probe entirely, which is what makes
 /// hot-loop instruction fetch and in-cache data reuse nearly free per
@@ -278,9 +279,10 @@ pub struct SetAssocCacheLanes {
     /// path trusts it without a tag re-check.
     filter_valid: Vec<u64>,
     /// Per-slot, per-lane flat tag index of the filtered line
-    /// (`filter_index[slot * K + lane]`; only consulted by the write-back
-    /// repeat-store fast path to test dirty bits).  Stored as `u32` to
-    /// halve the table's cache footprint.
+    /// (`filter_index[slot * K + lane]`), read only by the write-back
+    /// repeat-store fast path to test dirty bits, so it is allocated and
+    /// written only by a write-back bank (empty under write-through).
+    /// Stored as `u32` to halve the table's cache footprint.
     filter_index: Vec<u32>,
     /// Whether the residency filter may be armed (replacement is Random
     /// and every tag index fits `u32`).
@@ -319,6 +321,7 @@ impl SetAssocCacheLanes {
         let placement = PlacementLanes::new(placement, geometry, lanes)?;
         let ways = geometry.ways() as usize;
         let cells = geometry.sets() as usize * ways * lanes;
+        let wb = write_policy == WritePolicy::WriteBack;
         Ok(SetAssocCacheLanes {
             geometry,
             placement,
@@ -336,7 +339,7 @@ impl SetAssocCacheLanes {
             set_scratch: vec![0; lanes],
             filter_tags: vec![INVALID_TAG; FILTER_SLOTS],
             filter_valid: vec![0; FILTER_SLOTS],
-            filter_index: vec![0; FILTER_SLOTS * lanes],
+            filter_index: vec![0; if wb { FILTER_SLOTS * lanes } else { 0 }],
             filter_enabled: replacement == ReplacementKind::Random && cells <= u32::MAX as usize,
             active_mask: mask_of(lanes),
         })
@@ -391,7 +394,7 @@ impl SetAssocCacheLanes {
     /// the active lane count are ignored, so `u64::MAX` selects every
     /// active lane; lanes outside the mask are not accessed, and their
     /// bits are clear in every returned mask.
-    // randmod: allow(P1, every index is in bounds by construction: slot < FILTER_SLOTS by the power-of-two mask and filter_tags/filter_valid hold FILTER_SLOTS entries, filter_index holds FILTER_SLOTS * lanes; lane is a set bit of a mask clipped to active_mask, so lane < active <= lanes = set_scratch.len() = replacement.len() = rng lanes; set < sets comes from the placement bank and way < ways from the probe or the victim pick, so base + way * lanes < sets * ways * lanes = tags.len() and the dirty bitmap covers every tag cell; an evicted tag is a real line, so its slot is masked like the accessed one)
+    // randmod: allow(P1, every index is in bounds by construction: slot < FILTER_SLOTS by the power-of-two mask and filter_tags/filter_valid hold FILTER_SLOTS entries, and a write-back bank's filter_index (the only one read or written) holds FILTER_SLOTS * lanes; lane is a set bit of a mask clipped to active_mask, so lane < active <= lanes = set_scratch.len() = replacement.len() = rng lanes; set < sets comes from the placement bank and way < ways from the probe or the victim pick, so base + way * lanes < sets * ways * lanes = tags.len() and the dirty bitmap covers every tag cell; an evicted tag is a real line, so its slot is masked like the accessed one)
     #[inline]
     pub fn access(&mut self, line: LineAddr, kind: AccessKind, mask: u64) -> AccessMasks {
         debug_assert_ne!(
@@ -527,7 +530,9 @@ impl SetAssocCacheLanes {
                 index
             };
             if arm {
-                self.filter_index[slot * k + lane] = index as u32;
+                if wb {
+                    self.filter_index[slot * k + lane] = index as u32;
+                }
                 armed |= lane_bit;
             }
         }

@@ -11,9 +11,9 @@
 //!   arbitrate, so the arbitration policy is moot);
 //! * **round-robin** — the interleaved schedule is seed-independent, so it
 //!   is computed once per campaign, shared read-only across worker
-//!   threads and replayed across placement-seed lanes, at most
-//!   [`Campaign::CONTENDED_LANE_GROUP`] per pass (`with_lanes(1)` just
-//!   makes every wave one lane wide);
+//!   threads and replayed across placement-seed lanes at the same
+//!   [`Campaign::lanes`] width (`with_lanes(1)` just makes every wave one
+//!   lane wide);
 //! * **seeded-random** — each run's schedule is drawn from its seed, so
 //!   every run builds its own schedule and replays it as a one-lane wave.
 //!
@@ -173,9 +173,8 @@ impl Campaign {
     /// **Round-robin**: the interleaved co-schedule never depends on the
     /// placement seed, so it is computed once per campaign
     /// ([`ContendedSchedule::round_robin`]) and replayed across
-    /// placement-seed lanes — at most [`Self::CONTENDED_LANE_GROUP`] per
-    /// schedule pass (its rustdoc records the width sweep) — by a
-    /// [`BatchCore`].
+    /// placement-seed lanes — [`Self::lanes`] per schedule pass, as a solo
+    /// campaign steps them — by a [`BatchCore`].
     ///
     /// **Seeded-random**: each run's interleave is drawn from its seed
     /// ([`ContendedSchedule::seeded_random`]) and replayed as a one-lane
@@ -264,17 +263,8 @@ impl Campaign {
             active.iter().map(|s| s.events()).collect(),
         );
         let schedule = &schedule;
-        // The lane knob is an upper bound on several tasks: such a lane
-        // holds a full co-schedule's cache state (per-task L1 pairs plus a
-        // shared L2), so the group is capped at `CONTENDED_LANE_GROUP`
-        // (its docs give the measurements behind the cap).
-        let width = if tasks == 1 {
-            self.lanes
-        } else {
-            self.lanes.min(Campaign::CONTENDED_LANE_GROUP)
-        };
         let runs = scoped_chunks(seeds, self.threads, |chunk| {
-            let mut core = BatchCore::new(&config, tasks, width.min(chunk.len()))?;
+            let mut core = BatchCore::new(&config, tasks, self.lanes.min(chunk.len()))?;
             let mut out = Vec::with_capacity(chunk.len());
             for group in chunk.chunks(core.lane_count()) {
                 let lane_results = core.execute_schedule(schedule, group);

@@ -100,35 +100,25 @@ pub struct Campaign {
 
 impl Campaign {
     /// Default number of seed lanes stepped per trace decode (see
-    /// [`Self::with_lanes`]).
+    /// [`Self::with_lanes`]), the one width of every seeded protocol: solo,
+    /// idle and round-robin contended, adaptive and sharded.
     ///
-    /// Measured on `fig4a_rm_vs_hrp --threads 1 --lanes K`, which runs the
-    /// seeded placements (RM and hRP) that MBPTA campaigns sweep: with
-    /// lane outcomes booked as masks, over 5 alternating rounds the median
-    /// was 4.82 s at K = 1, 2.97 s at K = 2, 1.99 s at K = 4, 1.67 s at
-    /// K = 8 and 1.31 s at K = 16, with byte-identical output at every
-    /// width (EXPERIMENTS.md records this sweep and the one before it).
-    /// Wider waves amortise the per-operation decode, dispatch and shared
-    /// booking over more lanes, while the lane-major tag arrays and
-    /// per-lane placement state grow linearly with K.  Every 16-lane run
-    /// beat every 4-lane run; the value stays 4 until a wider default has
-    /// its own end-to-end A/B.
-    pub const DEFAULT_LANES: usize = 4;
-
-    /// Widest lane group a campaign of several active tasks steps per
-    /// schedule pass.  A one-task lane is one L1 pair and its L2 (~20KB
-    /// of L1 metadata for the LEON3 L1s); a lane of several tasks is a
-    /// whole co-schedule — per-task L1 pairs *plus* a shared L2, ~70KB for
-    /// a three-task LEON3 platform.  The cap of two was set when neither
-    /// four nor eight lanes beat two on `fig6_contention --runs 300
-    /// --threads 1` by more than the run-to-run noise.  With lane outcomes
-    /// booked as masks that no longer holds: scratch builds at `--lanes
-    /// 8` ran in a median 9.09 s with this cap, 6.06 s with a cap of four
-    /// and 5.08 s with a cap of eight, every wider run faster than every
-    /// run at two (EXPERIMENTS.md records both sweeps).  The value stays 2
-    /// until a wider cap has its own end-to-end A/B.  One-task campaigns
-    /// step the full [`Self::lanes`] width.
-    pub const CONTENDED_LANE_GROUP: usize = 2;
+    /// Measured with lane outcomes booked as masks, byte-identical output
+    /// at every width: `fig4a_rm_vs_hrp --threads 1 --lanes K` (the seeded
+    /// placements, RM and hRP, that MBPTA campaigns sweep) ran in a median
+    /// 4.82 s at K = 1, 2.97 s at 2, 1.99 s at 4, 1.67 s at 8 and 1.31 s
+    /// at 16 over 5 alternating rounds; `fig6_contention --runs 300
+    /// --threads 1 --lanes 8` ran in 9.09 s with contended groups held to
+    /// two lanes, 6.06 s at four and 5.08 s at eight.  Wider waves
+    /// amortise the per-operation decode, dispatch and shared booking over
+    /// more lanes, while the lane-major tag arrays and per-lane placement
+    /// state grow linearly with K, most steeply for a contended lane, which
+    /// holds a whole co-schedule (per-task L1 pairs plus a shared L2).
+    /// Memory sets the limit: against four lanes, eight added 5.6% to the
+    /// `contended_l2` benchmark's peak RSS and sixteen over 14%, past the
+    /// benchmark's 10% bound (EXPERIMENTS.md records the sweeps and the
+    /// A/B that set this value).
+    pub const DEFAULT_LANES: usize = 8;
 
     /// Creates a campaign of `runs` runs on the given platform.
     pub fn new(config: PlatformConfig, runs: usize) -> Self {
@@ -164,11 +154,8 @@ impl Campaign {
     /// Lanes compose with threads: a campaign of `N` runs on `T` threads
     /// replays its schedule `N / (T * lanes)` times per thread.  Results
     /// are bit-identical for every `(threads, lanes)` combination, for
-    /// solo *and* contended campaigns.  Round-robin campaigns of several
-    /// active tasks treat the knob as an upper bound: they step at most
-    /// [`Self::CONTENDED_LANE_GROUP`] placement lanes per schedule pass,
-    /// because each such lane carries a full co-schedule's cache state and
-    /// wider groups measured no faster;
+    /// solo *and* contended campaigns.  Solo, idle and round-robin
+    /// campaigns step `lanes` placement seeds per schedule pass;
     /// seeded-random campaigns of several tasks always replay one lane
     /// per run, since every run has its own schedule.  `with_lanes(1)`
     /// runs every protocol as one-lane waves on the one engine — the
@@ -483,7 +470,7 @@ mod tests {
                 .with_lanes(1)
                 .run_contended(&sources, &seeds)
                 .unwrap();
-            for lanes in [1usize, 2, 7] {
+            for lanes in [1usize, 2, 7, Campaign::DEFAULT_LANES] {
                 for threads in [1usize, 4] {
                     let result = Campaign::new(PlatformConfig::leon3(), 0)
                         .with_arbitration(arbitration)

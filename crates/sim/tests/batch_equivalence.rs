@@ -62,10 +62,10 @@ fn more_lanes_than_runs_matches_the_sequential_path() {
 
 #[test]
 fn non_multiple_lane_widths_pin_partial_final_chunks() {
-    // 13 runs at widths 3, 5, the default 4 and 16: every width leaves a
-    // partial final lane group (13 = 4x3+1 = 2x5+3 = 3x4+1, and 13 < 16
+    // 13 runs at widths 3, 5, the default 8 and 16: every width leaves a
+    // partial final lane group (13 = 4x3+1 = 2x5+3 = 8+5, and 13 < 16
     // never fills a group), so the wave engine's active-prefix masking —
-    // partial `active_mask`, per-wave flag slices, filter arming
+    // partial `active_mask`, outcome masks clipped to it, filter arming
     // restricted to live lanes — is exercised at the chunk boundary for
     // every placement kind, at the width every campaign runs by default.
     for placement in randmod_core::PlacementKind::ALL {

@@ -103,12 +103,12 @@ proptest! {
             .with_arbitration(arbitration)
             .run_contended(&sources, &seeds)
             .unwrap();
-        // `CONTENDED_LANE_GROUP` (= 2) is the widest group a campaign of
-        // several tasks steps per pass: lanes == 2 is the exact
-        // boundary, 3 is clamped back down to it (one full group plus a
-        // partial single-lane pass per chunk), and 7 adds ragged thread
-        // chunks; 11 seeds make every width end on a partial final group.
-        for lanes in [Campaign::CONTENDED_LANE_GROUP, 3, 7] {
+        // A campaign of several tasks steps every width as given: 2 and 3
+        // split each chunk into several full groups, 7 adds ragged thread
+        // chunks, and the default width fills one whole group of a
+        // single-thread chunk; 11 seeds make every width end on a partial
+        // final group (11 = 5x2+1 = 3x3+2 = 7+4 = 8+3).
+        for lanes in [2, 3, 7, Campaign::DEFAULT_LANES] {
             for threads in [1usize, 3] {
                 let result = Campaign::new(config, 0)
                     .with_threads(threads)

@@ -861,9 +861,13 @@ proptest! {
 }
 
 /// The contended counterpart of the heavy deterministic case: the naive
-/// contention reference against the campaign path at one lane and at full
-/// width, on an L2-stressing three-task co-schedule, for every placement ×
-/// both arbitrations.
+/// contention reference against the campaign path on an L2-stressing
+/// three-task co-schedule, for every placement × both arbitrations × both
+/// L1 write policies (the residency filter keeps its cell indices only
+/// under write-back): at one lane, and at the default width on one and on
+/// two workers.  One worker at the default width fills one whole group
+/// and ends on a one-lane partial group; two workers split the seeds into
+/// chunks narrower than the default width.
 #[test]
 fn contended_reference_model_agrees_on_a_pressure_stressing_co_schedule() {
     let mut victim = Trace::new();
@@ -875,6 +879,11 @@ fn contended_reference_model_agrees_on_a_pressure_stressing_co_schedule() {
         if i % 7 == 0 {
             victim.store(Address::new(0x18_0000 + (i % 300) * 32));
         }
+        if i % 5 == 0 {
+            // A store to the line just loaded: under a write-back L1 it
+            // takes the filter's repeat-store test on a clean line.
+            victim.store(Address::new(0x10_0000 + (i % 900) * 36));
+        }
         streamer.load(Address::new(0x40_0000 + (i % 4096) * 32));
         thrasher.load(Address::new(0x80_0000 + (i % 2048) * 64));
         if i % 13 == 0 {
@@ -882,31 +891,38 @@ fn contended_reference_model_agrees_on_a_pressure_stressing_co_schedule() {
         }
     }
     let traces = [victim, streamer, thrasher];
-    let seeds = [0u64, 11, 0xDEAD_BEEF, u64::MAX];
+    let seeds: Vec<u64> = [0u64, 11, 0xDEAD_BEEF, u64::MAX]
+        .into_iter()
+        .chain((1u64..).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        .take(Campaign::DEFAULT_LANES + 1)
+        .collect();
     for placement in PlacementKind::ALL {
         for arbitration in Arbitration::ALL {
-            let config = PlatformConfig::leon3().with_l1_placement(placement);
-            let mut reference = RefContentionCore::new(config, traces.len(), arbitration);
-            let expected: Vec<_> = seeds
-                .iter()
-                .map(|&seed| reference.execute_contended(&traces, seed))
-                .collect();
-            for lanes in [1, seeds.len()] {
-                let campaign_result = Campaign::new(config, 0)
-                    .with_threads(2)
-                    .with_lanes(lanes)
-                    .with_arbitration(arbitration)
-                    .run_contended(&traces, &seeds)
-                    .unwrap();
-                for ((&seed, run), expected) in
-                    seeds.iter().zip(campaign_result.runs()).zip(&expected)
-                {
-                    let campaign_run: Vec<(u64, HierarchyStats)> =
-                        run.tasks.iter().map(|t| (t.cycles, t.stats)).collect();
-                    assert_eq!(
-                        &campaign_run, expected,
-                        "campaign diverged from the reference: {placement}/{arbitration} lanes {lanes} seed {seed}"
-                    );
+            for l1_write in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
+                let config = platform(placement, ReplacementKind::Random, l1_write);
+                let mut reference = RefContentionCore::new(config, traces.len(), arbitration);
+                let expected: Vec<_> = seeds
+                    .iter()
+                    .map(|&seed| reference.execute_contended(&traces, seed))
+                    .collect();
+                let default = Campaign::DEFAULT_LANES;
+                for (threads, lanes) in [(1, 1), (1, default), (2, default)] {
+                    let campaign_result = Campaign::new(config, 0)
+                        .with_threads(threads)
+                        .with_lanes(lanes)
+                        .with_arbitration(arbitration)
+                        .run_contended(&traces, &seeds)
+                        .unwrap();
+                    for ((&seed, run), expected) in
+                        seeds.iter().zip(campaign_result.runs()).zip(&expected)
+                    {
+                        let campaign_run: Vec<(u64, HierarchyStats)> =
+                            run.tasks.iter().map(|t| (t.cycles, t.stats)).collect();
+                        assert_eq!(
+                            &campaign_run, expected,
+                            "campaign diverged from the reference: {placement}/{arbitration}/{l1_write:?} threads {threads} lanes {lanes} seed {seed}"
+                        );
+                    }
                 }
             }
         }

@@ -102,7 +102,7 @@ proptest! {
             .with_arbitration(arbitration);
         let reference = campaign.run_contended_campaign(&sources).unwrap();
         for shards in [1usize, 2, 4, 9] {
-            for lanes in [1usize, Campaign::CONTENDED_LANE_GROUP, 5] {
+            for lanes in [1usize, Campaign::DEFAULT_LANES, 5] {
                 let sharded = campaign.clone().with_lanes(lanes);
                 let mut store = MemoryCheckpointStore::new();
                 for pass in ["fresh", "restored"] {
