@@ -4,16 +4,17 @@
 //! fails CI instead of quietly invalidating the published record.
 //!
 //! Every value here was measured at the default campaign seed
-//! (`0xC0FFEE`) with the default 300-run schedule; the simulation is a
-//! pure function of the seed schedule, so these are exact reproductions,
-//! not statistical expectations.  If an intentional engine change shifts
+//! (`0xC0FFEE`) with the default 300-run schedule (the store-entry keys
+//! at the 40-run `--quick` one); the simulation is a pure function of the
+//! seed schedule, so these are exact reproductions, not statistical
+//! expectations.  If an intentional engine change shifts
 //! them, re-measure and update EXPERIMENTS.md *and* these pins together.
 
 use randmod_core::PlacementKind;
 use randmod_experiments::cli::ExperimentOptions;
 use randmod_experiments::fig4::{CUTOFF_PROBABILITY, FIG4B_LAYOUTS};
 use randmod_experiments::{fig1, fig4, fig5, fig6, runner, table2};
-use randmod_workloads::{CoSchedule, EembcBenchmark};
+use randmod_workloads::{CoSchedule, EembcBenchmark, SyntheticKernel};
 
 /// The recorded Figure 1 headline number: pWCET(10⁻¹⁵) = 171,639 cycles
 /// for the 20KB synthetic kernel under RM at the default schedule.
@@ -37,13 +38,12 @@ fn fig1_pwcet_at_cutoff_matches_the_recorded_value() {
 
 /// The recorded `fig6_contention` RM/P2 cell: the 20KB synthetic victim
 /// against one 128KB stress kernel on a Random-Modulo shared L2, at the
-/// default schedule (300 runs, seed `0xC0FFEE`, round-robin
-/// arbitration) — the EXPERIMENTS.md row "RM ... P2 +3.41%" over its
-/// 163,748-cycle idle baseline.  The cell is computed exactly as
-/// `fig6::generate` computes it (same per-placement campaign seed, same
-/// sample-scaled block size), so the pin covers the contended campaign
-/// pipeline end to end — including the lane-batched round-robin engine
-/// the default lane count selects.
+/// default schedule (300 runs, seed `0xC0FFEE`) — the EXPERIMENTS.md row
+/// "RM ... P2 +3.41%" over its 163,748-cycle idle baseline.  The cell is
+/// computed exactly as `fig6::generate` computes it (same per-placement
+/// campaign seed, same sample-scaled block size), so the pin covers the
+/// contended campaign pipeline end to end: the round-robin schedule built
+/// once and replayed across lane groups at the default width.
 #[test]
 fn fig6_rm_p2_victim_pwcet_matches_the_recorded_value() {
     let options = ExperimentOptions::default();
@@ -70,6 +70,52 @@ fn fig6_rm_p2_victim_pwcet_matches_the_recorded_value() {
         162_650,
         "fig6 RM/P2 victim mean drifted: {}",
         victim.mean()
+    );
+}
+
+/// The recorded `--store` entry keys of two quick campaigns, read off the
+/// entry files `ckpt_<key>.bin` that the runner writes: the
+/// `fig1_pwcet_curve --quick` campaign through `runner::measure_campaign`
+/// (the 20KB kernel under RM L1s, 40 runs, seed `0xC0FFEE`, 16 shards), and
+/// the `fig6_contention --quick` MOD/P1 cell through
+/// `runner::measure_contended` (the victim plus one 20KB sweeper on a
+/// modulo shared L2).  A warm store serves a campaign only under the key
+/// it was filled with, so a change that moves either value orphans every
+/// existing store and server entry: it has to be deliberate.
+#[test]
+fn quick_store_entry_keys_match_the_recorded_values() {
+    let dir = std::env::temp_dir().join(format!("randmod-golden-keys-{}", std::process::id()));
+    let options = ExperimentOptions::parse(["--quick"]).with_store(dir.to_str().unwrap());
+    let entries = || -> Vec<String> {
+        let names = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        std::fs::remove_dir_all(&dir).unwrap();
+        names
+    };
+    let _ = std::fs::remove_dir_all(&dir);
+    let solo = runner::measure_campaign(
+        &SyntheticKernel::fits_l2(),
+        PlacementKind::RandomModulo,
+        &options,
+        options.campaign_seed,
+    )
+    .unwrap();
+    assert_eq!(solo.sample.len(), 40);
+    assert_eq!(entries(), ["ckpt_b5ebf12a09581139.bin"], "fig1 --quick");
+    let placement = PlacementKind::Modulo;
+    runner::measure_contended(
+        &CoSchedule::pressure_level(fig6::victim(), 1),
+        placement,
+        &options,
+        options.campaign_seed ^ ((placement as u64) << 8),
+    )
+    .unwrap();
+    assert_eq!(
+        entries(),
+        ["ckpt_9ac01bc8d039145d.bin"],
+        "fig6 --quick MOD/P1"
     );
 }
 

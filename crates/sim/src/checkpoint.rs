@@ -598,7 +598,7 @@ impl<S: CheckpointStore + ?Sized> CheckpointStore for &mut S {
 /// final directory flush makes the rename itself durable, so once this
 /// returns `Ok` a power loss cannot roll the file back to its old
 /// contents; elsewhere the directory flush is a no-op.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".tmp.{}", std::process::id()));
     let tmp = PathBuf::from(tmp);

@@ -10,20 +10,13 @@
 //! sweeps per placement policy.
 //!
 //! A [`ContendedSchedule`] interleaves the K task traces event by event
-//! under a deterministic [`Arbitration`] policy:
-//!
-//! * [`Arbitration::RoundRobin`] — tasks take turns in index order,
-//!   skipping exhausted traces;
-//! * [`Arbitration::SeededRandom`] — each step picks a uniformly random
-//!   ready task from a [`SplitMix64`](randmod_core::prng::SplitMix64)
-//!   stream derived from the run seed.
-//!
-//! Both are pure functions of `(traces, run seed)`: no wall-clock, no
-//! thread scheduling, no global state.  Replaying the same co-schedule
-//! under the same seed reproduces every interleaving decision, every cache
-//! state and every cycle count bit-for-bit, which is what lets
-//! [`crate::run::Campaign::run_contended`] parallelise contended runs
-//! across threads without changing any result.
+//! under round-robin arbitration: tasks take turns in index order,
+//! skipping exhausted traces.  The interleave is a pure function of the
+//! traces — no wall-clock, no thread scheduling, no global state, and no
+//! placement seed — so replaying the same co-schedule under the same seed
+//! reproduces every cache state and every cycle count bit-for-bit, which
+//! is what lets [`crate::run::Campaign::run_contended`] parallelise
+//! contended runs across threads without changing any result.
 //!
 //! Timing model: each task runs on its own core, so per-task cycle counts
 //! advance independently (there is no bus arbitration stall in this
@@ -33,13 +26,11 @@
 //!
 //! **One engine.**  [`crate::batch::BatchCore`] replays a schedule across up to `K`
 //! placement-seed lanes per pass, whatever its task count; a solo
-//! campaign is the one-task schedule.  A round-robin schedule never
-//! consults the placement seed, so [`ContendedSchedule::round_robin`]
-//! builds it once per campaign and every lane group replays it; a
-//! seeded-random schedule is drawn per run
-//! ([`ContendedSchedule::seeded_random`]) and replays as a one-lane wave.
-//! The naive `RefContentionCore` of the reference-model suite pins both
-//! against an independent implementation.
+//! campaign is the one-task schedule.  The schedule never consults the
+//! placement seed, so [`ContendedSchedule::round_robin`] builds it once
+//! per campaign and every lane group replays it.  The naive
+//! `RefContentionCore` of the reference-model suite pins it against an
+//! independent implementation.
 //!
 //! **Solo-task equivalence.**  A contended run with one task and idle
 //! (empty-trace) opponents reproduces the one-task run exactly: per lane,
@@ -51,52 +42,6 @@
 use crate::config::PlatformConfig;
 use crate::lanes::{interleave, Op};
 use crate::trace::MemEvent;
-use randmod_core::ConfigError;
-use std::fmt;
-use std::str::FromStr;
-
-/// Salt folded into the run seed for the arbitration RNG, so interleaving
-/// decisions and cache layouts are decorrelated.
-pub(crate) const ARBITRATION_SALT: u64 = 0xA12B_1748_C0DE_5EED;
-
-/// How a [`ContendedSchedule`] picks the next task to issue an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Arbitration {
-    /// Tasks take turns in index order, skipping exhausted traces.
-    #[default]
-    RoundRobin,
-    /// Each step picks a uniformly random ready task, from a per-run
-    /// seeded stream (deterministic for a given run seed).
-    SeededRandom,
-}
-
-impl Arbitration {
-    /// Both arbitration policies.
-    pub const ALL: [Arbitration; 2] = [Arbitration::RoundRobin, Arbitration::SeededRandom];
-}
-
-impl fmt::Display for Arbitration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Arbitration::RoundRobin => "round-robin",
-            Arbitration::SeededRandom => "seeded-random",
-        })
-    }
-}
-
-impl FromStr for Arbitration {
-    type Err = ConfigError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "round-robin" | "roundrobin" | "rr" => Ok(Arbitration::RoundRobin),
-            "seeded-random" | "random" => Ok(Arbitration::SeededRandom),
-            other => Err(ConfigError::Inconsistent {
-                reason: format!("unknown arbitration policy '{other}'"),
-            }),
-        }
-    }
-}
 
 /// A precomputed, collapsed interleaving of one co-schedule — the input
 /// [`crate::batch::BatchCore::execute_schedule`] replays.
@@ -106,9 +51,7 @@ impl FromStr for Arbitration {
 /// order and the placement seed never enters an arbitration decision.  A
 /// campaign therefore interleaves (and run-collapses) the co-schedule
 /// **once**, shares the schedule read-only across its worker threads, and
-/// replays it under every placement seed.  Seeded-random arbitration
-/// draws its interleave from the run seed, so its campaigns build one
-/// schedule per run and replay each under that run's seed alone.
+/// replays it under every placement seed.
 #[derive(Debug, Clone)]
 pub struct ContendedSchedule {
     pub(crate) ops: Vec<Op>,
@@ -125,42 +68,11 @@ impl ContendedSchedule {
     where
         I: Iterator<Item = MemEvent>,
     {
-        Self::interleaved(config, tasks, streams, Arbitration::RoundRobin, 0)
-    }
-
-    /// [`Self::round_robin`] under seeded-random arbitration: each step
-    /// issues the next event of a uniformly random ready task, drawn from
-    /// a stream seeded by the run `seed`.  The schedule is only valid for
-    /// the run that replays it under that same seed.
-    pub fn seeded_random<I>(
-        config: &PlatformConfig,
-        tasks: usize,
-        streams: Vec<I>,
-        seed: u64,
-    ) -> Self
-    where
-        I: Iterator<Item = MemEvent>,
-    {
-        Self::interleaved(config, tasks, streams, Arbitration::SeededRandom, seed)
-    }
-
-    fn interleaved<I>(
-        config: &PlatformConfig,
-        tasks: usize,
-        streams: Vec<I>,
-        arbitration: Arbitration,
-        seed: u64,
-    ) -> Self
-    where
-        I: Iterator<Item = MemEvent>,
-    {
         let tasks = tasks.max(1);
         ContendedSchedule {
             ops: interleave(
                 streams,
                 tasks,
-                arbitration,
-                seed,
                 config.il1.geometry.offset_bits(),
                 config.dl1.geometry.offset_bits(),
             ),
@@ -219,38 +131,17 @@ mod tests {
     }
 
     /// One contended run of `traces` on a `tasks`-task platform under
-    /// `seed`: the schedule the arbitration policy draws, replayed as a
-    /// one-lane wave (the shape a campaign gives every seeded-random run).
+    /// `seed`: the round-robin schedule replayed as a one-lane wave.
     fn run_once(
         config: &PlatformConfig,
         tasks: usize,
-        arbitration: Arbitration,
         traces: &[Trace],
         seed: u64,
     ) -> Vec<(u64, HierarchyStats)> {
         let streams = traces.iter().map(|t| t.iter().copied()).collect();
-        let schedule = match arbitration {
-            Arbitration::RoundRobin => ContendedSchedule::round_robin(config, tasks, streams),
-            Arbitration::SeededRandom => {
-                ContendedSchedule::seeded_random(config, tasks, streams, seed)
-            }
-        };
+        let schedule = ContendedSchedule::round_robin(config, tasks, streams);
         let mut core = BatchCore::new(config, tasks, 1).unwrap();
         core.execute_schedule(&schedule, &[seed]).remove(0)
-    }
-
-    #[test]
-    fn arbitration_parses_and_displays() {
-        for arbitration in Arbitration::ALL {
-            let parsed: Arbitration = arbitration.to_string().parse().unwrap();
-            assert_eq!(parsed, arbitration);
-        }
-        assert_eq!(
-            "rr".parse::<Arbitration>().unwrap(),
-            Arbitration::RoundRobin
-        );
-        assert!("fcfs".parse::<Arbitration>().is_err());
-        assert_eq!(Arbitration::default(), Arbitration::RoundRobin);
     }
 
     #[test]
@@ -258,20 +149,17 @@ mod tests {
         let core = BatchCore::new(&config(), 0, 1).unwrap();
         assert_eq!(core.task_count(), 1);
         let schedule =
-            ContendedSchedule::seeded_random(&config(), 0, vec![victim_trace().into_iter()], 3);
+            ContendedSchedule::round_robin(&config(), 0, vec![victim_trace().into_iter()]);
         assert_eq!(schedule.task_count(), 1);
     }
 
     #[test]
     fn contended_run_is_reproducible_per_seed() {
         let traces = [victim_trace(), opponent_trace()];
-        for arbitration in Arbitration::ALL {
-            assert_eq!(
-                run_once(&config(), 2, arbitration, &traces, 99),
-                run_once(&config(), 2, arbitration, &traces, 99),
-                "{arbitration}"
-            );
-        }
+        assert_eq!(
+            run_once(&config(), 2, &traces, 99),
+            run_once(&config(), 2, &traces, 99)
+        );
     }
 
     #[test]
@@ -279,9 +167,8 @@ mod tests {
         // The defining contention effect: a streaming opponent evicts the
         // victim's shared-L2 lines, so the victim sees more L2 misses (and
         // more cycles) than it does next to an idle opponent.
-        let rr = Arbitration::RoundRobin;
-        let solo = run_once(&config(), 2, rr, &[victim_trace(), Trace::new()], 7);
-        let contended = run_once(&config(), 2, rr, &[victim_trace(), opponent_trace()], 7);
+        let solo = run_once(&config(), 2, &[victim_trace(), Trace::new()], 7);
+        let contended = run_once(&config(), 2, &[victim_trace(), opponent_trace()], 7);
         assert!(
             contended[0].1.l2.misses > solo[0].1.l2.misses,
             "opponent did not inflate victim L2 misses ({} vs {})",
@@ -297,7 +184,7 @@ mod tests {
     #[test]
     fn per_task_l2_views_sum_to_the_aggregate() {
         let traces = [victim_trace(), opponent_trace(), opponent_trace()];
-        let results = run_once(&config(), 3, Arbitration::SeededRandom, &traces, 21);
+        let results = run_once(&config(), 3, &traces, 21);
         let aggregate = results
             .iter()
             .fold(HierarchyStats::default(), |acc, (_, stats)| {
@@ -326,43 +213,32 @@ mod tests {
         // Two identical single-level streams: round-robin must give both
         // tasks identical traffic counts.
         let traces = [opponent_trace(), opponent_trace()];
-        let results = run_once(&config(), 2, Arbitration::RoundRobin, &traces, 5);
+        let results = run_once(&config(), 2, &traces, 5);
         assert_eq!(results[0].1.dl1.accesses, results[1].1.dl1.accesses);
     }
 
     #[test]
     fn missing_streams_behave_as_idle_tasks() {
         let trace = victim_trace();
-        for arbitration in Arbitration::ALL {
-            let padded = run_once(
-                &config(),
-                3,
-                arbitration,
-                &[trace.clone(), Trace::new(), Trace::new()],
-                13,
-            );
-            let missing = run_once(&config(), 3, arbitration, std::slice::from_ref(&trace), 13);
-            assert_eq!(padded, missing, "{arbitration}");
-            assert_eq!(missing[1], (0, HierarchyStats::default()));
-            assert_eq!(missing[2], (0, HierarchyStats::default()));
-        }
+        let padded = run_once(
+            &config(),
+            3,
+            &[trace.clone(), Trace::new(), Trace::new()],
+            13,
+        );
+        let missing = run_once(&config(), 3, std::slice::from_ref(&trace), 13);
+        assert_eq!(padded, missing);
+        assert_eq!(missing[1], (0, HierarchyStats::default()));
+        assert_eq!(missing[2], (0, HierarchyStats::default()));
     }
 
     #[test]
     fn extra_streams_beyond_the_task_count_are_ignored() {
         let trace = victim_trace();
-        for arbitration in Arbitration::ALL {
-            let clipped = run_once(
-                &config(),
-                1,
-                arbitration,
-                &[trace.clone(), opponent_trace()],
-                3,
-            );
-            let solo = run_once(&config(), 1, arbitration, std::slice::from_ref(&trace), 3);
-            assert_eq!(clipped, solo, "{arbitration}");
-            assert_eq!(clipped.len(), 1);
-        }
+        let clipped = run_once(&config(), 1, &[trace.clone(), opponent_trace()], 3);
+        let solo = run_once(&config(), 1, std::slice::from_ref(&trace), 3);
+        assert_eq!(clipped, solo);
+        assert_eq!(clipped.len(), 1);
     }
 
     #[test]
@@ -381,7 +257,7 @@ mod tests {
             let mut batch = BatchCore::new(&config, 3, seeds.len()).unwrap();
             let batched = batch.execute_schedule(&schedule, &seeds);
             for (&seed, runs) in seeds.iter().zip(&batched) {
-                let reference = run_once(&config, 3, Arbitration::RoundRobin, &traces, seed);
+                let reference = run_once(&config, 3, &traces, seed);
                 assert_eq!(
                     runs, &reference,
                     "lane diverged for seed {seed} under {placement}"
@@ -437,19 +313,5 @@ mod tests {
         let results = batch.execute_schedule(&schedule, &[9]);
         assert_eq!(results[0][0], (0, HierarchyStats::default()));
         assert_eq!(results[0][1], (0, HierarchyStats::default()));
-    }
-
-    #[test]
-    fn arbitration_policies_agree_on_totals_but_may_differ_in_timing() {
-        // Both policies replay the same per-task event streams, so the
-        // per-task L1 access counts must agree; the interleaving (and thus
-        // the shared-L2 hit pattern) may legitimately differ.
-        let traces = [victim_trace(), opponent_trace()];
-        let a = run_once(&config(), 2, Arbitration::RoundRobin, &traces, 77);
-        let b = run_once(&config(), 2, Arbitration::SeededRandom, &traces, 77);
-        for task in 0..2 {
-            assert_eq!(a[task].1.il1.accesses, b[task].1.il1.accesses);
-            assert_eq!(a[task].1.dl1.accesses, b[task].1.dl1.accesses);
-        }
     }
 }

@@ -24,13 +24,10 @@
 //!   operation and shared across all lanes.
 //!
 //! A campaign decodes and interleaves **before** replay: the interleaved
-//! event stream is decided by the arbitration policy alone — the
+//! event stream is decided by round-robin arbitration alone — the
 //! placement seed never enters an arbitration decision — so
-//! [`interleave`] produces the collapsed [`Op`] schedule and
-//! [`replay_ops`] replays it across placement-seed lanes.  A round-robin
-//! schedule (and every one-task schedule) is seed-independent and is
-//! built once per campaign; a seeded-random schedule is drawn from the
-//! run seed and is built once per run, then replayed as a one-lane wave.
+//! [`interleave`] produces the collapsed [`Op`] schedule once per
+//! campaign and [`replay_ops`] replays it across placement-seed lanes.
 //! Collapsing stays sound across task switches because each task's L1s are
 //! private: an opponent's event can never evict the line a victim's repeat
 //! read is about to hit, so a per-task run survives any interleaving (the
@@ -38,9 +35,7 @@
 //! from the merged schedule preserves every shared-L2 transition
 //! bit-for-bit).
 
-use crate::contention::{Arbitration, ARBITRATION_SALT};
 use crate::trace::MemEvent;
-use randmod_core::prng::SplitMix64;
 use randmod_core::{Address, LineAddr};
 
 /// The per-lane stepping interface of the collapsed replay drivers.
@@ -158,28 +153,21 @@ pub(crate) enum Op {
     },
 }
 
-/// Interleaves the task streams under `arbitration` and collapses per-task
-/// same-line read runs, producing the [`Op`] schedule the engine replays
-/// across placement lanes.
-///
-/// * Round-robin: tasks take turns in index order, skipping exhausted
-///   traces (`seed` is unused).
-/// * Seeded-random: each step draws a uniformly random *ready* task from a
-///   [`SplitMix64`] stream seeded with `seed ^ ARBITRATION_SALT`, so the
-///   schedule is a pure function of the run seed and the task readiness.
+/// Interleaves the task streams under round-robin arbitration — tasks
+/// take turns in index order, skipping exhausted traces — and collapses
+/// per-task same-line read runs, producing the [`Op`] schedule the engine
+/// replays across placement lanes.
 ///
 /// Streams beyond `tasks` are ignored and missing streams behave as idle
 /// tasks.  Every event takes one arbitration step, collapsed or not, so
 /// collapsing never changes the interleave.  A task's read run stays open
 /// across other tasks' turns (their events cannot touch its private L1)
 /// and is closed by any non-matching event of its own.
-// randmod: allow(P1, every vector in this arena — streams, pending, open — is resized to exactly `tasks` before the loop, the round-robin cursor is reduced mod `tasks` on every step, the seeded-random scan stops on the pick-th of the `ready` pending tasks (pick < ready) so task < tasks always, ops indices come from ops.len() at push time, and the take() runs only after arbitration stopped on a Some; the whole schedule is pinned against the naive contention reference by the reference-model proptests)
+// randmod: allow(P1, every vector in this arena — streams, pending, open — is resized to exactly `tasks` before the loop, the round-robin cursor is reduced mod `tasks` on every step and its scan ends because `ready > 0` counts a pending task, ops indices come from ops.len() at push time, and the take() runs only after the scan stopped on a Some; the whole schedule is pinned against the naive contention reference by the reference-model proptests)
 #[allow(clippy::expect_used)]
 pub(crate) fn interleave<I>(
     streams: Vec<I>,
     tasks: usize,
-    arbitration: Arbitration,
-    seed: u64,
     il1_shift: u32,
     dl1_shift: u32,
 ) -> Vec<Op>
@@ -199,33 +187,13 @@ where
     let mut ready = pending.iter().filter(|p| p.is_some()).count();
     let mut open: Vec<Option<OpenRun>> = vec![None; tasks];
     let mut ops: Vec<Op> = Vec::new();
-    let mut rng = SplitMix64::new(seed ^ ARBITRATION_SALT);
     let mut cursor = 0usize;
     while ready > 0 {
-        let task = match arbitration {
-            Arbitration::RoundRobin => {
-                while pending[cursor].is_none() {
-                    cursor = (cursor + 1) % tasks;
-                }
-                let task = cursor;
-                cursor = (cursor + 1) % tasks;
-                task
-            }
-            Arbitration::SeededRandom => {
-                let mut pick = (rng.next_u64() % ready as u64) as usize;
-                let mut task = 0;
-                loop {
-                    if pending[task].is_some() {
-                        if pick == 0 {
-                            break;
-                        }
-                        pick -= 1;
-                    }
-                    task += 1;
-                }
-                task
-            }
-        };
+        while pending[cursor].is_none() {
+            cursor = (cursor + 1) % tasks;
+        }
+        let task = cursor;
+        cursor = (cursor + 1) % tasks;
         let event = pending[task]
             .take()
             .expect("arbitration picked a ready task");
@@ -323,7 +291,7 @@ mod tests {
 
     /// The round-robin interleave at 32-byte lines.
     fn round_robin<I: Iterator<Item = MemEvent>>(streams: Vec<I>, tasks: usize) -> Vec<Op> {
-        interleave(streams, tasks, Arbitration::RoundRobin, 0, 5, 5)
+        interleave(streams, tasks, 5, 5)
     }
 
     /// Records every stepped operation, for asserting driver semantics.
@@ -464,81 +432,6 @@ mod tests {
         let clipped = round_robin(vec![trace.into_iter(), extra.into_iter()], 1);
         assert_eq!(clipped.len(), 1);
         assert!(matches!(clipped[0], Op::Load { task: 0, .. }));
-    }
-
-    #[test]
-    fn seeded_random_interleave_is_a_pure_function_of_the_seed() {
-        // Two uncollapsible streams (each alternates between two lines):
-        // every event is one op, so the schedule exposes the raw
-        // arbitration order.
-        let stream = |base: u64| -> Trace {
-            let mut trace = Trace::new();
-            for i in 0..64u64 {
-                trace.load(Address::new(base + (i % 2) * 0x1000));
-            }
-            trace
-        };
-        let streams = || vec![stream(0x1_0000).into_iter(), stream(0x9_0000).into_iter()];
-        let draw = |seed: u64| interleave(streams(), 2, Arbitration::SeededRandom, seed, 5, 5);
-        let load = |op: &Op| match *op {
-            Op::Load { task, addr, .. } => (task, addr.raw()),
-            _ => panic!("only loads were issued: {op:?}"),
-        };
-        let tasks_of = |ops: &[Op]| -> Vec<u32> { ops.iter().map(|op| load(op).0).collect() };
-
-        let schedule = draw(7);
-        assert_eq!(schedule, draw(7), "same seed, different schedule");
-        assert_eq!(
-            schedule.len(),
-            128,
-            "every event must be scheduled exactly once"
-        );
-        // Each task's own events keep their program order.
-        let victim: Vec<u64> = schedule
-            .iter()
-            .map(load)
-            .filter(|&(task, _)| task == 0)
-            .map(|(_, a)| a)
-            .collect();
-        let program: Vec<u64> = (0..64u64).map(|i| 0x1_0000 + (i % 2) * 0x1000).collect();
-        assert_eq!(victim, program);
-        // The order is drawn, not fixed: round-robin alternates strictly,
-        // and some seed departs from that.
-        let alternating: Vec<u32> = (0..128).map(|i| i % 2).collect();
-        assert_eq!(tasks_of(&round_robin(streams(), 2)), alternating);
-        assert!((0..8u64).any(|seed| tasks_of(&draw(seed)) != alternating));
-    }
-
-    #[test]
-    fn seeded_random_interleave_collapses_each_tasks_runs() {
-        // Whatever order the draws pick, a task's same-line read run stays
-        // open across the other task's turns and collapses into one op.
-        let mut a = Trace::new();
-        for addr in [0x1000, 0x1004, 0x1008, 0x2000] {
-            a.load(Address::new(addr));
-        }
-        let mut b = Trace::new();
-        b.load(Address::new(0x9000));
-        b.load(Address::new(0x9004));
-        for seed in 0..16u64 {
-            let streams = vec![a.clone().into_iter(), b.clone().into_iter()];
-            let ops = interleave(streams, 2, Arbitration::SeededRandom, seed, 5, 5);
-            let per_task = |task: u32| -> Vec<(u64, u64)> {
-                ops.iter()
-                    .filter_map(|op| match *op {
-                        Op::Load {
-                            task: t,
-                            addr,
-                            repeats,
-                            ..
-                        } if t == task => Some((addr.raw(), repeats)),
-                        _ => None,
-                    })
-                    .collect()
-            };
-            assert_eq!(per_task(0), vec![(0x1000, 2), (0x2000, 0)], "seed {seed}");
-            assert_eq!(per_task(1), vec![(0x9000, 1)], "seed {seed}");
-        }
     }
 
     #[test]

@@ -23,9 +23,8 @@
 //!   operation, each lane bit-identical to replaying its seed alone.  A
 //!   solo program is the one-task case of the multi-task platform.
 //! * [`contention`] — the multi-task shared-L2 platform: per-task private
-//!   L1 pairs over one shared L2 partition, interleaved by a deterministic
-//!   arbitration policy (round-robin or seeded-random) into a schedule
-//!   that the engine replays across `K` placement seeds.
+//!   L1 pairs over one shared L2 partition, interleaved round-robin into
+//!   a schedule that the engine replays across `K` placement seeds.
 //! * [`run`] — measurement campaigns: run a program repeatedly with a fresh
 //!   placement seed per run (the MBPTA protocol, batched across seeds by
 //!   default), adaptively grow the campaign until the pWCET estimate
@@ -90,7 +89,7 @@ pub use checkpoint::{
     MemoryCheckpointStore,
 };
 pub use config::{CacheConfig, LatencyConfig, PlatformConfig};
-pub use contention::{Arbitration, ContendedSchedule};
+pub use contention::ContendedSchedule;
 pub use hierarchy::HierarchyStats;
 pub use packed::PackedTrace;
 pub use run::{
@@ -98,4 +97,4 @@ pub use run::{
     ContendedAdaptiveResult, ContendedResult, ContendedRun, RunResult, ShardSpec, ShardedReport,
     TaskRun,
 };
-pub use trace::{EventSink, EventSource, MemEvent, SinkFn, Trace, TraceStats};
+pub use trace::{EventSink, EventSource, MemEvent, Trace, TraceStats};

@@ -27,12 +27,11 @@
 //! [`crate::checkpoint::Fingerprint`], and [`PackedTrace::to_bytes`] writes
 //! them in a file format (magic `RMTRACE2`) checksummed by the same hash.
 
-use crate::checkpoint::{atomic_write, checksum, magic_mismatch};
+use crate::checkpoint::{checksum, magic_mismatch};
 use crate::trace::{EventSink, EventSource, MemEvent, Trace};
 use crate::wire::le_u64;
 use randmod_core::Address;
 use std::fmt;
-use std::path::Path;
 
 /// Kind tag of an instruction fetch.
 const TAG_FETCH: u64 = 0;
@@ -213,7 +212,7 @@ impl fmt::Display for PackedTrace {
 }
 
 // ---------------------------------------------------------------------------
-// Checksummed file round-trip
+// Checksummed byte round-trip
 // ---------------------------------------------------------------------------
 
 /// Magic + version prefix of a packed-trace file (bump the digit when the
@@ -221,16 +220,9 @@ impl fmt::Display for PackedTrace {
 /// refused with an error naming its version).
 pub const TRACE_FILE_MAGIC: &[u8; 8] = b"RMTRACE2";
 
-/// Error produced while reading or writing a packed-trace file.
+/// Error produced while decoding a packed-trace file.
 #[derive(Debug)]
 pub enum TraceFileError {
-    /// The filesystem operation itself failed.
-    Io {
-        /// Path the operation targeted.
-        path: String,
-        /// The underlying error.
-        source: std::io::Error,
-    },
     /// The file's bytes fail validation: wrong magic/version, a length
     /// that disagrees with the header, or a checksum mismatch (truncation
     /// or bit-flips).
@@ -243,9 +235,6 @@ pub enum TraceFileError {
 impl fmt::Display for TraceFileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceFileError::Io { path, source } => {
-                write!(f, "trace file {path}: {source}")
-            }
             TraceFileError::Corrupt { detail } => {
                 write!(f, "trace file corrupt: {detail}")
             }
@@ -253,14 +242,7 @@ impl fmt::Display for TraceFileError {
     }
 }
 
-impl std::error::Error for TraceFileError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TraceFileError::Io { source, .. } => Some(source),
-            TraceFileError::Corrupt { .. } => None,
-        }
-    }
-}
+impl std::error::Error for TraceFileError {}
 
 impl PackedTrace {
     /// Serializes the trace into its self-validating file format: magic +
@@ -328,36 +310,6 @@ impl PackedTrace {
             .map(le_u64)
             .collect();
         Ok(PackedTrace { words })
-    }
-
-    /// Writes the trace to `path` atomically (temp file + rename) in the
-    /// checksummed [`Self::to_bytes`] format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceFileError::Io`] when the filesystem fails.
-    pub fn write_file(&self, path: impl AsRef<Path>) -> Result<(), TraceFileError> {
-        let path = path.as_ref();
-        atomic_write(path, &self.to_bytes()).map_err(|source| TraceFileError::Io {
-            path: path.display().to_string(),
-            source,
-        })
-    }
-
-    /// Reads a trace written by [`Self::write_file`], rejecting truncated
-    /// or bit-flipped files.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceFileError::Io`] when the file cannot be read and
-    /// [`TraceFileError::Corrupt`] when its contents fail validation.
-    pub fn read_file(path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
-        let path = path.as_ref();
-        let bytes = std::fs::read(path).map_err(|source| TraceFileError::Io {
-            path: path.display().to_string(),
-            source,
-        })?;
-        PackedTrace::from_bytes(&bytes)
     }
 }
 
@@ -539,26 +491,6 @@ mod tests {
                 assert!(err.to_string().contains("unsupported version"), "{err}");
             }
         }
-    }
-
-    #[test]
-    fn file_round_trip_and_io_errors() {
-        let path =
-            std::env::temp_dir().join(format!("randmod-trace-test-{}.bin", std::process::id()));
-        let packed: PackedTrace = sample_events().into_iter().collect();
-        packed.write_file(&path).unwrap();
-        assert_eq!(PackedTrace::read_file(&path).unwrap(), packed);
-        // A truncated file on disk is rejected with a Corrupt error.
-        let bytes = packed.to_bytes();
-        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let err = PackedTrace::read_file(&path).unwrap_err();
-        assert!(matches!(err, TraceFileError::Corrupt { .. }), "{err}");
-        std::fs::remove_file(&path).unwrap();
-        // A missing file is an Io error naming the path.
-        let err = PackedTrace::read_file(&path).unwrap_err();
-        assert!(matches!(err, TraceFileError::Io { .. }), "{err}");
-        assert!(err.to_string().contains("randmod-trace-test"), "{err}");
-        assert!(std::error::Error::source(&err).is_some());
     }
 
     /// Strategy: one arbitrary event with a payload inside the packed range.

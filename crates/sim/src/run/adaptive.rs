@@ -71,11 +71,6 @@ impl AdaptiveResult {
         &self.result
     }
 
-    /// Consumes the adaptive wrapper, keeping the runs.
-    pub fn into_result(self) -> CampaignResult {
-        self.result
-    }
-
     /// Number of runs the campaign needed (the runs-to-convergence count,
     /// or the cap when the estimate never stabilised).
     pub fn runs_used(&self) -> usize {

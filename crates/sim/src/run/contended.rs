@@ -2,29 +2,22 @@
 //! types, and the one worker pool every MBPTA seed sweep runs on.
 //!
 //! [`Campaign::run_contended`] replays its co-schedule on the lane engine
-//! ([`BatchCore`]), routed per campaign:
+//! ([`BatchCore`]) by one route: the round-robin schedule is
+//! seed-independent, so it is computed once per campaign, shared read-only
+//! across worker threads and replayed across placement-seed lanes at the
+//! [`Campaign::lanes`] width (`with_lanes(1)` just makes every wave one
+//! lane wide).  A solo campaign ([`Campaign::run_seeds`]) is the one-task
+//! co-schedule, and an idle co-schedule replays its victim as that one
+//! task while the idle tasks get zero runs.
 //!
-//! * **one active task** — a solo campaign ([`Campaign::run_seeds`] is the
-//!   one-task co-schedule) or an idle co-schedule, whose victim replays
-//!   alone while the idle tasks get zero runs: the round-robin schedule at
-//!   the full [`Campaign::lanes`] width (one task has nothing to
-//!   arbitrate, so the arbitration policy is moot);
-//! * **round-robin** — the interleaved schedule is seed-independent, so it
-//!   is computed once per campaign, shared read-only across worker
-//!   threads and replayed across placement-seed lanes at the same
-//!   [`Campaign::lanes`] width (`with_lanes(1)` just makes every wave one
-//!   lane wide);
-//! * **seeded-random** — each run's schedule is drawn from its seed, so
-//!   every run builds its own schedule and replays it as a one-lane wave.
-//!
-//! All routes produce bit-identical [`ContendedResult`]s where their
-//! domains overlap — pinned by the `contention_equivalence` suite, the
+//! Every width and thread count produces a bit-identical
+//! [`ContendedResult`] — pinned by the `contention_equivalence` suite, the
 //! differential reference model and the unit grid tests.
 
 use super::schedule::scoped_chunks;
 use super::{Campaign, CampaignResult, RunResult};
 use crate::batch::BatchCore;
-use crate::contention::{Arbitration, ContendedSchedule};
+use crate::contention::ContendedSchedule;
 use crate::hierarchy::HierarchyStats;
 use crate::trace::EventSource;
 use randmod_core::ConfigError;
@@ -160,9 +153,9 @@ impl Campaign {
     /// Runs the contended (multi-task, shared-L2) MBPTA protocol: every
     /// seed executes one run of `sources[0]` (the victim) co-scheduled
     /// against `sources[1..]` (the opponents) in front of one shared L2,
-    /// under this campaign's [`Arbitration`] policy.  Runs are distributed
-    /// over the same worker thread pool as [`Self::run_seeds`]; each run is
-    /// a pure function of its seed, so results are thread-invariant.
+    /// under round-robin arbitration.  Runs are distributed over the same
+    /// worker thread pool as [`Self::run_seeds`]; each run is a pure
+    /// function of its seed, so results are thread-invariant.
     ///
     /// **Idle co-schedule**: when every opponent trace is empty, the
     /// victim replays as the one task of the schedule, exactly as
@@ -170,15 +163,10 @@ impl Campaign {
     /// so a solo contended campaign is *bit-identical* to the single-task
     /// protocol (and runs at its throughput).
     ///
-    /// **Round-robin**: the interleaved co-schedule never depends on the
-    /// placement seed, so it is computed once per campaign
-    /// ([`ContendedSchedule::round_robin`]) and replayed across
-    /// placement-seed lanes — [`Self::lanes`] per schedule pass, as a solo
-    /// campaign steps them — by a [`BatchCore`].
-    ///
-    /// **Seeded-random**: each run's interleave is drawn from its seed
-    /// ([`ContendedSchedule::seeded_random`]) and replayed as a one-lane
-    /// wave on the same engine.
+    /// The interleaved co-schedule never depends on the placement seed, so
+    /// it is computed once per campaign ([`ContendedSchedule::round_robin`])
+    /// and replayed across placement-seed lanes — [`Self::lanes`] per
+    /// schedule pass, as a solo campaign steps them — by a [`BatchCore`].
     ///
     /// # Errors
     ///
@@ -237,37 +225,19 @@ impl Campaign {
             sources
         };
         let (tasks, padded) = (active.len(), sources.len());
-        let config = self.config;
-        if tasks > 1 && self.arbitration == Arbitration::SeededRandom {
-            // A seeded-random interleave is drawn from the run seed: build
-            // each run's schedule and replay it as a one-lane wave.
-            let runs = scoped_chunks(seeds, self.threads, |chunk| {
-                let mut core = BatchCore::new(&config, tasks, 1)?;
-                let mut out = Vec::with_capacity(chunk.len());
-                for &seed in chunk {
-                    let streams = active.iter().map(|s| s.events()).collect();
-                    let schedule = ContendedSchedule::seeded_random(&config, tasks, streams, seed);
-                    let lane_results = core.execute_schedule(&schedule, &[seed]);
-                    out.extend(contended_runs(&[seed], lane_results, padded));
-                }
-                Ok(out)
-            })?;
-            return Ok(ContendedResult::from_runs(runs));
-        }
         // The round-robin schedule is a pure function of the traces:
         // interleave (and run-collapse) once, then replay it across
         // placement-seed lanes, shared read-only across the workers.
         let schedule = ContendedSchedule::round_robin(
-            &config,
+            &self.config,
             tasks,
             active.iter().map(|s| s.events()).collect(),
         );
-        let schedule = &schedule;
         let runs = scoped_chunks(seeds, self.threads, |chunk| {
-            let mut core = BatchCore::new(&config, tasks, self.lanes.min(chunk.len()))?;
+            let mut core = BatchCore::new(&self.config, tasks, self.lanes.min(chunk.len()))?;
             let mut out = Vec::with_capacity(chunk.len());
             for group in chunk.chunks(core.lane_count()) {
-                let lane_results = core.execute_schedule(schedule, group);
+                let lane_results = core.execute_schedule(&schedule, group);
                 out.extend(contended_runs(group, lane_results, padded));
             }
             Ok(out)

@@ -14,11 +14,9 @@
 //! or a slice of events — shared read-only across the worker threads.
 //!
 //! A solo campaign is the one-task case of a contended one: both run on
-//! one worker pool ([`Campaign::run_contended`]).  Under round-robin
-//! arbitration the interleaved co-schedule is seed-independent, so it is
-//! computed once per campaign and replayed across placement-seed lanes by
-//! each worker; under seeded-random arbitration every run of several
-//! tasks draws its own interleave and replays it as a one-lane wave.
+//! one worker pool ([`Campaign::run_contended`]).  The round-robin
+//! co-schedule is seed-independent, so it is computed once per campaign
+//! and replayed across placement-seed lanes by each worker.
 //!
 //! For the deterministic baseline of Figure 4(b), the execution time does
 //! not vary with a seed but with the *memory layout* of the program; the
@@ -65,7 +63,6 @@ pub use engine::{CampaignResult, RunResult};
 pub use shard::{decode_solo_runs, encode_solo_runs, CampaignError, ShardSpec, ShardedReport};
 
 use crate::config::PlatformConfig;
-use crate::contention::Arbitration;
 use randmod_core::SetAssocCacheLanes;
 
 /// A measurement campaign: a platform configuration plus a run count.
@@ -95,7 +92,6 @@ pub struct Campaign {
     campaign_seed: u64,
     threads: usize,
     lanes: usize,
-    arbitration: Arbitration,
 }
 
 impl Campaign {
@@ -131,7 +127,6 @@ impl Campaign {
             campaign_seed: 0x00C0_FFEE,
             threads,
             lanes: Self::DEFAULT_LANES,
-            arbitration: Arbitration::default(),
         }
     }
 
@@ -154,13 +149,10 @@ impl Campaign {
     /// Lanes compose with threads: a campaign of `N` runs on `T` threads
     /// replays its schedule `N / (T * lanes)` times per thread.  Results
     /// are bit-identical for every `(threads, lanes)` combination, for
-    /// solo *and* contended campaigns.  Solo, idle and round-robin
-    /// campaigns step `lanes` placement seeds per schedule pass;
-    /// seeded-random campaigns of several tasks always replay one lane
-    /// per run, since every run has its own schedule.  `with_lanes(1)`
-    /// runs every protocol as one-lane waves on the one engine — the
-    /// reference every width must reproduce bit for bit, not a different
-    /// engine.
+    /// solo *and* contended campaigns, each of which steps `lanes`
+    /// placement seeds per schedule pass.  `with_lanes(1)` runs every
+    /// protocol as one-lane waves on the one engine — the reference every
+    /// width must reproduce bit for bit, not a different engine.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes.clamp(1, SetAssocCacheLanes::MAX_LANES);
         self
@@ -169,18 +161,6 @@ impl Campaign {
     /// Number of seed lanes per worker.
     pub fn lanes(&self) -> usize {
         self.lanes
-    }
-
-    /// Overrides the arbitration policy of contended campaigns (the
-    /// default is round-robin; ignored by campaigns with one active task).
-    pub fn with_arbitration(mut self, arbitration: Arbitration) -> Self {
-        self.arbitration = arbitration;
-        self
-    }
-
-    /// The arbitration policy contended campaigns use.
-    pub fn arbitration(&self) -> Arbitration {
-        self.arbitration
     }
 
     /// The platform configuration of this campaign.
@@ -440,18 +420,15 @@ mod tests {
 
     #[test]
     fn contended_campaign_is_thread_invariant() {
-        for arbitration in crate::contention::Arbitration::ALL {
-            let sources = [stress_trace(), opponent_trace()];
-            let seeds: Vec<u64> = (0..7).collect();
-            let run = |threads: usize| {
-                Campaign::new(PlatformConfig::leon3(), 0)
-                    .with_threads(threads)
-                    .with_arbitration(arbitration)
-                    .run_contended(&sources, &seeds)
-                    .unwrap()
-            };
-            assert_eq!(run(1), run(4), "{arbitration}");
-        }
+        let sources = [stress_trace(), opponent_trace()];
+        let seeds: Vec<u64> = (0..7).collect();
+        let run = |threads: usize| {
+            Campaign::new(PlatformConfig::leon3(), 0)
+                .with_threads(threads)
+                .run_contended(&sources, &seeds)
+                .unwrap()
+        };
+        assert_eq!(run(1), run(4));
     }
 
     #[test]
@@ -459,30 +436,25 @@ mod tests {
         // The contended analogue of `lanes_and_threads_do_not_change_results`:
         // the full grid of the batching knobs must reproduce one
         // ContendedResult bit-for-bit (per-task cycles *and* stats) against
-        // the single-thread one-lane reference, for both arbitration
-        // policies.
+        // the single-thread one-lane reference.
         let sources = [stress_trace(), opponent_trace()];
         let seeds: Vec<u64> = (0..11).map(|i| 0xFEED ^ (i * 0x9E37_79B9)).collect();
-        for arbitration in crate::contention::Arbitration::ALL {
-            let reference = Campaign::new(PlatformConfig::leon3(), 0)
-                .with_arbitration(arbitration)
-                .with_threads(1)
-                .with_lanes(1)
-                .run_contended(&sources, &seeds)
-                .unwrap();
-            for lanes in [1usize, 2, 7, Campaign::DEFAULT_LANES] {
-                for threads in [1usize, 4] {
-                    let result = Campaign::new(PlatformConfig::leon3(), 0)
-                        .with_arbitration(arbitration)
-                        .with_threads(threads)
-                        .with_lanes(lanes)
-                        .run_contended(&sources, &seeds)
-                        .unwrap();
-                    assert_eq!(
-                        result, reference,
-                        "{arbitration} lanes={lanes} threads={threads} diverged"
-                    );
-                }
+        let reference = Campaign::new(PlatformConfig::leon3(), 0)
+            .with_threads(1)
+            .with_lanes(1)
+            .run_contended(&sources, &seeds)
+            .unwrap();
+        for lanes in [1usize, 2, 7, Campaign::DEFAULT_LANES] {
+            for threads in [1usize, 4] {
+                let result = Campaign::new(PlatformConfig::leon3(), 0)
+                    .with_threads(threads)
+                    .with_lanes(lanes)
+                    .run_contended(&sources, &seeds)
+                    .unwrap();
+                assert_eq!(
+                    result, reference,
+                    "lanes={lanes} threads={threads} diverged"
+                );
             }
         }
     }
@@ -490,34 +462,26 @@ mod tests {
     #[test]
     fn with_lanes_one_contended_runs_one_lane_waves() {
         // `with_lanes(1)` is not a different engine: every run is a
-        // one-lane replay of the schedule its arbitration draws.
+        // one-lane replay of the round-robin schedule.
         use crate::batch::BatchCore;
-        use crate::contention::{Arbitration, ContendedSchedule};
+        use crate::contention::ContendedSchedule;
         let config = PlatformConfig::leon3();
         let sources = [stress_trace(), opponent_trace()];
         let seeds = [4u64, 18, 0xC0FFEE];
-        for arbitration in Arbitration::ALL {
-            let result = Campaign::new(config, 0)
-                .with_threads(1)
-                .with_lanes(1)
-                .with_arbitration(arbitration)
-                .run_contended(&sources, &seeds)
-                .unwrap();
-            let mut one_lane = BatchCore::new(&config, 2, 1).unwrap();
-            for (run, &seed) in result.runs().iter().zip(&seeds) {
-                let streams = sources.iter().map(|s| s.iter().copied()).collect();
-                let schedule = match arbitration {
-                    Arbitration::RoundRobin => ContendedSchedule::round_robin(&config, 2, streams),
-                    Arbitration::SeededRandom => {
-                        ContendedSchedule::seeded_random(&config, 2, streams, seed)
-                    }
-                };
-                let reference = one_lane.execute_schedule(&schedule, &[seed]).remove(0);
-                assert_eq!(run.seed, seed);
-                let tasks: Vec<(u64, HierarchyStats)> =
-                    run.tasks.iter().map(|t| (t.cycles, t.stats)).collect();
-                assert_eq!(tasks, reference, "{arbitration} seed {seed}");
-            }
+        let result = Campaign::new(config, 0)
+            .with_threads(1)
+            .with_lanes(1)
+            .run_contended(&sources, &seeds)
+            .unwrap();
+        let streams = sources.iter().map(|s| s.iter().copied()).collect();
+        let schedule = ContendedSchedule::round_robin(&config, 2, streams);
+        let mut one_lane = BatchCore::new(&config, 2, 1).unwrap();
+        for (run, &seed) in result.runs().iter().zip(&seeds) {
+            let reference = one_lane.execute_schedule(&schedule, &[seed]).remove(0);
+            assert_eq!(run.seed, seed);
+            let tasks: Vec<(u64, HierarchyStats)> =
+                run.tasks.iter().map(|t| (t.cycles, t.stats)).collect();
+            assert_eq!(tasks, reference, "seed {seed}");
         }
     }
 
@@ -579,12 +543,6 @@ mod tests {
             .unwrap()
             .is_empty());
         assert_eq!(ContendedResult::default().task_count(), 0);
-        assert_eq!(
-            campaign
-                .with_arbitration(crate::contention::Arbitration::SeededRandom)
-                .arbitration(),
-            crate::contention::Arbitration::SeededRandom
-        );
         let flat: Vec<u64> = ContendedResult::from_runs(vec![ContendedRun {
             seed: 1,
             tasks: vec![

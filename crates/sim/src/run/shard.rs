@@ -15,8 +15,7 @@
 //! killed at any instant resumes by re-running only the shards that are
 //! missing, partial or corrupt.  Resume safety rests on the **campaign
 //! fingerprint**: a hash of the packed trace(s), the platform
-//! configuration, the seed schedule, the arbitration policy, the task
-//! count and the shard count.  A checkpoint whose header fingerprint
+//! configuration, the seed schedule, the task count and the shard count.  A checkpoint whose header fingerprint
 //! disagrees is refused ([`CheckpointError::Mismatch`]) rather than merged
 //! or clobbered; a checkpoint whose *records* are damaged keeps its valid
 //! records and re-runs the rest.
@@ -26,7 +25,6 @@ use crate::checkpoint::{
     decode_checkpoint, encode_checkpoint, CheckpointError, CheckpointHeader, CheckpointStore,
     Fingerprint, ShardRecord,
 };
-use crate::contention::Arbitration;
 use crate::hierarchy::HierarchyStats;
 use crate::packed;
 use crate::trace::EventSource;
@@ -322,10 +320,8 @@ impl Campaign {
         // field; CHECKPOINT_MAGIC's version digit guards against the form
         // changing across releases.
         hash.write(format!("{:?}", self.config()).as_bytes());
-        hash.write_u64(match self.arbitration() {
-            Arbitration::RoundRobin => 0,
-            Arbitration::SeededRandom => 1,
-        });
+        // Round-robin's arbitration tag, kept so existing store keys hold.
+        hash.write_u64(0);
         hash.write_u64(spec.total_runs() as u64);
         hash.write_u64(spec.shard_count() as u64);
         hash.write_words(seeds);
@@ -389,8 +385,7 @@ impl Campaign {
     }
 
     /// The resume-safety fingerprint of a sharded contended campaign:
-    /// additionally covers the arbitration policy, the task count and
-    /// every task's trace.
+    /// additionally covers the task count and every task's trace.
     pub fn contended_sharded_fingerprint<S>(
         &self,
         sources: &[S],

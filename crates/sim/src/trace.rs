@@ -9,9 +9,8 @@
 //! Two abstractions decouple generation from replay:
 //!
 //! * [`EventSink`] — where a generator *writes* events.  Implemented by the
-//!   boxed [`Trace`] (`Vec<MemEvent>`, 16 bytes/event), by the packed
-//!   [`crate::packed::PackedTrace`] (8 bytes/event) and by [`SinkFn`]
-//!   (constant memory — count, summarise or filter without storing).
+//!   boxed [`Trace`] (`Vec<MemEvent>`, 16 bytes/event) and by the packed
+//!   [`crate::packed::PackedTrace`] (8 bytes/event).
 //! * [`EventSource`] — where a replay *reads* events.  A source hands out a
 //!   fresh iterator per run, which is what lets one shared trace feed the
 //!   parallel runs of a [`crate::run::Campaign`] without being cloned.
@@ -51,8 +50,7 @@ impl MemEvent {
 ///
 /// Workload generators emit into a sink instead of returning a
 /// materialised `Vec`, so the same generator code can fill a boxed
-/// [`Trace`], a packed [`crate::packed::PackedTrace`] or a constant-memory
-/// [`SinkFn`].
+/// [`Trace`] or a packed [`crate::packed::PackedTrace`].
 pub trait EventSink {
     /// Receives one event.
     fn emit(&mut self, event: MemEvent);
@@ -89,33 +87,6 @@ impl EventSink for Trace {
 impl EventSink for Vec<MemEvent> {
     fn emit(&mut self, event: MemEvent) {
         self.push(event);
-    }
-}
-
-/// Adapts a closure into an [`EventSink`]: the constant-memory end of the
-/// pipeline, for counting, summarising or filtering an emission without
-/// storing it.
-///
-/// ```
-/// use randmod_sim::trace::{EventSink, SinkFn};
-/// use randmod_core::Address;
-///
-/// let mut loads = 0usize;
-/// let mut sink = SinkFn(|event: randmod_sim::MemEvent| {
-///     if event.is_data() {
-///         loads += 1;
-///     }
-/// });
-/// sink.load(Address::new(0x1000));
-/// sink.fetch(Address::new(0x2000));
-/// drop(sink);
-/// assert_eq!(loads, 1);
-/// ```
-pub struct SinkFn<F: FnMut(MemEvent)>(pub F);
-
-impl<F: FnMut(MemEvent)> EventSink for SinkFn<F> {
-    fn emit(&mut self, event: MemEvent) {
-        (self.0)(event);
     }
 }
 

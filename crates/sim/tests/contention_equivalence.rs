@@ -3,8 +3,7 @@
 //! The acceptance property of the shared-L2 platform: a contended campaign
 //! with one real task and idle (empty-trace) opponents must reproduce the
 //! single-task protocol **bit-identically** — same cycles, same per-run
-//! `HierarchyStats` — for every placement policy and both arbitration
-//! policies.  Two layers are pinned:
+//! `HierarchyStats` — for every placement policy.  Two layers are pinned:
 //!
 //! * the engine itself: `BatchCore` replaying a K-task schedule with idle
 //!   opponents (the interleave-and-replay path, no idle routing) against
@@ -15,31 +14,28 @@
 //!
 //! A third property pins the execution-geometry invariance of contended
 //! campaigns: one `ContendedResult`, reproduced bit-for-bit across every
-//! lanes × threads grid point, under both round-robin (where the lane
-//! knob sizes the lane groups of the shared schedule) and seeded-random
-//! (where every run replays its own schedule as a one-lane wave and the
-//! knob is inert).
+//! lanes × threads grid point (the lane knob sizes the lane groups that
+//! replay the shared schedule).
 
 mod common;
 
 use common::{event_strategy, expand};
 use proptest::prelude::*;
 use randmod_core::{Address, PlacementKind};
-use randmod_sim::contention::{Arbitration, ContendedSchedule};
+use randmod_sim::contention::ContendedSchedule;
 use randmod_sim::{BatchCore, Campaign, PlatformConfig, Trace};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// K tasks with idle opponents are the one task alone, for every
-    /// placement × arbitration and arbitrary traces/seeds — one lane per
-    /// seed (the seeded-random shape) and all seeds in one wave.
+    /// placement and arbitrary traces/seeds — one lane per seed and all
+    /// seeds in one wave.
     #[test]
     fn contended_engine_with_idle_opponents_matches_the_solo_engine(
         events in prop::collection::vec(event_strategy(), 1..300),
         seeds in prop::collection::vec(any::<u64>(), 1..5),
         placement_index in 0usize..4,
-        seeded_random in any::<bool>(),
         opponents in 1usize..3,
     ) {
         let placement = PlacementKind::ALL[placement_index];
@@ -52,13 +48,9 @@ proptest! {
             streams
         };
         let solo = BatchCore::new(&config, 1, seeds.len()).unwrap().execute_batch(&trace, &seeds);
+        let schedule = ContendedSchedule::round_robin(&config, tasks, streams());
         let mut one_lane = BatchCore::new(&config, tasks, 1).unwrap();
         for (&seed, &expected) in seeds.iter().zip(&solo) {
-            let schedule = if seeded_random {
-                ContendedSchedule::seeded_random(&config, tasks, streams(), seed)
-            } else {
-                ContendedSchedule::round_robin(&config, tasks, streams())
-            };
             let results = one_lane.execute_schedule(&schedule, &[seed]).remove(0);
             prop_assert_eq!(results[0], expected);
             for idle in &results[1..] {
@@ -67,7 +59,7 @@ proptest! {
         }
         let wave = BatchCore::new(&config, tasks, seeds.len())
             .unwrap()
-            .execute_schedule(&ContendedSchedule::round_robin(&config, tasks, streams()), &seeds);
+            .execute_schedule(&schedule, &seeds);
         for (runs, &expected) in wave.iter().zip(&solo) {
             prop_assert_eq!(runs[0], expected);
         }
@@ -75,32 +67,22 @@ proptest! {
 
     /// One contended campaign, every lanes × threads grid point: the
     /// `ContendedResult` must reproduce bit-for-bit — per-task cycles,
-    /// per-task statistics, run order — whatever the execution geometry.
-    /// Under round-robin the grid spans one-lane waves (`lanes == 1`),
-    /// partial batches and full lane groups; under seeded-random every
-    /// run is a one-lane wave of its own schedule, which must be equally
-    /// lane-knob-invariant (the knob is simply inert there).
+    /// per-task statistics, run order — whatever the execution geometry:
+    /// one-lane waves (`lanes == 1`), partial batches and full lane groups.
     #[test]
     fn contended_results_are_lane_and_thread_invariant(
         victim_events in prop::collection::vec(event_strategy(), 1..200),
         opponent_events in prop::collection::vec(event_strategy(), 1..200),
         campaign_seed in any::<u64>(),
         placement_index in 0usize..4,
-        seeded_random in any::<bool>(),
     ) {
         let placement = PlacementKind::ALL[placement_index];
         let config = PlatformConfig::leon3().with_l1_placement(placement);
-        let arbitration = if seeded_random {
-            Arbitration::SeededRandom
-        } else {
-            Arbitration::RoundRobin
-        };
         let sources = [expand(&victim_events), expand(&opponent_events)];
         let seeds: Vec<u64> = (0..11u64).map(|i| campaign_seed ^ (i * 0x9E37_79B9)).collect();
         let reference = Campaign::new(config, 0)
             .with_threads(1)
             .with_lanes(1)
-            .with_arbitration(arbitration)
             .run_contended(&sources, &seeds)
             .unwrap();
         // A campaign of several tasks steps every width as given: 2 and 3
@@ -113,7 +95,6 @@ proptest! {
                 let result = Campaign::new(config, 0)
                     .with_threads(threads)
                     .with_lanes(lanes)
-                    .with_arbitration(arbitration)
                     .run_contended(&sources, &seeds)
                     .unwrap();
                 prop_assert_eq!(&result, &reference);
@@ -122,8 +103,7 @@ proptest! {
     }
 
     /// `run_contended` with an idle co-schedule is `run_seeds`, across the
-    /// threads knob, one-lane and default-width waves, and both
-    /// arbitration policies.
+    /// threads knob and one-lane and default-width waves.
     #[test]
     fn run_contended_solo_matches_run_seeds(
         events in prop::collection::vec(event_strategy(), 1..250),
@@ -138,17 +118,14 @@ proptest! {
             .with_threads(2)
             .run_seeds(&trace, &seeds)
             .unwrap();
-        for arbitration in Arbitration::ALL {
-            for threads in [1usize, 3] {
-                for lanes in [1, Campaign::DEFAULT_LANES] {
-                    let contended = Campaign::new(config, 0)
-                        .with_threads(threads)
-                        .with_lanes(lanes)
-                        .with_arbitration(arbitration)
-                        .run_contended(&[trace.clone(), Trace::new()], &seeds)
-                        .unwrap();
-                    prop_assert_eq!(contended.victim_result(), reference.clone());
-                }
+        for threads in [1usize, 3] {
+            for lanes in [1, Campaign::DEFAULT_LANES] {
+                let contended = Campaign::new(config, 0)
+                    .with_threads(threads)
+                    .with_lanes(lanes)
+                    .run_contended(&[trace.clone(), Trace::new()], &seeds)
+                    .unwrap();
+                prop_assert_eq!(contended.victim_result(), reference.clone());
             }
         }
     }
@@ -156,8 +133,8 @@ proptest! {
 
 /// A contended campaign is a pure function of its seeds: identical seeds
 /// give identical per-task outcomes within one campaign, and re-running
-/// the campaign reproduces every run exactly (the seeded-random schedule
-/// depends on the run seed, never on thread timing).
+/// the campaign reproduces every run exactly (nothing depends on thread
+/// timing).
 #[test]
 fn contended_schedule_is_a_pure_function_of_the_seed() {
     let config = PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo);
@@ -169,18 +146,12 @@ fn contended_schedule_is_a_pure_function_of_the_seed() {
         opponent.load(Address::new(0x80_0000 + (i % 4096) * 32));
     }
     let sources = [victim, opponent];
-    for arbitration in Arbitration::ALL {
-        let campaign = Campaign::new(config, 0).with_arbitration(arbitration);
-        let result = campaign.run_contended(&sources, &[5, 5, 9]).unwrap();
-        // Identical seeds → identical task outcomes within one campaign.
-        assert_eq!(
-            result.runs()[0].tasks,
-            result.runs()[1].tasks,
-            "{arbitration}"
-        );
-        // A different seed changes the layout (and generally the outcome),
-        // but re-running the campaign reproduces everything.
-        let again = campaign.run_contended(&sources, &[5, 5, 9]).unwrap();
-        assert_eq!(result, again, "{arbitration}");
-    }
+    let campaign = Campaign::new(config, 0);
+    let result = campaign.run_contended(&sources, &[5, 5, 9]).unwrap();
+    // Identical seeds → identical task outcomes within one campaign.
+    assert_eq!(result.runs()[0].tasks, result.runs()[1].tasks);
+    // A different seed changes the layout (and generally the outcome),
+    // but re-running the campaign reproduces everything.
+    let again = campaign.run_contended(&sources, &[5, 5, 9]).unwrap();
+    assert_eq!(result, again);
 }

@@ -29,17 +29,18 @@
 //! sweep at one and at non-multiple lane widths, and the deterministic
 //! layout sweep —
 //! across arbitrary traces × all four placements × {LRU, Random,
-//! round-robin} replacement × {write-through, write-back} L1s.  Any future
-//! engine optimisation that changes an observable number fails here first.
+//! round-robin} replacement × {write-through, write-back} L1s, plus
+//! load-then-store streams that drive the write-back residency filter.
+//! Any future engine optimisation that changes an observable number fails
+//! here first.
 //!
 //! The contended half does the same for the shared-L2 platform:
 //! `RefSharedL2`/`RefContentionCore` naively re-implement the K-task
-//! hierarchy and both arbitration policies (per-set `Vec`s, `VecDeque`
+//! hierarchy and its round-robin arbitration (per-set `Vec`s, `VecDeque`
 //! event queues, per-access statistics snapshots — no run collapsing, no
 //! precomputed schedule, no lane batching) and are proptested against the
 //! full `Campaign::run_contended` path, which runs `BatchCore` schedule
-//! replays — multi-lane and one-lane round-robin waves, and one-lane
-//! seeded-random waves.
+//! replays in multi-lane and one-lane round-robin waves.
 //!
 //! `REFERENCE_MODEL_CASES` (env) scales the proptest case count; CI runs
 //! this suite with a larger budget than the local default.
@@ -54,15 +55,9 @@ use randmod_core::{
     AccessKind, AccessMasks, Address, CacheGeometry, CacheStats, PlacementKind, ReplacementKind,
     SetAssocCacheLanes, WritePolicy,
 };
-use randmod_sim::contention::Arbitration;
 use randmod_sim::hierarchy::HierarchyStats;
 use randmod_sim::trace::MemEvent;
 use randmod_sim::{BatchCore, Campaign, PlatformConfig, Trace};
-
-/// The arbitration-RNG salt of the contention engine, restated from its
-/// documented specification (decorrelates interleaving decisions from
-/// cache layouts).
-const ARBITRATION_SALT: u64 = 0xA12B_1748_C0DE_5EED;
 
 /// One resident line of the reference model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -472,21 +467,18 @@ impl RefSharedL2 {
 }
 
 /// The naive contention engine: interleaves `K` event queues over a
-/// [`RefSharedL2`] under the documented arbitration specification —
-/// round-robin visits ready tasks in index order; seeded-random draws a
-/// uniformly random ready task per step from `SplitMix64(seed ^ salt)`.
-/// Shares no code with `ContendedSchedule` or the lane-batched replay (in particular: no run collapsing, no
-/// precomputed schedule).
+/// [`RefSharedL2`] under the documented round-robin specification, which
+/// visits ready tasks in index order.  Shares no code with
+/// `ContendedSchedule` or the lane-batched replay (in particular: no run
+/// collapsing, no precomputed schedule).
 struct RefContentionCore {
     hierarchy: RefSharedL2,
-    arbitration: Arbitration,
 }
 
 impl RefContentionCore {
-    fn new(config: PlatformConfig, tasks: usize, arbitration: Arbitration) -> Self {
+    fn new(config: PlatformConfig, tasks: usize) -> Self {
         RefContentionCore {
             hierarchy: RefSharedL2::new(config, tasks),
-            arbitration,
         }
     }
 
@@ -505,37 +497,13 @@ impl RefContentionCore {
             .collect();
         queues.resize_with(tasks, std::collections::VecDeque::new);
         let mut cycles = vec![0u64; tasks];
-        let mut rng = SplitMix64::new(seed ^ ARBITRATION_SALT);
         let mut cursor = 0usize;
-        loop {
-            let ready = queues.iter().filter(|q| !q.is_empty()).count();
-            if ready == 0 {
-                break;
+        while queues.iter().any(|q| !q.is_empty()) {
+            while queues[cursor].is_empty() {
+                cursor = (cursor + 1) % tasks;
             }
-            let task = match self.arbitration {
-                Arbitration::RoundRobin => {
-                    while queues[cursor].is_empty() {
-                        cursor = (cursor + 1) % tasks;
-                    }
-                    let task = cursor;
-                    cursor = (cursor + 1) % tasks;
-                    task
-                }
-                Arbitration::SeededRandom => {
-                    let mut pick = (rng.next_u64() % ready as u64) as usize;
-                    let mut task = 0;
-                    loop {
-                        if !queues[task].is_empty() {
-                            if pick == 0 {
-                                break;
-                            }
-                            pick -= 1;
-                        }
-                        task += 1;
-                    }
-                    task
-                }
-            };
+            let task = cursor;
+            cursor = (cursor + 1) % tasks;
             let event = queues[task].pop_front().expect("picked a ready task");
             cycles[task] += self.hierarchy.access(task, event);
         }
@@ -768,14 +736,46 @@ proptest! {
         }
     }
 
+    /// The write-back residency filter against the reference: Random
+    /// replacement (the one policy that arms the filter) and write-back
+    /// L1s, over load-then-store pairs on up to 2,048 lines (64 KB against
+    /// the 16 KB DL1).  Every store goes to a clean line that every lane
+    /// has just loaded, so it takes the filter's repeat-store test, which
+    /// must read that line's own dirty cells; the evictions that follow
+    /// expose any store it wrongly skipped as a missing write-back.
+    #[test]
+    fn write_back_filter_matches_the_reference_model(
+        lines in prop::collection::vec(0u64..2048, 1..1024),
+        seeds in prop::collection::vec(any::<u64>(), 1..6),
+        placement_index in 0usize..4,
+    ) {
+        let config = platform(
+            PlacementKind::ALL[placement_index],
+            ReplacementKind::Random,
+            WritePolicy::WriteBack,
+        );
+        let mut trace = Trace::new();
+        for &line in &lines {
+            let addr = Address::new(0x10_0000 + line * 32);
+            trace.load(addr);
+            trace.store(addr);
+        }
+        let mut reference = RefHierarchy::new(config);
+        let mut batch = BatchCore::new(&config, 1, seeds.len()).unwrap();
+        let batched = batch.execute_batch(&trace, &seeds);
+        for (&seed, &batched_result) in seeds.iter().zip(&batched) {
+            prop_assert_eq!(batched_result, reference.execute_isolated(&trace, seed));
+        }
+    }
+
     /// The naive contention reference reproduces the engine at several
     /// tasks exactly — per-task cycles and full per-task statistics
     /// (private L1s plus each task's view of the shared L2) — across
-    /// arbitrations × placements × co-schedule sizes × {LRU, Random,
-    /// round-robin} × {WT, WB}.  The campaign goes through `Campaign::run_contended` on two
-    /// threads at one lane and at three, so both the one-lane waves (every
-    /// seeded-random run, and `with_lanes(1)`) and the multi-lane
-    /// round-robin groups are pinned against the reference.
+    /// placements × co-schedule sizes × {LRU, Random, round-robin} ×
+    /// {WT, WB}.  The campaign goes through `Campaign::run_contended` on
+    /// two threads at one lane and at three, so both the one-lane waves
+    /// (`with_lanes(1)`) and the multi-lane groups are pinned against the
+    /// reference.
     #[test]
     fn contended_engines_match_the_reference_model(
         victim in prop::collection::vec(event_strategy(), 1..200),
@@ -783,7 +783,6 @@ proptest! {
             prop::collection::vec(event_strategy(), 0..150), 0..3),
         seeds in prop::collection::vec(any::<u64>(), 1..5),
         placement_index in 0usize..4,
-        seeded_random in any::<bool>(),
         replacement_index in 0usize..3,
         write_back_l1 in any::<bool>(),
     ) {
@@ -794,25 +793,19 @@ proptest! {
         } else {
             WritePolicy::WriteThrough
         };
-        let arbitration = if seeded_random {
-            Arbitration::SeededRandom
-        } else {
-            Arbitration::RoundRobin
-        };
         let config = platform(placement, replacement, l1_write);
         let traces: Vec<Trace> = std::iter::once(expand(&victim))
             .chain(opponents.iter().map(|o| expand(o)))
             .collect();
         let tasks = traces.len();
 
-        let mut reference = RefContentionCore::new(config, tasks, arbitration);
+        let mut reference = RefContentionCore::new(config, tasks);
         let expected: Vec<_> =
             seeds.iter().map(|&seed| reference.execute_contended(&traces, seed)).collect();
         for lanes in [1usize, 3] {
             let campaign_result = Campaign::new(config, 0)
                 .with_threads(2)
                 .with_lanes(lanes)
-                .with_arbitration(arbitration)
                 .run_contended(&traces, &seeds)
                 .unwrap();
             prop_assert_eq!(campaign_result.len(), seeds.len());
@@ -862,8 +855,7 @@ proptest! {
 
 /// The contended counterpart of the heavy deterministic case: the naive
 /// contention reference against the campaign path on an L2-stressing
-/// three-task co-schedule, for every placement × both arbitrations × both
-/// L1 write policies (the residency filter keeps its cell indices only
+/// three-task co-schedule, for every placement × both L1 write policies (the residency filter keeps its cell indices only
 /// under write-back): at one lane, and at the default width on one and on
 /// two workers.  One worker at the default width fills one whole group
 /// and ends on a one-lane partial group; two workers split the seeds into
@@ -897,32 +889,29 @@ fn contended_reference_model_agrees_on_a_pressure_stressing_co_schedule() {
         .take(Campaign::DEFAULT_LANES + 1)
         .collect();
     for placement in PlacementKind::ALL {
-        for arbitration in Arbitration::ALL {
-            for l1_write in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
-                let config = platform(placement, ReplacementKind::Random, l1_write);
-                let mut reference = RefContentionCore::new(config, traces.len(), arbitration);
-                let expected: Vec<_> = seeds
-                    .iter()
-                    .map(|&seed| reference.execute_contended(&traces, seed))
-                    .collect();
-                let default = Campaign::DEFAULT_LANES;
-                for (threads, lanes) in [(1, 1), (1, default), (2, default)] {
-                    let campaign_result = Campaign::new(config, 0)
-                        .with_threads(threads)
-                        .with_lanes(lanes)
-                        .with_arbitration(arbitration)
-                        .run_contended(&traces, &seeds)
-                        .unwrap();
-                    for ((&seed, run), expected) in
-                        seeds.iter().zip(campaign_result.runs()).zip(&expected)
-                    {
-                        let campaign_run: Vec<(u64, HierarchyStats)> =
-                            run.tasks.iter().map(|t| (t.cycles, t.stats)).collect();
-                        assert_eq!(
-                            &campaign_run, expected,
-                            "campaign diverged from the reference: {placement}/{arbitration}/{l1_write:?} threads {threads} lanes {lanes} seed {seed}"
-                        );
-                    }
+        for l1_write in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
+            let config = platform(placement, ReplacementKind::Random, l1_write);
+            let mut reference = RefContentionCore::new(config, traces.len());
+            let expected: Vec<_> = seeds
+                .iter()
+                .map(|&seed| reference.execute_contended(&traces, seed))
+                .collect();
+            let default = Campaign::DEFAULT_LANES;
+            for (threads, lanes) in [(1, 1), (1, default), (2, default)] {
+                let campaign_result = Campaign::new(config, 0)
+                    .with_threads(threads)
+                    .with_lanes(lanes)
+                    .run_contended(&traces, &seeds)
+                    .unwrap();
+                for ((&seed, run), expected) in
+                    seeds.iter().zip(campaign_result.runs()).zip(&expected)
+                {
+                    let campaign_run: Vec<(u64, HierarchyStats)> =
+                        run.tasks.iter().map(|t| (t.cycles, t.stats)).collect();
+                    assert_eq!(
+                        &campaign_run, expected,
+                        "campaign diverged from the reference: {placement}/{l1_write:?} threads {threads} lanes {lanes} seed {seed}"
+                    );
                 }
             }
         }

@@ -15,7 +15,6 @@ mod common;
 use common::{event_strategy, expand};
 use proptest::prelude::*;
 use randmod_core::PlacementKind;
-use randmod_sim::contention::Arbitration;
 use randmod_sim::{Campaign, MemoryCheckpointStore, PlatformConfig, ShardSpec, Trace};
 
 proptest! {
@@ -78,28 +77,20 @@ proptest! {
 
     /// The contended analogue: sharded contended campaigns reproduce the
     /// unsharded `ContendedResult` — per-task cycles and stats — across
-    /// shard counts, lane widths and both arbitration policies, fresh and
-    /// restored.
+    /// shard counts and lane widths, fresh and restored.
     #[test]
     fn sharded_contended_campaign_matches_unsharded(
         victim_events in prop::collection::vec(event_strategy(), 1..150),
         opponent_events in prop::collection::vec(event_strategy(), 1..150),
         campaign_seed in any::<u64>(),
         placement_index in 0usize..4,
-        seeded_random in any::<bool>(),
     ) {
         let placement = PlacementKind::ALL[placement_index];
         let config = PlatformConfig::leon3().with_l1_placement(placement);
-        let arbitration = if seeded_random {
-            Arbitration::SeededRandom
-        } else {
-            Arbitration::RoundRobin
-        };
         let sources = [expand(&victim_events), expand(&opponent_events)];
         let campaign = Campaign::new(config, 9)
             .with_campaign_seed(campaign_seed)
-            .with_threads(2)
-            .with_arbitration(arbitration);
+            .with_threads(2);
         let reference = campaign.run_contended_campaign(&sources).unwrap();
         for shards in [1usize, 2, 4, 9] {
             for lanes in [1usize, Campaign::DEFAULT_LANES, 5] {
